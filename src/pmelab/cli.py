@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -209,13 +210,6 @@ def resolve_outdir(args) -> str:
     return out
 
 
-def resolve_jobs(args) -> int:
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs < 1:
-        raise ValidationError("--jobs must be at least 1")
-    return jobs
-
-
 def resolve_initial_state(spec: str, g: Graph, seed: int) -> np.ndarray:
     """Parse an initial-state spec: file:PATH, const:v[,v2,...], random:lo,hi."""
     kind, _, rest = spec.partition(":")
@@ -279,7 +273,6 @@ def config_echo(args, **extra) -> dict:
         "t_end",
         "points",
         "seed",
-        "jobs",
         "tol",
         "samples",
         "pairs",
@@ -318,13 +311,12 @@ def sample_check_tuples(
 
 def cmd_simulate(args) -> int:
     outdir = resolve_outdir(args)
-    jobs = resolve_jobs(args)
     g = resolve_graph(args.graph)
     u0 = resolve_initial_state(args.u0, g, args.seed)
     times = resolve_times(args, need_positive_start=False)
     cfg = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     summary_path = os.path.join(outdir, "summary.json")
-    summary = {"command": "simulate", "config": config_echo(args, jobs=jobs)}
+    summary = {"command": "simulate", "config": config_echo(args)}
 
     try:
         traj = integrate(g, args.m, u0, times, config=cfg)
@@ -389,7 +381,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_cd(args) -> int:
     outdir = resolve_outdir(args)
-    jobs = resolve_jobs(args)
     g = resolve_graph(args.graph)
     vertices = args.vertex or [str(v) for v in g.vertices]
     for v in vertices:
@@ -429,7 +420,7 @@ def cmd_verify_cd(args) -> int:
     out_path = os.path.join(outdir, "cd_report.json")
     write_json(
         out_path,
-        {"command": "verify-cd", "config": config_echo(args, jobs=jobs), "reports": reports},
+        {"command": "verify-cd", "config": config_echo(args), "reports": reports},
     )
     print("wrote %s" % out_path)
     return 1 if violated else 0
@@ -437,7 +428,6 @@ def cmd_verify_cd(args) -> int:
 
 def cmd_check(args) -> int:
     outdir = resolve_outdir(args)
-    jobs = resolve_jobs(args)
     g = resolve_graph(args.graph)
     u0 = resolve_initial_state(args.u0, g, args.seed)
     times = resolve_times(args, need_positive_start=True)
@@ -464,7 +454,7 @@ def cmd_check(args) -> int:
     tag = args.which.replace("-", "_")
     report_path = os.path.join(outdir, "report_%s.json" % tag)
     payload = report.to_json_dict()
-    payload["config"] = config_echo(args, jobs=jobs)
+    payload["config"] = config_echo(args)
     write_json(report_path, payload)
     csv_path = os.path.join(outdir, "slack_%s.csv" % tag)
     report.write_slack_csv(csv_path)
@@ -518,16 +508,12 @@ def _run_complete_optimal(d_count: int, m: float, seed: int) -> tuple[bool, dict
 def _run_square(seed: int) -> tuple[bool, dict]:
     g = square_graph()
     search = SearchConfig(seed=seed)
-    verdicts = {}
-    all_hold = True
-    for v in ("x", "y1", "y2", "z"):
-        report = verify_cd_at(g, 2.0, 0.0, 4.0 / 3.0, v, search)
-        verdicts[v] = report.verdict
-        all_hold = all_hold and report.verdict == "holds_empirically"
+    reports = {v: verify_cd_at(g, 2.0, 0.0, 4.0 / 3.0, v, search) for v in ("x", "y1", "y2", "z")}
+    verdicts = {v: report.verdict for v, report in reports.items()}
+    all_hold = all(verdict == "holds_empirically" for verdict in verdicts.values())
     tight = verify_cd_at(g, 2.0, 0.0, 1.32, "x", search)
-    optimal = max(
-        empirical_optimal_d(g, 2.0, 0.0, v, search) for v in ("x", "y1", "y2", "z")
-    )
+    # the reports carry empirical_optimal_d's value (None where it is nan)
+    optimal = max(math.nan if r.empirical_optimal_d is None else r.empirical_optimal_d for r in reports.values())
     passed = (
         all_hold
         and tight.verdict == "violated"
@@ -592,7 +578,7 @@ def _run_ab_square(seed: int) -> tuple[bool, dict]:
     return report.passed, {
         "measured": report.min_slack,
         "expected": ">= -1e-8",
-        "argmin": list(report.argmin),
+        "argmin": report.argmin,
     }
 
 
@@ -605,10 +591,7 @@ def _run_ab_sharpness(seed: int) -> tuple[bool, dict]:
     solver_error = float(np.max(np.abs(traj.states - exact)))
 
     ts = np.linspace(1e-4, 5.0, 4000)
-    states = np.array([traj.state_at(t) for t in ts])
-    neg_lap_v = np.array(
-        [-laplacian_field(traj.graph, pressure(2.0, states[i]))[0] for i in range(len(ts))]
-    )
+    neg_lap_v = -laplacian_field(traj.graph, pressure(2.0, traj.dense(ts)))[:, 0]
     sup_value = float(np.max(ts * neg_lap_v))
     ratio = sup_value * np.e
     passed = solver_error <= 1e-8 and 0.99 <= ratio <= 1.0
@@ -791,7 +774,6 @@ def add_shared_arguments(p: argparse.ArgumentParser, with_times: bool = True) ->
         p.add_argument("--t-end", type=float, default=5.0)
         p.add_argument("--points", type=int, default=201)
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
-    p.add_argument("--jobs", type=int, default=None, help="worker budget hint")
     p.add_argument("--out", default=None, help="output directory (default $PME_LAB_OUT)")
     p.add_argument("--tol", type=float, default=None, help="reporting tolerance override")
 

@@ -32,16 +32,16 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import DomainError, LambdaOneError, ValidationError
 from .graphs import Graph, graph_distance, k_min
 from .operators import (
+    _dtv,
+    _gradient_energy,
+    _mixed_laplacian,
+    _pressure,
     check_exponent,
     check_mixing,
-    gradient_energy_field,
-    laplacian_field,
-    mixed_laplacian_field,
     pressure,
 )
 from .solver import Trajectory
@@ -101,23 +101,37 @@ class EstimateReport:
                     fh.write(f"{t:.17g},{x},{slack:.17g}\n")
 
 
-def _eval_points(traj: Trajectory) -> list[tuple[float, np.ndarray]]:
-    """Reported states plus 10x dense refinement of the earliest intervals."""
-    points = [(float(t), traj.states[i]) for i, t in enumerate(traj.times)]
-    if traj.dense is not None and len(traj.times) > 1:
-        extra = []
-        for a, b in zip(traj.times[:10], traj.times[1:11]):
-            extra.extend(np.linspace(a, b, 11)[1:-1])
-        if extra:
-            states = traj.dense(np.asarray(extra))
-            points.extend((float(t), s) for t, s in zip(extra, states))
-        points.sort(key=lambda p: p[0])
-    return points
+def _eval_points(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Times and states: reported ones plus 10x dense refinement of the earliest intervals."""
+    ts, states = traj.times, traj.states
+    if traj.dense is None or len(ts) < 2:
+        return ts, states
+    extra = np.concatenate([np.linspace(a, b, 11)[1:-1] for a, b in zip(ts[:10], ts[1:11])])
+    ts = np.concatenate([ts, extra])
+    order = np.argsort(ts, kind="stable")
+    return ts[order], np.concatenate([states, traj.dense(extra)])[order]
 
 
 def _require_positive_times(traj: Trajectory) -> None:
     if traj.times[0] <= 0.0:
         raise ValidationError("trajectory must start at t > 0 for time-scaled bounds")
+
+
+def _pressure_terms(traj: Trajectory):
+    """Evaluation points with the pressure, its exact time derivative and gradient energy."""
+    ts, U = _eval_points(traj)
+    g, m = traj.graph, traj.m
+    k, deg = g.kernel_matrix(), g.degree
+    V = _pressure(m, U)
+    return ts, U, V, _dtv(k, deg, m, U), _gradient_energy(k, deg, m, V)
+
+
+def _row_minima(g: Graph, ts: np.ndarray, slack: np.ndarray):
+    """Per-time ``(t, vertex, slack)`` minima and the index of the first overall minimum."""
+    cols = np.argmin(slack, axis=1)
+    mins = slack[np.arange(len(ts)), cols]
+    records = [(float(t), g.vertices[i], float(s)) for t, i, s in zip(ts, cols, mins)]
+    return records, int(np.argmin(mins)), cols
 
 
 def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> EstimateReport:
@@ -136,30 +150,18 @@ def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> Est
         raise ValidationError("d must be positive")
     _require_positive_times(traj)
     g, m = traj.graph, traj.m
-    best = math.inf
-    argmin: dict = {}
-    records = []
-    points = _eval_points(traj)
-    for t, u in points:
-        v = pressure(m, u)
-        gq = mixed_laplacian_field(g, m, alpha, u)
-        slack_direct = d / t + gq
-        dtv = m * u ** (m - 2.0) * laplacian_field(g, u**m)
-        psi = gradient_energy_field(g, m, v)
-        slack_pressure = d / t - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * v)
-        both = np.minimum(slack_direct, slack_pressure)
-        i = int(np.argmin(both))
-        records.append((t, g.vertices[i], float(both[i])))
-        if both[i] < best:
-            best = float(both[i])
-            form = "direct" if slack_direct[i] <= slack_pressure[i] else "pressure_equation"
-            argmin = {"t": t, "vertex": g.vertices[i], "form": form}
+    ts, U, V, dtv, psi = _pressure_terms(traj)
+    slack_direct = d / ts[:, None] + _mixed_laplacian(g.kernel_matrix(), g.degree, m, alpha, U)
+    slack_pressure = d / ts[:, None] - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V)
+    records, k, cols = _row_minima(g, ts, np.minimum(slack_direct, slack_pressure))
+    t, x, best = records[k]
+    form = "direct" if slack_direct[k, cols[k]] <= slack_pressure[k, cols[k]] else "pressure_equation"
     return EstimateReport(
         "ab",
         {"m": m, "alpha": alpha, "d": d},
         best,
-        argmin,
-        len(points) * g.n,
+        {"t": t, "vertex": x, "form": form},
+        len(ts) * g.n,
         tol,
         records,
     )
@@ -180,25 +182,15 @@ def diff_harnack_residual(traj: Trajectory, lam: float, mu: float, tol: float = 
         raise DomainError("mu must be positive")
     _require_positive_times(traj)
     g, m = traj.graph, traj.m
-    best = math.inf
-    argmin: dict = {}
-    records = []
-    points = _eval_points(traj)
-    for t, u in points:
-        v = pressure(m, u)
-        dtv = m * u ** (m - 2.0) * laplacian_field(g, u**m)
-        slack = dtv - (1.0 - lam) * gradient_energy_field(g, m, v) + mu / t * v
-        i = int(np.argmin(slack))
-        records.append((t, g.vertices[i], float(slack[i])))
-        if slack[i] < best:
-            best = float(slack[i])
-            argmin = {"t": t, "vertex": g.vertices[i]}
+    ts, U, V, dtv, psi = _pressure_terms(traj)
+    records, k, _ = _row_minima(g, ts, dtv - (1.0 - lam) * psi + mu / ts[:, None] * V)
+    t, x, best = records[k]
     return EstimateReport(
         "diff_harnack",
         {"m": m, "lambda": lam, "mu": mu},
         best,
-        argmin,
-        len(points) * g.n,
+        {"t": t, "vertex": x},
+        len(ts) * g.n,
         tol,
         records,
     )
@@ -425,7 +417,7 @@ def integral_min_inequality_check(
     if abs(ts[0] - t1) > 1e-9 * span or abs(ts[-1] - t2) > 1e-9 * span:
         raise ValidationError("grid must span [t1, t2]")
     w = ts**-nu * psi**2
-    cum = cumulative_trapezoid(w, ts, initial=0.0)
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(ts) * (w[1:] + w[:-1]) / 2.0)))
     total = cum[-1]
     lhs_tail = float(np.min(psi - (total - cum) / c))
     lhs_head = float(np.min(psi - cum / c))

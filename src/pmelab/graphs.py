@@ -71,7 +71,6 @@ class Graph:
         self.vertices: tuple[str, ...] = tuple(str(v) for v in vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._kernel = kernel
-        self._kernel_csc = sparse.csc_array(kernel)
         self.degree = np.asarray(kernel.sum(axis=1)).ravel()
         self.symmetric = (kernel != kernel.T).nnz == 0
 

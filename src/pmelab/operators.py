@@ -13,9 +13,11 @@ algebra that the verification routines build on:
 * the mixed second-order quantity bounded by the Aronson-Benilan estimate.
 
 Pointwise operators take ``(graph, field, vertex)`` and return a float; the
-``*_field`` variants evaluate every vertex at once and are what the solver
-and search code call.  Fields are numpy arrays aligned with
-``graph.vertices`` (see :func:`as_field`).
+``*_field`` variants evaluate every vertex at once.  Fields are numpy arrays
+aligned with ``graph.vertices`` (see :func:`as_field`), or for ``*_field``
+stacks of shape ``(..., n)``.  Each formula is written once, in the
+unvalidated batched core at the end of this module, which the solver, the
+checkers and the curvature-dimension search call as well.
 
 Zero values are accepted where a boundary limit is well defined (``m >= 2``
 searches probe the boundary of the positive cone); the conventions
@@ -29,6 +31,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DomainError
 from .graphs import Graph
@@ -100,8 +103,15 @@ def as_field(g: Graph, values) -> np.ndarray:
     return arr.copy()
 
 
-def _check_field(g: Graph, u, m: float, allow_zero: bool) -> np.ndarray:
-    u = as_field(g, u)
+def _fields(g: Graph, values) -> np.ndarray:
+    """Float array of shape ``(n,)`` or ``(..., n)``, not copied."""
+    arr = None if isinstance(values, dict) else np.asarray(values, dtype=float)
+    if arr is None or arr.ndim == 0 or arr.shape[-1] != g.n:
+        return as_field(g, values)  # mappings, scalars and bad shapes
+    return arr
+
+
+def _check_field(u: np.ndarray, m: float, allow_zero: bool) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise DomainError("field contains non-finite values")
     if allow_zero and m >= 2.0:
@@ -117,16 +127,12 @@ def _check_field(g: Graph, u, m: float, allow_zero: bool) -> np.ndarray:
 
 def laplacian_field(g: Graph, f) -> np.ndarray:
     """Generalized graph Laplacian ``Lf(x) = sum_y k(x,y) (f(y) - f(x))``."""
-    f = as_field(g, f)
-    return g.kernel_matrix() @ f - g.degree * f
+    return _lap(g.kernel_matrix(), g.degree, _fields(g, f))
 
 
 def laplacian(g: Graph, f, x: str) -> float:
-    """Value of ``Lf`` at a single vertex."""
-    f = as_field(g, f)
-    i = g.index(x)
-    w = g.weights_idx(i)
-    return float(w @ (f[g.neighbors_idx(i)] - f[i]))
+    """Value of ``Lf`` at a single vertex: :func:`difference_sum` of the identity."""
+    return difference_sum(g, lambda r: r, f, x)
 
 
 def difference_sum(g: Graph, h: Callable[[np.ndarray], np.ndarray], f, x: str) -> float:
@@ -183,7 +189,7 @@ def pressure(m: float, u):
     u = np.asarray(u, dtype=float)
     if np.any(u < 0.0):
         raise DomainError("density must be nonnegative")
-    out = m / (m - 1.0) * u ** (m - 1.0)
+    out = _pressure(m, u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -200,32 +206,11 @@ def pressure_inverse(m: float, v):
 # -- gradient energy -------------------------------------------------------
 
 
-def _gradient_energy_terms(m: float, wx, wy):
-    c1 = (m - 1.0) / m
-    c2 = (m - 1.0) ** 2 / m
-    p = (m - 2.0) / (m - 1.0)
-    q = m / (m - 1.0)
-    return c1 * wx**2 + c2 * wx**p * wy**q - (m - 1.0) * wx * wy
-
-
 def gradient_energy_field(g: Graph, m: float, w) -> np.ndarray:
     """Vectorized :func:`gradient_energy` over all vertices."""
     m = check_exponent(m)
-    w = _check_field(g, w, m, allow_zero=True)
-    k = g.kernel_matrix()
-    if m < 1.5:
-        # Near m = 1 the power form cancels catastrophically (its exponents
-        # grow like 1/(m-1)), so evaluate through the logarithmic form,
-        # which stays conditioned there; zero values cannot occur for m < 2.
-        lw = np.log(w)
-        rows = np.repeat(np.arange(g.n), np.diff(k.indptr))
-        vals = k.data * exp_remainder_m(m, lw[k.indices] - lw[rows])
-        return w**2 * np.bincount(rows, weights=vals, minlength=g.n)
-    c1 = (m - 1.0) / m
-    c2 = (m - 1.0) ** 2 / m
-    p = (m - 2.0) / (m - 1.0)
-    q = m / (m - 1.0)
-    return c1 * g.degree * w**2 + c2 * w**p * (k @ w**q) - (m - 1.0) * w * (k @ w)
+    w = _check_field(_fields(g, w), m, allow_zero=True)
+    return _gradient_energy(g.kernel_matrix(), g.degree, m, w)
 
 
 def gradient_energy(g: Graph, m: float, w, x: str) -> float:
@@ -236,26 +221,11 @@ def gradient_energy(g: Graph, m: float, w, x: str) -> float:
 
     This is the discrete stand-in for ``|grad w|^2`` in the pressure
     equation and the entropy dissipation.  It is nonnegative, and for
-    ``m = 2`` it equals :func:`carre_du_champ`.  The equivalent logarithmic
-    form ``w(x)^2 * difference_sum(exp_remainder_m, log w)(x)`` is kept as a
-    debug cross-check.
+    ``m = 2`` it equals :func:`carre_du_champ`.  It equals the logarithmic
+    form ``w(x)^2 * difference_sum(exp_remainder_m, log w)(x)``, which is
+    how it is evaluated for ``m < 1.5``.
     """
-    m = check_exponent(m)
-    w = _check_field(g, w, m, allow_zero=True)
-    i = g.index(x)
-    wt = g.weights_idx(i)
-    if m < 1.5:
-        lw = np.log(w)
-        return float(
-            w[i] ** 2 * (wt @ exp_remainder_m(m, lw[g.neighbors_idx(i)] - lw[i]))
-        )
-    out = float(wt @ _gradient_energy_terms(m, w[i], w[g.neighbors_idx(i)]))
-    if __debug__ and np.all((w > 1e-6) & (w < 1e6)):
-        ref = w[i] ** 2 * difference_sum(
-            g, lambda r: exp_remainder_m(m, r), np.log(w), x
-        )
-        assert abs(out - ref) <= 1e-9 * max(1.0, abs(out), abs(ref))
-    return out
+    return float(gradient_energy_field(g, m, as_field(g, w))[g.index(x)])
 
 
 def carre_du_champ(g: Graph, f, x: str) -> float:
@@ -275,12 +245,7 @@ def curvature_form(g: Graph, m: float, u, x: str) -> float:
     bounding it below by ``(1/d) (Lv)^2`` at admissible vertices is the
     curvature-dimension condition with mixing 0.
     """
-    m = check_exponent(m)
-    u = _check_field(g, u, m, allow_zero=True)
-    lp = laplacian_field(g, u**m)
-    r = u ** (m - 2.0) * lp
-    i = g.index(x)
-    return float(m * g.weights_idx(i) @ (r[g.neighbors_idx(i)] - r[i]))
+    return curvature_form_mixed(g, m, 0.0, u, x)
 
 
 def curvature_form_mixed(g: Graph, m: float, alpha: float, u, x: str) -> float:
@@ -289,21 +254,17 @@ def curvature_form_mixed(g: Graph, m: float, alpha: float, u, x: str) -> float:
     ``sum_y k(x,y) [ (1 - alpha + alpha u(y)/u(x)) m u(y)^(m-2) L(u^m)(y)
     - (m - alpha + alpha (u(y)/u(x))^m) u(x)^(m-2) L(u^m)(x) ]``
 
-    Reduces to :func:`curvature_form` at ``alpha = 0``.  Requires
-    ``u(x) > 0``; zero values on neighbors are allowed for ``m >= 2``.
+    Reduces to :func:`curvature_form` at ``alpha = 0``.  For ``alpha > 0``
+    it requires ``u(x) > 0``; zero values are allowed for ``m >= 2``.
     """
     m = check_exponent(m)
     alpha = check_mixing(alpha)
-    u = _check_field(g, u, m, allow_zero=True)
+    u = _check_field(as_field(g, u), m, allow_zero=True)
     i = g.index(x)
-    if u[i] <= 0.0:
+    if alpha > 0.0 and u[i] <= 0.0:
         raise DomainError("curvature form needs a positive value at the base vertex")
-    lp = laplacian_field(g, u**m)
-    nb = g.neighbors_idx(i)
-    ratio = u[nb] / u[i]
-    left = (1.0 - alpha + alpha * ratio) * m * u[nb] ** (m - 2.0) * lp[nb]
-    right = (m - alpha + alpha * ratio**m) * u[i] ** (m - 2.0) * lp[i]
-    return float(g.weights_idx(i) @ (left - right))
+    nb, w = g.neighbors_idx(i), g.weights_idx(i)
+    return float(_curvature_form(g.kernel_matrix(), g.degree, m, alpha, u, i, nb, w))
 
 
 # -- mixed second-order quantity -------------------------------------------
@@ -313,22 +274,9 @@ def mixed_laplacian_field(g: Graph, m: float, alpha: float, u) -> np.ndarray:
     """Vectorized :func:`mixed_laplacian` over all vertices."""
     m = check_exponent(m)
     alpha = check_mixing(alpha)
-    u = _check_field(g, u, m, allow_zero=True)
-    v = pressure(m, u)
-    lv = laplacian_field(g, v)
-    if alpha == 0.0:
-        return lv
-    psi = gradient_energy_field(g, m, v)
-    pos = v > 0.0
-    out = np.empty(g.n)
-    out[pos] = lv[pos] + alpha * psi[pos] / ((m - 1.0) * v[pos])
-    if not np.all(pos):
-        # v(x) = 0 limit: the correction blows up to +inf as soon as some
-        # neighbor carries positive pressure, otherwise it vanishes.
-        zero = ~pos
-        has_mass = (g.kernel_matrix() @ v ** (m / (m - 1.0)))[zero] > 0.0
-        out[zero] = np.where(has_mass, np.inf, lv[zero])
-    return out
+    u = _check_field(_fields(g, u), m, allow_zero=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _mixed_laplacian(g.kernel_matrix(), g.degree, m, alpha, u)
 
 
 def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
@@ -340,7 +288,92 @@ def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
     strict positive local maxima define admissibility for the
     curvature-dimension checks.
     """
-    return float(mixed_laplacian_field(g, m, alpha, u)[g.index(x)])
+    return float(mixed_laplacian_field(g, m, alpha, as_field(g, u))[g.index(x)])
+
+
+# -- batched core ----------------------------------------------------------
+# ``K`` is a kernel matrix (a graph's sparse kernel or a two-hop ball's dense
+# one), ``deg`` its row sums; callers validate and set the error state.
+
+
+def _ksum(K, F):
+    """Kernel sums ``sum_y K(x,y) F(..., y)`` at every vertex ``x``."""
+    if F.ndim > 2:
+        return _ksum(K, F.reshape(-1, F.shape[-1])).reshape(F.shape)
+    return (K @ F.T).T
+
+
+def _lap(K, deg, F):
+    """Laplacian ``sum_y K(x,y) (F(y) - F(x))``."""
+    return _ksum(K, F) - deg * F
+
+
+def _flow(K, deg, m, U):
+    """Porous medium right-hand side ``L(u^m)``."""
+    return _lap(K, deg, U**m)
+
+
+def _dtv(K, deg, m, U):
+    """Pressure time derivative along the flow, ``m u^(m-2) L(u^m)``."""
+    return m * U ** (m - 2.0) * _flow(K, deg, m, U)
+
+
+def _pressure(m, U):
+    """Pressure ``(m/(m-1)) u^(m-1)``."""
+    return m / (m - 1.0) * U ** (m - 1.0)
+
+
+def _gradient_energy(K, deg, m, W):
+    """Gradient energy of pressure fields ``W``, see :func:`gradient_energy`."""
+    if m < 1.5:
+        # Near m = 1 the power form cancels catastrophically (its exponents
+        # grow like 1/(m-1)), so evaluate through the logarithmic form,
+        # which stays conditioned there; zero values cannot occur for m < 2.
+        e, n = sparse.coo_array(K), W.shape[-1]  # entries in row-major order
+        lw = np.log(W.reshape(-1, n))
+        vals = e.data * exp_remainder_m(m, lw[:, e.col] - lw[:, e.row])
+        at = e.row + n * np.arange(len(lw))[:, None]
+        return W**2 * np.bincount(at.ravel(), weights=vals.ravel(), minlength=lw.size).reshape(W.shape)
+    c1 = (m - 1.0) / m
+    c2 = (m - 1.0) ** 2 / m
+    p = (m - 2.0) / (m - 1.0)
+    q = m / (m - 1.0)
+    return c1 * deg * W**2 + c2 * W**p * _ksum(K, W**q) - (m - 1.0) * W * _ksum(K, W)
+
+
+def _mixed_laplacian(K, deg, m, alpha, U):
+    """``G = Lv + alpha * gradient_energy(v) / ((m-1) v)`` with ``v`` the pressure.
+
+    Where ``v(x) = 0`` the correction takes its limit: ``+inf`` when some
+    neighbor carries positive pressure, otherwise 0.
+    """
+    V = _pressure(m, U)
+    LV = _lap(K, deg, V)
+    if alpha == 0.0:
+        return LV
+    G = LV + alpha * _gradient_energy(K, deg, m, V) / ((m - 1.0) * V)
+    zero = V == 0.0
+    if zero.any():
+        has_mass = _ksum(K, V ** (m / (m - 1.0)))[zero] > 0.0
+        G[zero] = np.where(has_mass, np.inf, LV[zero])
+    return G
+
+
+def _curvature_form(K, deg, m, alpha, U, i, nb, w):
+    """Curvature form at vertex ``i`` with neighbors ``nb`` of weights ``w``.
+
+    See :func:`curvature_form_mixed`; summed neighbor by neighbor.  At
+    ``alpha = 0`` the ratio ``u(y)/u(x)`` is not formed, so ``u(x)`` may
+    vanish.
+    """
+    LP = _flow(K, deg, m, U)
+    ux = U[..., i]
+    lead = trail = 0.0
+    for j, wj in zip(nb, w):
+        r = U[..., j] / ux if alpha else 0.0
+        lead = lead + wj * (1.0 - alpha + alpha * r) * m * U[..., j] ** (m - 2.0) * LP[..., j]
+        trail = trail + wj * (m - alpha + alpha * r**m)
+    return lead - trail * ux ** (m - 2.0) * LP[..., i]
 
 
 # -- alternate operation names ---------------------------------------------

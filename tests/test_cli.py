@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pmelab import load_edge_list
+from pmelab.cli import main
 
 CLI = [sys.executable, "-m", "pmelab.cli"]
 
@@ -238,6 +239,16 @@ def test_reproduce_chain_example_reports_the_value_mismatch(tmp_path):
     assert report["passed"] is False
 
 
+def test_reproduce_ab_square_reports_where_the_minimum_sits(tmp_path):
+    out = tmp_path / "run"
+    assert main(["reproduce", "ex5.3i", "--out", str(out)]) == 0
+    argmin = read_json(out / "reproduce_ex5.3i.json")["argmin"]
+    assert set(argmin) == {"t", "vertex", "form"}
+    assert 0.05 <= argmin["t"] <= 5.0
+    assert argmin["vertex"] in ("x", "y1", "y2", "z")
+    assert argmin["form"] in ("direct", "pressure_equation")
+
+
 def test_reproduce_unknown_id_lists_the_catalogue(tmp_path):
     proc = run_cli("reproduce", "nope", "--out", tmp_path / "run")
     assert proc.returncode == 2
@@ -245,6 +256,12 @@ def test_reproduce_unknown_id_lists_the_catalogue(tmp_path):
 
 
 # -- gen-graph and environment ---------------------------------------------
+
+
+def test_jobs_is_not_an_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_gen_graph_round_trips_through_simulate(tmp_path):

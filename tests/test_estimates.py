@@ -12,15 +12,22 @@ from pmelab import (
     complete_graph,
     counting_measure,
     diff_harnack_residual,
+    entropy_dissipation_residual,
+    gradient_energy_field,
     graph_distance,
     harnack_check,
     harnack_rhs_distance,
     harnack_rhs_path,
     integral_min_inequality_check,
     integrate,
+    laplacian_field,
     minorant_ratio,
+    mixed_laplacian_field,
     path_graph,
+    pressure,
+    pressure_equation_residual,
     quadratic_minorant_check,
+    renyi_entropy,
     square_graph,
 )
 from pmelab.errors import DomainError, LambdaOneError, NoPathError, ValidationError
@@ -55,6 +62,43 @@ def test_ab_report_records_parameters_and_argmin():
     assert rep.kind == "ab"
     assert rep.parameters["d"] == pytest.approx(4.0 / 3.0)
     assert set(rep.argmin) >= {"t", "vertex", "form"}
+
+
+@pytest.mark.parametrize("m", [1.25, 2.0, 3.0])
+def test_batched_checkers_equal_the_per_point_loop(m):
+    # reference: one time point at a time through the public field operators
+    traj = square_run(m=m, points=12)
+    g, alpha, d, lam, mu = traj.graph, 0.5, 4.0 / 3.0, 0.25, 2.0
+    ab, dh = ab_check(traj, alpha, d), diff_harnack_residual(traj, lam, mu)
+    assert ab.points_checked == dh.points_checked == g.n * (12 + 9 * 10)
+    for (t, x, slack), (t2, x2, slack2) in zip(ab.records, dh.records):
+        u = traj.dense(np.array([t]))[0]
+        v = pressure(m, u)
+        dtv = m * u ** (m - 2.0) * laplacian_field(g, u**m)
+        psi = gradient_energy_field(g, m, v)
+        both = np.minimum(d / t + mixed_laplacian_field(g, m, alpha, u), d / t - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * v))
+        assert (t, x, slack) == (t, g.vertices[np.argmin(both)], np.min(both))
+        harnack = dtv - (1.0 - lam) * psi + mu / t * v
+        assert (t2, x2, slack2) == (t, g.vertices[np.argmin(harnack)], np.min(harnack))
+    assert ab.min_slack == min(r[2] for r in ab.records)
+    assert dh.min_slack == min(r[2] for r in dh.records)
+
+    worst = 0.0
+    for u in traj.states:
+        v = pressure(m, u)
+        lhs = m * u ** (m - 2.0) * laplacian_field(g, u**m)
+        rhs = (m - 1.0) * v * laplacian_field(g, v) + gradient_energy_field(g, m, v)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    assert pressure_equation_residual(traj) == worst
+
+    measure, t = counting_measure(g), traj.times
+    ent = [renyi_entropy(g, m, u, measure) for u in traj.states]
+    worst = 0.0
+    for i in range(1, len(t) - 1):
+        u = traj.states[i]
+        predicted = -float(measure.pi @ (u * gradient_energy_field(g, m, pressure(m, u)))) / m
+        worst = max(worst, abs((ent[i + 1] - ent[i - 1]) / (t[i + 1] - t[i - 1]) - predicted))
+    assert entropy_dissipation_residual(traj, measure) == worst
 
 
 def test_differential_harnack_follows_from_the_dimension_bound():

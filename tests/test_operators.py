@@ -23,10 +23,12 @@ from pmelab import (
     path_graph,
     pressure,
     pressure_inverse,
+    resolve_graph,
     square_graph,
 )
+from pmelab.cd import _BallProblem
 from pmelab.errors import DomainError, ValidationError
-from pmelab.operators import check_exponent, check_mixing
+from pmelab.operators import _curvature_form, _dtv, _gradient_energy, _mixed_laplacian, check_exponent, check_mixing
 
 EXPONENTS = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 POSITIVE = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
@@ -379,3 +381,138 @@ def test_field_length_validation():
     g = path_graph(3)
     with pytest.raises(ValidationError):
         laplacian_field(g, np.ones(4))
+
+
+# -- batched core against per-point references -----------------------------
+#
+# The references are assembled per vertex from the pointwise Laplacian and
+# the kernel weights, independently of the core's kernel-sum evaluation
+# order.  Sums that cancel are compared relative to the size of their terms.
+
+CORE_GRAPHS = ("square", "complete:5", "path:6", "zwindow:3")
+CORE_EXPONENTS = (1.25, 1.5, 2.0, 3.0)
+CORE_MIXING = (0.0, 0.5, 1.0)
+CORE_RTOL = 1e-13
+
+
+def _core_fields(g, m, seed):
+    """Positive fields, plus (for m >= 2) fields with zero coordinates away from vertex 0."""
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(0.2, 3.0, (5, g.n))
+    if m >= 2.0:
+        U[3, 1] = 0.0
+        U[4, 2:] = 0.0
+    return U
+
+
+def _ref_laplacian(g, f, x):
+    """Pointwise Laplacian, and the size ``sum_y k(x,y) (|f(y)| + |f(x)|)`` of its terms."""
+    i = g.index(x)
+    return laplacian(g, f, x), sum(g.kernel(x, y) * (abs(f[g.index(y)]) + abs(f[i])) for y in g.neighbors(x))
+
+
+def _ref_gradient_energy(g, m, w, x):
+    """Per-edge sum of the definition, and the size of its terms."""
+    i = g.index(x)
+    p, q = (m - 2.0) / (m - 1.0), m / (m - 1.0)
+    terms = [
+        g.kernel(x, y) * np.array([(m - 1.0) / m * w[i] ** 2, (m - 1.0) ** 2 / m * w[i] ** p * w[g.index(y)] ** q, -(m - 1.0) * w[i] * w[g.index(y)]])
+        for y in g.neighbors(x)
+    ]
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def _ref_dtv(g, m, u, x):
+    i = g.index(x)
+    lap, size = _ref_laplacian(g, u**m, x)
+    return m * u[i] ** (m - 2.0) * lap, m * u[i] ** (m - 2.0) * size
+
+
+def _ref_mixed_laplacian(g, m, alpha, u, x):
+    v = pressure(m, u)
+    i = g.index(x)
+    lv, size = _ref_laplacian(g, v, x)
+    if alpha == 0.0:
+        return lv, size
+    psi, psi_size = _ref_gradient_energy(g, m, v, x)
+    if v[i] == 0.0:
+        has_mass = any(v[g.index(y)] > 0.0 for y in g.neighbors(x))
+        return (math.inf if has_mass else lv), size
+    scale = alpha / ((m - 1.0) * v[i])
+    return lv + scale * psi, size + scale * psi_size
+
+
+def _ref_curvature(g, m, alpha, u, x):
+    i = g.index(x)
+    p = u**m
+    lx, lx_size = _ref_laplacian(g, p, x)
+    value = size = 0.0
+    for y in g.neighbors(x):
+        j = g.index(y)
+        r = u[j] / u[i] if alpha else 0.0
+        ly, ly_size = _ref_laplacian(g, p, y)
+        lead = g.kernel(x, y) * (1.0 - alpha + alpha * r) * m * u[j] ** (m - 2.0)
+        trail = g.kernel(x, y) * (m - alpha + alpha * r**m) * u[i] ** (m - 2.0)
+        value += lead * ly - trail * lx
+        size += lead * ly_size + trail * lx_size
+    return value, size
+
+
+def _close(got, want, size):
+    if math.isinf(want):
+        return got == want
+    return abs(got - want) <= CORE_RTOL * max(abs(want), size)
+
+
+@pytest.mark.parametrize("spec", CORE_GRAPHS)
+@pytest.mark.parametrize("m", CORE_EXPONENTS)
+def test_core_matches_pointwise_references_on_full_graphs(spec, m):
+    g = resolve_graph(spec)
+    k, deg = g.kernel_matrix(), g.degree
+    U = _core_fields(g, m, seed=int(10 * m) + len(spec))
+    V = pressure(m, U)
+    psi = _gradient_energy(k, deg, m, V)
+    dtv = _dtv(k, deg, m, U)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = {a: _mixed_laplacian(k, deg, m, a, U) for a in CORE_MIXING}
+    for row, u in enumerate(U):
+        # a batch row is the 1-d evaluation of that row, bit for bit
+        np.testing.assert_array_equal(gradient_energy_field(g, m, V[row]), psi[row])
+        for x in g.vertices:
+            i = g.index(x)
+            want, size = _ref_gradient_energy(g, m, V[row], x)
+            assert _close(psi[row, i], want, size), (x, psi[row, i], want)
+            if u[i] > 0.0:
+                assert _close(dtv[row, i], *_ref_dtv(g, m, u, x))
+            for a in CORE_MIXING:
+                want, size = _ref_mixed_laplacian(g, m, a, u, x)
+                assert _close(G[a][row, i], want, size), (x, a, G[a][row, i], want)
+                if u[i] > 0.0:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        got = _curvature_form(k, deg, m, a, U, i, g.neighbors_idx(i), g.weights_idx(i))[row]
+                    want, size = _ref_curvature(g, m, a, u, x)
+                    assert _close(got, want, size), (x, a, got, want)
+                    assert _close(curvature_form_mixed(g, m, a, u, x), want, size)
+
+
+@pytest.mark.parametrize("spec,x", [("square", "x"), ("complete:5", "x1"), ("path:6", "3"), ("zwindow:3", "0")])
+@pytest.mark.parametrize("m", CORE_EXPONENTS)
+@pytest.mark.parametrize("alpha", CORE_MIXING)
+def test_core_matches_pointwise_references_on_two_hop_balls(spec, x, m, alpha):
+    g = resolve_graph(spec)
+    prob = _BallProblem(g, x, m, alpha)
+    idx = [g.index(v) for v in prob.ball]
+    full = _core_fields(g, m, seed=int(10 * m) + 3)
+    full[:, g.index(x)] = 1.0
+    ok, score, base, dform = prob.evaluate(full[:, idx])
+    for row, u in enumerate(full):
+        want_g, size_g = _ref_mixed_laplacian(g, m, alpha, u, x)
+        assert _close(-base[row], want_g, size_g), (row, -base[row], want_g)
+        want_d, size_d = _ref_curvature(g, m, alpha, u, x)
+        assert _close(dform[row], want_d, size_d), (row, dform[row], want_d)
+        neighbors = [_ref_mixed_laplacian(g, m, alpha, u, y) for y in g.neighbors(x)]
+        margin = min([-want_g] + [want - want_g for want, _ in neighbors])
+        if abs(margin) > 1e-9:
+            assert ok[row] == (margin > 0.0)
+        if ok[row]:
+            assert score[row] == dform[row] / base[row] ** 2
