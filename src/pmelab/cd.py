@@ -94,8 +94,8 @@ class SearchConfig:
             raise ValidationError("bad refinement budget")
         if not (0.0 < self.floor < 1.0) or not self.hi > 1.0:
             raise ValidationError("search box must satisfy 0 < floor < 1 < hi")
-        if self.delta < 0.0 or self.tol < 0.0:
-            raise ValidationError("delta and tol must be nonnegative")
+        if not (0.0 <= self.delta < math.inf and 0.0 <= self.tol < math.inf):
+            raise ValidationError("delta and tol must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

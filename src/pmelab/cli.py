@@ -31,7 +31,7 @@ from .cd import (
     lattice_cd_check,
     verify_cd_at,
 )
-from .errors import LambdaOneError, PMELabError, StiffnessError, ValidationError
+from .errors import PMELabError, StiffnessError, ValidationError
 from .estimates import (
     ab_check,
     diff_harnack_residual,
@@ -63,25 +63,6 @@ from .solver import (
 )
 
 DEFAULT_OUT = "pmelab-out"
-
-REPRODUCE_IDS = (
-    "ex3.3",
-    "ex3.4",
-    "ex3.5:D",
-    "sq3.3",
-    "ex4.1",
-    "ex4.2",
-    "ex4.3",
-    "ex4.5:m",
-    "thm4.6:m",
-    "ex5.3i",
-    "ex5.3ii",
-    "ex6.6i",
-    "ex6.6ii:D",
-    "lemma6.1:m",
-    "lemma6.3",
-)
-
 
 # ---------------------------------------------------------------------------
 # small serialization helpers
@@ -249,6 +230,9 @@ def resolve_initial_state(spec: str, g: Graph, seed: int) -> np.ndarray:
 
 
 def resolve_times(args, need_positive_start: bool = True) -> np.ndarray:
+    for flag, value in (("--t-start", args.t_start), ("--t-end", args.t_end)):
+        if not math.isfinite(value):
+            raise ValidationError("%s must be finite" % flag)
     if args.points < 2:
         raise ValidationError("--points must be at least 2")
     if need_positive_start and args.t_start <= 0.0:
@@ -260,32 +244,13 @@ def resolve_times(args, need_positive_start: bool = True) -> np.ndarray:
     return np.linspace(args.t_start, args.t_end, args.points)
 
 
-def config_echo(args, **extra) -> dict:
-    keep = (
-        "graph",
-        "m",
-        "alpha",
-        "d",
-        "mu",
-        "lam",
-        "u0",
-        "t_start",
-        "t_end",
-        "points",
-        "seed",
-        "tol",
-        "samples",
-        "pairs",
-        "vertex",
-    )
-    cfg = {}
-    for name in keep:
-        if hasattr(args, name):
-            value = getattr(args, name)
-            if value is not None:
-                cfg["lambda" if name == "lam" else name] = value
-    cfg.update(extra)
-    return cfg
+def config_echo(args) -> dict:
+    """Every setting the command parsed, except the dispatch fields and ``--out``."""
+    return {
+        "lambda" if name == "lam" else name: value
+        for name, value in vars(args).items()
+        if value is not None and name not in ("command", "func", "out")
+    }
 
 
 def sample_check_tuples(
@@ -435,16 +400,10 @@ def cmd_check(args) -> int:
     traj = integrate(g, args.m, u0, times)
 
     if args.which == "ab":
-        if args.d is None:
-            raise ValidationError("check ab needs --d")
         report = ab_check(traj, args.alpha, args.d, tol=tol)
     elif args.which == "diff-harnack":
-        if args.mu is None:
-            raise ValidationError("check diff-harnack needs --mu")
         report = diff_harnack_residual(traj, args.lam, args.mu, tol=tol)
     else:
-        if args.mu is None:
-            raise ValidationError("check harnack needs --mu")
         rng = np.random.default_rng([args.seed, 2])
         pairs = sample_check_tuples(
             g, rng, args.pairs, float(times[0]), float(times[-1])
@@ -542,7 +501,7 @@ def _run_chain(n: int, m: float, eps: float, expected, window: float) -> tuple[b
     }
 
 
-def _run_chain_limit(m: float, seed: int) -> tuple[bool, dict]:
+def _run_chain_limit(m: float) -> tuple[bool, dict]:
     if m <= 2.0:
         raise ValidationError("the chain limit comparison needs m > 2")
     q = m / (m - 1.0)
@@ -582,7 +541,7 @@ def _run_ab_square(seed: int) -> tuple[bool, dict]:
     }
 
 
-def _run_ab_sharpness(seed: int) -> tuple[bool, dict]:
+def _run_ab_sharpness() -> tuple[bool, dict]:
     g = complete_graph(2)
     a1, a2 = 1.0, 1e-6
     times = np.linspace(0.0, 5.0, 201)
@@ -661,63 +620,57 @@ def _run_integral_min(seed: int) -> tuple[bool, dict]:
     }
 
 
-def run_reproduce(token: str, args) -> tuple[bool, dict]:
-    base, _, suffix = token.partition(":")
-    seed = args.seed
+# base id -> (suffix kind, runner of (suffix value, args)); the kind is None
+# for a bare id, "D" for an integer suffix and "m" for a numeric one
+REPRODUCE = {
+    "ex3.3": (None, lambda _, args: _run_complete_optimal(2, 2.0, args.seed)),
+    "ex3.4": (None, lambda _, args: _run_complete_optimal(3, 2.0, args.seed)),
+    "ex3.5": ("D", lambda D, args: _run_complete_optimal(D, args.m, args.seed)),
+    "sq3.3": (None, lambda _, args: _run_square(args.seed)),
+    "ex4.1": (None, lambda _, args: _run_chain(3, 2.0, 1e-6, -1.5, 0.0)),
+    "ex4.2": (None, lambda _, args: _run_chain(4, 2.0, 1e-6, -1.5, 0.0)),
+    "ex4.3": (None, lambda _, args: _run_chain(5, 2.0, 1e-3, -1.0, 0.05)),
+    "ex4.5": ("m", lambda m, args: _run_chain_limit(m)),
+    "thm4.6": ("m", lambda m, args: _run_lattice(m, args.seed)),
+    "ex5.3i": (None, lambda _, args: _run_ab_square(args.seed)),
+    "ex5.3ii": (None, lambda _, args: _run_ab_sharpness()),
+    "ex6.6i": (None, lambda _, args: _run_harnack("square", 2.0, 4.0 / 3.0, args.seed)),
+    "ex6.6ii": (
+        "D",
+        lambda D, args: _run_harnack(
+            "complete:%d" % D, args.m, (args.m - 1.0) * _optimal_d_target(args.m, D), args.seed
+        ),
+    ),
+    "lemma6.1": ("m", lambda m, args: _run_minorant(m)),
+    "lemma6.3": (None, lambda _, args: _run_integral_min(args.seed)),
+}
+_SUFFIX_TYPES = {"D": int, "m": float}
+REPRODUCE_IDS = tuple(
+    base + (":" + kind if kind else "") for base, (kind, _) in REPRODUCE.items()
+)
 
-    def suffix_int(name):
+
+def resolve_reproduce(token: str):
+    """The runner of a reproduce id and its parsed suffix (None for a bare id)."""
+    base, colon, suffix = token.partition(":")
+    kind, runner = REPRODUCE.get(base, (None, None))
+    if runner is not None and (kind is None) == (not colon):
+        if kind is None:
+            return runner, None
         try:
-            return int(suffix)
-        except ValueError as exc:
-            raise ValidationError("id %s needs an integer suffix, e.g. %s:3" % (base, base)) from exc
-
-    def suffix_float(name):
-        try:
-            return float(suffix)
-        except ValueError as exc:
-            raise ValidationError("id %s needs a numeric suffix, e.g. %s:2" % (base, base)) from exc
-
-    if base == "ex3.3" and not suffix:
-        return _run_complete_optimal(2, 2.0, seed)
-    if base == "ex3.4" and not suffix:
-        return _run_complete_optimal(3, 2.0, seed)
-    if base == "ex3.5" and suffix:
-        return _run_complete_optimal(suffix_int("D"), args.m, seed)
-    if base == "sq3.3" and not suffix:
-        return _run_square(seed)
-    if base == "ex4.1" and not suffix:
-        return _run_chain(3, 2.0, 1e-6, -1.5, 0.0)
-    if base == "ex4.2" and not suffix:
-        return _run_chain(4, 2.0, 1e-6, -1.5, 0.0)
-    if base == "ex4.3" and not suffix:
-        return _run_chain(5, 2.0, 1e-3, -1.0, 0.05)
-    if base == "ex4.5" and suffix:
-        return _run_chain_limit(suffix_float("m"), seed)
-    if base == "thm4.6" and suffix:
-        return _run_lattice(suffix_float("m"), seed)
-    if base == "ex5.3i" and not suffix:
-        return _run_ab_square(seed)
-    if base == "ex5.3ii" and not suffix:
-        return _run_ab_sharpness(seed)
-    if base == "ex6.6i" and not suffix:
-        return _run_harnack("square", 2.0, 4.0 / 3.0, seed)
-    if base == "ex6.6ii" and suffix:
-        d_count = suffix_int("D")
-        m = args.m
-        mu = (m - 1.0) * _optimal_d_target(m, d_count)
-        return _run_harnack("complete:%d" % d_count, m, mu, seed)
-    if base == "lemma6.1" and suffix:
-        return _run_minorant(suffix_float("m"))
-    if base == "lemma6.3" and not suffix:
-        return _run_integral_min(seed)
+            return runner, _SUFFIX_TYPES[kind](suffix)
+        except ValueError:
+            pass
     raise ValidationError(
-        "unknown reproduce id %r; valid ids: %s" % (token, ", ".join(REPRODUCE_IDS))
+        "bad reproduce id %r; valid ids: %s (D an integer, m a number)"
+        % (token, ", ".join(REPRODUCE_IDS))
     )
 
 
 def cmd_reproduce(args) -> int:
     outdir = resolve_outdir(args)
-    passed, payload = run_reproduce(args.id, args)
+    runner, value = resolve_reproduce(args.id)
+    passed, payload = runner(value, args)
     result = {
         "command": "reproduce",
         "id": args.id,
@@ -751,72 +704,76 @@ def cmd_gen_graph(args) -> int:
 # parser
 
 
-def add_shared_arguments(p: argparse.ArgumentParser, with_times: bool = True) -> None:
-    p.add_argument("--graph", default="complete:2", help="graph spec: " + GENERATOR_HELP)
-    p.add_argument("--m", type=float, default=2.0, help="diffusion exponent, m > 1")
-    p.add_argument("--alpha", type=float, default=0.0, help="mixing weight in [0, 1]")
-    p.add_argument("--d", type=float, default=None, help="dimension constant d > 0")
-    p.add_argument("--mu", type=float, default=None, help="time exponent for Harnack checks")
-    p.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        default=0.0,
-        help="Harnack parameter in [0, 1)",
-    )
-    p.add_argument(
-        "--u0",
+FLAGS = {
+    "--graph": dict(default="complete:2", help="graph spec: " + GENERATOR_HELP),
+    "--m": dict(type=float, default=2.0, help="diffusion exponent, m > 1"),
+    "--alpha": dict(type=float, default=0.0, help="mixing weight in [0, 1]"),
+    "--d": dict(type=float, default=None, help="dimension constant d > 0"),
+    "--mu": dict(type=float, default=None, help="time exponent for Harnack checks"),
+    "--lambda": dict(dest="lam", type=float, default=0.0, help="Harnack parameter in [0, 1)"),
+    "--u0": dict(
         default="const:1",
         help="initial state: file:PATH, const:v or const:v1,...,vn, random:lo,hi",
-    )
-    if with_times:
-        p.add_argument("--t-start", type=float, default=0.1)
-        p.add_argument("--t-end", type=float, default=5.0)
-        p.add_argument("--points", type=int, default=201)
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
-    p.add_argument("--out", default=None, help="output directory (default $PME_LAB_OUT)")
-    p.add_argument("--tol", type=float, default=None, help="reporting tolerance override")
+    ),
+    "--t-start": dict(type=float, default=0.1),
+    "--t-end": dict(type=float, default=5.0),
+    "--points": dict(type=int, default=201),
+    "--rel-tol": dict(type=float, default=1e-10),
+    "--abs-tol": dict(type=float, default=1e-10),
+    "--vertex": dict(action="append", default=None, help="vertex to verify (repeatable; default all)"),
+    "--samples": dict(type=int, default=20000, help="search sample budget"),
+    "--pairs": dict(type=int, default=100, help="harnack: sampled tuples"),
+    "--seed": dict(type=int, default=0, help="seed for all randomized choices"),
+    "--tol": dict(type=float, default=None, help="reporting tolerance override"),
+    "--out": dict(default=None, help="output directory (default $PME_LAB_OUT)"),
+}
+_FLOW = ("--graph", "--m", "--u0", "--t-start", "--t-end", "--points", "--seed")
+_HARNACK = _FLOW + ("--mu", "--lambda", "--tol", "--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes exactly the flags it reads; argparse rejects the rest."""
     parser = argparse.ArgumentParser(
         prog="pmelab",
         description="verification laboratory for nonlinear diffusion on finite graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="integrate the flow and report invariants")
-    add_shared_arguments(p)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_simulate)
+    def command(parent, name, summary, func, flags, required=()):
+        p = parent.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, required=flag in required, **FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify-cd", help="curvature-dimension verification per vertex")
-    add_shared_arguments(p, with_times=False)
-    p.add_argument(
-        "--vertex",
-        action="append",
-        default=None,
-        help="vertex to verify (repeatable; default all)",
+    command(
+        sub, "simulate", "integrate the flow and report invariants", cmd_simulate,
+        _FLOW + ("--rel-tol", "--abs-tol", "--out"),
     )
-    p.add_argument("--samples", type=int, default=20000, help="search sample budget")
-    p.set_defaults(func=cmd_verify_cd)
-
-    p = sub.add_parser("check", help="inequality checkers along a trajectory")
-    p.add_argument("which", choices=("ab", "diff-harnack", "harnack"))
-    add_shared_arguments(p)
-    p.add_argument("--pairs", type=int, default=100, help="harnack: sampled tuples")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("reproduce", help="rerun a named benchmark experiment")
+    command(
+        sub, "verify-cd", "curvature-dimension verification per vertex", cmd_verify_cd,
+        ("--graph", "--m", "--alpha", "--d", "--vertex", "--samples", "--seed", "--tol", "--out"),
+    )
+    check = sub.add_parser("check", help="inequality checkers along a trajectory")
+    which = check.add_subparsers(dest="which", required=True)
+    command(
+        which, "ab", "Aronson-Benilan bound d/t + G >= 0", cmd_check,
+        _FLOW + ("--alpha", "--d", "--tol", "--out"), required=("--d",),
+    )
+    command(
+        which, "diff-harnack", "differential Harnack hypothesis", cmd_check,
+        _HARNACK, required=("--mu",),
+    )
+    command(
+        which, "harnack", "integrated Harnack comparison on sampled pairs", cmd_check,
+        _HARNACK + ("--pairs",), required=("--mu",),
+    )
+    p = command(
+        sub, "reproduce", "rerun a named benchmark experiment", cmd_reproduce,
+        ("--m", "--seed", "--out"),
+    )
     p.add_argument("id", help="one of: " + ", ".join(REPRODUCE_IDS))
-    add_shared_arguments(p)
-    p.set_defaults(func=cmd_reproduce)
-
-    p = sub.add_parser("gen-graph", help="write a generated graph as an edge list")
-    add_shared_arguments(p, with_times=False)
-    p.set_defaults(func=cmd_gen_graph)
-
+    command(sub, "gen-graph", "write a generated graph as an edge list", cmd_gen_graph, ("--graph", "--out"))
     return parser
 
 
@@ -825,17 +782,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LambdaOneError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except StiffnessError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except PMELabError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (PMELabError, FileNotFoundError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
 
 

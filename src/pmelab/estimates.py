@@ -112,6 +112,11 @@ def _eval_points(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return ts[order], np.concatenate([states, traj.dense(extra)])[order]
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (0.0 <= tol < math.inf):
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def _require_positive_times(traj: Trajectory) -> None:
     if traj.times[0] <= 0.0:
         raise ValidationError("trajectory must start at t > 0 for time-scaled bounds")
@@ -145,6 +150,7 @@ def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> Est
     reported; on a graph satisfying ``CD(0, d)`` with mixing ``alpha`` it
     stays nonnegative up to round-off.
     """
+    _check_tolerance(tol)
     alpha = check_mixing(alpha)
     if not d > 0.0:
         raise ValidationError("d must be positive")
@@ -174,6 +180,7 @@ def diff_harnack_residual(traj: Trajectory, lam: float, mu: float, tol: float = 
     pass with ``mu = (m-1) d`` and ``lambda = alpha``; this hypothesis is
     what the integrated Harnack bounds are built from.
     """
+    _check_tolerance(tol)
     if lam == 1.0:
         raise LambdaOneError("lambda = 1 is outside the Harnack regime")
     if not (0.0 <= lam < 1.0):
@@ -282,6 +289,7 @@ def harnack_check(
     the two, and the report kind names the form attaining the overall
     minimum.
     """
+    _check_tolerance(tol)
     g, m = traj.graph, traj.m
     if not g.symmetric:
         raise ValidationError("Harnack comparison needs a symmetric kernel")

@@ -264,7 +264,8 @@ def curvature_form_mixed(g: Graph, m: float, alpha: float, u, x: str) -> float:
     if alpha > 0.0 and u[i] <= 0.0:
         raise DomainError("curvature form needs a positive value at the base vertex")
     nb, w = g.neighbors_idx(i), g.weights_idx(i)
-    return float(_curvature_form(g.kernel_matrix(), g.degree, m, alpha, u, i, nb, w))
+    # one row of the batched form, so this matches the CD search bit for bit
+    return float(_curvature_form(g.kernel_matrix(), g.degree, m, alpha, u[None, :], i, nb, w)[0])
 
 
 # -- mixed second-order quantity -------------------------------------------

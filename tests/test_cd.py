@@ -31,6 +31,13 @@ FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
 # -- admissibility and ratio -----------------------------------------------
 
 
+@pytest.mark.parametrize("field", ["tol", "delta"])
+@pytest.mark.parametrize("value", [-1e-9, math.inf, math.nan])
+def test_search_config_rejects_a_negative_or_non_finite_margin(field, value):
+    with pytest.raises(ValidationError):
+        SearchConfig(**{field: value})
+
+
 def test_admissibility_requires_a_strict_positive_local_maximum():
     g = complete_graph(2)
     u = [1.0, 0.5]

@@ -1,15 +1,18 @@
 """End-to-end command line runs: artifacts, exit codes, environment."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pmelab import load_edge_list
-from pmelab.cli import main
+from pmelab.cli import REPRODUCE_IDS, build_parser, main, resolve_reproduce
+from pmelab.errors import ValidationError
 
 CLI = [sys.executable, "-m", "pmelab.cli"]
 
@@ -50,7 +53,8 @@ def test_simulate_writes_the_full_artifact_set(tmp_path):
     assert summary["mass_drift_rel"] <= 1e-9
     assert summary["pressure_identity_residual"] <= 1e-9
     assert summary["entropy_monotone"] is True
-    assert summary["config"]["lambda"] is None or "lambda" in summary["config"]
+    assert summary["config"]["rel_tol"] == summary["config"]["abs_tol"] == 1e-10
+    assert "lambda" not in summary["config"]
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,x,y1,y2,z"
 
@@ -194,7 +198,9 @@ def test_check_diff_harnack_passes(tmp_path):
         "--t-end", "1.5", "--points", "29", "--out", out,
     )
     assert proc.returncode == 0, proc.stderr
-    assert read_json(out / "report_diff_harnack.json")["passed"] is True
+    report = read_json(out / "report_diff_harnack.json")
+    assert report["passed"] is True
+    assert report["config"]["lambda"] == 0.0
 
 
 def test_check_harnack_passes_with_seeded_pairs(tmp_path):
@@ -253,6 +259,118 @@ def test_reproduce_unknown_id_lists_the_catalogue(tmp_path):
     proc = run_cli("reproduce", "nope", "--out", tmp_path / "run")
     assert proc.returncode == 2
     assert "ex3.5" in proc.stderr
+
+
+def test_every_reproduce_id_resolves_to_a_runner():
+    samples = {"D": ("3", 3), "m": ("2.5", 2.5)}
+    for rid in REPRODUCE_IDS:
+        base, _, kind = rid.partition(":")
+        token, want = (base + ":" + samples[kind][0], samples[kind][1]) if kind else (base, None)
+        runner, value = resolve_reproduce(token)
+        assert callable(runner)
+        assert value == want and type(value) is type(want), (rid, value)
+
+
+@pytest.mark.parametrize("token", ["ex3.3:5", "ex3.3:", "ex3.5", "ex3.5:", "ex3.5:x", "ex6.6ii:2.5", "nope"])
+def test_malformed_reproduce_ids_list_the_catalogue(token):
+    with pytest.raises(ValidationError) as exc:
+        resolve_reproduce(token)
+    assert ", ".join(REPRODUCE_IDS) in str(exc.value)
+
+
+# -- the flags each command takes ------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the argv of every run in demos/04_command_line_tour.py and of the README examples
+DOCUMENTED = [
+    "gen-graph --graph square --out o",
+    "simulate --graph g.txt --m 2.5 --u0 random: --seed 11 --t-start 0.05 --t-end 3 --points 120 --out o",
+    "verify-cd --graph square --m 2 --alpha 0 --d 1.3333333333333333 --seed 0 --out o",
+    "verify-cd --graph square --m 2 --alpha 0 --d 1.30 --seed 0 --out o",
+    "check ab --graph square --m 2 --d 1.3333333333333333 --u0 random: --seed 4 --t-start 0.05 --t-end 4 --points 160 --out o",
+    "reproduce ex3.5:4 --out o",
+    "simulate --graph square --m 0.5 --t-end 1 --out o",
+    "simulate --graph stiff.txt --m 2 --u0 const:1,2 --t-end 1e4 --points 50 --out o",
+    "simulate --graph square --m 2.5 --u0 random: --seed 11 --out run1",
+    "verify-cd --graph complete:5 --m 2 --alpha 0 --d 1.6",
+    "check ab --graph square --m 2 --d 1.3333333333333333 --u0 random:",
+    "check harnack --graph path:4 --m 2 --mu 1.3333333333333333 --pairs 40",
+    "reproduce ex3.5:4",
+    "gen-graph --graph zwindow:3 --out graphs",
+]
+
+
+def cli_cold_rotation(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("clicold", ROOT / "bench" / "clicold.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [argv + ["--out", "o"] for argv, _ in module.commands(seed)]
+
+
+def test_every_benchmarked_and_documented_command_line_parses(monkeypatch):
+    parser = build_parser()
+    argvs = [line.split() for line in DOCUMENTED]
+    for seed in (1, 7919):
+        argvs += cli_cold_rotation(monkeypatch, seed)
+    assert len(argvs) == len(DOCUMENTED) + 2 * 21
+    for argv in argvs:
+        assert callable(parser.parse_args(argv).func), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "gen-graph --m 3",
+        "reproduce ex4.1 --u0 const:2",
+        "simulate --alpha 0.5",
+        "verify-cd --u0 const:1",
+        "check ab --d 1 --mu 1",
+        "check harnack --mu 1 --d 1",
+        "check ab",
+        "check diff-harnack",
+        "check harnack",
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv.split())
+    assert exc.value.code == 2
+
+
+def test_config_echoes_exactly_the_parsed_settings(tmp_path):
+    out = tmp_path / "run"
+    assert main(["reproduce", "ex4.1", "--out", str(out)]) == 0
+    assert read_json(out / "reproduce_ex4.1.json")["config"] == {"id": "ex4.1", "m": 2.0, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify-cd", "--graph", "square", "--vertex", "x", "--d", "1.0", "--tol", "nan"], "tol"),
+        (["verify-cd", "--graph", "square", "--vertex", "x", "--d", "1.0", "--tol", "inf"], "tol"),
+        (["check", "ab", "--graph", "square", "--d", "0.01", "--u0", "random:", "--tol", "inf"], "tol"),
+        (["check", "ab", "--graph", "square", "--d", "0.01", "--u0", "random:", "--tol", "-1"], "tol"),
+        (["simulate", "--graph", "square", "--t-end", "inf"], "--t-end"),
+        (["simulate", "--graph", "square", "--t-start", "nan"], "--t-start"),
+        (["check", "ab", "--graph", "square", "--d", "1", "--t-end", "inf"], "--t-end"),
+    ],
+)
+def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+def test_running_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # never build a really oversized graph here: it can exhaust the machine
+    def exhausted(spec):
+        raise MemoryError("Unable to allocate 74.5 PiB for an array")
+
+    monkeypatch.setattr("pmelab.cli.resolve_graph", exhausted)
+    assert main(["gen-graph", "--graph", "complete:99999999", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 74.5 PiB for an array\n"
 
 
 # -- gen-graph and environment ---------------------------------------------

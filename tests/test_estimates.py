@@ -113,6 +113,17 @@ def test_differential_harnack_rejects_unit_lambda():
         diff_harnack_residual(square_run(), 1.0, 4.0 / 3.0)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+def test_checkers_reject_a_negative_or_non_finite_tolerance(tol):
+    traj = square_run()
+    with pytest.raises(ValidationError):
+        ab_check(traj, 0.0, 0.01, tol=tol)
+    with pytest.raises(ValidationError):
+        diff_harnack_residual(traj, 0.0, 4.0 / 3.0, tol=tol)
+    with pytest.raises(ValidationError):
+        harnack_check(traj, 4.0 / 3.0, 0.0, [(0.2, 0.8, "x", "z")], tol=tol)
+
+
 # -- Harnack right-hand sides ----------------------------------------------
 
 

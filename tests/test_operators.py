@@ -516,3 +516,16 @@ def test_core_matches_pointwise_references_on_two_hop_balls(spec, x, m, alpha):
             assert ok[row] == (margin > 0.0)
         if ok[row]:
             assert score[row] == dform[row] / base[row] ** 2
+
+
+@pytest.mark.parametrize("m,alpha", [(1.25, 0.5), (1.5, 0.5), (3.0, 1.0)])
+def test_pointwise_curvature_form_is_the_batched_row_bit_for_bit(m, alpha):
+    # a 1-d field used to go through numpy's scalar power, which can differ
+    # from the array power of the batch in the last bit
+    g = path_graph(6)
+    i = g.index("6")
+    U = np.random.default_rng(0).uniform(0.1, 2.0, (2000, g.n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        batch = _curvature_form(g.kernel_matrix(), g.degree, m, alpha, U, i, g.neighbors_idx(i), g.weights_idx(i))
+    pointwise = np.array([curvature_form_mixed(g, m, alpha, u, "6") for u in U])
+    np.testing.assert_array_equal(pointwise, batch)
