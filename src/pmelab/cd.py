@@ -15,22 +15,21 @@ families where the condition fails, and the integer-lattice reduction with
 mixing 1.
 
 Both sides of the inequality are homogeneous of degree ``2m - 2`` in ``u``,
-so searches fix ``u(x) = 1`` and explore the remaining two-hop coordinates
-in a box.  For ``m >= 2`` the box touches zero (the boundary limits are
-where several suprema live); for ``m < 2`` a positive floor keeps
-``u^(m-2)`` finite.
+so searches normalize a field by its largest value on the two-hop ball and
+explore the compact domain ``[lo, 1]^n`` of ball fields, together with its
+faces, where coordinates are pinned at ``lo`` or 1.  For ``m >= 2``,
+``lo = 0`` (the boundary limits are where several suprema live); for
+``m < 2`` a positive floor keeps ``u^(m-2)`` finite.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy import optimize
-from scipy.stats import qmc
 
 from .errors import AdmissibilityError, DomainError, ValidationError
 from .graphs import Graph, path_graph, two_hop_ball
@@ -69,19 +68,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and box parameters for the violation search.
+    """Budget and domain parameters for the violation search.
 
-    ``floor`` is the lower coordinate bound used when ``m < 2`` (the
-    formulas involve ``u^(m-2)``, so zero is excluded there); for
-    ``m >= 2`` the box starts at 0.  ``delta`` is the strictness margin
-    used while filtering samples, ``tol`` the relative margin a ratio must
-    exceed ``d`` by before a violation is declared.
+    Fields are normalized by their largest ball value, so the search
+    domain is ``[lo, 1]^n``.  ``floor`` is ``lo`` when ``m < 2``, relative
+    to that maximum (the formulas involve ``u^(m-2)``, so zero is excluded
+    there); for ``m >= 2``, ``lo = 0``.  ``delta`` is the strictness margin
+    used while refining, ``tol`` the relative margin a ratio must exceed
+    ``d`` by before a violation is declared.
     """
 
     samples: int = 20000
     refine_iters: int = 200
     seed: int = 0
-    hi: float = 4.0
     floor: float = 1e-6
     delta: float = 1e-12
     tol: float = 1e-6
@@ -92,8 +91,8 @@ class SearchConfig:
             raise ValidationError("search budget must be at least 1 sample")
         if self.refine_iters < 0 or self.starts < 1:
             raise ValidationError("bad refinement budget")
-        if not (0.0 < self.floor < 1.0) or not self.hi > 1.0:
-            raise ValidationError("search box must satisfy 0 < floor < 1 < hi")
+        if not 0.0 < self.floor < 1.0:
+            raise ValidationError("search floor must satisfy 0 < floor < 1")
         if not (0.0 <= self.delta < math.inf and 0.0 <= self.tol < math.inf):
             raise ValidationError("delta and tol must be finite and nonnegative")
 
@@ -253,7 +252,8 @@ class _BallProblem:
         """Score a batch of ball fields.
 
         Returns ``(admissible mask, score, -G(base), curvature form)`` for
-        ``U`` of shape ``(batch, ball size)`` with positive base column.
+        ``U`` of shape ``(batch, ball size)``; a row with a zero base value
+        is never admissible.
         """
         with np.errstate(divide="ignore", invalid="ignore"):
             neg_g = -_mixed_laplacian(self.kmat, self.deg, self.m, self.alpha, U)
@@ -267,101 +267,64 @@ class _BallProblem:
             score = np.where(ok, dform / np.where(ok, base, 1.0) ** 2, np.inf)
         return ok, score, base, dform
 
-    def full_field(self, g: Graph, z: np.ndarray) -> np.ndarray:
-        u = np.ones(g.n)
-        for j, v in enumerate(self.ball):
-            u[g.index(v)] = 1.0 if j == self.pos_x else z[j if j < self.pos_x else j - 1]
-        return u
-
-    def embed(self, z: np.ndarray) -> np.ndarray:
-        """Ball field(s) from free coordinates (base coordinate fixed at 1)."""
-        z = np.atleast_2d(z)
-        return np.concatenate((z[:, : self.pos_x], np.ones((len(z), 1)), z[:, self.pos_x :]), axis=1)
-
 
 @dataclass
 class _SearchOutcome:
     min_score: float
-    best_z: Optional[np.ndarray]
+    best_u: Optional[np.ndarray]
     evaluations: int
     admissible_found: int
 
 
-def _search_min_score(g: Graph, x: str, m: float, alpha: float, cfg: SearchConfig) -> _SearchOutcome:
-    """Minimize score = curvature form / (-G)^2 over admissible ball fields."""
-    prob = _BallProblem(g, x, m, alpha)
-    dim = len(prob.ball) - 1
-    lo = 0.0 if m >= 2.0 else cfg.floor
-    if dim == 0:
-        return _SearchOutcome(math.inf, None, 0, 0)
+def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
+    """Minimize score = curvature form / (-G)^2 over admissible ball fields.
 
-    sampler = qmc.Halton(d=dim, scramble=True, seed=cfg.seed)
-    Z = qmc.scale(sampler.random(cfg.samples), lo, cfg.hi)
+    The score is scale invariant, so fields are rows of ``[lo, 1]^n``.
+    The second half of the samples lies on faces: each row draws a pin
+    probability ``q`` and pins every coordinate with probability ``q`` to
+    ``lo`` or 1, so every pin count, up to a full corner, gets about the
+    same budget.  Refinement holds a start's largest coordinate, the scale
+    direction along which the score is flat, and moves the others.
+    """
+    lo = 0.0 if prob.m >= 2.0 else cfg.floor
+    rng = np.random.default_rng(cfg.seed)
+    U = rng.uniform(lo, 1.0, (cfg.samples, len(prob.ball)))
+    faces = U[cfg.samples // 2 :]  # a view: pins are written into U
+    pinned = rng.random(faces.shape) < rng.random((len(faces), 1))
+    faces[pinned] = np.where(rng.random(faces.shape) < 0.5, lo, 1.0)[pinned]
 
-    # boundary probes: several suprema sit where coordinates vanish, so the
-    # all-low corner, the {lo,1} corners and low-pushed variants of the best
-    # samples are evaluated explicitly.
-    probes = [np.full(dim, lo)]
-    if dim <= 12:
-        for corner in itertools.product((lo, 1.0), repeat=dim):
-            probes.append(np.array(corner))
-
-    ok, score, _, _ = prob.evaluate(prob.embed(Z))
-    evals = len(Z)
+    ok, score, _, _ = prob.evaluate(U)
     admissible = int(ok.sum())
-    order = np.argsort(np.where(ok, score, np.inf))
-    top = [Z[i] for i in order[: max(cfg.starts, 8)] if ok[i]]
-    for z in top:
-        for j in range(dim):
-            pushed = z.copy()
-            pushed[j] = lo
-            probes.append(pushed)
-    Zp = np.asarray(probes)
-    okp, scorep, _, _ = prob.evaluate(prob.embed(Zp))
-    evals += len(Zp)
-    admissible += int(okp.sum())
+    if admissible == 0:
+        return _SearchOutcome(math.inf, None, len(U), 0)
+    order = np.argsort(score)
+    best = _SearchOutcome(float(score[order[0]]), U[order[0]].copy(), len(U), admissible)
 
-    allZ = np.vstack([Z, Zp])
-    allok = np.concatenate([ok, okp])
-    allscore = np.concatenate([score, scorep])
-    if not allok.any():
-        return _SearchOutcome(math.inf, None, evals, 0)
-    allscore = np.where(allok, allscore, np.inf)
-    order = np.argsort(allscore)
-
-    best_idx = order[0]
-    best_score = float(allscore[best_idx])
-    best_z = allZ[best_idx].copy()
-
-    nfev = 0
-
-    def objective(z):
-        nonlocal nfev
-        nfev += 1
-        zc = np.clip(z, lo, cfg.hi)
-        ok1, score1, base1, _ = prob.evaluate(prob.embed(zc))
+    def objective(z, row, free):
+        row[free] = np.clip(z, lo, 1.0)
+        ok1, score1, base1, _ = prob.evaluate(row[None, :])
         if not ok1[0] or base1[0] <= cfg.delta:
             return 1e300
+        if score1[0] < best.min_score:
+            best.min_score, best.best_u = float(score1[0]), row.copy()
         return float(score1[0])
 
     if cfg.refine_iters > 0:
-        starts = [allZ[i] for i in order[: cfg.starts] if allok[i]]
-        for z0 in starts:
+        for i in order[: cfg.starts]:
+            if not ok[i]:
+                continue
+            row = U[i].copy()
+            free = np.arange(len(row)) != np.argmax(row)
             res = optimize.minimize(
                 objective,
-                z0,
+                row[free],
+                args=(row, free),
                 method="Nelder-Mead",
-                bounds=optimize.Bounds(np.full(dim, lo), np.full(dim, cfg.hi)),
+                bounds=optimize.Bounds(lo, 1.0),
                 options={"maxiter": cfg.refine_iters, "xatol": 1e-12, "fatol": 1e-14},
             )
-            zc = np.clip(res.x, lo, cfg.hi)
-            okr, scorer, _, _ = prob.evaluate(prob.embed(zc))
-            if okr[0] and float(scorer[0]) < best_score:
-                best_score = float(scorer[0])
-                best_z = zc.copy()
-        evals += nfev
-
-    return _SearchOutcome(best_score, best_z, evals, admissible)
+            best.evaluations += res.nfev
+    return best
 
 
 def _ratio_from_score(score: float) -> float:
@@ -373,19 +336,21 @@ def _ratio_from_score(score: float) -> float:
 def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Optional[SearchConfig] = None) -> CDReport:
     """Search for a violation of ``CD(0, d)`` at vertex ``x``.
 
-    Samples seeded low-discrepancy fields on the two-hop ball (base value
-    fixed at 1), filters by admissibility, refines the worst candidates by
-    derivative-free simplex descent, and reports ``violated`` with a
-    witness when a ratio exceeds ``d (1 + tol)``.  ``holds_empirically`` is
-    a budget-bounded claim, not a proof; the report carries seed and budget
-    so it can be falsified.
+    Samples seeded fields on the two-hop ball, normalized by the largest
+    ball value, from ``[lo, 1]^n`` and from its faces with coordinates
+    pinned at ``lo`` or 1; filters by admissibility, refines the worst
+    candidates by derivative-free simplex descent, and reports
+    ``violated`` with a witness when a ratio exceeds ``d (1 + tol)``.
+    ``holds_empirically`` is a budget-bounded claim, not a proof; the
+    report carries seed and budget so it can be falsified.
     """
     m = check_exponent(m)
     alpha = check_mixing(alpha)
     if not d > 0.0:
         raise ValidationError("d must be positive")
     cfg = search or SearchConfig()
-    out = _search_min_score(g, x, m, alpha, cfg)
+    prob = _BallProblem(g, x, m, alpha)
+    out = _search_min_score(prob, cfg)
     floor_flag = cfg.floor if m < 2.0 else None
     if out.admissible_found == 0:
         return CDReport(x, m, alpha, d, "inconclusive", None, None, out.evaluations, cfg.seed, floor_flag)
@@ -394,30 +359,22 @@ def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Opt
     verdict = "holds_empirically"
     if ratio > d * (1.0 + cfg.tol):
         verdict = "violated"
-        ballprob = _BallProblem(g, x, m, alpha)
-        u = ballprob.full_field(g, out.best_z)
-        prob_witness = AdmissibleConfig(
-            x,
-            {v: float(u[g.index(v)]) for v in ballprob.ball},
-            m,
-            alpha,
-            cfg.delta,
-        )
+        field_values = {v: float(value) for v, value in zip(prob.ball, out.best_u)}
+        prob_witness = AdmissibleConfig(x, field_values, m, alpha, cfg.delta)
     return CDReport(x, m, alpha, d, verdict, prob_witness, ratio, out.evaluations, cfg.seed, floor_flag)
 
 
 def empirical_optimal_d(g: Graph, m: float, alpha: float, x: str, search: Optional[SearchConfig] = None) -> float:
     """Supremum of :func:`cd_ratio` over the sampled and refined fields.
 
-    Includes boundary-limit probes with coordinates pushed to the box
-    bottom.  Returns ``+inf`` as soon as any admissible probe has a
-    nonpositive curvature form, and ``nan`` if no admissible probe was
+    The samples include the faces of ``[lo, 1]^n``, where coordinates
+    are pinned at ``lo`` or at the ball maximum 1, so boundary limits are
+    reached.  Returns ``+inf`` as soon as any admissible field has a
+    nonpositive curvature form, and ``nan`` if no admissible field was
     found at all.
     """
-    m = check_exponent(m)
-    alpha = check_mixing(alpha)
     cfg = search or SearchConfig()
-    out = _search_min_score(g, x, m, alpha, cfg)
+    out = _search_min_score(_BallProblem(g, x, m, alpha), cfg)
     if out.admissible_found == 0:
         return math.nan
     return _ratio_from_score(out.min_score)

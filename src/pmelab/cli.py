@@ -731,9 +731,27 @@ _FLOW = ("--graph", "--m", "--u0", "--t-start", "--t-end", "--points", "--seed")
 _HARNACK = _FLOW + ("--mu", "--lambda", "--tol", "--out")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes no flag abbreviations and rejects an unknown argument itself.
+
+    A subcommand's parser is run with ``parse_known_args``, so by default its
+    leftover arguments reach the root parser, which reports them with the
+    root usage; here the subcommand reports them with its own.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes exactly the flags it reads; argparse rejects the rest."""
-    parser = argparse.ArgumentParser(
+    """Each subcommand takes exactly the flags it reads and rejects the rest."""
+    parser = _Parser(
         prog="pmelab",
         description="verification laboratory for nonlinear diffusion on finite graphs",
     )

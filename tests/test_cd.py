@@ -20,6 +20,7 @@ from pmelab import (
     lattice_cd_check,
     path_graph,
     pressure,
+    resolve_graph,
     square_graph,
     verify_cd_at,
 )
@@ -36,6 +37,11 @@ FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
 def test_search_config_rejects_a_negative_or_non_finite_margin(field, value):
     with pytest.raises(ValidationError):
         SearchConfig(**{field: value})
+
+
+def test_search_config_has_no_box_height():
+    with pytest.raises(TypeError):
+        SearchConfig(hi=4.0)
 
 
 def test_admissibility_requires_a_strict_positive_local_maximum():
@@ -115,6 +121,22 @@ def test_square_graph_optimal_dimension():
 
 def test_path_interior_admits_no_dimension_bound():
     assert empirical_optimal_d(path_graph(5), 2.0, 0.0, "3", None) == math.inf
+
+
+CHAIN_MISSES = [
+    (spec, x, 2.0, 0.0, seed) for spec, x in (("path:5", "3"), ("zwindow:3", "0")) for seed in (30, 93, 97)
+] + [
+    (spec, x, 3.0, 0.5, seed)
+    for spec, x in (("path:6", "3"), ("zwindow:3", "0"))
+    for seed in (2, 6, 11, 19, 22, 23, 24, 25, 27, 29)
+]
+
+
+@pytest.mark.parametrize("spec,x,m,alpha,seed", CHAIN_MISSES)
+def test_chain_balls_are_violated_on_the_seeds_a_box_search_missed(spec, x, m, alpha, seed):
+    report = verify_cd_at(resolve_graph(spec), m, alpha, 1.5, x, SearchConfig(seed=seed))
+    assert report.verdict == "violated"
+    assert report.empirical_optimal_d == math.inf
 
 
 def test_verify_cd_at_holds_with_margin_and_fails_below_the_optimum():

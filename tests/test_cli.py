@@ -339,6 +339,22 @@ def test_flags_a_command_does_not_read_are_rejected(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", ["verify-cd --sampl 50", "gen-graph --m 3"])
+def test_abbreviated_and_unknown_flags_show_the_subcommand_usage(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split() + ["--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pmelab %s [-h]" % argv.split()[0]), err
+    assert "unrecognized arguments: %s" % argv.split(" ", 1)[1] in err
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats alone took about 0.6 s of every command's start-up
+    code = "import pmelab.cli, sys; assert 'scipy.stats' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
+
+
 def test_config_echoes_exactly_the_parsed_settings(tmp_path):
     out = tmp_path / "run"
     assert main(["reproduce", "ex4.1", "--out", str(out)]) == 0
