@@ -704,6 +704,12 @@ def cmd_gen_graph(args) -> int:
 # parser
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
+    return int(text)
+
+
 FLAGS = {
     "--graph": dict(default="complete:2", help="graph spec: " + GENERATOR_HELP),
     "--m": dict(type=float, default=2.0, help="diffusion exponent, m > 1"),
@@ -723,7 +729,7 @@ FLAGS = {
     "--vertex": dict(action="append", default=None, help="vertex to verify (repeatable; default all)"),
     "--samples": dict(type=int, default=20000, help="search sample budget"),
     "--pairs": dict(type=int, default=100, help="harnack: sampled tuples"),
-    "--seed": dict(type=int, default=0, help="seed for all randomized choices"),
+    "--seed": dict(type=_seed, default=0, help="seed for all randomized choices"),
     "--tol": dict(type=float, default=None, help="reporting tolerance override"),
     "--out": dict(default=None, help="output directory (default $PME_LAB_OUT)"),
 }

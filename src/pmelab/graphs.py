@@ -64,8 +64,8 @@ class Graph:
         kernel.eliminate_zeros()
         if kernel.nnz == 0:
             raise ValidationError("kernel has no positive entries")
-        if kernel.data.min() < 0.0:
-            raise ValidationError("negative edge weight")
+        if not np.all((kernel.data >= 0.0) & (kernel.data < np.inf)):
+            raise ValidationError("edge weights must be finite and nonnegative")
         if kernel.diagonal().any():
             raise ValidationError("positive self-loop weight")
         self.vertices: tuple[str, ...] = tuple(str(v) for v in vertices)
@@ -134,7 +134,7 @@ def build_graph(edges: Iterable[tuple[str, str, float]], symmetrize: bool = Fals
             raise ValidationError(f"negative weight on edge ({x!r}, {y!r})")
         i, j = vid(str(x)), vid(str(y))
         if i == j:
-            if w > 0.0:
+            if w != 0.0:
                 raise ValidationError(f"self-loop at {x!r}")
             continue
         entries[(i, j)] = w

@@ -1,6 +1,7 @@
 """Curvature-dimension verification: admissibility, search, certificates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
 # -- admissibility and ratio -----------------------------------------------
 
 
-@pytest.mark.parametrize("field", ["tol", "delta"])
-@pytest.mark.parametrize("value", [-1e-9, math.inf, math.nan])
+BAD_SETTINGS = [(f, v) for v in (-1e-9, math.inf, math.nan) for f in ("tol", "delta")] + [("seed", -1)]
+
+
+@pytest.mark.parametrize("field,value", BAD_SETTINGS, ids=["%s-%s" % (v, f) for f, v in BAD_SETTINGS])
 def test_search_config_rejects_a_negative_or_non_finite_margin(field, value):
     with pytest.raises(ValidationError):
         SearchConfig(**{field: value})
@@ -117,6 +120,16 @@ def test_square_graph_optimal_dimension():
     g = square_graph()
     for x in g.vertices:
         assert empirical_optimal_d(g, 2.0, 0.0, x, FAST) == pytest.approx(4.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_refinement_reaches_the_square_optimum_below_the_floor_exponent(seed):
+    # sampling alone stops short of the supremum; the compass search closes the gap
+    g = square_graph()
+    refined = empirical_optimal_d(g, 1.5, 0.0, "x", replace(FAST, seed=seed))
+    sampled = empirical_optimal_d(g, 1.5, 0.0, "x", replace(FAST, seed=seed, refine_iters=0))
+    assert refined == pytest.approx(1.1588045002851, abs=1e-8)
+    assert sampled <= refined - 1e-3
 
 
 def test_path_interior_admits_no_dimension_bound():

@@ -331,6 +331,10 @@ def test_every_benchmarked_and_documented_command_line_parses(monkeypatch):
         "check ab",
         "check diff-harnack",
         "check harnack",
+        "simulate --u0 random: --seed -1",
+        "verify-cd --seed -1",
+        "check harnack --mu 1 --seed -1",
+        "reproduce ex3.3 --seed -1",
     ],
 )
 def test_flags_a_command_does_not_read_are_rejected(argv):
@@ -350,8 +354,9 @@ def test_abbreviated_and_unknown_flags_show_the_subcommand_usage(tmp_path, capsy
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats alone took about 0.6 s of every command's start-up
-    code = "import pmelab.cli, sys; assert 'scipy.stats' not in sys.modules"
+    # scipy.stats alone took about 0.6 s of every command's start-up, and
+    # scipy.optimize about 0.45 s
+    code = "import pmelab.cli, sys; assert not {'scipy.stats', 'scipy.optimize'} & set(sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
 
@@ -377,6 +382,14 @@ def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, messa
     assert main(argv + ["--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
+
+
+def test_a_non_finite_edge_weight_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("a b nan\nb c 1\n")
+    argv = ["verify-cd", "--graph", str(path), "--d", "1", "--vertex", "b"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: edge weights must be finite and nonnegative\n"
 
 
 def test_running_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -57,6 +57,12 @@ def test_negative_weight_rejected():
         build_graph([("a", "b", -1.0)])
 
 
+@pytest.mark.parametrize("edge", [("a", "b", math.nan), ("a", "b", math.inf), ("a", "a", math.nan)])
+def test_non_finite_weight_rejected(edge):
+    with pytest.raises(ValidationError):
+        build_graph([edge, ("b", "c", 1.0)])
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValidationError):
         build_graph([("a", "a", 1.0), ("a", "b", 1.0)])
