@@ -149,6 +149,14 @@ def test_exp_remainder_m_is_nonnegative(m, r):
     assert exp_remainder_m(m, r) >= 0.0
 
 
+def test_exp_remainder_keeps_full_precision_near_zero():
+    # expm1(r) - r loses every digit here and gave exp_remainder_m(1.75, r) < 0
+    for r in (1e-8, -1e-8, 1.6193185461573287e-16, -3e-100):
+        assert exp_remainder(r) == pytest.approx(0.5 * r * r * (1.0 + r / 3.0), rel=1e-15)
+    assert exp_remainder(0.4) == pytest.approx(math.expm1(0.4) - 0.4, rel=1e-14)
+    assert exp_remainder_m(1.75, 1.6193185461573287e-16) == pytest.approx(0.5 * 1.6193185461573287e-16**2, rel=1e-14)
+
+
 def test_exp_remainder_m_overflow_returns_infinity():
     assert exp_remainder_m(1.001, 50.0) == math.inf
 
