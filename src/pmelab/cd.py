@@ -70,13 +70,12 @@ class SearchConfig:
     """Budget and domain parameters for the violation search.
 
     Fields are normalized by their largest ball value, so the search
-    domain is ``[lo, 1]^n``.  ``floor`` is ``lo`` when ``m < 2``, relative
-    to that maximum (the formulas involve ``u^(m-2)``, so zero is excluded
-    there); for ``m >= 2``, ``lo = 0``.  ``samples`` rows are drawn, the
-    best ``starts`` of them seed the refinement, and ``refine_iters`` bounds
-    its compass iterations (0 samples only).  ``delta`` is the strictness
-    margin used while refining, ``tol`` the relative margin a ratio must
-    exceed ``d`` by before a violation is declared.
+    domain is ``[lo, 1]^n``: ``lo = 0`` for ``m >= 2``, else ``lo = floor``
+    (the formulas involve ``u^(m-2)``).  ``samples`` rows are drawn, the
+    best ``starts`` seed the compass refinement, and ``refine_iters`` bounds
+    its iterations (0: sampling only).  ``delta`` is the strictness margin
+    while refining, ``tol`` the relative margin a ratio must exceed ``d`` by
+    before a violation is declared.
     """
 
     samples: int = 20000
@@ -239,7 +238,7 @@ class _BallProblem:
         # full-graph degrees: rows for the closed one-hop neighborhood are
         # complete inside the ball, and only those rows are ever used.
         self.deg = g.degree[idx]
-        self.one_hop_local = np.array([self.ball.index(g.vertices[j]) for j in g.neighbors_idx(g.index(x))])
+        self.one_hop_local = np.searchsorted(idx, g.neighbors_idx(g.index(x)))  # the ball is in graph order
         self.base_weights = self.kmat[self.pos_x, self.one_hop_local]
 
     def evaluate(self, U: np.ndarray):
@@ -278,10 +277,9 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     probability ``q`` and pins every coordinate with probability ``q`` to
     ``lo`` or 1, so every pin count, up to a full corner, gets about the
     same budget.  The admissible rows among the ``starts`` best then take
-    compass steps together: one batch scores ``±step`` on each coordinate
-    but a start's largest (the scale direction, along which the score is
-    flat); a start moves to its best admissible candidate with ``-G >
-    delta`` that lowers its score, else its step shrinks fourfold.
+    batched compass steps of ``±step`` on every coordinate but the largest
+    (the flat scale direction), each moving to its best admissible improving
+    candidate with ``-G > delta``, else shrinking its step fourfold.
     """
     lo = 0.0 if prob.m >= 2.0 else cfg.floor
     rng = np.random.default_rng(cfg.seed)
@@ -307,10 +305,9 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
             break
         C = np.repeat(X[:, None, :], 2 * n - 2, axis=1)
         C[np.arange(k)[:, None], np.arange(2 * n - 2), free] += sign * step[:, None]
-        ok_c, score_c, base_c, _ = prob.evaluate(np.clip(C, lo, 1.0, out=C).reshape(-1, n))
-        evaluations += len(ok_c)
-        score_c = score_c.reshape(k, -1)
-        better = (ok_c & (base_c > cfg.delta)).reshape(k, -1) & (score_c < S[:, None])
+        ok_c, score_c, base_c, _ = (a.reshape(k, -1) for a in prob.evaluate(np.clip(C, lo, 1.0, out=C).reshape(-1, n)))
+        evaluations += ok_c.size
+        better = ok_c & (base_c > cfg.delta) & (score_c < S[:, None])
         j = np.argmin(np.where(better, score_c, np.inf), axis=1)
         moved = better.any(axis=1)
         X[moved], S[moved] = C[moved, j[moved]], score_c[moved, j[moved]]
@@ -320,9 +317,7 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
 
 
 def _ratio_from_score(score: float) -> float:
-    if score <= 0.0:
-        return math.inf
-    return 1.0 / score
+    return math.inf if score <= 0.0 else 1.0 / score
 
 
 def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Optional[SearchConfig] = None) -> CDReport:

@@ -50,7 +50,6 @@ from .graphs import (
 )
 from .operators import laplacian_field, pressure
 from .solver import (
-    Measure,
     SolverConfig,
     counting_measure,
     entropy_dissipation_residual,
@@ -705,7 +704,7 @@ def cmd_gen_graph(args) -> int:
 
 
 def _seed(text: str) -> int:
-    if not text.isdecimal():
+    if int(text) < 0:
         raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
     return int(text)
 

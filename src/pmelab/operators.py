@@ -157,15 +157,13 @@ def exp_remainder(r):
     """
     r = np.asarray(r, dtype=float)
     with np.errstate(over="ignore"):
-        out = np.expm1(r) - r
-    # expm1(r) - r carries an absolute error of about eps |r|, which swamps
-    # the value r^2/2 as r -> 0 (and can turn it negative); for |r| < 1/2
-    # sum the Taylor series r^2/2 (1 + r/3 (1 + r/4 (...))) instead, whose
-    # truncation after r^17/17! is below 1e-20 relative.
-    tail = np.ones_like(r)
+        out = np.asarray(np.expm1(r) - r)
+    # expm1(r) - r errs by about eps |r|, more than r^2/2 near 0, so for
+    # |r| < 1/2 sum the series r^2/2 (1 + r/3 (1 + r/4 (...))) to r^17/17!.
+    small, tail = np.abs(r) < 0.5, 1.0
     for k in range(17, 2, -1):
-        tail = 1.0 + r * tail / k
-    out = np.where(np.abs(r) < 0.5, 0.5 * r * r * tail, out)
+        tail = 1.0 + r[small] * tail / k
+    out[small] = 0.5 * r[small] * r[small] * tail
     return float(out) if out.ndim == 0 else out
 
 

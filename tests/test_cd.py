@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pmelab import (
     SearchConfig,
+    build_graph,
     cd_ratio,
     chain_counterexample,
     chain_limit_curvature,
@@ -130,6 +131,11 @@ def test_refinement_reaches_the_square_optimum_below_the_floor_exponent(seed):
     sampled = empirical_optimal_d(g, 1.5, 0.0, "x", replace(FAST, seed=seed, refine_iters=0))
     assert refined == pytest.approx(1.1588045002851, abs=1e-8)
     assert sampled <= refined - 1e-3
+
+
+def test_a_vertex_without_out_neighbors_is_inconclusive():
+    report = verify_cd_at(build_graph([("a", "b", 1.0)]), 2.0, 0.0, 1.0, "b", FAST)
+    assert report.verdict == "inconclusive" and report.witness is None
 
 
 def test_path_interior_admits_no_dimension_bound():

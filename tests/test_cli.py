@@ -343,6 +343,10 @@ def test_flags_a_command_does_not_read_are_rejected(argv):
     assert exc.value.code == 2
 
 
+def test_seed_takes_a_signed_nonnegative_integer():
+    assert build_parser().parse_args(["verify-cd", "--seed", "+7"]).seed == 7
+
+
 @pytest.mark.parametrize("argv", ["verify-cd --sampl 50", "gen-graph --m 3"])
 def test_abbreviated_and_unknown_flags_show_the_subcommand_usage(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:

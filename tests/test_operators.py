@@ -1,6 +1,7 @@
 """Pointwise operators: Laplacian, convex remainders, pressure, curvature forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,12 @@ def test_exp_remainder_keeps_full_precision_near_zero():
         assert exp_remainder(r) == pytest.approx(0.5 * r * r * (1.0 + r / 3.0), rel=1e-15)
     assert exp_remainder(0.4) == pytest.approx(math.expm1(0.4) - 0.4, rel=1e-14)
     assert exp_remainder_m(1.75, 1.6193185461573287e-16) == pytest.approx(0.5 * 1.6193185461573287e-16**2, rel=1e-14)
+
+
+def test_exp_remainder_of_huge_arguments_warns_of_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(exp_remainder(np.array([1e21, -1e21, 1e300]))) == [math.inf, 1e21, math.inf]
 
 
 def test_exp_remainder_m_overflow_returns_infinity():
