@@ -85,6 +85,7 @@ from .operators import (
 from .solver import (
     Measure,
     SolverConfig,
+    SolverStats,
     Trajectory,
     counting_measure,
     entropy_dissipation_residual,

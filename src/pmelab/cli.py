@@ -288,6 +288,7 @@ def cmd_simulate(args) -> int:
         summary["status"] = "numerical-failure"
         summary["failure_time"] = exc.t
         summary["error"] = str(exc)
+        summary["solver_stats"] = exc.stats.to_json_dict()
         write_json(summary_path, summary)
         print("simulate: numerical failure, %s" % exc)
         print("wrote %s" % summary_path)
@@ -298,6 +299,7 @@ def cmd_simulate(args) -> int:
 
     mass = traj.states.sum(axis=1)
     mass_drift = float(np.max(np.abs(mass - mass[0])) / max(1.0, abs(mass[0])))
+    summary["solver_stats"] = traj.stats.to_json_dict()
     summary["mass_drift_rel"] = mass_drift
     summary["pressure_identity_residual"] = pressure_equation_residual(traj)
 

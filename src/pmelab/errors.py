@@ -34,8 +34,11 @@ class StiffnessError(PMELabError):
     ----------
     t : float
         Time at which the step size underflowed.
+    stats : SolverStats or None
+        What the run did up to the failure, when the integrator knows.
     """
 
-    def __init__(self, t: float, message: str | None = None):
+    def __init__(self, t: float, message: str | None = None, stats=None):
         self.t = float(t)
+        self.stats = stats
         super().__init__(message or f"step size underflow at t={t:.6g}")

@@ -4,18 +4,28 @@ The flow is ``du/dt = L(u^m)`` started from a strictly positive field.  An
 embedded Runge-Kutta 5(4) pair with the classic Dormand-Prince coefficients
 drives the step size, with two extra rules suited to this equation:
 
-* any proposed step whose new state touches the positivity floor is
-  rejected and the step halved, so reported states stay strictly positive;
-* if the step size underflows (below ``1e-14 * t_end``) a
-  :class:`~pmelab.errors.StiffnessError` reports the failure time.
+* a proposed step is tested once, after its last stage: if any stage or
+  the new state is non-finite, or the new state touches the positivity
+  floor, the step is rejected and halved, so reported states stay strictly
+  positive (a non-finite stage makes every later one non-finite, so this
+  decides as a test after each stage would);
+* if the step size underflows a :class:`~pmelab.errors.StiffnessError`
+  reports the failure time.  The floor is ``1e-14`` of the integrated span
+  but never below four ulps of ``t_end``, so ``t + h`` always advances, also
+  on a short window late in time.  A step that would end within the floor
+  of ``t_end`` is taken to ``t_end``.
 
-Accepted steps keep their endpoint derivatives, and requested output times
-are filled by cubic Hermite interpolation between them.
+The whole step loop runs in one ``np.errstate`` scope that silences the
+overflow and invalid-value warnings of rejected steps.  Accepted steps keep
+their endpoint derivatives, requested output times are filled by cubic
+Hermite interpolation between them, and :class:`SolverStats` counts what
+the run did.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,6 +36,7 @@ from .operators import _dtv, _flow, _gradient_energy, _lap, _pressure, as_field,
 
 __all__ = [
     "SolverConfig",
+    "SolverStats",
     "Trajectory",
     "Measure",
     "counting_measure",
@@ -113,6 +124,36 @@ class _Dense:
         )
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """What one :func:`integrate` run did.
+
+    Every attempted step evaluates five stages; one that passes the
+    positivity and finiteness test also evaluates its endpoint, and the run
+    starts with one evaluation, so ``rhs_evals == 1 + 5 * attempts +
+    accepted_steps + error_rejections`` with ``attempts`` the sum of the
+    three step counts.  ``h_min``/``h_max`` span the accepted steps and are
+    ``None`` before the first one.
+    """
+
+    accepted_steps: int
+    error_rejections: int
+    positivity_rejections: int
+    rhs_evals: int
+    h_min: Optional[float]
+    h_max: Optional[float]
+
+    @classmethod
+    def of(cls, ts, error_rejections, positivity_rejections, rhs_evals) -> SolverStats:
+        """Stats of a run whose accepted steps end at the times ``ts``."""
+        steps = np.diff(ts)
+        h_min, h_max = (float(steps.min()), float(steps.max())) if len(steps) else (None, None)
+        return cls(len(steps), error_rejections, positivity_rejections, rhs_evals, h_min, h_max)
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
 class Trajectory:
     """Positive states of one solution sampled on an increasing time grid."""
@@ -122,6 +163,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     dense: Optional[_Dense] = field(default=None, repr=False)
+    stats: Optional[SolverStats] = None
 
     def __post_init__(self):
         check_exponent(self.m)
@@ -162,7 +204,8 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
     """Integrate ``du/dt = L(u^m)`` and report states at ``t_eval``.
 
     ``u0`` is the state at ``t_eval[0]``.  The returned trajectory carries
-    the dense interpolant of the run, so later checks can refine in time.
+    the dense interpolant of the run, so later checks can refine in time,
+    and the :class:`SolverStats` of the run.
     """
     m = check_exponent(m)
     cfg = config or SolverConfig()
@@ -179,61 +222,70 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
 
     t0, t_end = float(t_eval[0]), float(t_eval[-1])
     span = t_end - t0
-    max_step = cfg.max_step if cfg.max_step is not None else span / 20.0
-    h_floor = 1e-14 * t_end
-
+    # ``t + h`` must advance, so the floor never drops below a few ulps of
+    # t_end; the default step bounds never drop below the floor
+    h_floor = max(1e-14 * span, 4.0 * math.ulp(t_end))
+    max_step = cfg.max_step if cfg.max_step is not None else max(span / 20.0, h_floor)
     kernel, degree = g.kernel_matrix(), g.degree
 
-    def rhs(y):
-        with np.errstate(invalid="ignore", over="ignore"):
-            return _flow(kernel, degree, m, y)
-
-    t, y = t0, u0.copy()
-    f = rhs(y)
-    if cfg.initial_step is not None:
-        h = min(cfg.initial_step, max_step, span)
-    else:
-        fmax = float(np.max(np.abs(f)))
-        h = min(max_step, span / 100.0, 0.01 * float(np.max(np.abs(y))) / fmax if fmax > 0 else span)
-
-    ts, ys, fs = [t], [y.copy()], [f.copy()]
+    t, y = t0, u0
     k = np.empty((7, g.n))
-    while t < t_end - 1e-14 * span:
-        h = min(h, t_end - t, max_step)
-        if h < h_floor:
-            raise StiffnessError(t)
-        k[0] = f
-        bad = False
-        for s in range(5):
-            stage = y + h * (_DP_A[s] @ k[: s + 1])
-            k[s + 1] = rhs(stage)
-            if not np.all(np.isfinite(k[s + 1])):
-                bad = True
-                break
-        if not bad:
-            y_new = y + h * (_DP_B @ k[:6])
-            bad = not np.all(np.isfinite(y_new)) or np.any(y_new <= cfg.positivity_floor)
-        if bad:
-            h *= 0.5
-            continue
-        k[6] = rhs(y_new)
-        err = h * (_DP_E @ k)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if err_norm <= 1.0:
-            t += h
-            y = y_new
-            f = k[6].copy()
-            ts.append(t)
-            ys.append(y.copy())
-            fs.append(f.copy())
-            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        f = _flow(kernel, degree, m, y)
+        ts, ys, fs = [t], [y], [f]
+        rhs_evals, error_rejections, positivity_rejections = 1, 0, 0
+        if cfg.initial_step is not None:
+            h = min(cfg.initial_step, max_step, span)
         else:
-            factor = max(0.2, 0.9 * err_norm**-0.2)
-        h *= factor
+            fmax = float(np.max(np.abs(f)))
+            h_rate = 0.01 * float(np.max(np.abs(y))) / fmax if fmax > 0 else span
+            h = min(max_step, max(span / 100.0, h_floor), h_rate)
 
+        # the loop ends once less than the floor is left; the first step is
+        # always tried, so a window no wider than the floor underflows
+        t_stop = t_end - h_floor
+        while True:
+            h = min(h, t_end - t, max_step)
+            if h < h_floor:
+                stats = SolverStats.of(ts, error_rejections, positivity_rejections, rhs_evals)
+                raise StiffnessError(t, stats=stats)
+            if t_stop <= t + h < t_end:
+                h = t_end - t  # leave no remainder below the floor
+            k[0] = f
+            for s in range(5):
+                k[s + 1] = _flow(kernel, degree, m, y + h * (_DP_A[s] @ k[: s + 1]))
+            rhs_evals += 5
+            # A non-finite stage makes every later stage non-finite, so one
+            # test after the last stage decides as a test after each would;
+            # k[6] holds y_new for that test until the last stage replaces it.
+            k[6] = y_new = y + h * (_DP_B @ k[:6])
+            if not (np.isfinite(k[1:]).all() and y_new.min() > cfg.positivity_floor):
+                positivity_rejections += 1
+                h *= 0.5
+                continue
+            k[6] = f_new = _flow(kernel, degree, m, y_new)
+            rhs_evals += 1
+            err = h * (_DP_E @ k)
+            # y and y_new are both positive here, so no absolute values
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(y, y_new)
+            err_norm = math.sqrt(float(((err / scale) ** 2).sum()) / g.n)
+            if err_norm <= 1.0:
+                t += h
+                y, f = y_new, f_new
+                ts.append(t)
+                ys.append(y)
+                fs.append(f)
+                if t >= t_stop:
+                    break
+                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
+            else:
+                error_rejections += 1
+                factor = max(0.2, 0.9 * err_norm**-0.2)
+            h *= factor
+
+    stats = SolverStats.of(ts, error_rejections, positivity_rejections, rhs_evals)
     dense = _Dense(np.asarray(ts), np.asarray(ys), np.asarray(fs))
-    return Trajectory(g, m, t_eval.copy(), dense(t_eval), dense=dense)
+    return Trajectory(g, m, t_eval.copy(), dense(t_eval), dense=dense, stats=stats)
 
 
 def exact_two_point(a1: float, a2: float, t):

@@ -1,6 +1,14 @@
 """Shared fixtures: one-line summaries for the acceptance checks."""
 
+import os
+from pathlib import Path
+
 import pytest
+
+# ``pythonpath`` in pyproject.toml puts src/ on this process's path; the CLI
+# tests that run ``python -m pmelab.cli`` in a child process need it too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 _LINES = []
 

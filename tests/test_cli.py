@@ -73,6 +73,39 @@ def test_simulate_reports_numerical_failure_with_exit_three(tmp_path):
     assert "failure_time" in summary
 
 
+def test_simulate_integrates_a_short_window_late_in_time(tmp_path):
+    out = tmp_path / "run"
+    argv = ["simulate", "--graph", "square", "--t-start", "1e6", "--t-end", "1000000.0000001"]
+    assert main(argv + ["--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["status"] == "ok"
+    assert summary["solver_stats"]["accepted_steps"] > 0
+
+
+def test_simulate_summary_records_the_solver_stats(tmp_path):
+    out = tmp_path / "run"
+    argv = ["simulate", "--graph", "complete:2", "--u0", "const:1,1e-12", "--m", "1.5", "--t-start", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    stats = read_json(out / "summary.json")["solver_stats"]
+    assert set(stats) == {
+        "accepted_steps", "error_rejections", "positivity_rejections", "rhs_evals", "h_min", "h_max",
+    }
+    assert stats["error_rejections"] > 0
+    attempts = stats["accepted_steps"] + stats["error_rejections"] + stats["positivity_rejections"]
+    assert stats["rhs_evals"] == 1 + 5 * attempts + stats["accepted_steps"] + stats["error_rejections"]
+    assert 0.0 < stats["h_min"] <= stats["h_max"] <= 5.0 / 20.0
+
+
+def test_numerical_failure_summary_records_the_solver_stats(tmp_path):
+    graph_file = tmp_path / "fast.txt"
+    graph_file.write_text("a b 1e9\nb a 1e9\n")
+    out = tmp_path / "run"
+    argv = ["simulate", "--graph", str(graph_file), "--u0", "const:1,0.5", "--t-start", "0", "--t-end", "1e4"]
+    assert main(argv + ["--out", str(out)]) == 3
+    stats = read_json(out / "summary.json")["solver_stats"]
+    assert stats["accepted_steps"] == 0 and stats["rhs_evals"] == 1 and stats["h_min"] is None
+
+
 def test_simulate_reads_initial_state_from_a_file(tmp_path):
     u0_file = tmp_path / "u0.txt"
     u0_file.write_text("x 1.0\ny1 0.5\ny2 0.5\nz 2.0\n")

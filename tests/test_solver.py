@@ -146,6 +146,114 @@ def test_fast_kernel_over_long_horizon_raises_stiffness_error():
         integrate(g, 2.0, [1.0, 0.5], np.linspace(0.0, 1e4, 5))
 
 
+@pytest.mark.parametrize("t0, ulps", [(1e6, 860), (1e6, 50), (3.0, 300)])
+def test_step_floor_is_relative_to_the_window(t0, ulps):
+    # the old floor, 1e-14 * t_end, exceeded each window or its first step
+    g = square_graph()
+    u0 = [1.0, 0.5, 0.7, 1.2]
+    t_end = t0 + ulps * math.ulp(t0)
+    far = integrate(g, 2.0, u0, np.linspace(t0, t_end, 5))
+    near = integrate(g, 2.0, u0, np.array([0.0, t_end - t0]))
+    assert far.stats.accepted_steps > 0 and far.dense.ts[-1] == t_end
+    assert np.all(far.states > 0.0)
+    np.testing.assert_allclose(far.states[-1], near.states[-1], rtol=1e-9)
+
+
+def test_a_window_of_a_few_ulps_is_below_the_step_floor():
+    with pytest.raises(StiffnessError) as exc:
+        integrate(square_graph(), 2.0, np.ones(4), np.array([1e6, 1e6 + 3 * math.ulp(1e6)]))
+    assert exc.value.t == 1e6 and exc.value.stats.rhs_evals == 1
+
+
+# -- solver statistics -----------------------------------------------------
+
+
+def _counting_flow(monkeypatch):
+    """Count the right-hand side evaluations and the non-finite ones."""
+    import pmelab.solver
+
+    calls = {"all": 0, "non_finite": 0}
+    flow = pmelab.solver._flow
+
+    def counted(*args):
+        out = flow(*args)
+        calls["all"] += 1
+        calls["non_finite"] += not np.all(np.isfinite(out))
+        return out
+
+    monkeypatch.setattr(pmelab.solver, "_flow", counted)
+    return calls
+
+
+def _assert_consistent(stats, calls):
+    attempts = stats.accepted_steps + stats.error_rejections + stats.positivity_rejections
+    assert stats.rhs_evals == 1 + 5 * attempts + stats.accepted_steps + stats.error_rejections
+    assert stats.rhs_evals == calls["all"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "m, u0, config, rejection",
+    [
+        (1.5, [1.0, 1e-12], SolverConfig(), "error"),
+        (2.0, [100.0, 1e-12], SolverConfig(initial_step=0.1), "positivity"),
+        (2.5, [10.0, 1e-12], SolverConfig(initial_step=0.1), "non-finite"),
+    ],
+    ids=["error", "positivity", "non-finite"],
+)
+def test_rejected_steps_are_counted(monkeypatch, m, u0, config, rejection):
+    calls = _counting_flow(monkeypatch)
+    tt = np.linspace(0.0, 1.0, 11)
+    traj = integrate(complete_graph(2), m, u0, tt, config)
+    stats = traj.stats
+    _assert_consistent(stats, calls)
+    assert stats.accepted_steps == len(traj.dense.ts) - 1
+    assert np.all(traj.states > 0.0) and np.all(traj.dense.ys > 0.0)
+    if rejection == "error":
+        assert stats.error_rejections > 0 and stats.positivity_rejections == 0
+    else:
+        assert stats.positivity_rejections > 0
+        assert (calls["non_finite"] > 0) == (rejection == "non-finite")
+    steps = np.diff(traj.dense.ts)
+    assert (stats.h_min, stats.h_max) == (steps.min(), steps.max())
+    assert stats.h_max <= 1.0 / 20.0 * (1 + 1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_constant_state_takes_error_free_growing_steps(monkeypatch):
+    calls = _counting_flow(monkeypatch)
+    traj = integrate(square_graph(), 3.0, np.full(4, 0.7), np.linspace(0.0, 2.0, 5))
+    assert np.all(traj.states == 0.7)
+    assert traj.stats.error_rejections == traj.stats.positivity_rejections == 0
+    assert traj.stats.h_min == pytest.approx(2.0 / 100.0)
+    assert traj.stats.h_max == pytest.approx(2.0 / 20.0)
+    _assert_consistent(traj.stats, calls)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("horizon, config", [(1.0, SolverConfig(initial_step=1e-20)), (1e4, None)])
+def test_step_underflow_reports_the_stats_so_far(monkeypatch, horizon, config):
+    calls = _counting_flow(monkeypatch)
+    g = build_graph([("a", "b", 1e9)], symmetrize=True)
+    with pytest.raises(StiffnessError) as exc:
+        integrate(g, 2.0, [1.0, 0.5], np.linspace(0.0, horizon, 5), config)
+    stats = exc.value.stats
+    _assert_consistent(stats, calls)
+    # both first steps fall below the floor before any stage is evaluated
+    assert stats.accepted_steps == 0 and stats.rhs_evals == 1
+    assert stats.h_min is None and stats.h_max is None
+
+
+def test_only_integrated_trajectories_carry_stats(tmp_path):
+    g = complete_graph(2)
+    assert integrate(g, 2.0, [1.0, 0.5], np.array([0.7])).stats is None
+    traj = integrate(g, 2.0, [1.0, 0.5], np.linspace(0.0, 1.0, 3))
+    assert traj.stats.to_json_dict()["accepted_steps"] == traj.stats.accepted_steps > 0
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    assert read_trajectory_csv(path, g, 2.0).stats is None
+
+
 def test_trajectory_validation():
     g = complete_graph(2)
     with pytest.raises(ValidationError):
