@@ -315,9 +315,12 @@ def cmd_simulate(args) -> int:
             np.all(diffs <= 1e-12 * max(1.0, float(np.abs(entropy).max())))
         )
         if len(traj.times) >= 3:
-            summary["entropy_dissipation_residual"] = entropy_dissipation_residual(
-                traj, measure
-            )
+            try:
+                residual = entropy_dissipation_residual(traj, measure)
+            except ValidationError as exc:
+                residual = None
+                summary["entropy_dissipation_note"] = str(exc)
+            summary["entropy_dissipation_residual"] = residual
         columns.append(entropy)
         header.append("entropy")
         write_svg_polyline(

@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, LambdaOneError, ValidationError
-from .graphs import Graph, graph_distance, k_min
+from .errors import DomainError, LambdaOneError, NoPathError, ValidationError
+from .graphs import Graph, _hop_distances, graph_distance, k_min
 from .operators import (
     _dtv,
     _gradient_energy,
@@ -44,7 +44,7 @@ from .operators import (
     check_mixing,
     pressure,
 )
-from .solver import Trajectory
+from .solver import Trajectory, _window_slack
 
 __all__ = [
     "EstimateReport",
@@ -106,7 +106,7 @@ def _eval_points(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     ts, states = traj.times, traj.states
     if traj.dense is None or len(ts) < 2:
         return ts, states
-    extra = np.concatenate([np.linspace(a, b, 11)[1:-1] for a, b in zip(ts[:10], ts[1:11])])
+    extra = np.linspace(ts[:-1][:10], ts[1:][:10], 11, axis=1)[:, 1:-1].ravel()
     ts = np.concatenate([ts, extra])
     order = np.argsort(ts, kind="stable")
     return ts[order], np.concatenate([states, traj.dense(extra)])[order]
@@ -135,7 +135,7 @@ def _row_minima(g: Graph, ts: np.ndarray, slack: np.ndarray):
     """Per-time ``(t, vertex, slack)`` minima and the index of the first overall minimum."""
     cols = np.argmin(slack, axis=1)
     mins = slack[np.arange(len(ts)), cols]
-    records = [(float(t), g.vertices[i], float(s)) for t, i, s in zip(ts, cols, mins)]
+    records = [(t, g.vertices[i], s) for t, i, s in zip(ts.tolist(), cols.tolist(), mins.tolist())]
     return records, int(np.argmin(mins)), cols
 
 
@@ -214,6 +214,22 @@ def _check_harnack_params(mu: float, lam: float, t1: float, t2: float) -> None:
         raise ValidationError("need 0 < t1 < t2")
 
 
+def _path_terms(mu: float, lam: float, t1: float, t2: float, n_edges: int) -> tuple[list, float]:
+    """Increments ``tau_j^(mu+1) - tau_{j-1}^(mu+1)`` of an ``n_edges`` path and its prefactor."""
+    tau = t1 + np.arange(n_edges + 1) * (t2 - t1) / n_edges
+    powers = (tau ** (mu + 1.0)).tolist()
+    increments = [b - a for a, b in zip(powers, powers[1:])]
+    return increments, 2.0 * n_edges**2 / ((1.0 - lam) * (mu + 1.0) * (t2 - t1) ** 2)
+
+
+def _path_sum(increments: list, weights: Iterable[float]) -> float:
+    """``sum_j increments[j] / weights[j]``, added in path order."""
+    total = 0.0
+    for step, w in zip(increments, weights):
+        total += step / w
+    return total
+
+
 def harnack_rhs_path(g: Graph, m: float, mu: float, lam: float, t1: float, t2: float, path: Sequence[str]) -> float:
     """Additive Harnack correction along an explicit path.
 
@@ -229,16 +245,20 @@ def harnack_rhs_path(g: Graph, m: float, mu: float, lam: float, t1: float, t2: f
     _check_harnack_params(mu, lam, t1, t2)
     if len(path) < 2:
         raise ValidationError("a path needs at least one edge")
-    n_edges = len(path) - 1
-    tau = t1 + np.arange(n_edges + 1) * (t2 - t1) / n_edges
-    powers = tau ** (mu + 1.0)
-    total = 0.0
-    for j in range(1, n_edges + 1):
-        w = g.kernel(path[j - 1], path[j])
+    weights = [g.kernel(x, y) for x, y in zip(path, path[1:])]
+    for x, y, w in zip(path, path[1:], weights):
         if w <= 0.0:
-            raise ValidationError(f"path step {path[j - 1]!r} -> {path[j]!r} is not an edge")
-        total += (powers[j] - powers[j - 1]) / w
-    return 2.0 * n_edges**2 / ((1.0 - lam) * (mu + 1.0) * (t2 - t1) ** 2) * total
+            raise ValidationError(f"path step {x!r} -> {y!r} is not an edge")
+    increments, scale = _path_terms(mu, lam, t1, t2, len(path) - 1)
+    return scale * _path_sum(increments, weights)
+
+
+def _distance_correction(dist: int, kmin: float, mu: float, lam: float, t1: float, t2: float) -> float:
+    """The distance-form correction for a hop distance and a smallest weight."""
+    if dist == 0:
+        return 0.0
+    span = t2 ** (mu + 1.0) - t1 ** (mu + 1.0)
+    return 2.0 * dist**2 * span / ((1.0 - lam) * (mu + 1.0) * kmin * (t2 - t1) ** 2)
 
 
 def harnack_rhs_distance(g: Graph, mu: float, lam: float, t1: float, t2: float, x1: str, x2: str) -> float:
@@ -250,15 +270,11 @@ def harnack_rhs_distance(g: Graph, mu: float, lam: float, t1: float, t2: float, 
     that case.
     """
     _check_harnack_params(mu, lam, t1, t2)
-    dist = graph_distance(g, x1, x2)
-    if dist == 0:
-        return 0.0
-    span = t2 ** (mu + 1.0) - t1 ** (mu + 1.0)
-    return 2.0 * dist**2 * span / ((1.0 - lam) * (mu + 1.0) * k_min(g) * (t2 - t1) ** 2)
+    return _distance_correction(graph_distance(g, x1, x2), k_min(g), mu, lam, t1, t2)
 
 
-def _simple_paths(g: Graph, src: str, dst: str, cap: int) -> Iterable[list[str]]:
-    """All simple paths from src to dst with at most ``cap`` edges."""
+def _simple_paths(g: Graph, src: int, dst: int, cap: int) -> Iterable[list[int]]:
+    """All simple paths from vertex index src to dst with at most ``cap`` edges."""
     stack = [(src, [src])]
     while stack:
         v, prefix = stack.pop()
@@ -267,7 +283,7 @@ def _simple_paths(g: Graph, src: str, dst: str, cap: int) -> Iterable[list[str]]
             continue
         if len(prefix) - 1 >= cap:
             continue
-        for w in g.neighbors(v):
+        for w in g.neighbors_idx(v).tolist():
             if w not in prefix:
                 stack.append((w, prefix + [w]))
 
@@ -287,7 +303,9 @@ def harnack_check(
     path form minimized over all simple paths of at most
     ``distance + 2`` edges.  The reported per-pair slack is the smaller of
     the two, and the report kind names the form attaining the overall
-    minimum.
+    minimum.  Every slack equals the one built from :func:`harnack_rhs_distance`
+    and :func:`harnack_rhs_path`; the graph facts they share (``k_min``, one
+    breadth-first search per source vertex) are found once per check.
     """
     _check_tolerance(tol)
     g, m = traj.graph, traj.m
@@ -295,29 +313,40 @@ def harnack_check(
         raise ValidationError("Harnack comparison needs a symmetric kernel")
     if len(pairs) == 0:
         raise ValidationError("need at least one (t1, t2, x1, x2) pair")
-    t_lo, t_hi = traj.times[0], traj.times[-1]
+    t_lo, t_hi = float(traj.times[0]), float(traj.times[-1])
+    slack_t = _window_slack(t_lo, t_hi, 1e-12)
+    kmin = k_min(g)
+    hops: dict[int, list[int]] = {}
     best = math.inf
     best_form = "harnack_distance"
     argmin: dict = {}
     records = []
     for t1, t2, x1, x2 in pairs:
         _check_harnack_params(mu, lam, t1, t2)
-        if t1 < t_lo - 1e-12 or t2 > t_hi + 1e-12:
+        if t1 < t_lo - slack_t or t2 > t_hi + slack_t:
             raise ValidationError("pair times outside the trajectory range")
+        i1, i2 = g.index(x1), g.index(x2)
+        if i1 not in hops:
+            hops[i1] = _hop_distances(g, i1)
+        dist = hops[i1][i2]
+        if dist < 0:
+            raise NoPathError(f"no path between {x1!r} and {x2!r}")
         v1 = pressure(m, traj.value(t1, x1))
         v2 = pressure(m, traj.value(t2, x2))
         lhs = t1**mu * v1
         base = t2**mu * v2
-        corr_d = harnack_rhs_distance(g, mu, lam, t1, t2, x1, x2)
-        slack_d = base + corr_d - lhs
-        slack = slack_d
+        slack = base + _distance_correction(dist, kmin, mu, lam, t1, t2) - lhs
         form = "harnack_distance"
         if x1 != x2:
-            cap = graph_distance(g, x1, x2) + 2
-            corr_p = min(
-                harnack_rhs_path(g, m, mu, lam, t1, t2, p)
-                for p in _simple_paths(g, x1, x2, cap)
-            )
+            terms: dict[int, tuple[list, float]] = {}
+            corr_p = math.inf
+            for p in _simple_paths(g, i1, i2, dist + 2):
+                n_edges = len(p) - 1
+                if n_edges not in terms:
+                    terms[n_edges] = _path_terms(mu, lam, t1, t2, n_edges)
+                increments, scale = terms[n_edges]
+                weights = (g._weights[e] for e in zip(p, p[1:]))
+                corr_p = min(corr_p, scale * _path_sum(increments, weights))
             slack_p = base + corr_p - lhs
             if slack_p < slack:
                 slack = slack_p

@@ -11,6 +11,7 @@ appearance, and every field over a graph is a numpy array aligned with
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,7 +88,18 @@ class Graph:
             raise ValidationError(f"unknown vertex {v!r}") from None
 
     def kernel(self, x: str, y: str) -> float:
-        return float(self._kernel[self.index(x), self.index(y)])
+        """Weight of the edge ``x -> y``, 0 when there is none."""
+        return self._weights.get((self.index(x), self.index(y)), 0.0)
+
+    @cached_property
+    def _weights(self) -> dict[tuple[int, int], float]:
+        """Stored weights by ``(i, j)``, read from the CSR arrays at the first query."""
+        k = self._kernel
+        weights: dict[tuple[int, int], float] = {}
+        for i, (lo, hi) in enumerate(zip(k.indptr[:-1].tolist(), k.indptr[1:].tolist())):
+            for j, w in zip(k.indices[lo:hi].tolist(), k.data[lo:hi].tolist()):
+                weights[i, j] = weights.get((i, j), 0.0) + w  # duplicates add, as in scipy
+        return weights
 
     def kernel_matrix(self):
         """Sparse kernel matrix in CSR form (do not mutate)."""
@@ -205,20 +217,28 @@ def graph_distance(g: Graph, x: str, y: str) -> int:
     """
     if not g.symmetric:
         raise ValidationError("hop distance requires a symmetric kernel")
-    src, dst = g.index(x), g.index(y)
-    if src == dst:
-        return 0
-    dist = {src: 0}
+    dist = _hop_distances(g, g.index(x))[g.index(y)]
+    if dist < 0:
+        raise NoPathError(f"no path between {x!r} and {y!r}")
+    return dist
+
+
+def _hop_distances(g: Graph, src: int) -> list[int]:
+    """Hop distances from vertex index ``src`` to every vertex, -1 where unreachable.
+
+    One breadth-first search along out-edges; :func:`graph_distance` and
+    :func:`~pmelab.estimates.harnack_check` read their distances from it.
+    """
+    dist = [-1] * g.n
+    dist[src] = 0
     queue = deque([src])
     while queue:
         i = queue.popleft()
-        for j in g.neighbors_idx(i):
-            if j not in dist:
+        for j in g.neighbors_idx(i).tolist():
+            if dist[j] < 0:
                 dist[j] = dist[i] + 1
-                if j == dst:
-                    return dist[j]
                 queue.append(j)
-    raise NoPathError(f"no path between {x!r} and {y!r}")
+    return dist
 
 
 def k_min(g: Graph) -> float:

@@ -9,23 +9,31 @@ drives the step size, with two extra rules suited to this equation:
   floor, the step is rejected and halved, so reported states stay strictly
   positive (a non-finite stage makes every later one non-finite, so this
   decides as a test after each stage would);
-* if the step size underflows a :class:`~pmelab.errors.StiffnessError`
-  reports the failure time.  The floor is ``1e-14`` of the integrated span
-  but never below four ulps of ``t_end``, so ``t + h`` always advances, also
-  on a short window late in time.  A step that would end within the floor
-  of ``t_end`` is taken to ``t_end``.
+* if the step size underflows, or the run uses up its budget of
+  ``_MAX_STEP_ATTEMPTS`` step attempts, a
+  :class:`~pmelab.errors.StiffnessError` reports the failure time.  The
+  floor is ``1e-14`` of the integrated span but never below four ulps of
+  ``t_end``, so ``t + h`` always advances, also on a short window late in
+  time.  A step that would end within the floor of ``t_end`` is taken to
+  ``t_end``.
 
 The whole step loop runs in one ``np.errstate`` scope that silences the
 overflow and invalid-value warnings of rejected steps.  Accepted steps keep
 their endpoint derivatives, requested output times are filled by cubic
 Hermite interpolation between them, and :class:`SolverStats` counts what
-the run did.
+the run did.  A point query (:meth:`Trajectory.state_at`) evaluates the
+same Hermite expression on Python floats, so it equals the matching row of
+the vectorised interpolant bit for bit.  Both accept times up to
+``1e-12`` of the span (never less than four ulps of the end) outside the
+integrated range.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -76,6 +84,10 @@ _DP_E = np.array(
     ]
 )
 
+# An integration that needs more step attempts than this is too stiff for an
+# explicit method; it fails instead of running for hours.
+_MAX_STEP_ATTEMPTS = 100_000
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -97,6 +109,26 @@ class SolverConfig:
                 raise ValidationError(f"{name} must be positive when given")
 
 
+def _window_slack(t_start: float, t_end: float, rel: float) -> float:
+    """``rel`` times the span of ``[t_start, t_end]``, never below four ulps of ``t_end``."""
+    return max(rel * (t_end - t_start), 4.0 * math.ulp(t_end))
+
+
+def _hermite(s, h, y0, y1, f0, f1):
+    """Cubic Hermite interpolant at fraction ``s`` of a step ``h``.
+
+    ``s`` and ``h`` are Python floats for one time, or columns of shape
+    ``(k, 1)`` against rows of shape ``(k, n)``; both do the same operations.
+    """
+    s2, s3 = s * s, s * s * s
+    return (
+        (2.0 * s3 - 3.0 * s2 + 1.0) * y0
+        + (s3 - 2.0 * s2 + s) * h * f0
+        + (-2.0 * s3 + 3.0 * s2) * y1
+        + (s3 - s2) * h * f1
+    )
+
+
 class _Dense:
     """Cubic Hermite interpolant over the accepted steps."""
 
@@ -105,23 +137,32 @@ class _Dense:
         self.ys = ys
         self.fs = fs
 
+    @cached_property
+    def _range(self) -> tuple[list, float, float]:
+        """Step times as floats and the admitted time range, made at the first query."""
+        knots = self.ts.tolist()
+        slack = _window_slack(knots[0], knots[-1], 1e-12)
+        return knots, knots[0] - slack, knots[-1] + slack
+
     def __call__(self, t):
+        """State at a scalar ``t``, or states of shape ``(len(t), n)`` at an array."""
+        knots, lo, hi = self._range
+        if isinstance(t, float) or np.ndim(t) == 0:
+            t = float(t)
+            if not lo <= t <= hi:
+                raise DomainError("time outside the integrated range")
+            i = min(max(bisect_right(knots, t) - 1, 0), len(knots) - 2)
+            t0, t1 = knots[i], knots[i + 1]
+            ys, fs = self.ys, self.fs
+            return _hermite((t - t0) / (t1 - t0), t1 - t0, ys[i], ys[i + 1], fs[i], fs[i + 1])
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.min() < self.ts[0] - 1e-12 or t.max() > self.ts[-1] + 1e-12:
+        if not (lo <= t.min() and t.max() <= hi):
             raise DomainError("time outside the integrated range")
         idx = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
         t0, t1 = self.ts[idx], self.ts[idx + 1]
-        h = (t1 - t0)[:, None]
         s = ((t - t0) / (t1 - t0))[:, None]
-        y0, y1 = self.ys[idx], self.ys[idx + 1]
-        f0, f1 = self.fs[idx], self.fs[idx + 1]
-        s2, s3 = s * s, s * s * s
-        return (
-            (2.0 * s3 - 3.0 * s2 + 1.0) * y0
-            + (s3 - 2.0 * s2 + s) * h * f0
-            + (-2.0 * s3 + 3.0 * s2) * y1
-            + (s3 - s2) * h * f1
-        )
+        h = (t1 - t0)[:, None]
+        return _hermite(s, h, self.ys[idx], self.ys[idx + 1], self.fs[idx], self.fs[idx + 1])
 
 
 @dataclass(frozen=True)
@@ -179,10 +220,14 @@ class Trajectory:
             raise ValidationError("states must be strictly positive and finite")
 
     def state_at(self, t: float) -> np.ndarray:
-        """State at time ``t``, interpolated when dense data is available."""
+        """State at time ``t``, interpolated when dense data is available.
+
+        The interpolated state equals ``dense(np.array([t]))[0]``, the
+        matching row of the vectorised interpolant, bit for bit.
+        """
         t = float(t)
         if self.dense is not None:
-            return self.dense(t)[0]
+            return self.dense(t)
         hits = np.nonzero(np.isclose(self.times, t, rtol=1e-12, atol=0.0))[0]
         if len(hits) == 0:
             raise DomainError(f"t={t:.6g} is not a reported time and no dense data is stored")
@@ -224,7 +269,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
     span = t_end - t0
     # ``t + h`` must advance, so the floor never drops below a few ulps of
     # t_end; the default step bounds never drop below the floor
-    h_floor = max(1e-14 * span, 4.0 * math.ulp(t_end))
+    h_floor = _window_slack(t0, t_end, 1e-14)
     max_step = cfg.max_step if cfg.max_step is not None else max(span / 20.0, h_floor)
     kernel, degree = g.kernel_matrix(), g.degree
 
@@ -246,9 +291,11 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
         t_stop = t_end - h_floor
         while True:
             h = min(h, t_end - t, max_step)
-            if h < h_floor:
+            attempts = len(ts) - 1 + error_rejections + positivity_rejections
+            if h < h_floor or attempts == _MAX_STEP_ATTEMPTS:
                 stats = SolverStats.of(ts, error_rejections, positivity_rejections, rhs_evals)
-                raise StiffnessError(t, stats=stats)
+                why = "step size underflow" if h < h_floor else f"step budget of {attempts} attempts ran out"
+                raise StiffnessError(t, f"{why} at t={t:.6g}", stats=stats)
             if t_stop <= t + h < t_end:
                 h = t_end - t  # leave no remainder below the floor
             k[0] = f
@@ -351,16 +398,31 @@ def renyi_entropy(g: Graph, m: float, u, measure: Measure) -> float:
     return float(_entropy(measure, m, u))
 
 
+# The centred differences of the entropy balance need time gaps far above
+# the ulp: a gap of N ulps carries a relative error of about 1/N.
+_MIN_SPACING_ULPS = 2**20
+
+
 def entropy_dissipation_residual(traj: Trajectory, measure: Measure) -> float:
     """Largest defect of the entropy balance along a reported trajectory.
 
     Compares centered differences of :func:`renyi_entropy` at interior grid
     times with the dissipation formula
-    ``-(1/m) sum_x u(x) gradient_energy(v)(x) pi(x)``.
+    ``-(1/m) sum_x u(x) gradient_energy(v)(x) pi(x)``.  A grid whose
+    spacing is under ``2^20`` ulps of its times is refused with a
+    :class:`ValidationError`: the times, and the integrator's steps, are
+    rounded to the ulp, so such differences would measure rounding.
     """
     if len(traj.times) < 3:
         raise ValidationError("need at least 3 reported times")
     g, m, t, U = traj.graph, traj.m, traj.times, traj.states
+    ulps = np.diff(t) / np.spacing(t[1:])
+    if ulps.min() < _MIN_SPACING_ULPS:
+        i = int(np.argmin(ulps))
+        raise ValidationError(
+            f"grid spacing {t[i + 1] - t[i]:.3g} at t={t[i + 1]:.6g} is only {ulps[i]:.3g} ulps wide, "
+            f"under the {_MIN_SPACING_ULPS} ulps centred differences need"
+        )
     if measure.graph is not g:
         measure = Measure(g, measure.pi)
     ent = _entropy(measure, m, U)

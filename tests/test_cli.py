@@ -82,6 +82,33 @@ def test_simulate_integrates_a_short_window_late_in_time(tmp_path):
     assert summary["solver_stats"]["accepted_steps"] > 0
 
 
+def test_simulate_writes_no_entropy_residual_on_an_ulp_narrow_grid(tmp_path):
+    out = tmp_path / "run"
+    argv = ["simulate", "--graph", "square", "--u0", "random:", "--t-start", "1e6", "--t-end", "1000000.0000001"]
+    assert main(argv + ["--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["status"] == "ok"
+    assert summary["entropy_dissipation_residual"] is None
+    assert "grid spacing" in summary["entropy_dissipation_note"]
+    assert summary["pressure_identity_residual"] <= 1e-12
+
+
+def test_simulate_exits_three_when_the_step_budget_runs_out(tmp_path, monkeypatch):
+    import pmelab.solver
+
+    monkeypatch.setattr(pmelab.solver, "_MAX_STEP_ATTEMPTS", 2000)
+    graph_file = tmp_path / "fast.txt"
+    graph_file.write_text("a b 1e9\nb a 1e9\n")
+    out = tmp_path / "run"
+    argv = ["simulate", "--graph", str(graph_file), "--u0", "const:1,0.5", "--t-start", "0", "--t-end", "1e-2"]
+    assert main(argv + ["--out", str(out)]) == 3
+    summary = read_json(out / "summary.json")
+    assert summary["status"] == "numerical-failure"
+    assert "step budget of 2000 attempts ran out" in summary["error"]
+    stats = summary["solver_stats"]
+    assert stats["accepted_steps"] + stats["error_rejections"] + stats["positivity_rejections"] == 2000
+
+
 def test_simulate_summary_records_the_solver_stats(tmp_path):
     out = tmp_path / "run"
     argv = ["simulate", "--graph", "complete:2", "--u0", "const:1,1e-12", "--m", "1.5", "--t-start", "0"]

@@ -28,6 +28,7 @@ from pmelab import (
     pressure_equation_residual,
     quadratic_minorant_check,
     renyi_entropy,
+    resolve_graph,
     square_graph,
 )
 from pmelab.errors import DomainError, LambdaOneError, NoPathError, ValidationError
@@ -212,6 +213,58 @@ def test_harnack_check_validates_pair_times_and_symmetry():
 def test_harnack_check_rejects_unit_lambda():
     with pytest.raises(LambdaOneError):
         harnack_check(square_run(), 1.0, 1.0, [(0.2, 0.8, "x", "z")])
+
+
+def _harnack_reference(traj, mu, lam, pairs):
+    """``harnack_check``'s records, one public correction call per pair and path."""
+    from pmelab.estimates import _simple_paths
+
+    g, m = traj.graph, traj.m
+    records = []
+    for t1, t2, x1, x2 in pairs:
+        lhs = t1**mu * pressure(m, float(traj.dense(np.array([t1]))[0][g.index(x1)]))
+        base = t2**mu * pressure(m, float(traj.dense(np.array([t2]))[0][g.index(x2)]))
+        slack = base + harnack_rhs_distance(g, mu, lam, t1, t2, x1, x2) - lhs
+        if x1 != x2:
+            paths = _simple_paths(g, g.index(x1), g.index(x2), graph_distance(g, x1, x2) + 2)
+            corr = min(harnack_rhs_path(g, m, mu, lam, t1, t2, [g.vertices[i] for i in p]) for p in paths)
+            slack = min(slack, base + corr - lhs)
+        records.append((t1, t2, x1, x2, slack))
+    return records
+
+
+@pytest.mark.parametrize("spec", ["square", "complete:5", "path:16", "zwindow:10"])
+def test_harnack_check_equals_the_per_pair_reference_exactly(spec):
+    g = resolve_graph(spec)
+    rng = np.random.default_rng(11)
+    traj = integrate(g, 2.0, rng.uniform(0.5, 1.5, g.n), np.linspace(0.1, 3.0, 30))
+    pairs = []
+    for _ in range(60):
+        t1, t2 = np.sort(rng.uniform(0.1, 3.0, 2))
+        x1, x2 = (g.vertices[int(i)] for i in rng.integers(g.n, size=2))
+        pairs.append((float(t1), float(t2), x1, x2))
+    pairs.append((0.1, 3.0, g.vertices[0], g.vertices[-1]))
+    for mu, lam in ((1.5, 0.0), (0.7, 0.25)):
+        rep = harnack_check(traj, mu, lam, pairs)
+        want = _harnack_reference(traj, mu, lam, pairs)
+        assert rep.records == want
+        assert rep.min_slack == min(r[-1] for r in want)
+
+
+def test_harnack_check_admits_pair_times_an_ulp_past_a_late_window():
+    t_end = 1000000.0000001
+    traj = integrate(square_graph(), 2.0, [1.0, 0.5, 0.7, 1.2], np.linspace(1e6, t_end, 5))
+    rep = harnack_check(traj, 1.0, 0.0, [(1e6, float(np.nextafter(t_end, math.inf)), "x", "z")])
+    assert rep.points_checked == 1
+    with pytest.raises(ValidationError):
+        harnack_check(traj, 1.0, 0.0, [(1e6, t_end + 8 * math.ulp(t_end), "x", "z")])
+
+
+def test_harnack_check_needs_connected_pairs():
+    g = build_graph([("a", "b", 1.0), ("c", "d", 1.0)], symmetrize=True)
+    traj = integrate(g, 2.0, [1.0, 0.5, 0.7, 1.2], np.linspace(0.1, 1.0, 5))
+    with pytest.raises(NoPathError):
+        harnack_check(traj, 1.0, 0.0, [(0.2, 0.8, "a", "c")])
 
 
 # -- scalar lemmas ---------------------------------------------------------

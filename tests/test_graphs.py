@@ -80,6 +80,31 @@ def test_duplicate_vertex_identifier_rejected():
         Graph(["a", "a"], sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
+def _scipy_kernel_graphs():
+    import scipy.sparse as sp
+
+    dense = Graph(["a", "b", "c"], sp.csr_array(np.array([[0.0, 2.0, 0.5], [2.0, 0.0, 0.0], [0.5, 0.0, 0.0]])))
+    # unsorted column indices, and a duplicated entry (0, 2) stored three times
+    raw = sp.csr_array(
+        (np.array([0.1, 2.0, 0.2, 0.3, 0.7, 1.5]), np.array([2, 1, 2, 2, 0, 0]), np.array([0, 4, 5, 6])),
+        shape=(3, 3),
+    )
+    return [dense, Graph(["a", "b", "c"], raw)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [resolve_graph(s) for s in ("square", "complete:5", "path:16", "zwindow:10")]
+    + [build_graph([("a", "b", 0.1), ("b", "c", 3.0), ("c", "a", 1e9)])]
+    + _scipy_kernel_graphs(),
+)
+def test_kernel_reads_every_weight_as_the_sparse_matrix_holds_it(g):
+    k = g.kernel_matrix()
+    for i, x in enumerate(g.vertices):
+        for j, y in enumerate(g.vertices):
+            assert g.kernel(x, y) == float(k[i, j])
+
+
 def test_zero_weight_edges_are_dropped():
     g = build_graph([("a", "b", 1.0), ("a", "c", 0.0), ("b", "a", 1.0), ("c", "b", 1.0)])
     assert g.kernel("a", "c") == 0.0

@@ -22,6 +22,7 @@ from pmelab import (
     pressure_equation_residual,
     read_trajectory_csv,
     renyi_entropy,
+    resolve_graph,
     square_graph,
     write_trajectory_csv,
 )
@@ -117,6 +118,30 @@ def test_dense_output_rejects_times_outside_the_run():
         traj.state_at(0.1)
 
 
+@pytest.mark.parametrize("spec", ["square", "complete:2", "complete:5", "path:16", "zwindow:10"])
+def test_a_point_query_is_the_dense_row_bit_for_bit(spec):
+    g = resolve_graph(spec)
+    rng = np.random.default_rng(3)
+    traj = integrate(g, 2.5, rng.uniform(0.5, 1.5, g.n), np.linspace(0.05, 2.0, 9))
+    nodes = traj.dense.ts
+    times = np.concatenate([nodes, traj.times, rng.uniform(nodes[0], nodes[-1], 200)])
+    for t in times:
+        row = traj.dense(np.array([t]))[0]
+        assert traj.state_at(t).tobytes() == row.tobytes()
+        assert traj.dense(t).tobytes() == row.tobytes()
+        assert traj.value(t, g.vertices[-1]) == row[-1]
+    assert np.array_equal(traj.dense(times), np.array([traj.state_at(t) for t in times]))
+
+
+def test_the_range_tolerance_is_relative_to_a_late_window():
+    t_end = 1000000.0000001
+    traj = integrate(square_graph(), 2.0, [1.0, 0.5, 0.7, 1.2], np.linspace(1e6, t_end, 5))
+    assert np.all(traj.state_at(np.nextafter(t_end, math.inf)) > 0.0)
+    assert np.all(traj.state_at(np.nextafter(1e6, 0.0)) > 0.0)
+    with pytest.raises(DomainError):
+        traj.state_at(t_end + 8 * math.ulp(t_end))
+
+
 def test_single_time_request_returns_the_initial_state():
     g = complete_graph(2)
     traj = integrate(g, 2.0, [1.0, 0.5], np.array([0.7]))
@@ -144,6 +169,20 @@ def test_fast_kernel_over_long_horizon_raises_stiffness_error():
     g = build_graph([("a", "b", 1e9)], symmetrize=True)
     with pytest.raises(StiffnessError):
         integrate(g, 2.0, [1.0, 0.5], np.linspace(0.0, 1e4, 5))
+
+
+def test_a_stiff_run_stops_at_the_step_budget(monkeypatch):
+    # the real budget takes this graph about 8 s to use up; a smaller one
+    # shows the same failure in a fraction of that
+    import pmelab.solver
+
+    monkeypatch.setattr(pmelab.solver, "_MAX_STEP_ATTEMPTS", 2000)
+    g = build_graph([("a", "b", 1e9)], symmetrize=True)
+    with pytest.raises(StiffnessError, match="step budget of 2000 attempts ran out") as exc:
+        integrate(g, 2.0, [1.0, 0.5], np.linspace(0.0, 1e-2, 11))
+    stats = exc.value.stats
+    assert stats.accepted_steps + stats.error_rejections + stats.positivity_rejections == 2000
+    assert 0.0 < exc.value.t < 1e-5 and stats.h_max < 1e-8
 
 
 @pytest.mark.parametrize("t0, ulps", [(1e6, 860), (1e6, 50), (3.0, 300)])
@@ -305,6 +344,13 @@ def test_entropy_dissipation_residual_needs_three_times():
     g = complete_graph(2)
     traj = integrate(g, 2.0, [1.0, 0.5], np.array([0.0, 1.0]))
     with pytest.raises(ValidationError):
+        entropy_dissipation_residual(traj, counting_measure(g))
+
+
+def test_entropy_dissipation_residual_refuses_an_ulp_narrow_grid():
+    g = square_graph()
+    traj = integrate(g, 2.0, [1.0, 0.5, 0.7, 1.2], np.linspace(1e6, 1000000.0000001, 201))
+    with pytest.raises(ValidationError, match=r"grid spacing 4\.66e-10 at t=1e\+06 is only 4 ulps wide"):
         entropy_dissipation_residual(traj, counting_measure(g))
 
 
