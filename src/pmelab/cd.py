@@ -234,7 +234,12 @@ class _BallProblem:
         self.ball = two_hop_ball(g, x)
         self.pos_x = self.ball.index(x)
         idx = np.array([g.index(v) for v in self.ball])
-        self.kmat = g.kernel_matrix()[np.ix_(idx, idx)].toarray()
+        local = np.full(g.n, -1)
+        local[idx] = np.arange(len(idx))
+        rows, cols = local[g.rows], local[g.indices]
+        inside = (rows >= 0) & (cols >= 0)
+        self.kmat = np.zeros((len(idx), len(idx)))
+        np.add.at(self.kmat, (rows[inside], cols[inside]), g.data[inside])  # duplicates add in storage order
         # full-graph degrees: rows for the closed one-hop neighborhood are
         # complete inside the ball, and only those rows are ever used.
         self.deg = g.degree[idx]

@@ -698,7 +698,7 @@ def cmd_gen_graph(args) -> int:
     save_edge_list(g, out_path)
     print(
         "gen-graph %s: %d vertices, %d directed edges"
-        % (args.graph, g.n, g.kernel_matrix().nnz)
+        % (args.graph, g.n, len(g.data))
     )
     print("wrote %s" % out_path)
     return 0

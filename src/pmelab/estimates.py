@@ -126,9 +126,8 @@ def _pressure_terms(traj: Trajectory):
     """Evaluation points with the pressure, its exact time derivative and gradient energy."""
     ts, U = _eval_points(traj)
     g, m = traj.graph, traj.m
-    k, deg = g.kernel_matrix(), g.degree
     V = _pressure(m, U)
-    return ts, U, V, _dtv(k, deg, m, U), _gradient_energy(k, deg, m, V)
+    return ts, U, V, _dtv(g, g.degree, m, U), _gradient_energy(g, g.degree, m, V)
 
 
 def _row_minima(g: Graph, ts: np.ndarray, slack: np.ndarray):
@@ -157,7 +156,7 @@ def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> Est
     _require_positive_times(traj)
     g, m = traj.graph, traj.m
     ts, U, V, dtv, psi = _pressure_terms(traj)
-    slack_direct = d / ts[:, None] + _mixed_laplacian(g.kernel_matrix(), g.degree, m, alpha, U)
+    slack_direct = d / ts[:, None] + _mixed_laplacian(g, g.degree, m, alpha, U)
     slack_pressure = d / ts[:, None] - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V)
     records, k, cols = _row_minima(g, ts, np.minimum(slack_direct, slack_pressure))
     t, x, best = records[k]

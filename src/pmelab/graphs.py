@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import NoPathError, ValidationError
 
@@ -43,37 +42,51 @@ class Graph:
     ----------
     vertices : sequence of str
         Vertex identifiers in their defining order.
-    kernel : scipy.sparse matrix, shape (n, n)
-        Edge weights; entry (i, j) is the weight of the edge i -> j.
+    kernel : (data, indices, indptr) CSR arrays, dense array or scipy sparse matrix, shape (n, n)
+        Edge weights; entry (i, j) is the weight of the edge i -> j.  A scipy
+        matrix is read through its ``tocsr()`` without importing scipy here.
 
     Attributes
     ----------
     vertices : tuple of str
+    indptr, indices, data : ndarray
+        The kernel as read-only CSR arrays: row ``i`` stores the weights
+        ``data[indptr[i]:indptr[i + 1]]`` at the columns ``indices[...]``
+        (``np.intp``), in the order the kernel gave them.  Zero weights are
+        dropped; an entry stored more than once counts as the sum.
+    rows : ndarray
+        Row index of every stored entry, aligned with ``indices``.
     symmetric : bool
-        True when the kernel matrix equals its transpose exactly.
+        True when the kernel equals its transpose exactly.
     degree : ndarray, shape (n,)
         Row sums of the kernel.
     """
 
     def __init__(self, vertices: Sequence[str], kernel):
-        kernel = sparse.csr_array(kernel, dtype=float)
         n = len(vertices)
-        if kernel.shape != (n, n):
-            raise ValidationError("kernel shape does not match vertex count")
+        rows, indices, data = _stored_entries(kernel, n)
         if len(set(vertices)) != n:
             raise ValidationError("duplicate vertex identifier")
-        kernel.eliminate_zeros()
-        if kernel.nnz == 0:
+        keep = data != 0.0
+        rows, indices, data = rows[keep], indices[keep], data[keep]
+        indptr = _indptr(rows, n)
+        if len(data) == 0:
             raise ValidationError("kernel has no positive entries")
-        if not np.all((kernel.data >= 0.0) & (kernel.data < np.inf)):
+        if not np.all((data >= 0.0) & (data < np.inf)):
             raise ValidationError("edge weights must be finite and nonnegative")
-        if kernel.diagonal().any():
+        if np.any(rows == indices):
             raise ValidationError("positive self-loop weight")
+        for a in (indptr, indices, data, rows):
+            a.flags.writeable = False
         self.vertices: tuple[str, ...] = tuple(str(v) for v in vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._kernel = kernel
-        self.degree = np.asarray(kernel.sum(axis=1)).ravel()
-        self.symmetric = (kernel != kernel.T).nnz == 0
+        self.indptr, self.indices, self.data, self.rows = indptr, indices, data, rows
+        # row sums formed as scipy's CSR ``sum(axis=1)`` forms them
+        self.degree = np.zeros(n)
+        nonempty = np.flatnonzero(np.diff(indptr))
+        self.degree[nonempty] = np.add.reduceat(data, indptr[nonempty])
+        weights, reverse = self.pair_sums(data)
+        self.symmetric = bool(np.array_equal(weights, reverse))
 
     # -- basic queries -----------------------------------------------------
 
@@ -94,33 +107,93 @@ class Graph:
     @cached_property
     def _weights(self) -> dict[tuple[int, int], float]:
         """Stored weights by ``(i, j)``, read from the CSR arrays at the first query."""
-        k = self._kernel
         weights: dict[tuple[int, int], float] = {}
-        for i, (lo, hi) in enumerate(zip(k.indptr[:-1].tolist(), k.indptr[1:].tolist())):
-            for j, w in zip(k.indices[lo:hi].tolist(), k.data[lo:hi].tolist()):
-                weights[i, j] = weights.get((i, j), 0.0) + w  # duplicates add, as in scipy
+        for i, j, w in zip(self.rows.tolist(), self.indices.tolist(), self.data.tolist()):
+            weights[i, j] = weights.get((i, j), 0.0) + w  # duplicates add
         return weights
 
+    def pair_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-entry ``values`` summed at every stored pair ``(x, y)``, and at ``(y, x)``.
+
+        Returns two arrays over the distinct stored pairs: the sum at the
+        pair and the sum at its reverse, 0 where the reverse is not stored.
+        """
+        n = self.n
+        keys, at = np.unique(self.rows * n + self.indices, return_inverse=True)
+        sums = np.bincount(at, weights=values)
+        flipped = (keys % n) * n + keys // n
+        pos = np.minimum(np.searchsorted(keys, flipped), len(keys) - 1)
+        return sums, np.where(keys[pos] == flipped, sums[pos], 0.0)
+
+    @cached_property
+    def slot_table(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The stored entries as ``(columns, weights, padded)`` tables of shape ``(slots, n)``.
+
+        Slot ``s`` of column ``i`` holds the ``s``-th stored entry of row
+        ``i``.  Rows with fewer entries than the widest are padded with
+        weight 0 at column ``n``, one past the last vertex; ``padded`` says
+        whether any row is.
+        """
+        counts = np.diff(self.indptr)
+        slot = np.arange(len(self.indices)) - self.indptr[self.rows]
+        columns = np.full((counts.max(), self.n), self.n, dtype=np.intp)
+        weights = np.zeros(columns.shape)
+        columns[slot, self.rows] = self.indices
+        weights[slot, self.rows] = self.data
+        return columns, weights, bool((counts < len(columns)).any())
+
+    @cached_property
+    def _matrix(self):
+        from scipy import sparse  # only this view needs scipy
+
+        return sparse.csr_array((self.data, self.indices, self.indptr), shape=(self.n, self.n), copy=True)
+
     def kernel_matrix(self):
-        """Sparse kernel matrix in CSR form (do not mutate)."""
-        return self._kernel
+        """The kernel as a scipy CSR array, built at the first call (do not mutate)."""
+        return self._matrix
 
     def neighbors_idx(self, i: int) -> np.ndarray:
         """Indices j with kernel(i, j) > 0."""
-        k = self._kernel
-        return k.indices[k.indptr[i]:k.indptr[i + 1]]
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def weights_idx(self, i: int) -> np.ndarray:
         """Weights aligned with :meth:`neighbors_idx`."""
-        k = self._kernel
-        return k.data[k.indptr[i]:k.indptr[i + 1]]
+        return self.data[self.indptr[i]:self.indptr[i + 1]]
 
     def neighbors(self, x: str) -> tuple[str, ...]:
         return tuple(self.vertices[j] for j in self.neighbors_idx(self.index(x)))
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = "symmetric" if self.symmetric else "directed"
-        return f"Graph({self.n} vertices, {self._kernel.nnz} edges, {tag})"
+        return f"Graph({self.n} vertices, {len(self.data)} edges, {tag})"
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer of entries stored row by row with these row indices."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def _stored_entries(kernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and weights of an ``(n, n)`` kernel's stored entries, in storage order."""
+    if hasattr(kernel, "tocsr"):  # a scipy sparse matrix
+        if kernel.shape != (n, n):
+            raise ValidationError("kernel shape does not match vertex count")
+        kernel = kernel.tocsr()
+        kernel = (kernel.data, kernel.indices, kernel.indptr)
+    if isinstance(kernel, tuple):
+        data = np.asarray(kernel[0], dtype=float)
+        indices = np.asarray(kernel[1], dtype=np.intp)
+        indptr = np.asarray(kernel[2], dtype=np.intp)
+        if len(indptr) != n + 1 or (len(indices) and not 0 <= indices.min() <= indices.max() < n):
+            raise ValidationError("kernel shape does not match vertex count")
+        if indptr[0] != 0 or np.any(np.diff(indptr) < 0) or not indptr[-1] == len(indices) == len(data):
+            raise ValidationError("malformed CSR kernel arrays")
+        return np.repeat(np.arange(n), np.diff(indptr)), indices, data
+    dense = np.asarray(kernel, dtype=float)
+    if dense.shape != (n, n):
+        raise ValidationError("kernel shape does not match vertex count")
+    rows, indices = np.nonzero(dense)
+    return rows, indices, dense[rows, indices]
 
 
 def build_graph(edges: Iterable[tuple[str, str, float]], symmetrize: bool = False) -> Graph:
@@ -154,12 +227,11 @@ def build_graph(edges: Iterable[tuple[str, str, float]], symmetrize: bool = Fals
             entries[(j, i)] = w
     if not order:
         raise ValidationError("empty edge list")
-    n = len(order)
-    rows = np.array([i for (i, _) in entries], dtype=int)
-    cols = np.array([j for (_, j) in entries], dtype=int)
+    rows = np.array([i for (i, _) in entries], dtype=np.intp)
+    cols = np.array([j for (_, j) in entries], dtype=np.intp)
     data = np.array(list(entries.values()), dtype=float)
-    kernel = sparse.csr_array((data, (rows, cols)), shape=(n, n))
-    return Graph(order, kernel)
+    at = np.lexsort((cols, rows))  # each row's columns ascending
+    return Graph(order, (data[at], cols[at], _indptr(rows, len(order))))
 
 
 # -- generators ------------------------------------------------------------
@@ -171,8 +243,7 @@ def complete_graph(d: int) -> Graph:
     if d < 2:
         raise ValidationError("complete graph needs at least 2 vertices")
     names = [f"x{i + 1}" for i in range(d)]
-    kernel = np.ones((d, d)) - np.eye(d)
-    return Graph(names, sparse.csr_array(kernel))
+    return Graph(names, np.ones((d, d)) - np.eye(d))
 
 
 def path_graph(n: int) -> Graph:
@@ -243,7 +314,7 @@ def _hop_distances(g: Graph, src: int) -> list[int]:
 
 def k_min(g: Graph) -> float:
     """Smallest positive kernel entry."""
-    return float(g.kernel_matrix().data.min())
+    return float(g.data.min())
 
 
 def two_hop_ball(g: Graph, x: str) -> tuple[str, ...]:

@@ -28,13 +28,13 @@ positive.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DomainError
-from .graphs import Graph
+from .graphs import Graph, _stored_entries
 
 __all__ = [
     "as_field",
@@ -71,7 +71,7 @@ __all__ = [
 def check_exponent(m: float) -> float:
     """Validate a diffusion exponent: a finite real with ``m > 1``."""
     m = float(m)
-    if not np.isfinite(m) or m <= 1.0:
+    if not 1.0 < m < math.inf:
         raise DomainError(f"exponent must satisfy m > 1, got {m}")
     return m
 
@@ -79,7 +79,7 @@ def check_exponent(m: float) -> float:
 def check_mixing(alpha: float) -> float:
     """Validate a mixing parameter: a real in ``[0, 1]``."""
     alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha < 0.0 or alpha > 1.0:
+    if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"mixing parameter must lie in [0, 1], got {alpha}")
     return alpha
 
@@ -122,12 +122,17 @@ def _check_field(u: np.ndarray, m: float, allow_zero: bool) -> np.ndarray:
     return u
 
 
+def _has_negative(a: np.ndarray) -> bool:
+    """``np.any(a < 0.0)`` in one reduction: NaN is not negative."""
+    return np.fmin.reduce(a, axis=None, initial=math.inf) < 0.0
+
+
 # -- Laplacian and kernel sums ---------------------------------------------
 
 
 def laplacian_field(g: Graph, f) -> np.ndarray:
     """Generalized graph Laplacian ``Lf(x) = sum_y k(x,y) (f(y) - f(x))``."""
-    return _lap(g.kernel_matrix(), g.degree, _fields(g, f))
+    return _lap(g, g.degree, _fields(g, f))
 
 
 def laplacian(g: Graph, f, x: str) -> float:
@@ -193,7 +198,7 @@ def pressure(m: float, u):
     """Pressure ``v = (m/(m-1)) u^(m-1)`` of a nonnegative density."""
     m = check_exponent(m)
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
+    if _has_negative(u):
         raise DomainError("density must be nonnegative")
     out = _pressure(m, u)
     return float(out) if out.ndim == 0 else out
@@ -203,7 +208,7 @@ def pressure_inverse(m: float, v):
     """Density recovered from a nonnegative pressure field."""
     m = check_exponent(m)
     v = np.asarray(v, dtype=float)
-    if np.any(v < 0.0):
+    if _has_negative(v):
         raise DomainError("pressure must be nonnegative")
     out = ((m - 1.0) / m * v) ** (1.0 / (m - 1.0))
     return float(out) if out.ndim == 0 else out
@@ -216,7 +221,7 @@ def gradient_energy_field(g: Graph, m: float, w) -> np.ndarray:
     """Vectorized :func:`gradient_energy` over all vertices."""
     m = check_exponent(m)
     w = _check_field(_fields(g, w), m, allow_zero=True)
-    return _gradient_energy(g.kernel_matrix(), g.degree, m, w)
+    return _gradient_energy(g, g.degree, m, w)
 
 
 def gradient_energy(g: Graph, m: float, w, x: str) -> float:
@@ -271,7 +276,7 @@ def curvature_form_mixed(g: Graph, m: float, alpha: float, u, x: str) -> float:
         raise DomainError("curvature form needs a positive value at the base vertex")
     nb, w = g.neighbors_idx(i), g.weights_idx(i)
     # one row of the batched form, so this matches the CD search bit for bit
-    return float(_curvature_form(g.kernel_matrix(), g.degree, m, alpha, u[None, :], i, nb, w)[0])
+    return float(_curvature_form(g, g.degree, m, alpha, u[None, :], i, nb, w)[0])
 
 
 # -- mixed second-order quantity -------------------------------------------
@@ -283,7 +288,7 @@ def mixed_laplacian_field(g: Graph, m: float, alpha: float, u) -> np.ndarray:
     alpha = check_mixing(alpha)
     u = _check_field(_fields(g, u), m, allow_zero=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _mixed_laplacian(g.kernel_matrix(), g.degree, m, alpha, u)
+        return _mixed_laplacian(g, g.degree, m, alpha, u)
 
 
 def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
@@ -299,15 +304,33 @@ def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
 
 
 # -- batched core ----------------------------------------------------------
-# ``K`` is a kernel matrix (a graph's sparse kernel or a two-hop ball's dense
-# one), ``deg`` its row sums; callers validate and set the error state.
+# ``K`` is a kernel: a graph, summed from its CSR arrays, or a matrix such as
+# a two-hop ball's dense one; ``deg`` its row sums.  Callers validate and set
+# the error state.
 
 
 def _ksum(K, F):
-    """Kernel sums ``sum_y K(x,y) F(..., y)`` at every vertex ``x``."""
+    """Kernel sums ``sum_y K(x,y) F(..., y)`` at every vertex ``x``.
+
+    On a graph each sum adds the stored entries of row ``x`` one by one in
+    storage order, starting from 0, as scipy's CSR product does, so the sums
+    equal its sums bit for bit.
+    """
     if F.ndim > 2:
         return _ksum(K, F.reshape(-1, F.shape[-1])).reshape(F.shape)
-    return (K @ F.T).T
+    if not isinstance(K, Graph):
+        return (K @ F.T).T
+    if F.ndim == 1:
+        return np.bincount(K.rows, weights=K.data * F[K.indices], minlength=K.n)
+    # slot by slot over the padded table: the reduction runs along an outer
+    # axis, so it adds in slot order; padding reads an appended zero column,
+    # which adds +0.0 even where the field holds inf
+    columns, weights, padded = K.slot_table
+    if padded:
+        F = np.concatenate((F, np.zeros((len(F), 1))), axis=1)
+    terms = F[:, columns]
+    terms *= weights
+    return np.add.reduce(terms, axis=1)
 
 
 def _lap(K, deg, F):
@@ -336,10 +359,11 @@ def _gradient_energy(K, deg, m, W):
         # Near m = 1 the power form cancels catastrophically (its exponents
         # grow like 1/(m-1)), so evaluate through the logarithmic form,
         # which stays conditioned there; zero values cannot occur for m < 2.
-        e, n = sparse.coo_array(K), W.shape[-1]  # entries in row-major order
+        n = W.shape[-1]
+        rows, cols, weights = (K.rows, K.indices, K.data) if isinstance(K, Graph) else _stored_entries(K, n)
         lw = np.log(W.reshape(-1, n))
-        vals = e.data * exp_remainder_m(m, lw[:, e.col] - lw[:, e.row])
-        at = e.row + n * np.arange(len(lw))[:, None]
+        vals = weights * exp_remainder_m(m, lw[:, cols] - lw[:, rows])
+        at = rows + n * np.arange(len(lw))[:, None]
         return W**2 * np.bincount(at.ravel(), weights=vals.ravel(), minlength=lw.size).reshape(W.shape)
     c1 = (m - 1.0) / m
     c2 = (m - 1.0) ** 2 / m

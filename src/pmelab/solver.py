@@ -242,7 +242,7 @@ def pme_rhs(g: Graph, m: float, u) -> np.ndarray:
     m = check_exponent(m)
     u = as_field(g, u)
     with np.errstate(invalid="ignore"):
-        return _flow(g.kernel_matrix(), g.degree, m, u)
+        return _flow(g, g.degree, m, u)
 
 
 def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = None) -> Trajectory:
@@ -271,12 +271,11 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
     # t_end; the default step bounds never drop below the floor
     h_floor = _window_slack(t0, t_end, 1e-14)
     max_step = cfg.max_step if cfg.max_step is not None else max(span / 20.0, h_floor)
-    kernel, degree = g.kernel_matrix(), g.degree
 
     t, y = t0, u0
     k = np.empty((7, g.n))
     with np.errstate(invalid="ignore", over="ignore"):
-        f = _flow(kernel, degree, m, y)
+        f = _flow(g, g.degree, m, y)
         ts, ys, fs = [t], [y], [f]
         rhs_evals, error_rejections, positivity_rejections = 1, 0, 0
         if cfg.initial_step is not None:
@@ -300,7 +299,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
                 h = t_end - t  # leave no remainder below the floor
             k[0] = f
             for s in range(5):
-                k[s + 1] = _flow(kernel, degree, m, y + h * (_DP_A[s] @ k[: s + 1]))
+                k[s + 1] = _flow(g, g.degree, m, y + h * (_DP_A[s] @ k[: s + 1]))
             rhs_evals += 5
             # A non-finite stage makes every later stage non-finite, so one
             # test after the last stage decides as a test after each would;
@@ -310,7 +309,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
                 positivity_rejections += 1
                 h *= 0.5
                 continue
-            k[6] = f_new = _flow(kernel, degree, m, y_new)
+            k[6] = f_new = _flow(g, g.degree, m, y_new)
             rhs_evals += 1
             err = h * (_DP_E @ k)
             # y and y_new are both positive here, so no absolute values
@@ -376,9 +375,9 @@ class Measure:
         if np.any(pi <= 0.0) or not np.all(np.isfinite(pi)):
             raise ValidationError("measure must be strictly positive and finite")
         object.__setattr__(self, "pi", pi)
-        flux = self.graph.kernel_matrix().multiply(pi[:, None]).tocsr()
-        gap = abs(flux - flux.T)
-        if gap.nnz and gap.max() > 1e-12 * max(1.0, flux.max()):
+        g = self.graph
+        flux, reverse = g.pair_sums(g.data * pi[g.rows])
+        if np.abs(flux - reverse).max() > 1e-12 * max(1.0, flux.max()):
             raise ValidationError("measure violates detailed balance for this graph")
 
 
@@ -428,7 +427,7 @@ def entropy_dissipation_residual(traj: Trajectory, measure: Measure) -> float:
     ent = _entropy(measure, m, U)
     slope = (ent[2:] - ent[:-2]) / (t[2:] - t[:-2])
     inner = U[1:-1]
-    psi = _gradient_energy(g.kernel_matrix(), g.degree, m, _pressure(m, inner))
+    psi = _gradient_energy(g, g.degree, m, _pressure(m, inner))
     predicted = -_pi_sums(measure, inner * psi) / m
     return max(0.0, float(np.max(np.abs(slope - predicted))))
 
@@ -453,10 +452,9 @@ def pressure_equation_residual(traj: Trajectory) -> float:
     sharp consistency check on the operator implementations.
     """
     g, m, U = traj.graph, traj.m, traj.states
-    k, deg = g.kernel_matrix(), g.degree
     V = _pressure(m, U)
-    lhs = _dtv(k, deg, m, U)
-    rhs = (m - 1.0) * V * _lap(k, deg, V) + _gradient_energy(k, deg, m, V)
+    lhs = _dtv(g, g.degree, m, U)
+    rhs = (m - 1.0) * V * _lap(g, g.degree, V) + _gradient_energy(g, g.degree, m, V)
     return max(0.0, float(np.max(np.abs(lhs - rhs))))
 
 

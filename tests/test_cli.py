@@ -424,6 +424,45 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
 
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy.sparse and what it pulls in took about half of every command's
+    # start-up; only Graph.kernel_matrix() imports it
+    code = "import pmelab.cli, sys; assert not [m for m in sys.modules if m.partition('.')[0] == 'scipy']"
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
+
+
+# (argv, exit code) of every command kind, as they exit with scipy installed
+_NO_SCIPY_RUNS = [
+    (["gen-graph", "--graph", "zwindow:5"], 0),
+    (["simulate", "--graph", "square", "--u0", "random:", "--seed", "3"], 0),
+    (["check", "ab", "--graph", "square", "--d", "1.3333333333333333", "--u0", "random:"], 0),
+    (["check", "harnack", "--graph", "square", "--mu", "1.3333333333333333", "--u0", "random:"], 0),
+    (["verify-cd", "--graph", "square", "--vertex", "x", "--d", "1.3"], 1),
+    (["verify-cd", "--graph", "square", "--vertex", "x", "--d", "1.4"], 0),
+    (["reproduce", "ex4.1"], 0),
+    (["reproduce", "ex5.3ii"], 0),
+    (["reproduce", "ex6.6i"], 0),
+]
+
+
+def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
+    shim = tmp_path / "shim" / "scipy"
+    shim.mkdir(parents=True)
+    (shim / "__init__.py").write_text("raise ImportError('scipy is not installed')\n")
+    runs = [argv + ["--out", str(tmp_path / str(i))] for i, (argv, _) in enumerate(_NO_SCIPY_RUNS)]
+    code = (
+        "import json, sys; from pmelab.cli import main; "
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+        "assert 'scipy' not in sys.modules; print(json.dumps(codes))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(shim.parent), os.environ["PYTHONPATH"]]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True, env=env, timeout=240
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [want for _, want in _NO_SCIPY_RUNS]
+
+
 def test_config_echoes_exactly_the_parsed_settings(tmp_path):
     out = tmp_path / "run"
     assert main(["reproduce", "ex4.1", "--out", str(out)]) == 0

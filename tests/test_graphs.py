@@ -105,6 +105,35 @@ def test_kernel_reads_every_weight_as_the_sparse_matrix_holds_it(g):
             assert g.kernel(x, y) == float(k[i, j])
 
 
+def test_kernel_forms_give_the_same_csr_arrays():
+    sp = pytest.importorskip("scipy.sparse")
+    dense = np.array([[0.0, 2.0, 0.5], [2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    csr = (np.array([2.0, 0.5, 2.0, 0.0, 3.0]), np.array([1, 2, 0, 2, 1]), np.array([0, 2, 4, 5]))
+    graphs = [Graph("abc", dense), Graph("abc", csr), Graph("abc", sp.csr_array(dense)), Graph("abc", sp.coo_array(dense))]
+    for g in graphs:
+        np.testing.assert_array_equal(g.indptr, [0, 2, 3, 4])
+        np.testing.assert_array_equal(g.indices, [1, 2, 0, 1])
+        np.testing.assert_array_equal(g.data, [2.0, 0.5, 2.0, 3.0])
+        assert g.indices.dtype == np.intp
+        assert not g.data.flags.writeable
+        assert not g.symmetric
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        (np.ones(2), np.array([1, 0]), np.array([0, 1])),  # indptr too short
+        (np.ones(2), np.array([1, 2]), np.array([0, 1, 2])),  # column out of range
+        (np.ones(2), np.array([1, 0]), np.array([0, 2, 1])),  # decreasing indptr
+        (np.ones(3), np.array([1, 0]), np.array([0, 1, 2])),  # data and indices disagree
+        np.ones((2, 3)),
+    ],
+)
+def test_malformed_kernels_are_rejected(kernel):
+    with pytest.raises(ValidationError):
+        Graph(["a", "b"], kernel)
+
+
 def test_zero_weight_edges_are_dropped():
     g = build_graph([("a", "b", 1.0), ("a", "c", 0.0), ("b", "a", 1.0), ("c", "b", 1.0)])
     assert g.kernel("a", "c") == 0.0

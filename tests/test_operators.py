@@ -29,7 +29,16 @@ from pmelab import (
 )
 from pmelab.cd import _BallProblem
 from pmelab.errors import DomainError, ValidationError
-from pmelab.operators import _curvature_form, _dtv, _gradient_energy, _mixed_laplacian, check_exponent, check_mixing
+from pmelab.graphs import Graph, build_graph
+from pmelab.operators import (
+    _curvature_form,
+    _dtv,
+    _gradient_energy,
+    _ksum,
+    _mixed_laplacian,
+    check_exponent,
+    check_mixing,
+)
 
 EXPONENTS = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 POSITIVE = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
@@ -187,6 +196,19 @@ def test_pressure_round_trip(m, u):
 def test_pressure_of_zero_is_zero():
     assert pressure(2.0, 0.0) == 0.0
     assert pressure_inverse(3.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("fn", [pressure, pressure_inverse])
+def test_pressure_rejects_negative_values_and_passes_nan(fn):
+    # the test is np.any(u < 0.0): NaN is not negative, an empty field has none
+    for bad in (-1e-300, [0.5, -0.0, -2.0], [math.nan, -1.0]):
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            fn(2.0, bad)
+    assert math.isnan(fn(2.0, math.nan))
+    assert fn(2.0, np.zeros(0)).shape == (0,)
+    assert fn(2.0, -0.0) == 0.0
+    with pytest.raises(DomainError, match="m > 1"):
+        fn(math.nan, 1.0)
 
 
 # -- gradient energy -------------------------------------------------------
@@ -544,3 +566,51 @@ def test_pointwise_curvature_form_is_the_batched_row_bit_for_bit(m, alpha):
         batch = _curvature_form(g.kernel_matrix(), g.degree, m, alpha, U, i, g.neighbors_idx(i), g.weights_idx(i))
     pointwise = np.array([curvature_form_mixed(g, m, alpha, u, "6") for u in U])
     np.testing.assert_array_equal(pointwise, batch)
+
+
+# -- kernel sums against scipy ---------------------------------------------
+
+
+def _kernel_cases():
+    """``(graph, scipy kernel)`` pairs; the numpy sums must equal the scipy product."""
+    sp = pytest.importorskip("scipy.sparse")
+    specs = ("square", "complete:2", "complete:3", "complete:5", "complete:30", "path:2", "path:16")
+    cases = [(g, g.kernel_matrix()) for g in map(resolve_graph, specs + ("zwindow:1", "zwindow:100"))]
+    # asymmetric, and "c" has no out-edges
+    g = build_graph([("a", "b", 0.1), ("b", "c", 3.0), ("a", "c", 1e9), ("b", "a", 2.5)])
+    cases.append((g, g.kernel_matrix()))
+    # unsorted column indices, and the entry (0, 2) stored three times
+    raw = sp.csr_array(
+        (np.array([0.1, 2.0, 0.2, 0.3, 0.7, 1.5]), np.array([2, 1, 2, 2, 0, 0]), np.array([0, 4, 5, 6])),
+        shape=(3, 3),
+    )
+    cases.append((Graph(["a", "b", "c"], raw), raw))
+    return cases
+
+
+def _kernel_fields(n, rows, seed):
+    F = np.random.default_rng(seed).uniform(-2.0, 2.0, (rows, n))
+    F[0] = -0.0
+    F[1, 0] = np.inf
+    F[2, -1] = -np.inf
+    F[3, :2] = (np.inf, -np.inf)
+    return F
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("case", range(11))
+def test_kernel_sums_equal_the_scipy_product_bit_for_bit(case):
+    g, K = _kernel_cases()[case]
+    F = _kernel_fields(g.n, 64, seed=case)
+    with np.errstate(invalid="ignore"):
+        for f in F:
+            _assert_same_bits(_ksum(g, f), K @ f)
+        for rows in (1, 2, 5, 64):
+            _assert_same_bits(_ksum(g, F[:rows]), (K @ F[:rows].T).T)
+        _assert_same_bits(_ksum(g, F.reshape(4, 16, g.n)), (K @ F.T).T.reshape(4, 16, g.n))
