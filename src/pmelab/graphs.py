@@ -125,22 +125,49 @@ class Graph:
         pos = np.minimum(np.searchsorted(keys, flipped), len(keys) - 1)
         return sums, np.where(keys[pos] == flipped, sums[pos], 0.0)
 
-    @cached_property
-    def slot_table(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """The stored entries as ``(columns, weights, padded)`` tables of shape ``(slots, n)``.
+    def kernel_sum(self, F: np.ndarray) -> np.ndarray:
+        """Kernel sums ``sum_y k(x, y) F(y)`` at every vertex ``x``.
 
-        Slot ``s`` of column ``i`` holds the ``s``-th stored entry of row
-        ``i``.  Rows with fewer entries than the widest are padded with
-        weight 0 at column ``n``, one past the last vertex; ``padded`` says
-        whether any row is.
+        ``F`` is one field of shape ``(n,)`` or a batch of shape ``(rows, n)``.
+        Each sum adds the stored entries of row ``x`` one by one in storage
+        order, starting from 0, as scipy's CSR product does, so the sums
+        equal its sums bit for bit.  Time and memory grow with the number of
+        stored entries times the number of fields.
+        """
+        if F.ndim == 1:
+            return np.bincount(self.rows, weights=self.data * F[self.indices], minlength=self.n)
+        if len(F) == 1:
+            return self.kernel_sum(F[0])[None]
+        # The terms of a group are laid out (slot, vertex, field) in memory with
+        # at least two elements after the slot axis, and numpy adds along an
+        # axis that is not the fastest one element by element, so each sum
+        # runs slot by slot (pairwise summation only runs along the fastest).
+        out = np.zeros((self.n, len(F)))
+        for rows, columns, weights in self._row_groups:
+            terms = F.T[columns]
+            terms *= weights
+            if rows is None:
+                return np.add.reduce(terms, axis=0).T
+            out[rows] = np.add.reduce(terms, axis=0)
+        return out.T
+
+    @cached_property
+    def _row_groups(self) -> list[tuple[np.ndarray | None, np.ndarray, np.ndarray]]:
+        """The rows with stored entries, grouped by their entry count ``c``.
+
+        Each group is ``(rows, columns, weights)``: ``columns[s]`` and
+        ``weights[s]`` hold the ``s``-th stored entry of every row of the
+        group, ``columns`` of shape ``(c, len(rows))`` and ``weights`` with a
+        trailing axis for the fields.  ``rows`` is None when the group is
+        every vertex, in order.
         """
         counts = np.diff(self.indptr)
-        slot = np.arange(len(self.indices)) - self.indptr[self.rows]
-        columns = np.full((counts.max(), self.n), self.n, dtype=np.intp)
-        weights = np.zeros(columns.shape)
-        columns[slot, self.rows] = self.indices
-        weights[slot, self.rows] = self.data
-        return columns, weights, bool((counts < len(columns)).any())
+        groups = []
+        for c in np.unique(counts[counts > 0]):
+            rows = np.flatnonzero(counts == c)
+            at = self.indptr[rows] + np.arange(c)[:, None]
+            groups.append((None if len(rows) == self.n else rows, self.indices[at], self.data[at, None]))
+        return groups
 
     @cached_property
     def _matrix(self):
@@ -181,9 +208,14 @@ def _stored_entries(kernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         kernel = kernel.tocsr()
         kernel = (kernel.data, kernel.indices, kernel.indptr)
     if isinstance(kernel, tuple):
-        data = np.asarray(kernel[0], dtype=float)
-        indices = np.asarray(kernel[1], dtype=np.intp)
-        indptr = np.asarray(kernel[2], dtype=np.intp)
+        try:
+            data, indices, indptr = (np.asarray(a) for a in kernel)
+        except ValueError:  # not three arrays
+            raise ValidationError("malformed CSR kernel arrays") from None
+        integer = indices.dtype.kind in "iu" and indptr.dtype.kind in "iu"
+        if not integer or data.ndim != 1 or indices.ndim != 1 or indptr.ndim != 1:
+            raise ValidationError("malformed CSR kernel arrays")
+        data, indices, indptr = data.astype(float), indices.astype(np.intp), indptr.astype(np.intp)
         if len(indptr) != n + 1 or (len(indices) and not 0 <= indices.min() <= indices.max() < n):
             raise ValidationError("kernel shape does not match vertex count")
         if indptr[0] != 0 or np.any(np.diff(indptr) < 0) or not indptr[-1] == len(indices) == len(data):

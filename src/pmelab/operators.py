@@ -312,25 +312,14 @@ def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
 def _ksum(K, F):
     """Kernel sums ``sum_y K(x,y) F(..., y)`` at every vertex ``x``.
 
-    On a graph each sum adds the stored entries of row ``x`` one by one in
-    storage order, starting from 0, as scipy's CSR product does, so the sums
-    equal its sums bit for bit.
+    On a graph these are :meth:`Graph.kernel_sum`, equal to scipy's CSR
+    product bit for bit.
     """
     if F.ndim > 2:
         return _ksum(K, F.reshape(-1, F.shape[-1])).reshape(F.shape)
-    if not isinstance(K, Graph):
-        return (K @ F.T).T
-    if F.ndim == 1:
-        return np.bincount(K.rows, weights=K.data * F[K.indices], minlength=K.n)
-    # slot by slot over the padded table: the reduction runs along an outer
-    # axis, so it adds in slot order; padding reads an appended zero column,
-    # which adds +0.0 even where the field holds inf
-    columns, weights, padded = K.slot_table
-    if padded:
-        F = np.concatenate((F, np.zeros((len(F), 1))), axis=1)
-    terms = F[:, columns]
-    terms *= weights
-    return np.add.reduce(terms, axis=1)
+    if isinstance(K, Graph):
+        return K.kernel_sum(F)
+    return (K @ F.T).T
 
 
 def _lap(K, deg, F):

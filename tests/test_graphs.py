@@ -126,6 +126,10 @@ def test_kernel_forms_give_the_same_csr_arrays():
         (np.ones(2), np.array([1, 2]), np.array([0, 1, 2])),  # column out of range
         (np.ones(2), np.array([1, 0]), np.array([0, 2, 1])),  # decreasing indptr
         (np.ones(3), np.array([1, 0]), np.array([0, 1, 2])),  # data and indices disagree
+        (np.ones(2), (np.array([0, 1]), np.array([1, 0]))),  # scipy's (data, (row, col)) form
+        (np.ones(2), np.array([1.0, 0.0]), np.array([0, 1, 2])),  # float column indices
+        (np.ones((1, 2)), np.array([[1, 0]]), np.array([0, 1, 2])),  # 2-d arrays
+        (np.ones(2), np.array([1, 0]), np.array([0, 1, 2]), (2, 2)),  # four arrays
         np.ones((2, 3)),
     ],
 )

@@ -585,6 +585,13 @@ def _kernel_cases():
         shape=(3, 3),
     )
     cases.append((Graph(["a", "b", "c"], raw), raw))
+    # a hub of 3000 leaves, and rows of many distinct entry counts
+    for edges in (
+        [("hub", f"l{i}", 1.0) for i in range(3000)],
+        [(f"v{i}", f"v{j}", 1.0 + i + 0.1 * j) for i in range(40) for j in range(i)],
+    ):
+        g = build_graph(edges, symmetrize=True)
+        cases.append((g, g.kernel_matrix()))
     return cases
 
 
@@ -604,13 +611,13 @@ def _assert_same_bits(got, want):
     np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
-@pytest.mark.parametrize("case", range(11))
+@pytest.mark.parametrize("case", range(13))
 def test_kernel_sums_equal_the_scipy_product_bit_for_bit(case):
     g, K = _kernel_cases()[case]
     F = _kernel_fields(g.n, 64, seed=case)
     with np.errstate(invalid="ignore"):
         for f in F:
             _assert_same_bits(_ksum(g, f), K @ f)
-        for rows in (1, 2, 5, 64):
-            _assert_same_bits(_ksum(g, F[:rows]), (K @ F[:rows].T).T)
+        for batch in (F[:1], F[-1:], F[:2], F[:5], F):
+            _assert_same_bits(_ksum(g, batch), (K @ batch.T).T)
         _assert_same_bits(_ksum(g, F.reshape(4, 16, g.n)), (K @ F.T).T.reshape(4, 16, g.n))
