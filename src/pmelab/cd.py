@@ -73,9 +73,12 @@ class SearchConfig:
     domain is ``[lo, 1]^n``: ``lo = 0`` for ``m >= 2``, else ``lo = floor``
     (the formulas involve ``u^(m-2)``).  ``samples`` rows are drawn, the
     best ``starts`` seed the compass refinement, and ``refine_iters`` bounds
-    its iterations (0: sampling only).  ``delta`` is the strictness margin
-    while refining, ``tol`` the relative margin a ratio must exceed ``d`` by
-    before a violation is declared.
+    its iterations (0: sampling only); an iteration polls every start once,
+    also where several iterations are scored in one batch.  A report's
+    ``samples_used`` counts every field the search scored: the samples plus
+    ``starts x 2(n - 1)`` polls per iteration run.  ``delta`` is the
+    strictness margin while refining, ``tol`` the relative margin a ratio
+    must exceed ``d`` by before a violation is declared.
     """
 
     samples: int = 20000
@@ -281,17 +284,28 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     The second half of the samples lies on faces: each row draws a pin
     probability ``q`` and pins every coordinate with probability ``q`` to
     ``lo`` or 1, so every pin count, up to a full corner, gets about the
-    same budget.  The admissible rows among the ``starts`` best then take
-    batched compass steps of ``±step`` on every coordinate but the largest
-    (the flat scale direction), each moving to its best admissible improving
-    candidate with ``-G > delta``, else shrinking its step fourfold.
+    same budget.  The batch is vertex-major, so the per-vertex sums run
+    along contiguous columns.  The admissible rows among the ``starts``
+    best then take compass steps of ``±step`` on every coordinate but the
+    largest (the flat scale direction), each moving to its best admissible
+    improving candidate with ``-G > delta``, else shrinking its step
+    fourfold.  Until some start moves, the polls of the coming iterations
+    are known, so one ``evaluate`` call scores ``depth`` of them and they
+    are replayed in order up to the first move: ``depth`` doubles after a
+    round without a move and returns to 1 after one, and no round scores
+    more rows than the sample batch held.  ``evaluations`` counts the
+    iterations replayed, as one call per iteration would, and minimum and
+    field are those of one call per iteration too, unless BLAS sums a ball
+    row differently in a batch of another shape (the last bits only).
     """
     lo = 0.0 if prob.m >= 2.0 else cfg.floor
     rng = np.random.default_rng(cfg.seed)
     U = rng.uniform(lo, 1.0, (cfg.samples, len(prob.ball)))
     faces = U[cfg.samples // 2 :]  # a view: pins are written into U
     pinned = rng.random(faces.shape) < rng.random((len(faces), 1))
-    faces[pinned] = np.where(rng.random(faces.shape) < 0.5, lo, 1.0)[pinned]
+    np.copyto(faces, np.where(rng.random(faces.shape) < 0.5, lo, 1.0), where=pinned)
+    del faces, pinned
+    U = np.asfortranarray(U)  # vertex-major: the per-vertex columns are contiguous
 
     ok, score, _, _ = prob.evaluate(U)
     admissible = int(ok.sum())
@@ -301,22 +315,31 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     X, S = U[top[ok[top]]], score[top[ok[top]]]
     k, n = X.shape
     step = np.full(k, (1.0 - lo) / 4.0)
-    # candidate j of start i adds sign[j] * step[i] to coordinate free[i, j]
-    free = np.tile([np.delete(np.arange(n), h) for h in np.argmax(X, axis=1)], 2)
-    sign = np.repeat([1.0, -1.0], n - 1)
-    evaluations = len(U)
-    for _ in range(cfg.refine_iters):
-        if np.all(step < 1e-12):
-            break
-        C = np.repeat(X[:, None, :], 2 * n - 2, axis=1)
-        C[np.arange(k)[:, None], np.arange(2 * n - 2), free] += sign * step[:, None]
-        ok_c, score_c, base_c, _ = (a.reshape(k, -1) for a in prob.evaluate(np.clip(C, lo, 1.0, out=C).reshape(-1, n)))
-        evaluations += ok_c.size
-        better = ok_c & (base_c > cfg.delta) & (score_c < S[:, None])
-        j = np.argmin(np.where(better, score_c, np.inf), axis=1)
-        moved = better.any(axis=1)
-        X[moved], S[moved] = C[moved, j[moved]], score_c[moved, j[moved]]
-        step[~moved] /= 4.0
+    # poll j of start i moves along E[i, 0, j], +e_c then -e_c for every coordinate c but the largest
+    axes = [np.delete(np.eye(n), h, axis=0) for h in np.argmax(X, axis=1)]
+    E = np.array([np.concatenate([a, -a]) for a in axes])[:, None]
+    # a round scores at most as many rows as the sample batch, so wide balls need no more memory
+    max_depth = max(1, cfg.samples // max(1, E.size // n))
+    evaluations = ok.size
+    iters, depth = 0, 1
+    while iters < cfg.refine_iters and step.max() >= 1e-12:
+        # the steps of the next `depth` iterations if no start moves, cut
+        # where the budget ends or every step falls below 1e-12
+        steps = step[:, None] / 4.0 ** np.arange(min(depth, max_depth, cfg.refine_iters - iters))
+        steps = steps[:, steps.max(axis=0) >= 1e-12]
+        C = np.clip(X[:, None, None, :] + steps[:, :, None, None] * E, lo, 1.0)
+        ok_c, score_c, base_c, _ = (a.reshape(C.shape[:3]) for a in prob.evaluate(C.reshape(-1, n)))
+        better = ok_c & (base_c > cfg.delta) & (score_c < S[:, None, None])
+        moves = better.any(axis=2)
+        hit = np.flatnonzero(moves.any(axis=0))
+        t = hit[0] if len(hit) else steps.shape[1] - 1
+        iters += t + 1
+        evaluations += ok_c[:, : t + 1].size
+        moved = moves[:, t]
+        j = np.argmin(np.where(better[:, t], score_c[:, t], np.inf), axis=1)
+        X[moved], S[moved] = C[moved, t, j[moved]], score_c[moved, t, j[moved]]
+        step = np.where(moved, steps[:, t], steps[:, t] / 4.0)
+        depth = 1 if len(hit) else 2 * depth
     i = int(np.argmin(S))
     return _SearchOutcome(float(S[i]), X[i], evaluations, admissible)
 
@@ -331,8 +354,10 @@ def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Opt
     Samples seeded fields on the two-hop ball, normalized by the largest
     ball value, from ``[lo, 1]^n`` and from its faces with coordinates
     pinned at ``lo`` or 1; filters by admissibility, refines the worst
-    candidates by a batched compass search, and reports ``violated``
-    with a witness when a ratio exceeds ``d (1 + tol)``.
+    candidates by a batched compass search (see :class:`SearchConfig`
+    for what the budget counts), and reports ``violated`` with a witness
+    when a ratio exceeds ``d (1 + tol)``.  ``samples_used`` is the number
+    of fields scored, samples and refinement polls.
     ``holds_empirically`` is a budget-bounded claim, not a proof; the
     report carries seed and budget so it can be falsified.
     """
@@ -365,11 +390,15 @@ def empirical_optimal_d(g: Graph, m: float, alpha: float, x: str, search: Option
     nonpositive curvature form, and ``nan`` if no admissible field was
     found at all.
     """
-    cfg = search or SearchConfig()
-    out = _search_min_score(_BallProblem(g, x, m, alpha), cfg)
+    return _optimal_d(g, m, alpha, x, search)[0]
+
+
+def _optimal_d(g: Graph, m: float, alpha: float, x: str, search: Optional[SearchConfig]) -> tuple[float, int]:
+    """:func:`empirical_optimal_d` and the number of fields its search scored."""
+    out = _search_min_score(_BallProblem(g, x, m, alpha), search or SearchConfig())
     if out.admissible_found == 0:
-        return math.nan
-    return _ratio_from_score(out.min_score)
+        return math.nan, out.evaluations
+    return _ratio_from_score(out.min_score), out.evaluations
 
 
 # -- closed forms and counterexamples --------------------------------------

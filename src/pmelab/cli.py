@@ -25,6 +25,7 @@ import numpy as np
 
 from .cd import (
     SearchConfig,
+    _optimal_d,
     chain_counterexample,
     chain_limit_curvature,
     empirical_optimal_d,
@@ -373,14 +374,14 @@ def cmd_verify_cd(args) -> int:
                 % (args.graph, v, report.verdict, report.empirical_optimal_d)
             )
         else:
-            best = empirical_optimal_d(g, args.m, args.alpha, v, search)
+            best, evaluations = _optimal_d(g, args.m, args.alpha, v, search)
             reports.append(
                 {
                     "vertex": v,
                     "m": args.m,
                     "alpha": args.alpha,
                     "empirical_optimal_d": best,
-                    "samples_used": search.samples,
+                    "samples_used": evaluations,
                     "seed": search.seed,
                 }
             )

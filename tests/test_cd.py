@@ -26,6 +26,7 @@ from pmelab import (
     square_graph,
     verify_cd_at,
 )
+from pmelab.cd import _BallProblem, _search_min_score
 from pmelab.errors import AdmissibilityError, ValidationError
 
 FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
@@ -189,6 +190,95 @@ def test_search_verdict_is_stable_across_seeds():
         cfg = SearchConfig(samples=2000, refine_iters=60, seed=seed, starts=2)
         assert verify_cd_at(g, 2.0, 0.0, 4.0 / 3.0, "x1", cfg).verdict == "holds_empirically"
         assert verify_cd_at(g, 2.0, 0.0, 1.25, "x1", cfg).verdict == "violated"
+
+
+def _one_iteration_per_evaluate(prob, cfg):
+    """The compass search as it was written first: one ``evaluate`` per iteration.
+
+    ``_search_min_score`` scores several iterations' polls per call and
+    replays them; it must agree with this loop bit for bit.
+    """
+    lo = 0.0 if prob.m >= 2.0 else cfg.floor
+    rng = np.random.default_rng(cfg.seed)
+    U = rng.uniform(lo, 1.0, (cfg.samples, len(prob.ball)))
+    faces = U[cfg.samples // 2 :]
+    pinned = rng.random(faces.shape) < rng.random((len(faces), 1))
+    faces[pinned] = np.where(rng.random(faces.shape) < 0.5, lo, 1.0)[pinned]
+    ok, score, _, _ = prob.evaluate(U)
+    if not ok.any():
+        return math.inf, None, len(U), 0
+    top = np.argsort(score)[: cfg.starts]
+    X, S = U[top[ok[top]]], score[top[ok[top]]]
+    k, n = X.shape
+    step = np.full(k, (1.0 - lo) / 4.0)
+    free = np.tile([np.delete(np.arange(n), h) for h in np.argmax(X, axis=1)], 2)
+    sign = np.repeat([1.0, -1.0], n - 1)
+    evaluations = len(U)
+    for _ in range(cfg.refine_iters):
+        if np.all(step < 1e-12):
+            break
+        C = np.repeat(X[:, None, :], 2 * n - 2, axis=1)
+        C[np.arange(k)[:, None], np.arange(2 * n - 2), free] += sign * step[:, None]
+        ok_c, score_c, base_c, _ = (a.reshape(k, -1) for a in prob.evaluate(np.clip(C, lo, 1.0, out=C).reshape(-1, n)))
+        evaluations += ok_c.size
+        better = ok_c & (base_c > cfg.delta) & (score_c < S[:, None])
+        j = np.argmin(np.where(better, score_c, np.inf), axis=1)
+        moved = better.any(axis=1)
+        X[moved], S[moved] = C[moved, j[moved]], score_c[moved, j[moved]]
+        step[~moved] /= 4.0
+    i = int(np.argmin(S))
+    return float(S[i]), X[i], evaluations, int(ok.sum())
+
+
+SEARCH_BALLS = [
+    ("square", "x", 2.0, 0.0),
+    ("square", "x", 1.5, 0.0),
+    ("complete:3", "x1", 2.0, 0.0),
+    ("complete:5", "x1", 2.0, 0.0),
+    ("zwindow:3", "0", 2.0, 0.0),
+    ("zwindow:3", "0", 2.0, 1.0),
+    ("path:5", "3", 2.0, 0.0),
+    ("path:6", "3", 3.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("spec,x,m,alpha", SEARCH_BALLS)
+def test_batched_polls_replay_the_one_iteration_search_bit_for_bit(spec, x, m, alpha):
+    prob = _BallProblem(resolve_graph(spec), x, m, alpha)
+    # budgets that run out inside a round of batched polls; 60 samples cap a round's depth
+    budgets = [(2000, iters) for iters in (0, 1, 2, 5, 200)] + [(60, 200)]
+    for seed in range(10):
+        for samples, iters in budgets:
+            cfg = SearchConfig(samples=samples, refine_iters=iters, seed=seed)
+            got = _search_min_score(prob, cfg)
+            score, best_u, evaluations, admissible = _one_iteration_per_evaluate(prob, cfg)
+            assert (got.min_score, got.evaluations, got.admissible_found) == (score, evaluations, admissible)
+            assert (got.best_u is None and best_u is None) or got.best_u.tobytes() == best_u.tobytes()
+
+
+def test_shrink_only_iterations_share_evaluate_calls():
+    prob = _BallProblem(complete_graph(3), "x1", 2.0, 0.0)
+    batches = []
+    evaluate = prob.evaluate
+    prob.evaluate = lambda U: batches.append(len(U)) or evaluate(U)
+    out = _search_min_score(prob, SearchConfig(seed=0))
+    # no start moves: 19 fourfold shrinks take 0.25 below 1e-12, in rounds of 1, 2, 4, 8 and 4
+    assert out.evaluations == 20000 + 19 * 3 * 4
+    assert batches == [20000] + [3 * 4 * depth for depth in (1, 2, 4, 8, 4)]
+
+
+LAYOUT_BALLS = SEARCH_BALLS + [("square", "x", 1.25, 0.0), ("complete:5", "x1", 1.25, 0.5), ("square", "x", 2.0, 0.5)]
+
+
+@pytest.mark.parametrize("spec,x,m,alpha", LAYOUT_BALLS)
+def test_ball_scores_do_not_depend_on_the_batch_layout(spec, x, m, alpha):
+    prob = _BallProblem(resolve_graph(spec), x, m, alpha)
+    rng = np.random.default_rng(5)
+    U = rng.uniform(1e-6 if m < 2.0 else 0.0, 1.0, (500, len(prob.ball)))
+    if m >= 2.0:
+        U[rng.random(U.shape) < 0.3] = 0.0
+    for rows, cols in zip(prob.evaluate(U), prob.evaluate(np.asfortranarray(U))):
+        assert np.ascontiguousarray(rows).tobytes() == np.ascontiguousarray(cols).tobytes()
 
 
 def test_report_serialization_encodes_infinities():

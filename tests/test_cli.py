@@ -220,6 +220,16 @@ def test_verify_cd_optimal_only_mode_on_selected_vertices(tmp_path):
     assert abs(entry["empirical_optimal_d"] - 4.0 / 3.0) < 1e-9
 
 
+def test_verify_cd_reports_the_search_count_with_and_without_d(tmp_path):
+    counts = []
+    for extra in ([], ["--d", "1.4"]):
+        out = tmp_path / str(len(counts))
+        assert main(["verify-cd", "--graph", "square", "--vertex", "x", *extra, "--out", str(out)]) == 0
+        counts.append(read_json(out / "cd_report.json")["reports"][0]["samples_used"])
+    # the same search scores the samples and every refinement poll
+    assert counts[0] == counts[1] > 20000
+
+
 # -- check -----------------------------------------------------------------
 
 
