@@ -44,6 +44,12 @@ from pathlib import Path
 def run(out_dir, *args, env_extra=None):
     cmd = [sys.executable, "-m", "pmelab.cli", *args]
     env = {k: v for k, v in os.environ.items() if k != "PME_LAB_OUT"}
+    if "PYTHONPATH" in env:
+        # the children run in the scratch directory, where a relative entry
+        # such as PYTHONPATH=src would no longer resolve
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep)
+        )
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -61,13 +67,21 @@ def run(out_dir, *args, env_extra=None):
     return proc
 
 
+def artifact(out, pattern):
+    """The first file in ``out`` matching ``pattern``; stop the tour without one."""
+    found = sorted(out.glob(pattern))
+    if not found:
+        sys.exit(f"tour stopped: the command above wrote no {pattern} into {out}")
+    return found[0]
+
+
 def main():
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "artifacts"
 
         print("== 1. generate a graph file ==")
         run(scratch, "gen-graph", "--graph", "square", "--out", str(out))
-        graph_file = next(out.glob("graph_*.txt"))
+        graph_file = artifact(out, "graph_*.txt")
         print(f"   edge list {graph_file.name}:")
         for line in graph_file.read_text().strip().splitlines():
             print(f"      {line}")
@@ -86,7 +100,7 @@ def main():
             "--points", "120",
             "--out", str(out),
         )
-        summary = json.loads((out / "summary.json").read_text())
+        summary = json.loads(artifact(out, "summary.json").read_text())
         print("   summary fields:")
         for key in (
             "mass_drift_rel",

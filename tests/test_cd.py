@@ -26,7 +26,7 @@ from pmelab import (
     square_graph,
     verify_cd_at,
 )
-from pmelab.cd import _BallProblem, _search_min_score
+from pmelab.cd import _BLOCK_VALUES, _BallProblem, _search_min_score
 from pmelab.errors import AdmissibilityError, ValidationError
 
 FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
@@ -279,6 +279,45 @@ def test_ball_scores_do_not_depend_on_the_batch_layout(spec, x, m, alpha):
         U[rng.random(U.shape) < 0.3] = 0.0
     for rows, cols in zip(prob.evaluate(U), prob.evaluate(np.asfortranarray(U))):
         assert np.ascontiguousarray(rows).tobytes() == np.ascontiguousarray(cols).tobytes()
+
+
+# every ball of the cd_search benchmark, and the m = 3, alpha = 0.5 chain ball
+BLOCK_BALLS = SEARCH_BALLS + [("complete:5", "x1", 3.0, 0.0), ("complete:12", "x1", 2.0, 0.0)]
+
+
+@pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS)
+def test_blocked_scoring_equals_one_block_scoring_bit_for_bit(spec, x, m, alpha):
+    prob = _BallProblem(resolve_graph(spec), x, m, alpha)
+    n = len(prob.ball)
+    lo = 0.0 if m >= 2.0 else 1e-6
+    rng = np.random.default_rng(3)
+    U = rng.uniform(lo, 1.0, (20000, n))
+    pinned = rng.random(U.shape) < 0.3
+    U[pinned] = np.where(rng.random(U.shape) < 0.5, lo, 1.0)[pinned]
+    for rows in (20000, _BLOCK_VALUES // n - 1, _BLOCK_VALUES // n, _BLOCK_VALUES // n + 1, 2):
+        V = U[:rows]
+        # blocks are vertex-major, and so is the one block they are compared with: on
+        # complete:12 BLAS sums a few rows of a 2731-row batch differently in row-major
+        # layout; a batch within the budget is scored as it is
+        whole = prob._score(np.asfortranarray(V) if V.size > _BLOCK_VALUES else V)
+        for got, want in zip(prob.evaluate(V), whole):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS + [("complete:100", "x1", 2.0, 0.0)])
+def test_a_search_scores_no_block_wider_than_the_budget(spec, x, m, alpha):
+    prob = _BallProblem(resolve_graph(spec), x, m, alpha)
+    batches, shapes = [], []
+    evaluate, score = prob.evaluate, prob._score
+    prob.evaluate = lambda U: batches.append(U.shape) or evaluate(U)
+    prob._score = lambda U: shapes.append(U.shape) or score(U)
+    _search_min_score(prob, SearchConfig(seed=0))
+    assert len(shapes) > 1
+    # at most the budget, or one row wider; never a single row
+    assert all(rows >= 2 and (rows - 1) * n <= _BLOCK_VALUES for rows, n in shapes)
+    # a round of several iterations fits one block; only a one-iteration round is split
+    polls = batches[1:]
+    assert all(rows * n <= _BLOCK_VALUES or rows == polls[0][0] for rows, n in polls)
 
 
 def test_report_serialization_encodes_infinities():
