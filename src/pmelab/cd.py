@@ -74,14 +74,15 @@ class SearchConfig:
     (the formulas involve ``u^(m-2)``).  ``samples`` rows are drawn, the
     best ``starts`` seed the compass refinement, and ``refine_iters`` bounds
     its iterations (0: sampling only); an iteration polls every start once,
-    also where several iterations are scored in one batch.  Every batch is
-    scored in cache-sized blocks (see ``_BallProblem.evaluate``), and a
-    round of several iterations holds at most ``min(samples, 2**15 // n)``
-    rows, so only the sample batch itself grows with ``samples``.  A
-    report's ``samples_used`` counts every field the search scored: the
-    samples plus ``starts x 2(n - 1)`` polls per iteration run.  ``delta``
-    is the strictness margin while refining, ``tol`` the relative margin a
-    ratio must exceed ``d`` by before a violation is declared.
+    also where several iterations are scored in one batch, and no round
+    scores more rows than the sample batch held.  A batch of more than
+    ``2**15`` values and at least 4096 rows, such as the default sample
+    batch, is scored in cache-sized blocks of rows (see
+    ``_BallProblem.evaluate``), so its temporaries do not grow with its
+    size.  A report's ``samples_used`` counts every field the search
+    scored: the samples plus ``starts x 2(n - 1)`` polls per iteration run.
+    ``delta`` is the strictness margin while refining, ``tol`` the relative
+    margin a ratio must exceed ``d`` by before a violation is declared.
     """
 
     samples: int = 20000
@@ -223,10 +224,15 @@ def cd_ratio(g: Graph, m: float, alpha: float, u, x: str) -> float:
 
 # -- vectorized search engine ----------------------------------------------
 
-# Batches of more than this many field values are scored in blocks: 2**15
+# Large batches are scored in blocks of about this many field values: 2**15
 # float64 values are 256 KB, so the few temporaries of a block that are live
 # at once fit a 2 MB L2 cache instead of being mapped afresh for every batch.
 _BLOCK_VALUES = 2**15
+# ... but of no fewer rows than this, because the curvature form loops over
+# the base vertex's neighbours once per block.  The floor binds on balls of
+# more than 16 vertices, where smaller blocks cost more in that loop than
+# they save.
+_MIN_ROWS = 2048
 
 
 class _BallProblem:
@@ -263,15 +269,16 @@ class _BallProblem:
         Returns ``(admissible mask, score, -G(base), curvature form)`` for
         ``U`` of shape ``(batch, ball size)``; a row with a zero base value
         is never admissible.  A batch of more than ``_BLOCK_VALUES`` values
-        is scored in near-equal blocks of rows, each copied vertex-major
-        (Fortran order) so the per-vertex columns are contiguous, and the
-        results are concatenated.  A block holds at most ``_BLOCK_VALUES``
-        values plus one row, so its temporaries stay in cache and are reused
-        from the heap.  No block is a single row unless the batch is (BLAS
-        sums a one-row batch differently), and a batch within the budget is
-        scored as it is, without a copy.
+        and at least ``2 * _MIN_ROWS`` rows is scored in near-equal blocks
+        of rows, each copied vertex-major (Fortran order) so the per-vertex
+        columns are contiguous, and the results are concatenated.  A block
+        holds at most ``_BLOCK_VALUES`` values plus one row, unless that
+        would leave it fewer than ``_MIN_ROWS`` rows, so the temporaries of
+        a block of a small ball stay in cache, and those of any ball are
+        bounded and reused from the heap.  Any other batch is scored as it
+        is, without a copy.
         """
-        count = min(-(-U.size // _BLOCK_VALUES), len(U) // 2)  # no block is a single row
+        count = min(-(-U.size // _BLOCK_VALUES), len(U) // _MIN_ROWS)
         if count < 2:
             return self._score(U)
         parts = [self._score(np.asfortranarray(block)) for block in np.array_split(U, count)]
@@ -307,7 +314,7 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     The second half of the samples lies on faces: each row draws a pin
     probability ``q`` and pins every coordinate with probability ``q`` to
     ``lo`` or 1, so every pin count, up to a full corner, gets about the
-    same budget.  :meth:`_BallProblem.evaluate` scores the batch in
+    same budget.  :meth:`_BallProblem.evaluate` scores a large batch in
     cache-sized vertex-major blocks, so the per-vertex sums run along
     contiguous columns.  The admissible rows among the ``starts``
     best then take compass steps of ``±step`` on every coordinate but the
@@ -316,9 +323,8 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     fourfold.  Until some start moves, the polls of the coming iterations
     are known, so one ``evaluate`` call scores ``depth`` of them and they
     are replayed in order up to the first move: ``depth`` doubles after a
-    round without a move and returns to 1 after one, and a round of more
-    than one iteration scores at most ``min(samples, _BLOCK_VALUES // n)``
-    rows, so ``evaluate`` scores it as one block.  ``evaluations`` counts the
+    round without a move and returns to 1 after one, and no round scores
+    more rows than the sample batch held.  ``evaluations`` counts the
     iterations replayed, as one call per iteration would, and minimum and
     field are those of one call per iteration too, unless BLAS sums a ball
     row differently in a batch of another shape (the last bits only).
@@ -342,8 +348,8 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     # poll j of start i moves along E[i, 0, j], +e_c then -e_c for every coordinate c but the largest
     axes = [np.delete(np.eye(n), h, axis=0) for h in np.argmax(X, axis=1)]
     E = np.array([np.concatenate([a, -a]) for a in axes])[:, None]
-    # a round of several iterations is one block of evaluate, and no wider than the sample batch
-    max_depth = max(1, min(cfg.samples, _BLOCK_VALUES // n) // max(1, E.size // n))
+    # a round scores at most as many rows as the sample batch, so wide balls need no more memory
+    max_depth = max(1, cfg.samples // max(1, E.size // n))
     evaluations = ok.size
     iters, depth = 0, 1
     while iters < cfg.refine_iters and step.max() >= 1e-12:
@@ -380,8 +386,8 @@ def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Opt
     pinned at ``lo`` or 1; filters by admissibility, refines the worst
     candidates by a batched compass search (see :class:`SearchConfig`
     for what the budget counts), and reports ``violated`` with a witness
-    when a ratio exceeds ``d (1 + tol)``.  Samples and polls are scored in
-    cache-sized vertex-major blocks of rows, whatever the budget.
+    when a ratio exceeds ``d (1 + tol)``.  Large batches of samples or
+    polls are scored in cache-sized vertex-major blocks of rows.
     ``samples_used`` is the number of fields scored, samples and
     refinement polls.
     ``holds_empirically`` is a budget-bounded claim, not a proof; the

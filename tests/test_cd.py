@@ -26,7 +26,7 @@ from pmelab import (
     square_graph,
     verify_cd_at,
 )
-from pmelab.cd import _BLOCK_VALUES, _BallProblem, _search_min_score
+from pmelab.cd import _BLOCK_VALUES, _MIN_ROWS, _BallProblem, _search_min_score
 from pmelab.errors import AdmissibilityError, ValidationError
 
 FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
@@ -294,12 +294,13 @@ def test_blocked_scoring_equals_one_block_scoring_bit_for_bit(spec, x, m, alpha)
     U = rng.uniform(lo, 1.0, (20000, n))
     pinned = rng.random(U.shape) < 0.3
     U[pinned] = np.where(rng.random(U.shape) < 0.5, lo, 1.0)[pinned]
-    for rows in (20000, _BLOCK_VALUES // n - 1, _BLOCK_VALUES // n, _BLOCK_VALUES // n + 1, 2):
+    for rows in (20000, 2 * _MIN_ROWS, 2 * _MIN_ROWS - 1, _BLOCK_VALUES // n + 1, _BLOCK_VALUES // n - 1, 2):
         V = U[:rows]
         # blocks are vertex-major, and so is the one block they are compared with: on
         # complete:12 BLAS sums a few rows of a 2731-row batch differently in row-major
-        # layout; a batch within the budget is scored as it is
-        whole = prob._score(np.asfortranarray(V) if V.size > _BLOCK_VALUES else V)
+        # layout; a batch that is not split is scored as it is
+        split = len(V) >= 2 * _MIN_ROWS and V.size > _BLOCK_VALUES
+        whole = prob._score(np.asfortranarray(V) if split else V)
         for got, want in zip(prob.evaluate(V), whole):
             assert got.tobytes() == want.tobytes()
 
@@ -307,17 +308,16 @@ def test_blocked_scoring_equals_one_block_scoring_bit_for_bit(spec, x, m, alpha)
 @pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS + [("complete:100", "x1", 2.0, 0.0)])
 def test_a_search_scores_no_block_wider_than_the_budget(spec, x, m, alpha):
     prob = _BallProblem(resolve_graph(spec), x, m, alpha)
-    batches, shapes = [], []
+    batches, blocks = [], []
     evaluate, score = prob.evaluate, prob._score
     prob.evaluate = lambda U: batches.append(U.shape) or evaluate(U)
-    prob._score = lambda U: shapes.append(U.shape) or score(U)
+    prob._score = lambda U: blocks.append(U.shape) or score(U)
     _search_min_score(prob, SearchConfig(seed=0))
-    assert len(shapes) > 1
-    # at most the budget, or one row wider; never a single row
-    assert all(rows >= 2 and (rows - 1) * n <= _BLOCK_VALUES for rows, n in shapes)
-    # a round of several iterations fits one block; only a one-iteration round is split
-    polls = batches[1:]
-    assert all(rows * n <= _BLOCK_VALUES or rows == polls[0][0] for rows, n in polls)
+    assert batches[0][0] == 20000 and len(blocks) > len(batches)  # the sample batch is split
+    for rows, n in blocks:
+        # at most the budget plus one row, unless that would leave fewer rows than the floor
+        assert (rows - 1) * n <= _BLOCK_VALUES or rows < 2 * _MIN_ROWS
+        assert rows >= _MIN_ROWS or (rows, n) in batches  # a small batch is not split
 
 
 def test_report_serialization_encodes_infinities():
