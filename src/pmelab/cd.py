@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .artifacts import jsonable
 from .errors import AdmissibilityError, DomainError, ValidationError
 from .graphs import Graph, path_graph, two_hop_ball
 from .operators import (
@@ -73,14 +74,9 @@ class SearchConfig:
     domain is ``[lo, 1]^n``: ``lo = 0`` for ``m >= 2``, else ``lo = floor``
     (the formulas involve ``u^(m-2)``).  ``samples`` rows are drawn, the
     best ``starts`` seed the compass refinement, and ``refine_iters`` bounds
-    its iterations (0: sampling only); an iteration polls every start once,
-    also where several iterations are scored in one batch, and no round
-    scores more rows than the sample batch held.  A batch of more than
-    ``2**15`` values and at least 4096 rows, such as the default sample
-    batch, is scored in cache-sized blocks of rows (see
-    ``_BallProblem.evaluate``), so its temporaries do not grow with its
-    size.  A report's ``samples_used`` counts every field the search
-    scored: the samples plus ``starts x 2(n - 1)`` polls per iteration run.
+    its iterations (0: sampling only); an iteration polls every start once.
+    A report's ``samples_used`` counts every field the search scored: the
+    samples plus ``starts x 2(n - 1)`` polls per iteration run.
     ``delta`` is the strictness margin while refining, ``tol`` the relative
     margin a ratio must exceed ``d`` by before a violation is declared.
     """
@@ -157,32 +153,10 @@ class CDReport:
     floor: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        def num(x):
-            if x is None:
-                return None
-            return "inf" if math.isinf(x) else x
-
-        out = {
-            "vertex": self.vertex,
-            "m": self.m,
-            "alpha": self.alpha,
-            "d_tested": self.d_tested,
-            "verdict": self.verdict,
-            "witness": None,
-            "empirical_optimal_d": num(self.empirical_optimal_d),
-            "samples_used": self.samples_used,
-            "seed": self.seed,
-        }
-        if self.witness is not None:
-            out["witness"] = {
-                "base_vertex": self.witness.base_vertex,
-                "field": dict(self.witness.field),
-                "m": self.witness.m,
-                "alpha": self.witness.alpha,
-                "delta": self.witness.delta,
-            }
-        if self.floor is not None:
-            out["floor"] = self.floor
+        """The report in plain JSON types, without ``floor`` when it is unset."""
+        out = jsonable(self)
+        if self.floor is None:
+            del out["floor"]
         return out
 
 
@@ -314,17 +288,15 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     The second half of the samples lies on faces: each row draws a pin
     probability ``q`` and pins every coordinate with probability ``q`` to
     ``lo`` or 1, so every pin count, up to a full corner, gets about the
-    same budget.  :meth:`_BallProblem.evaluate` scores a large batch in
-    cache-sized vertex-major blocks, so the per-vertex sums run along
-    contiguous columns.  The admissible rows among the ``starts``
-    best then take compass steps of ``±step`` on every coordinate but the
-    largest (the flat scale direction), each moving to its best admissible
-    improving candidate with ``-G > delta``, else shrinking its step
-    fourfold.  Until some start moves, the polls of the coming iterations
-    are known, so one ``evaluate`` call scores ``depth`` of them and they
-    are replayed in order up to the first move: ``depth`` doubles after a
-    round without a move and returns to 1 after one, and no round scores
-    more rows than the sample batch held.  ``evaluations`` counts the
+    same budget.  The admissible rows among the ``starts`` best then take
+    compass steps of ``±step`` on every coordinate but the largest (the
+    flat scale direction), each moving to its best admissible improving
+    candidate with ``-G > delta``, else shrinking its step fourfold.
+    Until some start moves, the polls of the coming iterations are known,
+    so one ``evaluate`` call scores ``depth`` of them and they are replayed
+    in order up to the first move: ``depth`` doubles after a round without
+    a move and returns to 1 after one, and no round scores more rows than
+    the sample batch held.  ``evaluations`` counts the
     iterations replayed, as one call per iteration would, and minimum and
     field are those of one call per iteration too, unless BLAS sums a ball
     row differently in a batch of another shape (the last bits only).
@@ -386,10 +358,8 @@ def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Opt
     pinned at ``lo`` or 1; filters by admissibility, refines the worst
     candidates by a batched compass search (see :class:`SearchConfig`
     for what the budget counts), and reports ``violated`` with a witness
-    when a ratio exceeds ``d (1 + tol)``.  Large batches of samples or
-    polls are scored in cache-sized vertex-major blocks of rows.
-    ``samples_used`` is the number of fields scored, samples and
-    refinement polls.
+    when a ratio exceeds ``d (1 + tol)``.  ``samples_used`` is the number
+    of fields scored, samples and refinement polls.
     ``holds_empirically`` is a budget-bounded claim, not a proof; the
     report carries seed and budget so it can be falsified.
     """

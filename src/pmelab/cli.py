@@ -16,13 +16,13 @@ polyline plots.  Every command is deterministic given --seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .cd import (
     SearchConfig,
     _optimal_d,
@@ -65,42 +65,7 @@ from .solver import (
 DEFAULT_OUT = "pmelab-out"
 
 # ---------------------------------------------------------------------------
-# small serialization helpers
-
-
-def _jsonable(obj):
-    """Convert numpy scalars/arrays and containers into plain JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, float):
-        if np.isnan(obj):
-            return "nan"
-        if np.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    return obj
-
-
-def write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_series_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join("%.17g" % float(col[i]) for col in columns) + "\n")
+# plots
 
 
 def write_svg_polyline(
@@ -253,19 +218,23 @@ def config_echo(args) -> dict:
     }
 
 
+def _tol_override(args) -> dict:
+    """``{"tol": --tol}`` when the flag is given, else nothing: the library default applies."""
+    return {} if args.tol is None else {"tol": args.tol}
+
+
 def sample_check_tuples(
     g: Graph, rng: np.random.Generator, count: int, t_lo: float, t_hi: float
 ) -> list[tuple[float, float, str, str]]:
     """Draw (t1, t2, x1, x2) tuples with 0 < t1 < t2 inside the time window."""
-    names = [str(v) for v in g.vertices]
     gap = 0.01 * (t_hi - t_lo)
     tuples = []
     while len(tuples) < count:
         a, b = np.sort(rng.uniform(t_lo, t_hi, 2))
         if b - a < gap:
             continue
-        x1 = names[int(rng.integers(len(names)))]
-        x2 = names[int(rng.integers(len(names)))]
+        x1 = g.vertices[int(rng.integers(g.n))]
+        x2 = g.vertices[int(rng.integers(g.n))]
         tuples.append((float(a), float(b), x1, x2))
     return tuples
 
@@ -337,7 +306,7 @@ def cmd_simulate(args) -> int:
             "diffusion flow invariants",
         )
 
-    write_series_csv(os.path.join(outdir, "series.csv"), header, columns)
+    write_csv(os.path.join(outdir, "series.csv"), header, zip(*(c.tolist() for c in columns)))
     summary["status"] = "ok"
     write_json(summary_path, summary)
     print(
@@ -356,11 +325,7 @@ def cmd_verify_cd(args) -> int:
     for v in vertices:
         g.index(v)
 
-    search = SearchConfig(
-        samples=args.samples,
-        seed=args.seed,
-        tol=args.tol if args.tol is not None else 1e-6,
-    )
+    search = SearchConfig(samples=args.samples, seed=args.seed, **_tol_override(args))
     reports = []
     violated = 0
     for v in vertices:
@@ -401,19 +366,19 @@ def cmd_check(args) -> int:
     g = resolve_graph(args.graph)
     u0 = resolve_initial_state(args.u0, g, args.seed)
     times = resolve_times(args, need_positive_start=True)
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = _tol_override(args)
     traj = integrate(g, args.m, u0, times)
 
     if args.which == "ab":
-        report = ab_check(traj, args.alpha, args.d, tol=tol)
+        report = ab_check(traj, args.alpha, args.d, **tol)
     elif args.which == "diff-harnack":
-        report = diff_harnack_residual(traj, args.lam, args.mu, tol=tol)
+        report = diff_harnack_residual(traj, args.lam, args.mu, **tol)
     else:
         rng = np.random.default_rng([args.seed, 2])
         pairs = sample_check_tuples(
             g, rng, args.pairs, float(times[0]), float(times[-1])
         )
-        report = harnack_check(traj, args.mu, args.lam, pairs, tol=tol)
+        report = harnack_check(traj, args.mu, args.lam, pairs, **tol)
 
     tag = args.which.replace("-", "_")
     report_path = os.path.join(outdir, "report_%s.json" % tag)
@@ -456,9 +421,8 @@ def _optimal_d_target(m: float, d_count: int) -> float:
 
 def _run_complete_optimal(d_count: int, m: float, seed: int) -> tuple[bool, dict]:
     g = complete_graph(d_count)
-    search = SearchConfig(seed=seed)
-    measured = empirical_optimal_d(g, m, 0.0, "x1", search)
-    expected = _optimal_d_target(m, d_count)
+    expected = _optimal_d_target(m, d_count)  # refuses an m without a closed form before the search
+    measured = empirical_optimal_d(g, m, 0.0, "x1", SearchConfig(seed=seed))
     passed = abs(measured - expected) <= 1e-3
     return passed, {
         "measured": measured,
@@ -536,7 +500,7 @@ def _run_lattice(m: float, seed: int) -> tuple[bool, dict]:
 
 def _run_ab_square(seed: int) -> tuple[bool, dict]:
     g = square_graph()
-    u0 = np.random.default_rng([seed, 1]).uniform(0.5, 1.5, g.n)
+    u0 = resolve_initial_state("random:", g, seed)
     traj = integrate(g, 2.0, u0, np.linspace(0.05, 5.0, 201))
     report = ab_check(traj, 0.0, 4.0 / 3.0, tol=1e-8)
     return report.passed, {
@@ -570,7 +534,7 @@ def _run_ab_sharpness() -> tuple[bool, dict]:
 
 def _run_harnack(graph_spec: str, m: float, mu: float, seed: int) -> tuple[bool, dict]:
     g = resolve_graph(graph_spec)
-    u0 = np.random.default_rng([seed, 1]).uniform(0.5, 1.5, g.n)
+    u0 = resolve_initial_state("random:", g, seed)
     times = np.linspace(0.1, 5.0, 201)
     traj = integrate(g, m, u0, times)
     rng = np.random.default_rng([seed, 2])
@@ -729,10 +693,10 @@ FLAGS = {
     "--t-start": dict(type=float, default=0.1),
     "--t-end": dict(type=float, default=5.0),
     "--points": dict(type=int, default=201),
-    "--rel-tol": dict(type=float, default=1e-10),
-    "--abs-tol": dict(type=float, default=1e-10),
+    "--rel-tol": dict(type=float, default=SolverConfig.rel_tol),
+    "--abs-tol": dict(type=float, default=SolverConfig.abs_tol),
     "--vertex": dict(action="append", default=None, help="vertex to verify (repeatable; default all)"),
-    "--samples": dict(type=int, default=20000, help="search sample budget"),
+    "--samples": dict(type=int, default=SearchConfig.samples, help="search sample budget"),
     "--pairs": dict(type=int, default=100, help="harnack: sampled tuples"),
     "--seed": dict(type=_seed, default=0, help="seed for all randomized choices"),
     "--tol": dict(type=float, default=None, help="reporting tolerance override"),

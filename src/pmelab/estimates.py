@@ -28,11 +28,12 @@ in addition to the reported grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import jsonable, write_csv
 from .errors import DomainError, LambdaOneError, NoPathError, ValidationError
 from .graphs import Graph, _hop_distances, graph_distance, k_min
 from .operators import (
@@ -78,27 +79,15 @@ class EstimateReport:
         return self.min_slack >= -self.tolerance
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parameters": dict(self.parameters),
-            "min_slack": self.min_slack,
-            "argmin": dict(self.argmin),
-            "points_checked": self.points_checked,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        """Every field but ``records``, and ``passed``, in plain JSON types."""
+        out = jsonable({f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"})
+        out["passed"] = self.passed
+        return out
 
     def write_slack_csv(self, path) -> None:
         """Per-point slack rows, ``t,x,slack`` or ``t1,t2,x1,x2,slack``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            if self.kind in ("harnack_path", "harnack_distance"):
-                fh.write("t1,t2,x1,x2,slack\n")
-                for t1, t2, x1, x2, slack in self.records:
-                    fh.write(f"{t1:.17g},{t2:.17g},{x1},{x2},{slack:.17g}\n")
-            else:
-                fh.write("t,x,slack\n")
-                for t, x, slack in self.records:
-                    fh.write(f"{t:.17g},{x},{slack:.17g}\n")
+        pairs = self.kind in ("harnack_path", "harnack_distance")
+        write_csv(path, ("t1", "t2", "x1", "x2", "slack") if pairs else ("t", "x", "slack"), self.records)
 
 
 def _eval_points(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +125,16 @@ def _row_minima(g: Graph, ts: np.ndarray, slack: np.ndarray):
     mins = slack[np.arange(len(ts)), cols]
     records = [(t, g.vertices[i], s) for t, i, s in zip(ts.tolist(), cols.tolist(), mins.tolist())]
     return records, int(np.argmin(mins)), cols
+
+
+def _check_lambda_mu(lam: float, mu: float) -> None:
+    """The Harnack regime: ``lambda`` in ``[0, 1)`` and ``mu > 0``."""
+    if lam == 1.0:
+        raise LambdaOneError("lambda = 1 is outside the Harnack regime")
+    if not (0.0 <= lam < 1.0):
+        raise DomainError(f"lambda must lie in [0, 1), got {lam}")
+    if not mu > 0.0:
+        raise DomainError("mu must be positive")
 
 
 def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> EstimateReport:
@@ -180,12 +179,7 @@ def diff_harnack_residual(traj: Trajectory, lam: float, mu: float, tol: float = 
     what the integrated Harnack bounds are built from.
     """
     _check_tolerance(tol)
-    if lam == 1.0:
-        raise LambdaOneError("lambda = 1 is outside the Harnack regime")
-    if not (0.0 <= lam < 1.0):
-        raise DomainError(f"lambda must lie in [0, 1), got {lam}")
-    if not mu > 0.0:
-        raise DomainError("mu must be positive")
+    _check_lambda_mu(lam, mu)
     _require_positive_times(traj)
     g, m = traj.graph, traj.m
     ts, U, V, dtv, psi = _pressure_terms(traj)
@@ -203,12 +197,7 @@ def diff_harnack_residual(traj: Trajectory, lam: float, mu: float, tol: float = 
 
 
 def _check_harnack_params(mu: float, lam: float, t1: float, t2: float) -> None:
-    if lam == 1.0:
-        raise LambdaOneError("lambda = 1 is outside the Harnack regime")
-    if not (0.0 <= lam < 1.0):
-        raise DomainError(f"lambda must lie in [0, 1), got {lam}")
-    if not mu > 0.0:
-        raise DomainError("mu must be positive")
+    _check_lambda_mu(lam, mu)
     if not (0.0 < t1 < t2):
         raise ValidationError("need 0 < t1 < t2")
 

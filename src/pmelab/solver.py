@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from .artifacts import jsonable, write_csv
 from .errors import DomainError, StiffnessError, ValidationError
 from .graphs import Graph
 from .operators import _dtv, _flow, _gradient_energy, _lap, _pressure, as_field, check_exponent
@@ -87,26 +88,27 @@ _DP_E = np.array(
 # An integration that needs more step attempts than this is too stiff for an
 # explicit method; it fails instead of running for hours.
 _MAX_STEP_ATTEMPTS = 100_000
+# No step is longer than the integrated span over this (or than the step
+# floor, where that is longer).
+_MIN_STEPS = 20
+# A step whose new state has a value at or below this is rejected.
+_POSITIVITY_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and guards for :func:`integrate`."""
+    """Error tolerances and an optional first step for :func:`integrate`."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    max_step: Optional[float] = None
     initial_step: Optional[float] = None
-    positivity_floor: float = 1e-300
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "positivity_floor"):
+        for name in ("rel_tol", "abs_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be positive")
-        for name in ("max_step", "initial_step"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ValidationError(f"{name} must be positive when given")
+        if self.initial_step is not None and not self.initial_step > 0.0:
+            raise ValidationError("initial_step must be positive when given")
 
 
 def _window_slack(t_start: float, t_end: float, rel: float) -> float:
@@ -192,7 +194,7 @@ class SolverStats:
         return cls(len(steps), error_rejections, positivity_rejections, rhs_evals, h_min, h_max)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return jsonable(self)
 
 
 @dataclass
@@ -270,7 +272,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
     # ``t + h`` must advance, so the floor never drops below a few ulps of
     # t_end; the default step bounds never drop below the floor
     h_floor = _window_slack(t0, t_end, 1e-14)
-    max_step = cfg.max_step if cfg.max_step is not None else max(span / 20.0, h_floor)
+    max_step = max(span / _MIN_STEPS, h_floor)
 
     t, y = t0, u0
     k = np.empty((7, g.n))
@@ -305,7 +307,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
             # test after the last stage decides as a test after each would;
             # k[6] holds y_new for that test until the last stage replaces it.
             k[6] = y_new = y + h * (_DP_B @ k[:6])
-            if not (np.isfinite(k[1:]).all() and y_new.min() > cfg.positivity_floor):
+            if not (np.isfinite(k[1:]).all() and y_new.min() > _POSITIVITY_FLOOR):
                 positivity_rejections += 1
                 h *= 0.5
                 continue
@@ -463,10 +465,7 @@ def pressure_equation_residual(traj: Trajectory) -> float:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``t,<vertex ids...>`` rows with 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t," + ",".join(traj.graph.vertices) + "\n")
-        for t, row in zip(traj.times, traj.states):
-            fh.write(",".join(f"{val:.17g}" for val in (t, *row)) + "\n")
+    write_csv(path, ("t", *traj.graph.vertices), np.column_stack((traj.times, traj.states)).tolist())
 
 
 def read_trajectory_csv(path, g: Graph, m: float) -> Trajectory:

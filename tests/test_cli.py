@@ -1,6 +1,7 @@
 """End-to-end command line runs: artifacts, exit codes, environment."""
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmelab import load_edge_list
+from pmelab import SearchConfig, SolverConfig, ab_check, load_edge_list
 from pmelab.cli import REPRODUCE_IDS, build_parser, main, resolve_reproduce
 from pmelab.errors import ValidationError
 
@@ -31,9 +32,21 @@ def run_cli(*args, env_extra=None, timeout=240):
     )
 
 
+def _reject_constant(name):
+    raise ValueError("%s is not standard JSON" % name)
+
+
 def read_json(path):
+    """An artifact, parsed as standard JSON: ``NaN`` and ``Infinity`` are refused."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
+
+
+@pytest.fixture(autouse=True)
+def every_json_artifact_is_standard_json(tmp_path):
+    yield
+    for path in tmp_path.rglob("*.json"):
+        read_json(path)
 
 
 # -- simulate --------------------------------------------------------------
@@ -325,6 +338,15 @@ def test_reproduce_ab_square_reports_where_the_minimum_sits(tmp_path):
     assert argmin["form"] in ("direct", "pressure_equation")
 
 
+def test_reproduce_refuses_an_m_without_a_closed_form_before_searching(tmp_path, capsys, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("pmelab.cli.empirical_optimal_d", search)
+    assert main(["reproduce", "ex3.5:100", "--m", "1.5", "--out", str(tmp_path / "run")]) == 2
+    assert "closed-form optimal d" in capsys.readouterr().err
+
+
 def test_reproduce_unknown_id_lists_the_catalogue(tmp_path):
     proc = run_cli("reproduce", "nope", "--out", tmp_path / "run")
     assert proc.returncode == 2
@@ -471,6 +493,18 @@ def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [want for _, want in _NO_SCIPY_RUNS]
+
+
+def test_flag_defaults_are_the_library_defaults(tmp_path):
+    parser = build_parser()
+    assert parser.parse_args(["verify-cd"]).samples == SearchConfig().samples
+    simulate = parser.parse_args(["simulate"])
+    assert (simulate.rel_tol, simulate.abs_tol) == (SolverConfig().rel_tol, SolverConfig().abs_tol)
+    out = tmp_path / "run"
+    assert main(["check", "ab", "--graph", "square", "--d", "2", "--out", str(out)]) == 0
+    report = read_json(out / "report_ab.json")
+    assert report["tolerance"] == inspect.signature(ab_check).parameters["tol"].default
+    assert "tol" not in report["config"]
 
 
 def test_config_echoes_exactly_the_parsed_settings(tmp_path):

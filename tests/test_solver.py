@@ -165,6 +165,12 @@ def test_step_underflow_raises_stiffness_error():
     assert exc.value.t == 0.0
 
 
+@pytest.mark.parametrize("name", ["max_step", "positivity_floor"])
+def test_step_cap_and_positivity_floor_are_not_settable(name):
+    with pytest.raises(TypeError):
+        SolverConfig(**{name: 0.1})
+
+
 def test_fast_kernel_over_long_horizon_raises_stiffness_error():
     g = build_graph([("a", "b", 1e9)], symmetrize=True)
     with pytest.raises(StiffnessError):
