@@ -365,8 +365,8 @@ def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Opt
     """
     m = check_exponent(m)
     alpha = check_mixing(alpha)
-    if not d > 0.0:
-        raise ValidationError("d must be positive")
+    if not 0.0 < d < math.inf:
+        raise ValidationError("d must be positive and finite")
     cfg = search or SearchConfig()
     prob = _BallProblem(g, x, m, alpha)
     out = _search_min_score(prob, cfg)

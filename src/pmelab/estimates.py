@@ -13,9 +13,9 @@ Checked statements, for a trajectory with pressure ``v``:
   ``dv/dt >= (1-lambda) gradient_energy(v) - (mu/t) v``
   (``diff_harnack_residual``);
 * the integrated Harnack bounds comparing ``t^mu v`` at two space-time
-  points through a path correction or a distance correction
-  (``harnack_check`` with :func:`harnack_rhs_path` and
-  :func:`harnack_rhs_distance`);
+  points through a distance correction or a path correction, least over
+  simple paths by a min-plus recursion (``harnack_check`` with
+  :func:`harnack_rhs_path` and :func:`harnack_rhs_distance`);
 * the pointwise quadratic minorant of the exponent-weighted remainder and
   the integral minimum inequality that drive the Harnack proof
   (``quadratic_minorant_check``, ``integral_min_inequality_check``).
@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .artifacts import jsonable, write_csv
-from .errors import DomainError, LambdaOneError, NoPathError, ValidationError
-from .graphs import Graph, _hop_distances, graph_distance, k_min
+from .errors import DomainError, LambdaOneError, ValidationError
+from .graphs import Graph, graph_distance, k_min
 from .operators import (
     _dtv,
     _gradient_energy,
@@ -128,13 +128,13 @@ def _row_minima(g: Graph, ts: np.ndarray, slack: np.ndarray):
 
 
 def _check_lambda_mu(lam: float, mu: float) -> None:
-    """The Harnack regime: ``lambda`` in ``[0, 1)`` and ``mu > 0``."""
+    """The Harnack regime: ``lambda`` in ``[0, 1)`` and finite ``mu > 0``."""
     if lam == 1.0:
         raise LambdaOneError("lambda = 1 is outside the Harnack regime")
     if not (0.0 <= lam < 1.0):
         raise DomainError(f"lambda must lie in [0, 1), got {lam}")
-    if not mu > 0.0:
-        raise DomainError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise DomainError("mu must be positive and finite")
 
 
 def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> EstimateReport:
@@ -150,8 +150,8 @@ def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> Est
     """
     _check_tolerance(tol)
     alpha = check_mixing(alpha)
-    if not d > 0.0:
-        raise ValidationError("d must be positive")
+    if not 0.0 < d < math.inf:
+        raise ValidationError("d must be positive and finite")
     _require_positive_times(traj)
     g, m = traj.graph, traj.m
     ts, U, V, dtv, psi = _pressure_terms(traj)
@@ -200,22 +200,19 @@ def _check_harnack_params(mu: float, lam: float, t1: float, t2: float) -> None:
     _check_lambda_mu(lam, mu)
     if not (0.0 < t1 < t2):
         raise ValidationError("need 0 < t1 < t2")
+    for name, base, exponent in (("t2**(mu + 1)", t2, mu + 1.0), ("(t2 - t1)**2", t2 - t1, 2)):
+        try:  # the largest powers of the corrections and of t^mu v
+            base**exponent
+        except OverflowError:
+            raise DomainError(f"{name} = {base!r}**{exponent!r} overflows a float") from None
 
 
-def _path_terms(mu: float, lam: float, t1: float, t2: float, n_edges: int) -> tuple[list, float]:
-    """Increments ``tau_j^(mu+1) - tau_{j-1}^(mu+1)`` of an ``n_edges`` path and its prefactor."""
-    tau = t1 + np.arange(n_edges + 1) * (t2 - t1) / n_edges
-    powers = (tau ** (mu + 1.0)).tolist()
-    increments = [b - a for a, b in zip(powers, powers[1:])]
-    return increments, 2.0 * n_edges**2 / ((1.0 - lam) * (mu + 1.0) * (t2 - t1) ** 2)
-
-
-def _path_sum(increments: list, weights: Iterable[float]) -> float:
-    """``sum_j increments[j] / weights[j]``, added in path order."""
-    total = 0.0
-    for step, w in zip(increments, weights):
-        total += step / w
-    return total
+def _path_terms(mu: float, lam: float, t1: np.ndarray, t2: np.ndarray, n_edges: np.ndarray):
+    """Zero-padded increments ``tau_j^(mu+1) - tau_{j-1}^(mu+1)`` and prefactors of ``n_edges``-edge paths."""
+    steps = np.minimum(np.arange(n_edges.max() + 1), n_edges[:, None])
+    powers = (t1[:, None] + steps * (t2 - t1)[:, None] / n_edges[:, None]) ** (mu + 1.0)
+    width = np.float_power(t2 - t1, 2)  # libm's pow, as Python's float ** takes it
+    return np.diff(powers, axis=1), 2.0 * n_edges**2 / ((1.0 - lam) * (mu + 1.0) * width)
 
 
 def harnack_rhs_path(g: Graph, m: float, mu: float, lam: float, t1: float, t2: float, path: Sequence[str]) -> float:
@@ -226,25 +223,24 @@ def harnack_rhs_path(g: Graph, m: float, mu: float, lam: float, t1: float, t2: f
     ``2 N^2 / ((1-lambda)(mu+1)(t2-t1)^2)
     * sum_j (tau_j^(mu+1) - tau_{j-1}^(mu+1)) / k(y_{j-1}, y_j)``
 
-    The exponent ``m`` is part of the statement's context (it fixes how
-    ``mu`` was chosen) but the correction itself does not depend on it.
+    with the sum added in path order.  The exponent ``m`` is part of the
+    statement's context (it fixes how ``mu`` was chosen) but the correction
+    itself does not depend on it.
     """
     check_exponent(m)
     _check_harnack_params(mu, lam, t1, t2)
     if len(path) < 2:
         raise ValidationError("a path needs at least one edge")
-    weights = [g.kernel(x, y) for x, y in zip(path, path[1:])]
-    for x, y, w in zip(path, path[1:], weights):
+    weights = np.array([g.kernel(x, y) for x, y in zip(path, path[1:])])
+    for x, y, w in zip(path, path[1:], weights.tolist()):
         if w <= 0.0:
             raise ValidationError(f"path step {x!r} -> {y!r} is not an edge")
-    increments, scale = _path_terms(mu, lam, t1, t2, len(path) - 1)
-    return scale * _path_sum(increments, weights)
+    increments, scale = _path_terms(mu, lam, np.array([t1]), np.array([t2]), np.array([len(path) - 1]))
+    return float(scale[0] * np.add.accumulate(increments[0] / weights)[-1])
 
 
 def _distance_correction(dist: int, kmin: float, mu: float, lam: float, t1: float, t2: float) -> float:
     """The distance-form correction for a hop distance and a smallest weight."""
-    if dist == 0:
-        return 0.0
     span = t2 ** (mu + 1.0) - t1 ** (mu + 1.0)
     return 2.0 * dist**2 * span / ((1.0 - lam) * (mu + 1.0) * kmin * (t2 - t1) ** 2)
 
@@ -261,19 +257,42 @@ def harnack_rhs_distance(g: Graph, mu: float, lam: float, t1: float, t2: float, 
     return _distance_correction(graph_distance(g, x1, x2), k_min(g), mu, lam, t1, t2)
 
 
-def _simple_paths(g: Graph, src: int, dst: int, cap: int) -> Iterable[list[int]]:
-    """All simple paths from vertex index src to dst with at most ``cap`` edges."""
-    stack = [(src, [src])]
-    while stack:
-        v, prefix = stack.pop()
-        if v == dst and len(prefix) > 1:
-            yield prefix
-            continue
-        if len(prefix) - 1 >= cap:
-            continue
-        for w in g.neighbors_idx(v).tolist():
-            if w not in prefix:
-                stack.append((w, prefix + [w]))
+def _path_minima(g: Graph, mu: float, lam: float, rows: list) -> np.ndarray:
+    """Least :func:`harnack_rhs_path` over the simple paths of ``N`` edges, per ``(t1, t2, i1, i2, N)`` row.
+
+    On a symmetric kernel with ``N`` at most the hop distance plus 2 the simple paths are the
+    non-backtracking walks (cutting a closed sub-walk of 3 or more edges out of such a walk would
+    leave one shorter than the distance), so a min-plus recursion over directed edges, with
+    ``y -> z`` extending the cheapest walk into ``y`` not from ``z``, finds each least path-order
+    sum bit for bit: rounded addition is monotone.  Rows with no such path get inf.
+    """
+    t1, t2, sources, targets, n_edges = (np.array(c) for c in zip(*rows))
+    increments, scale = _path_terms(mu, lam, t1, t2, n_edges)
+    keys = np.unique(g.rows * g.n + g.indices)  # the directed edges y -> z as y * n + z
+    tails, heads = np.divmod(keys, g.n)
+    reverse, weights = np.searchsorted(keys, heads * g.n + tails), g.pair_sums(g.data)[0]
+    counts = np.bincount(tails)
+    groups = []  # per out-degree c: the (c, vertices) positions of those vertices' edges, and of their reverses
+    for c in np.unique(counts[counts > 0]):
+        at = (np.cumsum(counts) - counts)[counts == c] + np.arange(c)[:, None]
+        groups.append((at, reverse[at]))
+    best = np.full(len(sources), np.inf)
+    order = np.argsort(-n_edges, kind="stable")  # longest first: the rows still walking are a prefix
+    lengths, inc = n_edges[order], increments[order]
+    walk = np.where(tails[:, None] == sources[order], inc[:, 0] / weights[:, None], np.inf)  # (edge, row)
+    for j in range(1, lengths[0] + 1):
+        if j > 1:
+            step = np.empty((len(keys), np.count_nonzero(lengths >= j)))
+            for at, back in groups:
+                into = walk[back, : step.shape[1]]  # into[s, v]: cheapest walks into v along the reverse of s
+                low = into.min(axis=0)
+                tie = into == low
+                other = np.where(tie.sum(axis=0) == 1, np.where(tie, np.inf, into).min(axis=0), low)
+                step[at] = np.where(tie, other, low)
+            walk = step + inc[: step.shape[1], j - 1] / weights[:, None]
+        done = np.flatnonzero(lengths[: walk.shape[1]] == j)
+        best[order[done]] = np.where(heads[:, None] == targets[order[done]], walk[:, done], np.inf).min(axis=0)
+    return scale * best
 
 
 def harnack_check(
@@ -292,8 +311,8 @@ def harnack_check(
     ``distance + 2`` edges.  The reported per-pair slack is the smaller of
     the two, and the report kind names the form attaining the overall
     minimum.  Every slack equals the one built from :func:`harnack_rhs_distance`
-    and :func:`harnack_rhs_path`; the graph facts they share (``k_min``, one
-    breadth-first search per source vertex) are found once per check.
+    and :func:`harnack_rhs_path`; the path minima of all pairs come from one
+    min-plus recursion over directed edges (:func:`_path_minima`).
     """
     _check_tolerance(tol)
     g, m = traj.graph, traj.m
@@ -304,21 +323,20 @@ def harnack_check(
     t_lo, t_hi = float(traj.times[0]), float(traj.times[-1])
     slack_t = _window_slack(t_lo, t_hi, 1e-12)
     kmin = k_min(g)
-    hops: dict[int, list[int]] = {}
     best = math.inf
     best_form = "harnack_distance"
     argmin: dict = {}
     records = []
+    dists, rows = [], []  # rows: (t1, t2, i1, i2, edge count) of each path form
     for t1, t2, x1, x2 in pairs:
         _check_harnack_params(mu, lam, t1, t2)
         if t1 < t_lo - slack_t or t2 > t_hi + slack_t:
             raise ValidationError("pair times outside the trajectory range")
         i1, i2 = g.index(x1), g.index(x2)
-        if i1 not in hops:
-            hops[i1] = _hop_distances(g, i1)
-        dist = hops[i1][i2]
-        if dist < 0:
-            raise NoPathError(f"no path between {x1!r} and {x2!r}")
+        dists.append(graph_distance(g, x1, x2))
+        rows += [(t1, t2, i1, i2, dists[-1] + k) for k in range(3 if x1 != x2 else 0)]
+    corrections = iter(_path_minima(g, mu, lam, rows).reshape(-1, 3).min(axis=1).tolist() if rows else [])
+    for (t1, t2, x1, x2), dist in zip(pairs, dists):
         v1 = pressure(m, traj.value(t1, x1))
         v2 = pressure(m, traj.value(t2, x2))
         lhs = t1**mu * v1
@@ -326,16 +344,7 @@ def harnack_check(
         slack = base + _distance_correction(dist, kmin, mu, lam, t1, t2) - lhs
         form = "harnack_distance"
         if x1 != x2:
-            terms: dict[int, tuple[list, float]] = {}
-            corr_p = math.inf
-            for p in _simple_paths(g, i1, i2, dist + 2):
-                n_edges = len(p) - 1
-                if n_edges not in terms:
-                    terms[n_edges] = _path_terms(mu, lam, t1, t2, n_edges)
-                increments, scale = terms[n_edges]
-                weights = (g._weights[e] for e in zip(p, p[1:]))
-                corr_p = min(corr_p, scale * _path_sum(increments, weights))
-            slack_p = base + corr_p - lhs
+            slack_p = base + next(corrections) - lhs
             if slack_p < slack:
                 slack = slack_p
                 form = "harnack_path"

@@ -101,16 +101,9 @@ class Graph:
             raise ValidationError(f"unknown vertex {v!r}") from None
 
     def kernel(self, x: str, y: str) -> float:
-        """Weight of the edge ``x -> y``, 0 when there is none."""
-        return self._weights.get((self.index(x), self.index(y)), 0.0)
-
-    @cached_property
-    def _weights(self) -> dict[tuple[int, int], float]:
-        """Stored weights by ``(i, j)``, read from the CSR arrays at the first query."""
-        weights: dict[tuple[int, int], float] = {}
-        for i, j, w in zip(self.rows.tolist(), self.indices.tolist(), self.data.tolist()):
-            weights[i, j] = weights.get((i, j), 0.0) + w  # duplicates add
-        return weights
+        """Weight of the edge ``x -> y``, 0 when there is none; entries stored twice add in storage order."""
+        i, j = self.index(x), self.index(y)
+        return float(np.append(0.0, self.weights_idx(i)[self.neighbors_idx(i) == j]).cumsum()[-1])
 
     def pair_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-entry ``values`` summed at every stored pair ``(x, y)``, and at ``(y, x)``.
@@ -327,11 +320,7 @@ def graph_distance(g: Graph, x: str, y: str) -> int:
 
 
 def _hop_distances(g: Graph, src: int) -> list[int]:
-    """Hop distances from vertex index ``src`` to every vertex, -1 where unreachable.
-
-    One breadth-first search along out-edges; :func:`graph_distance` and
-    :func:`~pmelab.estimates.harnack_check` read their distances from it.
-    """
+    """Hop distances from vertex index ``src`` to every vertex, -1 where unreachable, by breadth-first search."""
     dist = [-1] * g.n
     dist[src] = 0
     queue = deque([src])

@@ -523,6 +523,13 @@ def test_config_echoes_exactly_the_parsed_settings(tmp_path):
         (["simulate", "--graph", "square", "--t-end", "inf"], "--t-end"),
         (["simulate", "--graph", "square", "--t-start", "nan"], "--t-start"),
         (["check", "ab", "--graph", "square", "--d", "1", "--t-end", "inf"], "--t-end"),
+        (["verify-cd", "--graph", "zwindow:3", "--vertex", "0", "--d", "inf"], "d must be positive and finite"),
+        (["check", "ab", "--graph", "square", "--d", "inf"], "d must be positive and finite"),
+        (["check", "harnack", "--graph", "square", "--mu", "inf"], "mu must be positive and finite"),
+        (["check", "diff-harnack", "--graph", "square", "--mu", "inf"], "mu must be positive and finite"),
+        (["check", "harnack", "--graph", "square", "--mu", "1e308"], "t2**(mu + 1) = "),
+        (["check", "harnack", "--graph", "square", "--mu", "1.3", "--t-end", "1e300"], "t2**(mu + 1) = "),
+        (["check", "harnack", "--graph", "square", "--mu", "0.01", "--t-end", "1e300"], "(t2 - t1)**2 = "),
     ],
 )
 def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, message):

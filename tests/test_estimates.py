@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmelab import (
+    Graph,
     ab_check,
     build_graph,
     complete_graph,
@@ -161,6 +162,16 @@ def test_rhs_forms_reject_unit_lambda():
         harnack_rhs_path(g, 2.0, 0.5, 1.0, 1.0, 2.0, ["1", "2"])
 
 
+@pytest.mark.parametrize("mu,t2", [(1e308, 2.0), (1.3, 1e300), (0.01, 1e300)])
+def test_rhs_forms_refuse_an_overflowing_power(mu, t2):
+    # a power past the float range must not become a path form of inf - inf = nan
+    g = path_graph(3)
+    with pytest.raises(DomainError, match="overflows a float"):
+        harnack_rhs_path(g, 2.0, mu, 0.0, 1.0, t2, ["1", "2", "3"])
+    with pytest.raises(DomainError, match="overflows a float"):
+        harnack_rhs_distance(g, mu, 0.0, 1.0, t2, "1", "3")
+
+
 @given(st.integers(min_value=0, max_value=100))
 @settings(max_examples=60, deadline=None)
 def test_geodesic_path_never_beats_the_distance_form(seed):
@@ -215,10 +226,23 @@ def test_harnack_check_rejects_unit_lambda():
         harnack_check(square_run(), 1.0, 1.0, [(0.2, 0.8, "x", "z")])
 
 
-def _harnack_reference(traj, mu, lam, pairs):
-    """``harnack_check``'s records, one public correction call per pair and path."""
-    from pmelab.estimates import _simple_paths
+def _simple_paths(g, src, dst, cap):
+    """All simple paths from vertex index src to dst with at most ``cap`` edges, by enumeration."""
+    stack = [(src, [src])]
+    while stack:
+        v, prefix = stack.pop()
+        if v == dst and len(prefix) > 1:
+            yield prefix
+            continue
+        if len(prefix) - 1 >= cap:
+            continue
+        for w in g.neighbors_idx(v).tolist():
+            if w not in prefix:
+                stack.append((w, prefix + [w]))
 
+
+def _harnack_reference(traj, mu, lam, pairs):
+    """``harnack_check``'s records, one public correction call per pair and enumerated path."""
     g, m = traj.graph, traj.m
     records = []
     for t1, t2, x1, x2 in pairs:
@@ -233,13 +257,37 @@ def _harnack_reference(traj, mu, lam, pairs):
     return records
 
 
-@pytest.mark.parametrize("spec", ["square", "complete:5", "path:16", "zwindow:10"])
+def _reference_graph(spec):
+    if spec == "weighted:12":
+        # distinct weights, so no tie hides a wrong minimum, and triangles, so
+        # the graph is not bipartite and paths of every length up to
+        # distance + 2 exist
+        rng = np.random.default_rng(3)
+        names = [str(i) for i in range(12)]
+        edges = {(i, (i + 1) % 12) for i in range(12)} | {(i, i + 2) for i in range(0, 12, 3)}
+        weights = rng.permutation(len(edges)) * 0.137 + 0.25
+        return build_graph([(names[i], names[j], w) for (i, j), w in zip(sorted(edges), weights)], symmetrize=True)
+    if spec == "csr-duplicate":
+        # a 5-cycle with one chord; the entry (a, b) is stored twice and the two add to k(b, a)
+        rows = [[(1, 0.5), (4, 1.0), (1, 0.75), (2, 2.0)], [(0, 1.25), (2, 1.0)], [(1, 1.0), (3, 0.3), (0, 2.0)],
+                [(2, 0.3), (4, 1.7)], [(3, 1.7), (0, 1.0)]]
+        entries = [e for row in rows for e in row]
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        g = Graph(list("abcde"), (np.array([w for _, w in entries]), np.array([j for j, _ in entries]), indptr))
+        assert g.symmetric and g.kernel("a", "b") == 1.25
+        return g
+    return resolve_graph(spec)
+
+
+@pytest.mark.parametrize(
+    "spec", ["square", "complete:5", "path:16", "zwindow:10", "complete:12", "weighted:12", "csr-duplicate", "complete:30"]
+)
 def test_harnack_check_equals_the_per_pair_reference_exactly(spec):
-    g = resolve_graph(spec)
+    g = _reference_graph(spec)
     rng = np.random.default_rng(11)
     traj = integrate(g, 2.0, rng.uniform(0.5, 1.5, g.n), np.linspace(0.1, 3.0, 30))
     pairs = []
-    for _ in range(60):
+    for _ in range(5 if spec == "complete:30" else 60):
         t1, t2 = np.sort(rng.uniform(0.1, 3.0, 2))
         x1, x2 = (g.vertices[int(i)] for i in rng.integers(g.n, size=2))
         pairs.append((float(t1), float(t2), x1, x2))
@@ -249,6 +297,30 @@ def test_harnack_check_equals_the_per_pair_reference_exactly(spec):
         want = _harnack_reference(traj, mu, lam, pairs)
         assert rep.records == want
         assert rep.min_slack == min(r[-1] for r in want)
+
+
+@pytest.mark.parametrize("spec", ["path:16", "complete:5", "weighted:12", "csr-duplicate"])
+def test_path_minima_equal_the_least_enumerated_path_of_each_length(spec):
+    # per edge count, not only the least of the three counts a pair takes:
+    # on a bipartite graph no simple path has distance + 1 or + 2 edges
+    from pmelab.estimates import _path_minima
+
+    g = _reference_graph(spec)
+    rng = np.random.default_rng(5)
+    rows = []
+    for _ in range(30):
+        t1, t2 = np.sort(rng.uniform(0.1, 3.0, 2))
+        x1, x2 = rng.choice(g.vertices, 2, replace=False)
+        i1, i2, dist = g.index(x1), g.index(x2), graph_distance(g, x1, x2)
+        rows += [(float(t1), float(t2), i1, i2, dist + k) for k in range(3)]
+    got = _path_minima(g, 1.5, 0.25, rows)
+    for r, (t1, t2, i1, i2, n_edges) in enumerate(rows):
+        want = min(
+            (harnack_rhs_path(g, 2.0, 1.5, 0.25, t1, t2, [g.vertices[i] for i in p])
+             for p in _simple_paths(g, i1, i2, n_edges) if len(p) == n_edges + 1),
+            default=math.inf,
+        )
+        assert got[r] == want, (spec, rows[r])
 
 
 def test_harnack_check_admits_pair_times_an_ulp_past_a_late_window():
