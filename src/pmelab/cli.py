@@ -384,6 +384,7 @@ def cmd_check(args) -> int:
     report_path = os.path.join(outdir, "report_%s.json" % tag)
     payload = report.to_json_dict()
     payload["config"] = config_echo(args)
+    payload["solver_stats"] = traj.stats.to_json_dict()
     write_json(report_path, payload)
     csv_path = os.path.join(outdir, "slack_%s.csv" % tag)
     report.write_slack_csv(csv_path)

@@ -119,8 +119,16 @@ def _pressure_terms(traj: Trajectory):
     return ts, U, V, _dtv(g, g.degree, m, U), _gradient_energy(g, g.degree, m, V)
 
 
-def _row_minima(g: Graph, ts: np.ndarray, slack: np.ndarray):
-    """Per-time ``(t, vertex, slack)`` minima and the index of the first overall minimum."""
+def _row_minima(g: Graph, ts: np.ndarray, slack: np.ndarray, what: str):
+    """Per-time ``(t, vertex, slack)`` minima and the index of the first overall minimum.
+
+    A ``nan`` slack is no verdict: its terms overflowed or underflowed, and
+    a :class:`DomainError` names where.
+    """
+    if math.isnan(slack.min()):  # the minimum is nan where any slack is
+        k, i = np.argwhere(np.isnan(slack))[0]
+        at = f"t={float(ts[k])!r}, vertex {g.vertices[i]!r}"
+        raise DomainError(f"{what} slack is nan at {at}: its terms leave the float range")
     cols = np.argmin(slack, axis=1)
     mins = slack[np.arange(len(ts)), cols]
     records = [(t, g.vertices[i], s) for t, i, s in zip(ts.tolist(), cols.tolist(), mins.tolist())]
@@ -146,7 +154,8 @@ def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> Est
     ``d/t - ((1-alpha) gradient_energy(v) - dv/dt) / ((m-1) v) >= 0``,
     with the exact time derivative.  The minimum slack across both forms is
     reported; on a graph satisfying ``CD(0, d)`` with mixing ``alpha`` it
-    stays nonnegative up to round-off.
+    stays nonnegative up to round-off.  A ``nan`` slack raises a
+    :class:`DomainError` instead of a verdict.
     """
     _check_tolerance(tol)
     alpha = check_mixing(alpha)
@@ -157,7 +166,7 @@ def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> Est
     ts, U, V, dtv, psi = _pressure_terms(traj)
     slack_direct = d / ts[:, None] + _mixed_laplacian(g, g.degree, m, alpha, U)
     slack_pressure = d / ts[:, None] - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V)
-    records, k, cols = _row_minima(g, ts, np.minimum(slack_direct, slack_pressure))
+    records, k, cols = _row_minima(g, ts, np.minimum(slack_direct, slack_pressure), "AB")
     t, x, best = records[k]
     form = "direct" if slack_direct[k, cols[k]] <= slack_pressure[k, cols[k]] else "pressure_equation"
     return EstimateReport(
@@ -176,14 +185,15 @@ def diff_harnack_residual(traj: Trajectory, lam: float, mu: float, tol: float = 
 
     On a graph satisfying ``CD(0, d)`` with mixing ``alpha``, trajectories
     pass with ``mu = (m-1) d`` and ``lambda = alpha``; this hypothesis is
-    what the integrated Harnack bounds are built from.
+    what the integrated Harnack bounds are built from.  A ``nan`` slack
+    raises a :class:`DomainError` instead of a verdict.
     """
     _check_tolerance(tol)
     _check_lambda_mu(lam, mu)
     _require_positive_times(traj)
     g, m = traj.graph, traj.m
     ts, U, V, dtv, psi = _pressure_terms(traj)
-    records, k, _ = _row_minima(g, ts, dtv - (1.0 - lam) * psi + mu / ts[:, None] * V)
+    records, k, _ = _row_minima(g, ts, dtv - (1.0 - lam) * psi + mu / ts[:, None] * V, "differential Harnack")
     t, x, best = records[k]
     return EstimateReport(
         "diff_harnack",
@@ -312,7 +322,9 @@ def harnack_check(
     the two, and the report kind names the form attaining the overall
     minimum.  Every slack equals the one built from :func:`harnack_rhs_distance`
     and :func:`harnack_rhs_path`; the path minima of all pairs come from one
-    min-plus recursion over directed edges (:func:`_path_minima`).
+    min-plus recursion over directed edges (:func:`_path_minima`).  A
+    slack that is not finite, because ``t^mu v`` overflows, raises a
+    :class:`DomainError` instead of a verdict.
     """
     _check_tolerance(tol)
     g, m = traj.graph, traj.m
@@ -348,6 +360,12 @@ def harnack_check(
             if slack_p < slack:
                 slack = slack_p
                 form = "harnack_path"
+        if not math.isfinite(slack):  # no verdict: name the term that overflowed
+            pair = (t1, t2, x1, x2)
+            for t, v, product in ((t1, v1, lhs), (t2, v2, base)):
+                if math.isinf(product):
+                    raise DomainError(f"t**mu * v = {t!r}**{mu!r} * {v!r} overflows a float at the pair {pair}")
+            raise DomainError(f"the Harnack correction overflows a float at the pair {pair}")
         records.append((t1, t2, x1, x2, float(slack)))
         if slack < best:
             best = float(slack)

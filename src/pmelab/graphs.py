@@ -124,43 +124,51 @@ class Graph:
         ``F`` is one field of shape ``(n,)`` or a batch of shape ``(rows, n)``.
         Each sum adds the stored entries of row ``x`` one by one in storage
         order, starting from 0, as scipy's CSR product does, so the sums
-        equal its sums bit for bit.  Time and memory grow with the number of
-        stored entries times the number of fields.
+        equal its sums bit for bit.  :meth:`laplacian` reads the same entries
+        from its own table, with ``-degree(x)`` after them.  Time and memory
+        grow with the number of stored entries times the number of fields.
         """
         if F.ndim == 1:
             return np.bincount(self.rows, weights=self.data * F[self.indices], minlength=self.n)
         if len(F) == 1:
             return self.kernel_sum(F[0])[None]
-        # The terms of a group are laid out (slot, vertex, field) in memory with
-        # at least two elements after the slot axis, and numpy adds along an
-        # axis that is not the fastest one element by element, so each sum
-        # runs slot by slot (pairwise summation only runs along the fastest).
-        out = np.zeros((self.n, len(F)))
-        for rows, columns, weights in self._row_groups:
-            terms = F.T[columns]
-            terms *= weights
-            if rows is None:
-                return np.add.reduce(terms, axis=0).T
-            out[rows] = np.add.reduce(terms, axis=0)
-        return out.T
+        return _group_sums(self._row_groups, F, self.n)
+
+    def laplacian(self, F: np.ndarray) -> np.ndarray:
+        """Graph Laplacian ``sum_y k(x, y) (F(y) - F(x))`` at every vertex ``x``.
+
+        ``F`` is one field of shape ``(n,)`` or a batch of shape ``(rows, n)``.
+        One scatter over the entry table (:attr:`_laplacian_table`) adds row
+        ``x``'s stored entries in storage order, starting from 0, and then
+        ``-degree(x) F(x)``, so the result equals ``kernel_sum(F) - degree *
+        F`` bit for bit: ``S + (-d) F`` rounds as ``S - d F`` does.
+        """
+        rows, columns, weights, groups = self._laplacian_table
+        if F.ndim == 1:
+            return np.bincount(rows, weights=weights * F[columns], minlength=self.n)
+        if len(F) == 1:
+            return self.laplacian(F[0])[None]
+        return _group_sums(groups, F, self.n)
 
     @cached_property
-    def _row_groups(self) -> list[tuple[np.ndarray | None, np.ndarray, np.ndarray]]:
-        """The rows with stored entries, grouped by their entry count ``c``.
+    def _row_groups(self) -> list:
+        """The stored entries in :func:`_group_sums` groups."""
+        return _slot_groups(self.indptr, self.indices, self.data, self.n)
 
-        Each group is ``(rows, columns, weights)``: ``columns[s]`` and
-        ``weights[s]`` hold the ``s``-th stored entry of every row of the
-        group, ``columns`` of shape ``(c, len(rows))`` and ``weights`` with a
-        trailing axis for the fields.  ``rows`` is None when the group is
-        every vertex, in order.
+    @cached_property
+    def _laplacian_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """Rows, columns and weights of the Laplacian's entries, and their row groups.
+
+        Row ``x`` holds its stored entries in storage order and then weight
+        ``-degree(x)`` at column ``x``, also where it stores no entries.
         """
-        counts = np.diff(self.indptr)
-        groups = []
-        for c in np.unique(counts[counts > 0]):
-            rows = np.flatnonzero(counts == c)
-            at = self.indptr[rows] + np.arange(c)[:, None]
-            groups.append((None if len(rows) == self.n else rows, self.indices[at], self.data[at, None]))
-        return groups
+        n = self.n
+        rows = np.concatenate((self.rows, np.arange(n)))
+        columns = np.concatenate((self.indices, np.arange(n)))
+        weights = np.concatenate((self.data, -self.degree))
+        order = np.argsort(rows, kind="stable")
+        rows, columns, weights = rows[order], columns[order], weights[order]
+        return rows, columns, weights, _slot_groups(_indptr(rows, n), columns, weights, n)
 
     @cached_property
     def _matrix(self):
@@ -191,6 +199,41 @@ class Graph:
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     """CSR row pointer of entries stored row by row with these row indices."""
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def _slot_groups(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, n: int) -> list:
+    """The rows of a CSR table with entries, grouped by their entry count ``c``.
+
+    Each group is ``(rows, columns, weights)``: ``columns[s]`` and
+    ``weights[s]`` hold the ``s``-th entry of every row of the group,
+    ``columns`` of shape ``(c, len(rows))`` and ``weights`` with a trailing
+    axis for the fields.  ``rows`` is None when the group is every vertex,
+    in order.
+    """
+    counts = np.diff(indptr)
+    groups = []
+    for c in np.flatnonzero(np.bincount(counts)[1:]) + 1:  # not np.unique, which imports numpy.ma
+        rows = np.flatnonzero(counts == c)
+        at = indptr[rows] + np.arange(c)[:, None]
+        groups.append((None if len(rows) == n else rows, indices[at], data[at, None]))
+    return groups
+
+
+def _group_sums(groups: list, F: np.ndarray, n: int) -> np.ndarray:
+    """Row sums ``sum_s weights[s] F(columns[s])`` of a batch ``F``, 0 at rows in no group."""
+    # The terms of a group are laid out (slot, vertex, field) in memory with
+    # at least two elements after the slot axis, and numpy adds along an
+    # axis that is not the fastest one element by element, so each sum
+    # starts from 0 and runs slot by slot (pairwise summation only runs
+    # along the fastest).
+    out = np.zeros((n, len(F)))
+    for rows, columns, weights in groups:
+        terms = F.T[columns]
+        terms *= weights
+        if rows is None:
+            return np.add.reduce(terms, axis=0).T
+        out[rows] = np.add.reduce(terms, axis=0)
+    return out.T
 
 
 def _stored_entries(kernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

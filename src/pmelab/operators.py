@@ -181,13 +181,26 @@ def exp_remainder_m(m: float, r):
     """
     m = check_exponent(m)
     r = np.asarray(r, dtype=float)
-    lead = exp_remainder(m / (m - 1.0) * r)
+    q = m / (m - 1.0)
+    lead = exp_remainder(q * r)
     with np.errstate(invalid="ignore"):
         out = np.where(
             np.isinf(lead),
             np.inf,
             (m - 1.0) ** 2 / m * lead - (m - 1.0) * exp_remainder(r),
         )
+    # The two terms are about r^2/2 times a factor and cancel to r^2/2, so
+    # for small r they lose digits and, once subnormal, the sign.  For
+    # |q r| < 1/2 sum the series sum_k s_k r^k / k! with positive
+    # s_k = 1 + q + ... + q^(k-2) instead, by Horner to k = 24.
+    small = np.abs(q * r) < 0.5
+    rs, s = r[small], [1.0]
+    for _ in range(22):
+        s.append(1.0 + q * s[-1])  # s_2 .. s_24
+    tail = s[-1]
+    for k in range(24, 2, -1):
+        tail = s[k - 3] + rs * tail / k
+    out[small] = 0.5 * rs * rs * tail
     return float(out) if out.ndim == 0 else out
 
 
@@ -305,8 +318,12 @@ def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
 
 # -- batched core ----------------------------------------------------------
 # ``K`` is a kernel: a graph, summed from its CSR arrays, or a matrix such as
-# a two-hop ball's dense one; ``deg`` its row sums.  Callers validate and set
-# the error state.
+# a two-hop ball's dense one; ``deg`` is the degree of the graph ``K`` comes
+# from, which for a ball is not the row sums of ``K``.  A graph's Laplacian
+# reads its cached entry table, each row's stored entries followed by
+# ``-degree`` at the diagonal, in one scatter (``np.bincount`` for one field,
+# the slot-by-slot row-group reduction for a batch); a matrix's is
+# ``K F - deg F``.  Callers validate and set the error state.
 
 
 def _ksum(K, F):
@@ -323,7 +340,15 @@ def _ksum(K, F):
 
 
 def _lap(K, deg, F):
-    """Laplacian ``sum_y K(x,y) (F(y) - F(x))``."""
+    """Laplacian ``sum_y K(x,y) (F(y) - F(x))``.
+
+    On a graph this is :meth:`Graph.laplacian`, one scatter over its entry
+    table; a matrix kernel subtracts ``deg * F``.
+    """
+    if F.ndim > 2:
+        return _lap(K, deg, F.reshape(-1, F.shape[-1])).reshape(F.shape)
+    if isinstance(K, Graph):
+        return K.laplacian(F)
     return _ksum(K, F) - deg * F
 
 

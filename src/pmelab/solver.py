@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -276,8 +276,9 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
 
     t, y = t0, u0
     k = np.empty((7, g.n))
+    flow = partial(_flow, g, g.degree, m)  # bound once: small graphs are bound by call overhead
     with np.errstate(invalid="ignore", over="ignore"):
-        f = _flow(g, g.degree, m, y)
+        f = flow(y)
         ts, ys, fs = [t], [y], [f]
         rhs_evals, error_rejections, positivity_rejections = 1, 0, 0
         if cfg.initial_step is not None:
@@ -301,7 +302,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
                 h = t_end - t  # leave no remainder below the floor
             k[0] = f
             for s in range(5):
-                k[s + 1] = _flow(g, g.degree, m, y + h * (_DP_A[s] @ k[: s + 1]))
+                k[s + 1] = flow(y + h * (_DP_A[s] @ k[: s + 1]))
             rhs_evals += 5
             # A non-finite stage makes every later stage non-finite, so one
             # test after the last stage decides as a test after each would;
@@ -311,7 +312,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
                 positivity_rejections += 1
                 h *= 0.5
                 continue
-            k[6] = f_new = _flow(g, g.degree, m, y_new)
+            k[6] = f_new = flow(y_new)
             rhs_evals += 1
             err = h * (_DP_E @ k)
             # y and y_new are both positive here, so no absolute values

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmelab import SearchConfig, SolverConfig, ab_check, load_edge_list
+from pmelab import SearchConfig, SolverConfig, ab_check, integrate, load_edge_list, square_graph
 from pmelab.cli import REPRODUCE_IDS, build_parser, main, resolve_reproduce
 from pmelab.errors import ValidationError
 
@@ -256,6 +256,9 @@ def test_check_ab_passes_at_the_square_optimum(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = read_json(out / "report_ab.json")
     assert report["passed"] is True
+    traj = integrate(square_graph(), 2.0, [1.2, 0.9, 1.05, 0.8], np.linspace(0.1, 1.5, 29))
+    assert report["solver_stats"] == traj.stats.to_json_dict()
+    assert report["solver_stats"]["accepted_steps"] > 0
     assert (out / "slack_ab.csv").is_file()
     assert (out / "slack_ab.svg").is_file()
 
@@ -530,6 +533,15 @@ def test_config_echoes_exactly_the_parsed_settings(tmp_path):
         (["check", "harnack", "--graph", "square", "--mu", "1e308"], "t2**(mu + 1) = "),
         (["check", "harnack", "--graph", "square", "--mu", "1.3", "--t-end", "1e300"], "t2**(mu + 1) = "),
         (["check", "harnack", "--graph", "square", "--mu", "0.01", "--t-end", "1e300"], "(t2 - t1)**2 = "),
+        (
+            ["check", "harnack", "--graph", "square", "--mu", "150", "--u0", "const:1e100", "--t-end", "100"],
+            "overflows a float at the pair",
+        ),
+        (["check", "ab", "--graph", "square", "--m", "3", "--d", "1.3334", "--u0", "const:1e-200"], "AB slack is nan"),
+        (
+            ["check", "diff-harnack", "--graph", "square", "--m", "3", "--mu", "1", "--u0", "const:1e100"],
+            "differential Harnack slack is nan",
+        ),
     ],
 )
 def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, message):

@@ -274,6 +274,47 @@ def test_two_hop_ball_against_hop_distance(seed):
         assert (y in ball) == close
 
 
+# -- the Laplacian entry table ---------------------------------------------
+
+
+def _laplacian_cases():
+    graphs = {spec: resolve_graph(spec) for spec in ("square", "complete:3", "complete:5", "complete:30", "path:16")}
+    graphs.update({f"zwindow:{r}": lattice_window(r) for r in (10, 100)})
+    rng = np.random.default_rng(5)
+    mat = np.triu((rng.random((20, 20)) < 0.3) * rng.uniform(0.01, 100.0, (20, 20)), 1)
+    graphs["weighted:20"] = Graph([f"w{i}" for i in range(20)], mat + mat.T)
+    # "c" stores no entries, and (a, c) is stored twice
+    graphs["no-out-edges"] = Graph(
+        ["a", "b", "c"], (np.array([0.1, 1e9, 0.4, 2.5, 3.0]), np.array([2, 2, 1, 0, 2]), np.array([0, 3, 5, 5]))
+    )
+    return graphs
+
+
+def _laplacian_fields(n, rows, seed):
+    """Fields from 1e-100 to 1e100 in size, of both signs, some with infinite entries."""
+    rng = np.random.default_rng(seed)
+    F = rng.choice([-1.0, 1.0], (rows, n)) * 10.0 ** rng.uniform(-100.0, 100.0, (rows, n))
+    F[0] = np.inf
+    F[1, 0] = np.inf
+    F[2, -1] = -np.inf
+    F[3, :2] = (np.inf, -np.inf)
+    F[4] = -0.0
+    return F
+
+
+@pytest.mark.parametrize("spec", list(_laplacian_cases()))
+def test_laplacian_equals_kernel_sum_minus_degree_times_field_byte_for_byte(spec):
+    g = _laplacian_cases()[spec]
+    F = _laplacian_fields(g.n, 300, seed=g.n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for f in F:
+            assert g.laplacian(f).tobytes() == (g.kernel_sum(f) - g.degree * f).tobytes()
+        for rows in (1, 2, 7):
+            for batch in np.split(F[: 42 * rows], 42):
+                want = g.kernel_sum(batch) - g.degree * batch
+                assert g.laplacian(batch).tobytes() == want.tobytes()
+
+
 # -- edge-list files -------------------------------------------------------
 
 

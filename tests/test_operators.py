@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmelab import (
     carre_du_champ,
@@ -154,9 +154,18 @@ def test_exp_remainder_m_collapses_at_m_two(size, sign):
 
 
 @given(EXPONENTS, st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
+@example(m=3.0, r=2.354113080235234e-162)
 @settings(max_examples=300)
 def test_exp_remainder_m_is_nonnegative(m, r):
     assert exp_remainder_m(m, r) >= 0.0
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0, 5.0, 50.0])
+def test_exp_remainder_m_is_nonnegative_where_its_terms_are_subnormal(m):
+    # both terms are about r^2/2 here, and their difference once rounded to
+    # a negative subnormal; the series form keeps the sign
+    grid = np.geomspace(1e-170, 1e-150, 20001)
+    assert exp_remainder_m(m, np.concatenate((grid, -grid))).min() >= 0.0
 
 
 def test_exp_remainder_keeps_full_precision_near_zero():
