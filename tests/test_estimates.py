@@ -172,6 +172,17 @@ def test_rhs_forms_refuse_an_overflowing_power(mu, t2):
         harnack_rhs_distance(g, mu, 0.0, 1.0, t2, "1", "3")
 
 
+def test_harnack_check_refuses_a_slack_past_the_float_range():
+    # t^mu v overflows on a huge state; a weight of 1e-308 puts both corrections past the range
+    traj = integrate(path_graph(3), 2.0, [1e100] * 3, np.linspace(1.0, 100.0, 5))
+    with pytest.raises(DomainError, match=r"t\*\*mu \* v = 100.0\*\*150.0 \* 2e\+100 overflows a float"):
+        harnack_check(traj, 150.0, 0.0, [(1.0, 100.0, "1", "3")])
+    g = build_graph([("a", "b", 1e-308), ("b", "c", 1.0)], symmetrize=True)
+    traj = integrate(g, 2.0, [1.0, 1.0, 1.0], np.linspace(0.5, 2.0, 5))
+    with pytest.raises(DomainError, match="the Harnack correction overflows a float"):
+        harnack_check(traj, 1.3, 0.0, [(0.5, 2.0, "a", "b")])
+
+
 @given(st.integers(min_value=0, max_value=100))
 @settings(max_examples=60, deadline=None)
 def test_geodesic_path_never_beats_the_distance_form(seed):
