@@ -230,7 +230,7 @@ class _BallProblem:
         rows, cols = local[g.rows], local[g.indices]
         inside = (rows >= 0) & (cols >= 0)
         self.kmat = np.zeros((len(idx), len(idx)))
-        np.add.at(self.kmat, (rows[inside], cols[inside]), g.data[inside])  # duplicates add in storage order
+        self.kmat[rows[inside], cols[inside]] = g.data[inside]
         # full-graph degrees: rows for the closed one-hop neighborhood are
         # complete inside the ball, and only those rows are ever used.
         self.deg = g.degree[idx]

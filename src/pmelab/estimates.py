@@ -35,7 +35,7 @@ import numpy as np
 
 from .artifacts import jsonable, write_csv
 from .errors import DomainError, LambdaOneError, ValidationError
-from .graphs import Graph, graph_distance, k_min
+from .graphs import Graph, _slot_groups, graph_distance, k_min
 from .operators import (
     _dtv,
     _gradient_energy,
@@ -145,6 +145,7 @@ def _check_lambda_mu(lam: float, mu: float) -> None:
         raise DomainError("mu must be positive and finite")
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a nan slack raises a DomainError
 def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> EstimateReport:
     """Check the time-scaled upper bound on the mixed pressure Laplacian.
 
@@ -180,6 +181,7 @@ def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> Est
     )
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a nan slack raises a DomainError
 def diff_harnack_residual(traj: Trajectory, lam: float, mu: float, tol: float = 1e-8) -> EstimateReport:
     """Check ``dv/dt >= (1-lambda) gradient_energy(v) - (mu/t) v``.
 
@@ -278,21 +280,16 @@ def _path_minima(g: Graph, mu: float, lam: float, rows: list) -> np.ndarray:
     """
     t1, t2, sources, targets, n_edges = (np.array(c) for c in zip(*rows))
     increments, scale = _path_terms(mu, lam, t1, t2, n_edges)
-    keys = np.unique(g.rows * g.n + g.indices)  # the directed edges y -> z as y * n + z
-    tails, heads = np.divmod(keys, g.n)
-    reverse, weights = np.searchsorted(keys, heads * g.n + tails), g.pair_sums(g.data)[0]
-    counts = np.bincount(tails)
-    groups = []  # per out-degree c: the (c, vertices) positions of those vertices' edges, and of their reverses
-    for c in np.unique(counts[counts > 0]):
-        at = (np.cumsum(counts) - counts)[counts == c] + np.arange(c)[:, None]
-        groups.append((at, reverse[at]))
+    tails, heads, weights = g.rows, g.indices, g.data  # the directed edges y -> z
+    # per out-degree c: the (c, vertices) positions of those vertices' edges, and of their reverses
+    groups = [(at, back) for _, at, back in _slot_groups(g.indptr, g.n, np.arange(len(tails)), g.reverse)]
     best = np.full(len(sources), np.inf)
     order = np.argsort(-n_edges, kind="stable")  # longest first: the rows still walking are a prefix
     lengths, inc = n_edges[order], increments[order]
     walk = np.where(tails[:, None] == sources[order], inc[:, 0] / weights[:, None], np.inf)  # (edge, row)
     for j in range(1, lengths[0] + 1):
         if j > 1:
-            step = np.empty((len(keys), np.count_nonzero(lengths >= j)))
+            step = np.empty((len(tails), np.count_nonzero(lengths >= j)))
             for at, back in groups:
                 into = walk[back, : step.shape[1]]  # into[s, v]: cheapest walks into v along the reverse of s
                 low = into.min(axis=0)
@@ -347,7 +344,8 @@ def harnack_check(
         i1, i2 = g.index(x1), g.index(x2)
         dists.append(graph_distance(g, x1, x2))
         rows += [(t1, t2, i1, i2, dists[-1] + k) for k in range(3 if x1 != x2 else 0)]
-    corrections = iter(_path_minima(g, mu, lam, rows).reshape(-1, 3).min(axis=1).tolist() if rows else [])
+    with np.errstate(over="ignore"):  # a non-finite slack raises below
+        corrections = iter(_path_minima(g, mu, lam, rows).reshape(-1, 3).min(axis=1).tolist() if rows else [])
     for (t1, t2, x1, x2), dist in zip(pairs, dists):
         v1 = pressure(m, traj.value(t1, x1))
         v2 = pressure(m, traj.value(t2, x2))

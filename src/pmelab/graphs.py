@@ -50,12 +50,16 @@ class Graph:
     ----------
     vertices : tuple of str
     indptr, indices, data : ndarray
-        The kernel as read-only CSR arrays: row ``i`` stores the weights
-        ``data[indptr[i]:indptr[i + 1]]`` at the columns ``indices[...]``
-        (``np.intp``), in the order the kernel gave them.  Zero weights are
-        dropped; an entry stored more than once counts as the sum.
+        The kernel as read-only canonical CSR arrays: row ``i`` stores the
+        weights ``data[indptr[i]:indptr[i + 1]]`` at the columns
+        ``indices[...]`` (``np.intp``), one entry per ordered pair, columns
+        ascending.  Zero weights are dropped, and a pair the kernel stores
+        more than once gets the sum of its copies, added in storage order.
     rows : ndarray
         Row index of every stored entry, aligned with ``indices``.
+    reverse : ndarray
+        Read-only position of every entry's reverse ``(y, x)`` in ``data``,
+        -1 where the kernel has none.
     symmetric : bool
         True when the kernel equals its transpose exactly.
     degree : ndarray, shape (n,)
@@ -69,24 +73,30 @@ class Graph:
             raise ValidationError("duplicate vertex identifier")
         keep = data != 0.0
         rows, indices, data = rows[keep], indices[keep], data[keep]
-        indptr = _indptr(rows, n)
         if len(data) == 0:
             raise ValidationError("kernel has no positive entries")
-        if not np.all((data >= 0.0) & (data < np.inf)):
+        # one entry per ordered pair in (row, column) order; bincount adds the copies in storage order
+        keys, at = np.unique(rows * n + indices, return_inverse=True)
+        merged = np.bincount(at, weights=data)
+        if not (np.all(data >= 0.0) and np.all(merged < np.inf)):
             raise ValidationError("edge weights must be finite and nonnegative")
+        rows, indices = np.divmod(keys, n)
         if np.any(rows == indices):
             raise ValidationError("positive self-loop weight")
-        for a in (indptr, indices, data, rows):
+        flipped = indices * n + rows
+        reverse = np.minimum(np.searchsorted(keys, flipped), len(keys) - 1)
+        reverse[keys[reverse] != flipped] = -1
+        indptr = _indptr(rows, n)
+        for a in (indptr, indices, merged, rows, reverse):
             a.flags.writeable = False
         self.vertices: tuple[str, ...] = tuple(str(v) for v in vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        self.indptr, self.indices, self.data, self.rows = indptr, indices, data, rows
+        self.indptr, self.indices, self.data, self.rows, self.reverse = indptr, indices, merged, rows, reverse
         # row sums formed as scipy's CSR ``sum(axis=1)`` forms them
         self.degree = np.zeros(n)
         nonempty = np.flatnonzero(np.diff(indptr))
-        self.degree[nonempty] = np.add.reduceat(data, indptr[nonempty])
-        weights, reverse = self.pair_sums(data)
-        self.symmetric = bool(np.array_equal(weights, reverse))
+        self.degree[nonempty] = np.add.reduceat(merged, indptr[nonempty])
+        self.symmetric = bool(np.all(reverse >= 0) and np.array_equal(merged, merged[reverse]))
 
     # -- basic queries -----------------------------------------------------
 
@@ -101,22 +111,9 @@ class Graph:
             raise ValidationError(f"unknown vertex {v!r}") from None
 
     def kernel(self, x: str, y: str) -> float:
-        """Weight of the edge ``x -> y``, 0 when there is none; entries stored twice add in storage order."""
+        """Weight ``k(x, y)`` of the edge ``x -> y``, read from its one stored entry; 0 when there is none."""
         i, j = self.index(x), self.index(y)
-        return float(np.append(0.0, self.weights_idx(i)[self.neighbors_idx(i) == j]).cumsum()[-1])
-
-    def pair_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-entry ``values`` summed at every stored pair ``(x, y)``, and at ``(y, x)``.
-
-        Returns two arrays over the distinct stored pairs: the sum at the
-        pair and the sum at its reverse, 0 where the reverse is not stored.
-        """
-        n = self.n
-        keys, at = np.unique(self.rows * n + self.indices, return_inverse=True)
-        sums = np.bincount(at, weights=values)
-        flipped = (keys % n) * n + keys // n
-        pos = np.minimum(np.searchsorted(keys, flipped), len(keys) - 1)
-        return sums, np.where(keys[pos] == flipped, sums[pos], 0.0)
+        return float(self.weights_idx(i)[self.neighbors_idx(i) == j].sum())
 
     def kernel_sum(self, F: np.ndarray) -> np.ndarray:
         """Kernel sums ``sum_y k(x, y) F(y)`` at every vertex ``x``.
@@ -153,7 +150,7 @@ class Graph:
     @cached_property
     def _row_groups(self) -> list:
         """The stored entries in :func:`_group_sums` groups."""
-        return _slot_groups(self.indptr, self.indices, self.data, self.n)
+        return _slot_groups(self.indptr, self.n, self.indices, self.data[:, None])
 
     @cached_property
     def _laplacian_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
@@ -168,7 +165,7 @@ class Graph:
         weights = np.concatenate((self.data, -self.degree))
         order = np.argsort(rows, kind="stable")
         rows, columns, weights = rows[order], columns[order], weights[order]
-        return rows, columns, weights, _slot_groups(_indptr(rows, n), columns, weights, n)
+        return rows, columns, weights, _slot_groups(_indptr(rows, n), n, columns, weights[:, None])
 
     @cached_property
     def _matrix(self):
@@ -201,21 +198,20 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
 
-def _slot_groups(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, n: int) -> list:
+def _slot_groups(indptr: np.ndarray, n: int, *values: np.ndarray) -> list:
     """The rows of a CSR table with entries, grouped by their entry count ``c``.
 
-    Each group is ``(rows, columns, weights)``: ``columns[s]`` and
-    ``weights[s]`` hold the ``s``-th entry of every row of the group,
-    ``columns`` of shape ``(c, len(rows))`` and ``weights`` with a trailing
-    axis for the fields.  ``rows`` is None when the group is every vertex,
-    in order.
+    Each group is ``(rows, *slots)``, one slot array for each per-entry
+    array in ``values``: ``slot[s]`` holds the ``s``-th entry of every row
+    of the group; its shape is ``(c, len(rows))`` plus the array's trailing
+    axes.  ``rows`` is None when the group is every vertex, in order.
     """
     counts = np.diff(indptr)
     groups = []
     for c in np.flatnonzero(np.bincount(counts)[1:]) + 1:  # not np.unique, which imports numpy.ma
         rows = np.flatnonzero(counts == c)
         at = indptr[rows] + np.arange(c)[:, None]
-        groups.append((None if len(rows) == n else rows, indices[at], data[at, None]))
+        groups.append((None if len(rows) == n else rows, *(a[at] for a in values)))
     return groups
 
 
@@ -298,7 +294,7 @@ def build_graph(edges: Iterable[tuple[str, str, float]], symmetrize: bool = Fals
     rows = np.array([i for (i, _) in entries], dtype=np.intp)
     cols = np.array([j for (_, j) in entries], dtype=np.intp)
     data = np.array(list(entries.values()), dtype=float)
-    at = np.lexsort((cols, rows))  # each row's columns ascending
+    at = np.argsort(rows, kind="stable")  # row by row, as CSR stores them
     return Graph(order, (data[at], cols[at], _indptr(rows, len(order))))
 
 
@@ -377,7 +373,7 @@ def _hop_distances(g: Graph, src: int) -> list[int]:
 
 
 def k_min(g: Graph) -> float:
-    """Smallest positive kernel entry."""
+    """Smallest positive weight ``k(x, y)`` over the ordered pairs; repeated kernel entries count as their sum."""
     return float(g.data.min())
 
 

@@ -379,7 +379,8 @@ class Measure:
             raise ValidationError("measure must be strictly positive and finite")
         object.__setattr__(self, "pi", pi)
         g = self.graph
-        flux, reverse = g.pair_sums(g.data * pi[g.rows])
+        flux = g.data * pi[g.rows]
+        reverse = np.where(g.reverse >= 0, flux[g.reverse], 0.0)
         if np.abs(flux - reverse).max() > 1e-12 * max(1.0, flux.max()):
             raise ValidationError("measure violates detailed balance for this graph")
 

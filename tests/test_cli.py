@@ -550,6 +550,21 @@ def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, messa
     assert err.startswith("error: ") and message in err, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the pressure of 1e-200 underflows to 0 at m = 3, so an AB slack is 0/0
+        ["check", "ab", "--graph", "square", "--m", "3", "--d", "1.3334", "--u0", "const:1e-200"],
+        ["check", "diff-harnack", "--graph", "square", "--m", "3", "--mu", "1", "--u0", "const:1e100"],
+    ],
+)
+def test_a_nan_slack_writes_only_its_error_line(tmp_path, argv):
+    # in a fresh process, so a RuntimeWarning would reach stderr as it does for a user
+    proc = run_cli(*argv, "--out", tmp_path / "run")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_a_non_finite_edge_weight_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("a b nan\nb c 1\n")

@@ -1,6 +1,8 @@
 """Time-scaled regularity estimates, Harnack bounds and scalar lemmas."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +183,17 @@ def test_harnack_check_refuses_a_slack_past_the_float_range():
     traj = integrate(g, 2.0, [1.0, 1.0, 1.0], np.linspace(0.5, 2.0, 5))
     with pytest.raises(DomainError, match="the Harnack correction overflows a float"):
         harnack_check(traj, 1.3, 0.0, [(0.5, 2.0, "a", "b")])
+
+
+def test_a_harnack_check_leaves_numpy_ma_unloaded():
+    # a plain np.unique imports numpy.ma, about 0.55 MB of every process that ran one
+    code = (
+        "import sys, numpy as np, pmelab\n"
+        "traj = pmelab.integrate(pmelab.square_graph(), 2.0, [1.2, 0.9, 1.05, 0.8], np.linspace(0.1, 2.0, 20))\n"
+        "pmelab.harnack_check(traj, 1.5, 0.0, [(0.1, 2.0, 'x', 'z'), (0.5, 1.0, 'y1', 'y1')])\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
 
 @given(st.integers(min_value=0, max_value=100))

@@ -114,8 +114,9 @@ def test_kernel_forms_give_the_same_csr_arrays():
         np.testing.assert_array_equal(g.indptr, [0, 2, 3, 4])
         np.testing.assert_array_equal(g.indices, [1, 2, 0, 1])
         np.testing.assert_array_equal(g.data, [2.0, 0.5, 2.0, 3.0])
+        np.testing.assert_array_equal(g.reverse, [2, -1, 0, -1])
         assert g.indices.dtype == np.intp
-        assert not g.data.flags.writeable
+        assert not g.data.flags.writeable and not g.reverse.flags.writeable
         assert not g.symmetric
 
 
@@ -272,6 +273,84 @@ def test_two_hop_ball_against_hop_distance(seed):
         except NoPathError:
             close = False
         assert (y in ball) == close
+
+
+# -- repeated kernel entries -----------------------------------------------
+
+
+# (vertices, rows of (column, weight) entries in storage order)
+_REPEATED = {
+    # the square with k(x, y1) and k(y1, x) each stored as 0.5 + 0.5
+    "square": (
+        ["x", "y1", "y2", "z"],
+        [[(1, 0.5), (2, 1.0), (1, 0.5)], [(0, 0.5), (3, 1.0), (0, 0.5)], [(0, 1.0), (3, 1.0)], [(1, 1.0), (2, 1.0)]],
+    ),
+    # a 5-cycle with one chord, columns unsorted; k(a, b) is stored as 0.5 + 0.75
+    "csr-duplicate": (
+        list("abcde"),
+        [[(1, 0.5), (4, 1.0), (1, 0.75), (2, 2.0)], [(0, 1.25), (2, 1.0)], [(1, 1.0), (3, 0.3), (0, 2.0)],
+         [(2, 0.3), (4, 1.7)], [(3, 1.7), (0, 1.0)]],
+    ),
+}
+
+
+def _csr_graph(names, rows):
+    entries = [e for row in rows for e in row]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return Graph(names, (np.array([w for _, w in entries]), np.array([j for j, _ in entries]), indptr))
+
+
+def _merged_rows(rows):
+    """Each row with one entry per column, its copies added in storage order, columns ascending."""
+    merged = []
+    for row in rows:
+        sums = {}
+        for j, w in row:
+            sums[j] = sums.get(j, 0.0) + w
+        merged.append(sorted(sums.items()))
+    return merged
+
+
+def _same_arrays(g, h):
+    for name in ("indptr", "indices", "data", "rows", "reverse", "degree"):
+        a, b = getattr(g, name), getattr(h, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("spec", list(_REPEATED))
+def test_a_kernel_with_repeated_entries_is_the_graph_of_their_sums(spec, tmp_path):
+    from pmelab import Measure, SearchConfig, harnack_check, integrate, verify_cd_at
+
+    names, rows = _REPEATED[spec]
+    g, twin = _csr_graph(names, rows), _csr_graph(names, _merged_rows(rows))
+    _same_arrays(g, twin)
+    assert g.symmetric and twin.symmetric
+    assert k_min(g) == k_min(twin)
+    for seed in range(3):
+        reports = [verify_cd_at(h, 2.0, 0.0, 4.0 / 3.0, names[0], SearchConfig(seed=seed)) for h in (g, twin)]
+        assert reports[0].to_json_dict() == reports[1].to_json_dict()
+    rng = np.random.default_rng(7)
+    u0, times = rng.uniform(0.5, 1.5, len(names)), np.linspace(0.1, 3.0, 20)
+    pairs = [(0.1, 3.0, x1, x2) for x1 in names for x2 in names]
+    records = [harnack_check(integrate(h, 2.0, u0, times), 1.5, 0.0, pairs).records for h in (g, twin)]
+    assert records[0] == records[1]
+    for pi in (np.ones(len(names)), np.arange(1.0, len(names) + 1.0)):
+        outcomes = []
+        for h in (g, twin):
+            try:
+                outcomes.append(Measure(h, pi).pi.tobytes())
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+    save_edge_list(g, tmp_path / "g.txt")
+    loaded = load_edge_list(tmp_path / "g.txt")  # vertices in the order the file names them
+    assert sorted(loaded.vertices) == sorted(names)
+    assert all(loaded.kernel(x, y) == twin.kernel(x, y) for x in names for y in names)
+
+
+def test_repeated_entries_whose_sum_overflows_are_rejected():
+    with pytest.raises(ValidationError, match="finite"):
+        Graph(["a", "b"], (np.array([1e308, 1e308, 1.0]), np.array([1, 1, 0]), np.array([0, 2, 3])))
 
 
 # -- the Laplacian entry table ---------------------------------------------

@@ -588,12 +588,16 @@ def _kernel_cases():
     # asymmetric, and "c" has no out-edges
     g = build_graph([("a", "b", 0.1), ("b", "c", 3.0), ("a", "c", 1e9), ("b", "a", 2.5)])
     cases.append((g, g.kernel_matrix()))
-    # unsorted column indices, and the entry (0, 2) stored three times
+    # unsorted column indices, and the entry (0, 2) stored three times: the
+    # graph keeps one entry per pair, the three added in storage order
     raw = sp.csr_array(
         (np.array([0.1, 2.0, 0.2, 0.3, 0.7, 1.5]), np.array([2, 1, 2, 2, 0, 0]), np.array([0, 4, 5, 6])),
         shape=(3, 3),
     )
-    cases.append((Graph(["a", "b", "c"], raw), raw))
+    g = Graph(["a", "b", "c"], raw)
+    np.testing.assert_array_equal(g.data.view(np.int64), np.array([2.0, 0.1 + 0.2 + 0.3, 0.7, 1.5]).view(np.int64))
+    assert 0.1 + 0.2 + 0.3 != 0.1 + (0.2 + 0.3)
+    cases.append((g, g.kernel_matrix()))
     # a hub of 3000 leaves, and rows of many distinct entry counts
     for edges in (
         [("hub", f"l{i}", 1.0) for i in range(3000)],
