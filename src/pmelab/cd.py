@@ -34,6 +34,7 @@ from .artifacts import jsonable
 from .errors import AdmissibilityError, DomainError, ValidationError
 from .graphs import Graph, path_graph, two_hop_ball
 from .operators import (
+    _block_count,
     _curvature_form,
     _mixed_laplacian,
     as_field,
@@ -252,7 +253,7 @@ class _BallProblem:
         bounded and reused from the heap.  Any other batch is scored as it
         is, without a copy.
         """
-        count = min(-(-U.size // _BLOCK_VALUES), len(U) // _MIN_ROWS)
+        count = _block_count(len(U), U.shape[1], _BLOCK_VALUES, _MIN_ROWS)
         if count < 2:
             return self._score(U)
         parts = [self._score(np.asfortranarray(block)) for block in np.array_split(U, count)]

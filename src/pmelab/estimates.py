@@ -35,15 +35,15 @@ import numpy as np
 
 from .artifacts import jsonable, write_csv
 from .errors import DomainError, LambdaOneError, ValidationError
-from .graphs import Graph, _slot_groups, graph_distance, k_min
+from .graphs import Graph, _hop_distances, _slot_groups, graph_distance, k_min
 from .operators import (
+    _block_count,
     _dtv,
     _gradient_energy,
     _mixed_laplacian,
     _pressure,
     check_exponent,
     check_mixing,
-    pressure,
 )
 from .solver import Trajectory, _window_slack
 
@@ -269,6 +269,13 @@ def harnack_rhs_distance(g: Graph, mu: float, lam: float, t1: float, t2: float, 
     return _distance_correction(graph_distance(g, x1, x2), k_min(g), mu, lam, t1, t2)
 
 
+# The path recursion runs over blocks of rows holding about this many
+# (directed edge, row) values each: its several arrays of that shape then
+# take a few tens of MB on any graph (100 pairs on complete:200 would
+# otherwise hold over 1e7 values per array).
+_PATH_BLOCK_VALUES = 2**19
+
+
 def _path_minima(g: Graph, mu: float, lam: float, rows: list) -> np.ndarray:
     """Least :func:`harnack_rhs_path` over the simple paths of ``N`` edges, per ``(t1, t2, i1, i2, N)`` row.
 
@@ -276,30 +283,55 @@ def _path_minima(g: Graph, mu: float, lam: float, rows: list) -> np.ndarray:
     non-backtracking walks (cutting a closed sub-walk of 3 or more edges out of such a walk would
     leave one shorter than the distance), so a min-plus recursion over directed edges, with
     ``y -> z`` extending the cheapest walk into ``y`` not from ``z``, finds each least path-order
-    sum bit for bit: rounded addition is monotone.  Rows with no such path get inf.
+    sum bit for bit: rounded addition is monotone.  Rows with no such path get inf.  Rows are
+    independent, so the recursion runs over blocks of ``_PATH_BLOCK_VALUES`` values.
     """
     t1, t2, sources, targets, n_edges = (np.array(c) for c in zip(*rows))
     increments, scale = _path_terms(mu, lam, t1, t2, n_edges)
-    tails, heads, weights = g.rows, g.indices, g.data  # the directed edges y -> z
     # per out-degree c: the (c, vertices) positions of those vertices' edges, and of their reverses
-    groups = [(at, back) for _, at, back in _slot_groups(g.indptr, g.n, np.arange(len(tails)), g.reverse)]
-    best = np.full(len(sources), np.inf)
+    groups = [(at, back) for _, at, back in _slot_groups(g.indptr, g.n, np.arange(len(g.rows)), g.reverse)]
+    best = np.empty(len(rows))
     order = np.argsort(-n_edges, kind="stable")  # longest first: the rows still walking are a prefix
-    lengths, inc = n_edges[order], increments[order]
-    walk = np.where(tails[:, None] == sources[order], inc[:, 0] / weights[:, None], np.inf)  # (edge, row)
+    for block in np.array_split(order, _block_count(len(order), len(g.rows), _PATH_BLOCK_VALUES, 1)):
+        best[block] = _least_walks(g, groups, sources[block], targets[block], n_edges[block], increments[block])
+    return scale * best
+
+
+def _out_edges(g: Graph, vertices: np.ndarray):
+    """The out-edges of each of ``vertices``, concatenated.
+
+    Returns their positions, the index into ``vertices`` of each, and where
+    each vertex's run of edges starts.
+    """
+    first, counts = g.indptr[vertices], g.indptr[vertices + 1] - g.indptr[vertices]
+    starts = np.cumsum(counts) - counts
+    row = np.repeat(np.arange(len(vertices)), counts)
+    return first[row] + np.arange(len(row)) - starts[row], row, starts
+
+
+def _least_walks(g: Graph, groups: list, sources, targets, lengths, inc) -> np.ndarray:
+    """The :func:`_path_minima` recursion for rows sorted by decreasing length, without the prefactor."""
+    weights = g.data  # of the directed edges y -> z, in storage order
+    best = np.full(len(sources), np.inf)
+    walk = np.full((len(weights), len(sources)), np.inf)  # (edge, row)
+    edges, row, _ = _out_edges(g, sources)
+    walk[edges, row] = inc[row, 0] / weights[edges]
     for j in range(1, lengths[0] + 1):
         if j > 1:
-            step = np.empty((len(tails), np.count_nonzero(lengths >= j)))
+            step = np.empty((len(weights), np.count_nonzero(lengths >= j)))
             for at, back in groups:
                 into = walk[back, : step.shape[1]]  # into[s, v]: cheapest walks into v along the reverse of s
                 low = into.min(axis=0)
                 tie = into == low
                 other = np.where(tie.sum(axis=0) == 1, np.where(tie, np.inf, into).min(axis=0), low)
                 step[at] = np.where(tie, other, low)
-            walk = step + inc[: step.shape[1], j - 1] / weights[:, None]
+            step += inc[: step.shape[1], j - 1] / weights[:, None]
+            walk = step
         done = np.flatnonzero(lengths[: walk.shape[1]] == j)
-        best[order[done]] = np.where(heads[:, None] == targets[order[done]], walk[:, done], np.inf).min(axis=0)
-    return scale * best
+        if len(done):  # the edges into a target are the reverses of its out-edges, of which it has at least one
+            edges, row, starts = _out_edges(g, targets[done])
+            best[done] = np.minimum.reduceat(walk[g.reverse[edges], done[row]], starts)
+    return best
 
 
 def harnack_check(
@@ -317,9 +349,13 @@ def harnack_check(
     path form minimized over all simple paths of at most
     ``distance + 2`` edges.  The reported per-pair slack is the smaller of
     the two, and the report kind names the form attaining the overall
-    minimum.  Every slack equals the one built from :func:`harnack_rhs_distance`
-    and :func:`harnack_rhs_path`; the path minima of all pairs come from one
-    min-plus recursion over directed edges (:func:`_path_minima`).  A
+    minimum.  Every slack equals the one built from :func:`harnack_rhs_distance`,
+    :func:`harnack_rhs_path` and :meth:`Trajectory.value`: the states at
+    all pair times are read in one call of the dense interpolant (or, with
+    no dense data, at the reported times), their pressures in one
+    evaluation, the hop distances by one breadth-first search per distinct
+    source vertex, and the path minima of all pairs by one min-plus
+    recursion over directed edges (:func:`_path_minima`).  A
     slack that is not finite, because ``t^mu v`` overflows, raises a
     :class:`DomainError` instead of a verdict.
     """
@@ -336,19 +372,26 @@ def harnack_check(
     best_form = "harnack_distance"
     argmin: dict = {}
     records = []
-    dists, rows = [], []  # rows: (t1, t2, i1, i2, edge count) of each path form
+    hops: dict = {}  # hop distances from each source vertex index
+    times, at, dists, rows = [], [], [], []  # rows: (t1, t2, i1, i2, edge count) of each path form
     for t1, t2, x1, x2 in pairs:
         _check_harnack_params(mu, lam, t1, t2)
         if t1 < t_lo - slack_t or t2 > t_hi + slack_t:
             raise ValidationError("pair times outside the trajectory range")
         i1, i2 = g.index(x1), g.index(x2)
-        dists.append(graph_distance(g, x1, x2))
+        if i1 not in hops:
+            hops[i1] = _hop_distances(g, i1)
+        if hops[i1][i2] < 0:
+            graph_distance(g, x1, x2)  # raises the NoPathError that names the pair
+        dists.append(hops[i1][i2])
+        times += (t1, t2)
+        at += (i1, i2)
         rows += [(t1, t2, i1, i2, dists[-1] + k) for k in range(3 if x1 != x2 else 0)]
     with np.errstate(over="ignore"):  # a non-finite slack raises below
         corrections = iter(_path_minima(g, mu, lam, rows).reshape(-1, 3).min(axis=1).tolist() if rows else [])
-    for (t1, t2, x1, x2), dist in zip(pairs, dists):
-        v1 = pressure(m, traj.value(t1, x1))
-        v2 = pressure(m, traj.value(t2, x2))
+    U = traj.dense(np.array(times)) if traj.dense is not None else np.array([traj.state_at(t) for t in times])
+    v = _pressure(m, U[np.arange(len(at)), at]).tolist()
+    for (t1, t2, x1, x2), dist, v1, v2 in zip(pairs, dists, v[0::2], v[1::2]):
         lhs = t1**mu * v1
         base = t2**mu * v2
         slack = base + _distance_correction(dist, kmin, mu, lam, t1, t2) - lhs

@@ -421,6 +421,15 @@ def _curvature_form(K, deg, m, alpha, U, i, nb, w):
     return lead - trail * ux ** (m - 2.0) * LP[..., i]
 
 
+def _block_count(rows: int, width: int, budget: int, min_rows: int) -> int:
+    """How many near-equal blocks (``np.array_split``) to cut ``rows`` rows of ``width`` values into.
+
+    Enough that a block holds at most ``budget`` values plus one row, but no
+    more than leave each block ``min_rows`` rows, and at least one.
+    """
+    return max(1, min(-(-rows * width // budget), rows // min_rows))
+
+
 # -- alternate operation names ---------------------------------------------
 
 upsilon = exp_remainder

@@ -21,9 +21,12 @@ The whole step loop runs in one ``np.errstate`` scope that silences the
 overflow and invalid-value warnings of rejected steps.  Accepted steps keep
 their endpoint derivatives, requested output times are filled by cubic
 Hermite interpolation between them, and :class:`SolverStats` counts what
-the run did.  A point query (:meth:`Trajectory.state_at`) evaluates the
-same Hermite expression on Python floats, so it equals the matching row of
-the vectorised interpolant bit for bit.  Both accept times up to
+the run did.  The steps' states and derivatives are stored as one
+read-only table of interleaved rows ``y_0, f_0, y_1, f_1, ...``, so a point
+query (:meth:`Trajectory.state_at`) takes its step's four rows as one
+contiguous slice and sums them, weighted by the Hermite weights computed
+on Python floats, in one reduction; it equals the matching row of the
+vectorised interpolant bit for bit.  Both accept times up to
 ``1e-12`` of the span (never less than four ulps of the end) outside the
 integrated range.
 """
@@ -116,28 +119,30 @@ def _window_slack(t_start: float, t_end: float, rel: float) -> float:
     return max(rel * (t_end - t_start), 4.0 * math.ulp(t_end))
 
 
-def _hermite(s, h, y0, y1, f0, f1):
-    """Cubic Hermite interpolant at fraction ``s`` of a step ``h``.
+def _hermite_weights(s, h):
+    """Weights of ``y0, f0, y1, f1`` in the cubic Hermite interpolant at fraction ``s`` of a step ``h``.
 
     ``s`` and ``h`` are Python floats for one time, or columns of shape
-    ``(k, 1)`` against rows of shape ``(k, n)``; both do the same operations.
+    ``(k, 1)`` for ``k`` times; both do the same operations.
     """
     s2, s3 = s * s, s * s * s
-    return (
-        (2.0 * s3 - 3.0 * s2 + 1.0) * y0
-        + (s3 - 2.0 * s2 + s) * h * f0
-        + (-2.0 * s3 + 3.0 * s2) * y1
-        + (s3 - s2) * h * f1
-    )
+    return 2.0 * s3 - 3.0 * s2 + 1.0, (s3 - 2.0 * s2 + s) * h, -2.0 * s3 + 3.0 * s2, (s3 - s2) * h
 
 
 class _Dense:
-    """Cubic Hermite interpolant over the accepted steps."""
+    """Cubic Hermite interpolant over the accepted steps.
 
-    def __init__(self, ts: np.ndarray, ys: np.ndarray, fs: np.ndarray):
+    ``table`` holds the rows ``y_0, f_0, y_1, f_1, ...`` of the step
+    endpoints' states and derivatives, read-only; ``ys`` and ``fs`` are
+    strided views of it, so step ``i``'s four rows are one contiguous slice.
+    """
+
+    def __init__(self, ts: np.ndarray, table: np.ndarray):
+        table.setflags(write=False)
         self.ts = ts
-        self.ys = ys
-        self.fs = fs
+        self.table = table
+        self.ys = table[0::2]
+        self.fs = table[1::2]
 
     @cached_property
     def _range(self) -> tuple[list, float, float]:
@@ -146,25 +151,34 @@ class _Dense:
         slack = _window_slack(knots[0], knots[-1], 1e-12)
         return knots, knots[0] - slack, knots[-1] + slack
 
+    def point(self, t: float) -> np.ndarray:
+        """State at the float ``t``, a fresh array.
+
+        The weights are Python floats and the step's four rows are summed in
+        order by one axis-0 reduction (numpy adds along an axis that is not
+        the fastest one row at a time), so the result equals the matching
+        row of the vectorised interpolant bit for bit.
+        """
+        knots, lo, hi = self._range
+        if not lo <= t <= hi:
+            raise DomainError("time outside the integrated range")
+        i = min(max(bisect_right(knots, t) - 1, 0), len(knots) - 2)
+        t0, t1 = knots[i], knots[i + 1]
+        weights = np.array(_hermite_weights((t - t0) / (t1 - t0), t1 - t0))
+        return np.add.reduce(weights[:, None] * self.table[2 * i : 2 * i + 4], axis=0)
+
     def __call__(self, t):
         """State at a scalar ``t``, or states of shape ``(len(t), n)`` at an array."""
-        knots, lo, hi = self._range
         if isinstance(t, float) or np.ndim(t) == 0:
-            t = float(t)
-            if not lo <= t <= hi:
-                raise DomainError("time outside the integrated range")
-            i = min(max(bisect_right(knots, t) - 1, 0), len(knots) - 2)
-            t0, t1 = knots[i], knots[i + 1]
-            ys, fs = self.ys, self.fs
-            return _hermite((t - t0) / (t1 - t0), t1 - t0, ys[i], ys[i + 1], fs[i], fs[i + 1])
+            return self.point(float(t))
+        _, lo, hi = self._range
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if not (lo <= t.min() and t.max() <= hi):
             raise DomainError("time outside the integrated range")
         idx = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
         t0, t1 = self.ts[idx], self.ts[idx + 1]
-        s = ((t - t0) / (t1 - t0))[:, None]
-        h = (t1 - t0)[:, None]
-        return _hermite(s, h, self.ys[idx], self.ys[idx + 1], self.fs[idx], self.fs[idx + 1])
+        w0, w1, w2, w3 = _hermite_weights(((t - t0) / (t1 - t0))[:, None], (t1 - t0)[:, None])
+        return w0 * self.ys[idx] + w1 * self.fs[idx] + w2 * self.ys[idx + 1] + w3 * self.fs[idx + 1]
 
 
 @dataclass(frozen=True)
@@ -222,18 +236,18 @@ class Trajectory:
             raise ValidationError("states must be strictly positive and finite")
 
     def state_at(self, t: float) -> np.ndarray:
-        """State at time ``t``, interpolated when dense data is available.
+        """State at time ``t`` as a fresh array, interpolated when dense data is available.
 
         The interpolated state equals ``dense(np.array([t]))[0]``, the
         matching row of the vectorised interpolant, bit for bit.
         """
         t = float(t)
         if self.dense is not None:
-            return self.dense(t)
+            return self.dense.point(t)
         hits = np.nonzero(np.isclose(self.times, t, rtol=1e-12, atol=0.0))[0]
         if len(hits) == 0:
             raise DomainError(f"t={t:.6g} is not a reported time and no dense data is stored")
-        return self.states[hits[0]]
+        return self.states[hits[0]].copy()
 
     def value(self, t: float, x: str) -> float:
         return float(self.state_at(t)[self.graph.index(x)])
@@ -279,7 +293,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
     flow = partial(_flow, g, g.degree, m)  # bound once: small graphs are bound by call overhead
     with np.errstate(invalid="ignore", over="ignore"):
         f = flow(y)
-        ts, ys, fs = [t], [y], [f]
+        ts, table = [t], [y, f]  # table: the rows of _Dense.table
         rhs_evals, error_rejections, positivity_rejections = 1, 0, 0
         if cfg.initial_step is not None:
             h = min(cfg.initial_step, max_step, span)
@@ -322,8 +336,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
                 t += h
                 y, f = y_new, f_new
                 ts.append(t)
-                ys.append(y)
-                fs.append(f)
+                table += (y, f)
                 if t >= t_stop:
                     break
                 factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
@@ -333,7 +346,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
             h *= factor
 
     stats = SolverStats.of(ts, error_rejections, positivity_rejections, rhs_evals)
-    dense = _Dense(np.asarray(ts), np.asarray(ys), np.asarray(fs))
+    dense = _Dense(np.asarray(ts), np.asarray(table))
     return Trajectory(g, m, t_eval.copy(), dense(t_eval), dense=dense, stats=stats)
 
 
@@ -365,7 +378,8 @@ def exact_two_point(a1: float, a2: float, t):
 class Measure:
     """Positive vertex measure, validated for detailed balance.
 
-    Construction checks ``k(x,y) pi(x) = k(y,x) pi(y)`` for all pairs, so
+    Construction checks ``k(x,y) pi(x) = k(y,x) pi(y)`` for all pairs, to
+    ``1e-12`` of the larger side (a pair stored one way only fails), so
     the measure is reversible for its graph and entropy dissipation along
     the flow has the closed form used below.
     """
@@ -381,7 +395,7 @@ class Measure:
         g = self.graph
         flux = g.data * pi[g.rows]
         reverse = np.where(g.reverse >= 0, flux[g.reverse], 0.0)
-        if np.abs(flux - reverse).max() > 1e-12 * max(1.0, flux.max()):
+        if np.any(np.abs(flux - reverse) > 1e-12 * np.maximum(flux, reverse)):
             raise ValidationError("measure violates detailed balance for this graph")
 
 

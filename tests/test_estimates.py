@@ -30,9 +30,11 @@ from pmelab import (
     pressure,
     pressure_equation_residual,
     quadratic_minorant_check,
+    read_trajectory_csv,
     renyi_entropy,
     resolve_graph,
     square_graph,
+    write_trajectory_csv,
 )
 from pmelab.errors import DomainError, LambdaOneError, NoPathError, ValidationError
 
@@ -359,8 +361,60 @@ def test_harnack_check_admits_pair_times_an_ulp_past_a_late_window():
 def test_harnack_check_needs_connected_pairs():
     g = build_graph([("a", "b", 1.0), ("c", "d", 1.0)], symmetrize=True)
     traj = integrate(g, 2.0, [1.0, 0.5, 0.7, 1.2], np.linspace(0.1, 1.0, 5))
-    with pytest.raises(NoPathError):
-        harnack_check(traj, 1.0, 0.0, [(0.2, 0.8, "a", "c")])
+    with pytest.raises(NoPathError) as want:
+        graph_distance(g, "b", "c")
+    with pytest.raises(NoPathError) as got:
+        harnack_check(traj, 1.0, 0.0, [(0.2, 0.8, "a", "b"), (0.2, 0.8, "b", "c")])
+    assert str(got.value) == str(want.value)
+
+
+def test_harnack_check_searches_once_per_source_vertex(monkeypatch):
+    import pmelab.estimates as estimates
+
+    sources = []
+    search = estimates._hop_distances
+    monkeypatch.setattr(estimates, "_hop_distances", lambda g, i: sources.append(i) or search(g, i))
+    g = resolve_graph("zwindow:10")
+    rng = np.random.default_rng(2)
+    traj = integrate(g, 2.0, rng.uniform(0.5, 1.5, g.n), np.linspace(0.1, 2.0, 5))
+    pairs = [(0.2, 1.5, g.vertices[i], g.vertices[j]) for i, j in rng.integers(4, size=(40, 2))]
+    harnack_check(traj, 1.0, 0.0, pairs)
+    assert sorted(sources) == sorted({g.index(x1) for _, _, x1, _ in pairs})
+
+
+def test_harnack_check_at_reported_times_needs_no_dense_data(tmp_path):
+    g = resolve_graph("path:16")
+    rng = np.random.default_rng(4)
+    traj = integrate(g, 2.0, rng.uniform(0.5, 1.5, g.n), np.linspace(0.1, 3.0, 30))
+    write_trajectory_csv(traj, tmp_path / "traj.csv")
+    plain = read_trajectory_csv(tmp_path / "traj.csv", g, 2.0)
+    assert plain.dense is None
+    pairs = []
+    for _ in range(40):
+        t1, t2 = np.sort(rng.choice(traj.times, 2, replace=False))
+        x1, x2 = (g.vertices[int(i)] for i in rng.integers(g.n, size=2))
+        pairs.append((float(t1), float(t2), x1, x2))
+    for mu, lam in ((1.5, 0.0), (0.7, 0.25)):
+        assert harnack_check(plain, mu, lam, pairs).records == harnack_check(traj, mu, lam, pairs).records
+    with pytest.raises(DomainError):
+        harnack_check(plain, 1.5, 0.0, [(0.15, 2.0, "1", "2")])
+
+
+def test_path_minima_blocks_give_the_records_of_one_block(monkeypatch):
+    import pmelab.estimates as estimates
+
+    calls = []
+    walks = estimates._least_walks
+    monkeypatch.setattr(estimates, "_least_walks", lambda *args: calls.append(len(args[2])) or walks(*args))
+    g = _reference_graph("weighted:12")
+    rng = np.random.default_rng(6)
+    traj = integrate(g, 2.0, rng.uniform(0.5, 1.5, g.n), np.linspace(0.1, 3.0, 10))
+    pairs = [(0.1, 3.0, g.vertices[i], g.vertices[j]) for i, j in rng.integers(g.n, size=(30, 2))]
+    want = harnack_check(traj, 1.5, 0.25, pairs).records
+    assert len(calls) == 1  # a small graph is one block
+    monkeypatch.setattr(estimates, "_PATH_BLOCK_VALUES", 3 * len(g.rows))
+    assert harnack_check(traj, 1.5, 0.25, pairs).records == want
+    assert max(calls[1:]) <= 4 and sum(calls[1:]) == calls[0]
 
 
 # -- scalar lemmas ---------------------------------------------------------

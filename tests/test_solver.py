@@ -118,19 +118,49 @@ def test_dense_output_rejects_times_outside_the_run():
         traj.state_at(0.1)
 
 
-@pytest.mark.parametrize("spec", ["square", "complete:2", "complete:5", "path:16", "zwindow:10"])
-def test_a_point_query_is_the_dense_row_bit_for_bit(spec):
-    g = resolve_graph(spec)
+@pytest.mark.parametrize(
+    "spec,m",
+    [pytest.param(spec, 2.5, id=spec) for spec in ("square", "complete:2", "complete:5", "path:16", "zwindow:10")]
+    + [
+        pytest.param(spec, m, id=f"{spec}-{m}")
+        for spec in ("two-point", "complete:30", "zwindow:100")
+        for m in (1.5, 2.0, 3.0)
+    ],
+)
+def test_a_point_query_is_the_dense_row_bit_for_bit(spec, m):
+    g = complete_graph(2) if spec == "two-point" else resolve_graph(spec)
     rng = np.random.default_rng(3)
-    traj = integrate(g, 2.5, rng.uniform(0.5, 1.5, g.n), np.linspace(0.05, 2.0, 9))
+    u0 = [1.0, 1e-6] if spec == "two-point" else rng.uniform(0.5, 1.5, g.n)
+    traj = integrate(g, m, u0, np.linspace(0.0 if spec == "two-point" else 0.05, 2.0, 9))
     nodes = traj.dense.ts
-    times = np.concatenate([nodes, traj.times, rng.uniform(nodes[0], nodes[-1], 200)])
+    _, lo, hi = traj.dense._range  # the admitted range, a little wider than the nodes
+    times = np.concatenate([[lo, hi], nodes, traj.times, rng.uniform(nodes[0], nodes[-1], 200)])
     for t in times:
         row = traj.dense(np.array([t]))[0]
         assert traj.state_at(t).tobytes() == row.tobytes()
         assert traj.dense(t).tobytes() == row.tobytes()
         assert traj.value(t, g.vertices[-1]) == row[-1]
     assert np.array_equal(traj.dense(times), np.array([traj.state_at(t) for t in times]))
+
+
+def test_a_point_query_returns_a_fresh_array_over_a_read_only_table():
+    g = square_graph()
+    traj = integrate(g, 2.0, [1.0, 0.5, 0.7, 1.2], np.linspace(0.1, 1.0, 5))
+    dense = traj.dense
+    assert not (dense.table.flags.writeable or dense.ys.flags.writeable or dense.fs.flags.writeable)
+    assert np.shares_memory(dense.ys, dense.table) and np.shares_memory(dense.fs, dense.table)
+    with pytest.raises(ValueError):
+        dense.table[0, 0] = 2.0
+    for t in (dense.ts[1], 0.5 * (dense.ts[1] + dense.ts[2])):
+        ys, first = dense.ys.copy(), traj.state_at(t)
+        want = first.copy()
+        first[:] = -1.0
+        assert traj.state_at(t).tobytes() == want.tobytes()
+        assert dense(t).tobytes() == want.tobytes()
+        assert np.array_equal(dense.ys, ys)
+    plain = Trajectory(g, 2.0, traj.times, traj.states.copy())  # no dense data: reads the reported states
+    plain.state_at(traj.times[2])[:] = -1.0
+    assert np.array_equal(plain.states, traj.states)
 
 
 def test_the_range_tolerance_is_relative_to_a_late_window():
@@ -321,6 +351,10 @@ def test_detailed_balance_is_enforced():
         counting_measure(g)
     balanced = Measure(g, np.array([1.0, 2.0]))
     np.testing.assert_allclose(balanced.pi, [1.0, 2.0])
+    # the tolerance is relative to each pair's flux: a tiny weight with no reverse still fails
+    one_way = build_graph([("a", "b", 1e-13), ("b", "c", 1.0), ("c", "b", 1.0)])
+    with pytest.raises(ValidationError):
+        Measure(one_way, np.ones(3))
 
 
 def test_renyi_entropy_value_and_sign():
