@@ -134,7 +134,7 @@ class Graph:
     def laplacian(self, F: np.ndarray) -> np.ndarray:
         """Graph Laplacian ``sum_y k(x, y) (F(y) - F(x))`` at every vertex ``x``.
 
-        ``F`` is one field of shape ``(n,)`` or a batch of shape ``(rows, n)``.
+        ``F`` is one field of shape ``(n,)`` or a batch of shape ``(..., n)``.
         One scatter over the entry table (:attr:`_laplacian_table`) adds row
         ``x``'s stored entries in storage order, starting from 0, and then
         ``-degree(x) F(x)``, so the result equals ``kernel_sum(F) - degree *
@@ -142,7 +142,9 @@ class Graph:
         """
         rows, columns, weights, groups = self._laplacian_table
         if F.ndim == 1:
-            return np.bincount(rows, weights=weights * F[columns], minlength=self.n)
+            return np.bincount(rows, weights=weights * F[columns], minlength=len(F))
+        if F.ndim > 2:
+            return self.laplacian(F.reshape(-1, F.shape[-1])).reshape(F.shape)
         if len(F) == 1:
             return self.laplacian(F[0])[None]
         return _group_sums(groups, F, self.n)

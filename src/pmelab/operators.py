@@ -345,16 +345,20 @@ def _lap(K, deg, F):
     On a graph this is :meth:`Graph.laplacian`, one scatter over its entry
     table; a matrix kernel subtracts ``deg * F``.
     """
-    if F.ndim > 2:
-        return _lap(K, deg, F.reshape(-1, F.shape[-1])).reshape(F.shape)
     if isinstance(K, Graph):
         return K.laplacian(F)
     return _ksum(K, F) - deg * F
 
 
 def _flow(K, deg, m, U):
-    """Porous medium right-hand side ``L(u^m)``."""
-    return _lap(K, deg, U**m)
+    """Porous medium right-hand side ``L(u^m)``.
+
+    A graph's goes straight to :meth:`Graph.laplacian`, one call layer
+    fewer than through :func:`_lap`: the solver evaluates this six times
+    per step, on small graphs at the cost of its calls.
+    """
+    F = U**m
+    return K.laplacian(F) if isinstance(K, Graph) else _lap(K, deg, F)
 
 
 def _dtv(K, deg, m, U):

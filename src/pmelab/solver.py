@@ -29,6 +29,15 @@ on Python floats, in one reduction; it equals the matching row of the
 vectorised interpolant bit for bit.  Both accept times up to
 ``1e-12`` of the span (never less than four ulps of the end) outside the
 integrated range.
+
+On the lab's small graphs a step costs numpy calls rather than arithmetic,
+so each tableau row and each view of the stage array is bound once per run,
+and every stage input, the new state and the error estimate is built in
+place in its fresh product, ``z = np.dot(a, rows); z *= h; z += y``; the
+error is then divided by its scale and squared in place too.  IEEE
+multiplication and addition commute exactly and ``np.dot`` makes the same
+BLAS call as ``@``, so this rounds as ``y + h * (a @ rows)`` does, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -168,12 +177,12 @@ class _Dense:
         return np.add.reduce(weights[:, None] * self.table[2 * i : 2 * i + 4], axis=0)
 
     def __call__(self, t):
-        """State at a scalar ``t``, or states of shape ``(len(t), n)`` at an array."""
+        """State at a scalar ``t``, or states of shape ``(len(t), n)`` at an array (also an empty one)."""
         if isinstance(t, float) or np.ndim(t) == 0:
             return self.point(float(t))
         _, lo, hi = self._range
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if not (lo <= t.min() and t.max() <= hi):
+        if len(t) and not (lo <= t.min() and t.max() <= hi):
             raise DomainError("time outside the integrated range")
         idx = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
         t0, t1 = self.ts[idx], self.ts[idx + 1]
@@ -264,7 +273,8 @@ def pme_rhs(g: Graph, m: float, u) -> np.ndarray:
 def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = None) -> Trajectory:
     """Integrate ``du/dt = L(u^m)`` and report states at ``t_eval``.
 
-    ``u0`` is the state at ``t_eval[0]``.  The returned trajectory carries
+    ``t_eval`` is a finite, nonnegative and strictly increasing time grid
+    and ``u0`` is the state at ``t_eval[0]``.  The returned trajectory carries
     the dense interpolant of the run, so later checks can refine in time,
     and the :class:`SolverStats` of the run.
     """
@@ -276,6 +286,8 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1 or len(t_eval) == 0:
         raise ValidationError("t_eval must be a nonempty 1-d array")
+    if not np.all(np.isfinite(t_eval)):
+        raise ValidationError("t_eval must be finite")
     if t_eval[0] < 0.0 or np.any(np.diff(t_eval) <= 0.0):
         raise ValidationError("t_eval must be nonnegative and strictly increasing")
     if len(t_eval) == 1:
@@ -289,8 +301,14 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
     max_step = max(span / _MIN_STEPS, h_floor)
 
     t, y = t0, u0
-    k = np.empty((7, g.n))
-    flow = partial(_flow, g, g.degree, m)  # bound once: small graphs are bound by call overhead
+    n, rel_tol, abs_tol = g.n, cfg.rel_tol, cfg.abs_tol
+    k = np.empty((7, n))
+    # Bound once per run: each stage's tableau row, the stage rows it
+    # combines and the row it fills; the rows the new state combines; the
+    # rows the finiteness test reads.
+    stages = [(_DP_A[s], k[: s + 1], k[s + 1]) for s in range(5)]
+    k_sol, k_stages = k[:6], k[1:]
+    flow = partial(_flow, g, g.degree, m)
     with np.errstate(invalid="ignore", over="ignore"):
         f = flow(y)
         ts, table = [t], [y, f]  # table: the rows of _Dense.table
@@ -314,24 +332,37 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
                 raise StiffnessError(t, f"{why} at t={t:.6g}", stats=stats)
             if t_stop <= t + h < t_end:
                 h = t_end - t  # leave no remainder below the floor
+            # each ``y + h * (a @ rows)`` is built in place in the fresh
+            # product, with the same rounding (see the module docstring)
             k[0] = f
-            for s in range(5):
-                k[s + 1] = flow(y + h * (_DP_A[s] @ k[: s + 1]))
+            for a, rows, out in stages:
+                z = np.dot(a, rows)
+                z *= h
+                z += y
+                out[:] = flow(z)
             rhs_evals += 5
             # A non-finite stage makes every later stage non-finite, so one
             # test after the last stage decides as a test after each would;
             # k[6] holds y_new for that test until the last stage replaces it.
-            k[6] = y_new = y + h * (_DP_B @ k[:6])
-            if not (np.isfinite(k[1:]).all() and y_new.min() > _POSITIVITY_FLOOR):
+            y_new = np.dot(_DP_B, k_sol)
+            y_new *= h
+            y_new += y
+            k[6] = y_new
+            if not (np.isfinite(k_stages).all() and y_new.min() > _POSITIVITY_FLOOR):
                 positivity_rejections += 1
                 h *= 0.5
                 continue
             k[6] = f_new = flow(y_new)
             rhs_evals += 1
-            err = h * (_DP_E @ k)
-            # y and y_new are both positive here, so no absolute values
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(y, y_new)
-            err_norm = math.sqrt(float(((err / scale) ** 2).sum()) / g.n)
+            # err / (abs_tol + rel_tol * max(y, y_new)), in place; y and
+            # y_new are both positive here, so no absolute values
+            err = np.dot(_DP_E, k)
+            err *= h
+            scale = np.maximum(y, y_new)
+            scale *= rel_tol
+            scale += abs_tol
+            err /= scale
+            err_norm = math.sqrt(float(np.square(err, out=err).sum()) / n)
             if err_norm <= 1.0:
                 t += h
                 y, f = y_new, f_new

@@ -118,6 +118,14 @@ def test_dense_output_rejects_times_outside_the_run():
         traj.state_at(0.1)
 
 
+def test_dense_output_at_no_times_is_empty():
+    g = square_graph()
+    traj = integrate(g, 2.0, [1.0, 0.5, 0.7, 1.2], np.linspace(0.0, 1.0, 5))
+    for empty in (np.array([]), []):
+        out = traj.dense(empty)
+        assert out.shape == (0, g.n) and out.dtype == float
+
+
 @pytest.mark.parametrize(
     "spec,m",
     [pytest.param(spec, 2.5, id=spec) for spec in ("square", "complete:2", "complete:5", "path:16", "zwindow:10")]
@@ -186,6 +194,15 @@ def test_integrate_validates_inputs():
         integrate(g, 2.0, [1.0, 1.0], np.array([1.0, 0.5]))
     with pytest.raises(ValidationError):
         integrate(g, 2.0, [1.0, 1.0], np.array([-0.5, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_integrate_refuses_non_finite_times(monkeypatch, bad):
+    calls = _counting_flow(monkeypatch)
+    for t_eval in ([0.0, bad], [bad], [-bad, 1.0], [0.0, bad, 1.0]):
+        with pytest.raises(ValidationError, match="t_eval must be finite"):
+            integrate(square_graph(), 2.0, np.ones(4), t_eval)
+    assert calls["all"] == 0
 
 
 def test_step_underflow_raises_stiffness_error():
@@ -266,16 +283,17 @@ def _assert_consistent(stats, calls):
     assert stats.rhs_evals == calls["all"]
 
 
+# two-point runs whose rejected steps fail the error test, the positivity
+# test, and the finiteness test
+_REJECTION_CASES = [
+    pytest.param(1.5, [1.0, 1e-12], SolverConfig(), "error", id="error"),
+    pytest.param(2.0, [100.0, 1e-12], SolverConfig(initial_step=0.1), "positivity", id="positivity"),
+    pytest.param(2.5, [10.0, 1e-12], SolverConfig(initial_step=0.1), "non-finite", id="non-finite"),
+]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "m, u0, config, rejection",
-    [
-        (1.5, [1.0, 1e-12], SolverConfig(), "error"),
-        (2.0, [100.0, 1e-12], SolverConfig(initial_step=0.1), "positivity"),
-        (2.5, [10.0, 1e-12], SolverConfig(initial_step=0.1), "non-finite"),
-    ],
-    ids=["error", "positivity", "non-finite"],
-)
+@pytest.mark.parametrize("m, u0, config, rejection", _REJECTION_CASES)
 def test_rejected_steps_are_counted(monkeypatch, m, u0, config, rejection):
     calls = _counting_flow(monkeypatch)
     tt = np.linspace(0.0, 1.0, 11)
@@ -303,6 +321,107 @@ def test_a_constant_state_takes_error_free_growing_steps(monkeypatch):
     assert traj.stats.h_min == pytest.approx(2.0 / 100.0)
     assert traj.stats.h_max == pytest.approx(2.0 / 20.0)
     _assert_consistent(traj.stats, calls)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", ["complete:30", "zwindow:100"])
+@pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(initial_step=0.5)], ids=["default", "long-first-step"])
+def test_rhs_evaluations_are_counted_on_wide_rows(monkeypatch, spec, config):
+    # the two largest flow graphs: 30 Laplacian entries in every row of
+    # complete:30, 201 vertices on zwindow:100
+    calls = _counting_flow(monkeypatch)
+    g = resolve_graph(spec)
+    traj = integrate(g, 2.0, np.random.default_rng(3).uniform(0.5, 1.5, g.n), np.linspace(0.0, 2.0, 9), config)
+    _assert_consistent(traj.stats, calls)
+    if config.initial_step is not None:
+        assert traj.stats.error_rejections > 0
+
+
+# -- the step loop against a plain reference -------------------------------
+
+
+def _reference_run(g, m, u0, t_eval, cfg):
+    """The Dormand-Prince loop of :func:`integrate` written plainly, each
+    combination ``y + h * (a @ rows)`` in fresh arrays.
+
+    Returns the reported states, the dense table, the step times and the
+    :class:`SolverStats`.
+    """
+    from pmelab.operators import _flow
+    from pmelab.solver import _DP_A, _DP_B, _DP_E, _MIN_STEPS, _POSITIVITY_FLOOR, SolverStats, _Dense, _window_slack
+
+    t0, t_end = float(t_eval[0]), float(t_eval[-1])
+    span = t_end - t0
+    h_floor = _window_slack(t0, t_end, 1e-14)
+    max_step = max(span / _MIN_STEPS, h_floor)
+    t, y = t0, np.asarray(u0, dtype=float)
+    k = np.empty((7, g.n))
+    with np.errstate(invalid="ignore", over="ignore"):
+        f = _flow(g, g.degree, m, y)
+        ts, table = [t], [y, f]
+        rhs_evals, error_rejections, positivity_rejections = 1, 0, 0
+        if cfg.initial_step is not None:
+            h = min(cfg.initial_step, max_step, span)
+        else:
+            fmax = float(np.max(np.abs(f)))
+            h_rate = 0.01 * float(np.max(np.abs(y))) / fmax if fmax > 0 else span
+            h = min(max_step, max(span / 100.0, h_floor), h_rate)
+        while True:
+            h = min(h, t_end - t, max_step)
+            assert h >= h_floor
+            if t_end - h_floor <= t + h < t_end:
+                h = t_end - t
+            k[0] = f
+            for s in range(5):
+                k[s + 1] = _flow(g, g.degree, m, y + h * (_DP_A[s] @ k[: s + 1]))
+            rhs_evals += 5
+            k[6] = y_new = y + h * (_DP_B @ k[:6])
+            if not (np.isfinite(k[1:]).all() and y_new.min() > _POSITIVITY_FLOOR):
+                positivity_rejections += 1
+                h *= 0.5
+                continue
+            k[6] = f_new = _flow(g, g.degree, m, y_new)
+            rhs_evals += 1
+            err = h * (_DP_E @ k)
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(y, y_new)
+            err_norm = math.sqrt(float(((err / scale) ** 2).sum()) / g.n)
+            if err_norm <= 1.0:
+                t += h
+                y, f = y_new, f_new
+                ts.append(t)
+                table += (y, f)
+                if t >= t_end - h_floor:
+                    break
+                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
+            else:
+                error_rejections += 1
+                factor = max(0.2, 0.9 * err_norm**-0.2)
+            h *= factor
+    ts, table = np.asarray(ts), np.asarray(table)
+    stats = SolverStats.of(ts, error_rejections, positivity_rejections, rhs_evals)
+    return _Dense(ts, table)(t_eval), table, ts, stats
+
+
+def _assert_same_bits_as_the_reference(g, m, u0, t_eval, config):
+    traj = integrate(g, m, u0, t_eval, config)
+    states, table, ts, stats = _reference_run(g, m, u0, t_eval, config)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.dense.table.tobytes() == table.tobytes()
+    assert traj.dense.ts.tobytes() == ts.tobytes()
+    assert traj.stats == stats
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("spec", ["two-point", "square", "complete:5", "complete:30", "zwindow:100", "path:16"])
+def test_the_step_loop_matches_the_plain_loop_bit_for_bit(spec, m):
+    g = complete_graph(2) if spec == "two-point" else resolve_graph(spec)
+    u0 = [1.0, 1e-6] if spec == "two-point" else np.random.default_rng(7).uniform(0.5, 1.5, g.n)
+    _assert_same_bits_as_the_reference(g, m, u0, np.linspace(0.0, 5.0, 201), SolverConfig())
+
+
+@pytest.mark.parametrize("m, u0, config, rejection", _REJECTION_CASES)
+def test_rejected_steps_match_the_plain_loop_bit_for_bit(m, u0, config, rejection):
+    _assert_same_bits_as_the_reference(complete_graph(2), m, u0, np.linspace(0.0, 1.0, 11), config)
 
 
 @pytest.mark.filterwarnings("error")
