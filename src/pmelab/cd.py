@@ -210,6 +210,33 @@ _BLOCK_VALUES = 2**15
 _MIN_ROWS = 2048
 
 
+class _BallKernel:
+    """A two-hop ball's kernel for the batched core: a dense matrix, with the full graph's degrees.
+
+    Only the closed one-hop rows are ever read, and those are complete
+    inside the ball, so their Laplacian is the graph's.
+    """
+
+    def __init__(self, g: Graph, idx: np.ndarray):
+        local = np.full(g.n, -1)
+        local[idx] = np.arange(len(idx))
+        rows, cols = local[g.rows], local[g.indices]
+        inside = (rows >= 0) & (cols >= 0)
+        # the ball is in graph order, so these stay in row order
+        self.rows, self.indices, self.data = rows[inside], cols[inside], g.data[inside]
+        self.matrix = np.zeros((len(idx), len(idx)))
+        self.matrix[self.rows, self.indices] = self.data
+        self.degree = g.degree[idx]
+
+    def kernel_sum(self, F: np.ndarray) -> np.ndarray:
+        if F.ndim > 2:
+            return self.kernel_sum(F.reshape(-1, F.shape[-1])).reshape(F.shape)
+        return (self.matrix @ F.T).T
+
+    def laplacian(self, F: np.ndarray) -> np.ndarray:
+        return self.kernel_sum(F) - self.degree * F
+
+
 class _BallProblem:
     """Batch evaluation of admissibility and score on one two-hop ball.
 
@@ -226,17 +253,9 @@ class _BallProblem:
         self.ball = two_hop_ball(g, x)
         self.pos_x = self.ball.index(x)
         idx = np.array([g.index(v) for v in self.ball])
-        local = np.full(g.n, -1)
-        local[idx] = np.arange(len(idx))
-        rows, cols = local[g.rows], local[g.indices]
-        inside = (rows >= 0) & (cols >= 0)
-        self.kmat = np.zeros((len(idx), len(idx)))
-        self.kmat[rows[inside], cols[inside]] = g.data[inside]
-        # full-graph degrees: rows for the closed one-hop neighborhood are
-        # complete inside the ball, and only those rows are ever used.
-        self.deg = g.degree[idx]
+        self.kernel = _BallKernel(g, idx)
         self.one_hop_local = np.searchsorted(idx, g.neighbors_idx(g.index(x)))  # the ball is in graph order
-        self.base_weights = self.kmat[self.pos_x, self.one_hop_local]
+        self.base_weights = self.kernel.matrix[self.pos_x, self.one_hop_local]
 
     def evaluate(self, U: np.ndarray):
         """Score a batch of ball fields.
@@ -262,13 +281,13 @@ class _BallProblem:
     def _score(self, U: np.ndarray):
         """:meth:`evaluate` on one block."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            neg_g = -_mixed_laplacian(self.kmat, self.deg, self.m, self.alpha, U)
+            neg_g = -_mixed_laplacian(self.kernel, self.m, self.alpha, U)
             base = neg_g[:, self.pos_x]
             ok = base > 0.0
             for j in self.one_hop_local:
                 ok &= base >= neg_g[:, j]
             dform = _curvature_form(
-                self.kmat, self.deg, self.m, self.alpha, U, self.pos_x, self.one_hop_local, self.base_weights
+                self.kernel, self.m, self.alpha, U, self.pos_x, self.one_hop_local, self.base_weights
             )
             score = np.where(ok, dform / np.where(ok, base, 1.0) ** 2, np.inf)
         return ok, score, base, dform

@@ -116,7 +116,7 @@ def _pressure_terms(traj: Trajectory):
     ts, U = _eval_points(traj)
     g, m = traj.graph, traj.m
     V = _pressure(m, U)
-    return ts, U, V, _dtv(g, g.degree, m, U), _gradient_energy(g, g.degree, m, V)
+    return ts, U, V, _dtv(g, m, U), _gradient_energy(g, m, V)
 
 
 def _row_minima(g: Graph, ts: np.ndarray, slack: np.ndarray, what: str):
@@ -165,7 +165,7 @@ def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> Est
     _require_positive_times(traj)
     g, m = traj.graph, traj.m
     ts, U, V, dtv, psi = _pressure_terms(traj)
-    slack_direct = d / ts[:, None] + _mixed_laplacian(g, g.degree, m, alpha, U)
+    slack_direct = d / ts[:, None] + _mixed_laplacian(g, m, alpha, U)
     slack_pressure = d / ts[:, None] - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V)
     records, k, cols = _row_minima(g, ts, np.minimum(slack_direct, slack_pressure), "AB")
     t, x, best = records[k]

@@ -116,50 +116,36 @@ class Graph:
         return float(self.weights_idx(i)[self.neighbors_idx(i) == j].sum())
 
     def kernel_sum(self, F: np.ndarray) -> np.ndarray:
-        """Kernel sums ``sum_y k(x, y) F(y)`` at every vertex ``x``.
+        """Kernel sums ``sum_y k(x, y) F(..., y)`` at every vertex ``x``.
 
-        ``F`` is one field of shape ``(n,)`` or a batch of shape ``(rows, n)``.
-        Each sum adds the stored entries of row ``x`` one by one in storage
-        order, starting from 0, as scipy's CSR product does, so the sums
-        equal its sums bit for bit.  :meth:`laplacian` reads the same entries
-        from its own table, with ``-degree(x)`` after them.  Time and memory
-        grow with the number of stored entries times the number of fields.
+        ``F`` has shape ``(..., n)``: one field or a batch of any leading
+        shape.  Each sum adds the stored entries of row ``x`` one by one in
+        storage order, starting from 0, as scipy's CSR product does, so the
+        sums equal its sums bit for bit.  Time and memory grow with the
+        number of stored entries times the number of fields.
         """
-        if F.ndim == 1:
-            return np.bincount(self.rows, weights=self.data * F[self.indices], minlength=self.n)
-        if len(F) == 1:
-            return self.kernel_sum(F[0])[None]
-        return _group_sums(self._row_groups, F, self.n)
+        return _scatter(self._entry_table, F)
 
     def laplacian(self, F: np.ndarray) -> np.ndarray:
-        """Graph Laplacian ``sum_y k(x, y) (F(y) - F(x))`` at every vertex ``x``.
+        """Graph Laplacian ``sum_y k(x, y) (F(..., y) - F(..., x))`` at every vertex ``x``.
 
-        ``F`` is one field of shape ``(n,)`` or a batch of shape ``(..., n)``.
-        One scatter over the entry table (:attr:`_laplacian_table`) adds row
-        ``x``'s stored entries in storage order, starting from 0, and then
-        ``-degree(x) F(x)``, so the result equals ``kernel_sum(F) - degree *
-        F`` bit for bit: ``S + (-d) F`` rounds as ``S - d F`` does.
+        ``F`` has shape ``(..., n)``.  The scatter of :meth:`kernel_sum`,
+        over a table that adds ``-degree(x) F(x)`` after row ``x``'s
+        entries, so the result equals ``kernel_sum(F) - degree * F`` bit for
+        bit: ``S + (-d) F`` rounds as ``S - d F`` does.
         """
-        rows, columns, weights, groups = self._laplacian_table
-        if F.ndim == 1:
-            return np.bincount(rows, weights=weights * F[columns], minlength=len(F))
-        if F.ndim > 2:
-            return self.laplacian(F.reshape(-1, F.shape[-1])).reshape(F.shape)
-        if len(F) == 1:
-            return self.laplacian(F[0])[None]
-        return _group_sums(groups, F, self.n)
+        return _scatter(self._laplacian_table, F)
 
     @cached_property
-    def _row_groups(self) -> list:
-        """The stored entries in :func:`_group_sums` groups."""
-        return _slot_groups(self.indptr, self.n, self.indices, self.data[:, None])
+    def _entry_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """Rows, columns and weights of the stored entries, and their :func:`_slot_groups`."""
+        return self.rows, self.indices, self.data, _slot_groups(self.indptr, self.n, self.indices, self.data[:, None])
 
     @cached_property
     def _laplacian_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-        """Rows, columns and weights of the Laplacian's entries, and their row groups.
+        """:attr:`_entry_table` with weight ``-degree(x)`` at column ``x`` after row ``x``'s entries.
 
-        Row ``x`` holds its stored entries in storage order and then weight
-        ``-degree(x)`` at column ``x``, also where it stores no entries.
+        Every row gets the diagonal entry, also one that stores no entries.
         """
         n = self.n
         rows = np.concatenate((self.rows, np.arange(n)))
@@ -217,21 +203,34 @@ def _slot_groups(indptr: np.ndarray, n: int, *values: np.ndarray) -> list:
     return groups
 
 
-def _group_sums(groups: list, F: np.ndarray, n: int) -> np.ndarray:
-    """Row sums ``sum_s weights[s] F(columns[s])`` of a batch ``F``, 0 at rows in no group."""
+def _scatter(table: tuple, F: np.ndarray) -> np.ndarray:
+    """Row sums ``sum_s weights[s] F(..., columns[s])`` of an entry table, for ``F`` of shape ``(..., n)``.
+
+    Each sum starts from 0 and adds its row's entries in table order: one
+    ``np.bincount`` for one field, the table's :func:`_slot_groups` slot by
+    slot for several (0 at rows in no group).
+    """
+    rows, columns, weights, groups = table
+    if F.ndim == 1:
+        return np.bincount(rows, weights=weights * F[columns], minlength=len(F))
+    shape, n = F.shape, F.shape[-1]
+    if F.size == n:
+        return _scatter(table, F.reshape(n)).reshape(shape)
     # The terms of a group are laid out (slot, vertex, field) in memory with
     # at least two elements after the slot axis, and numpy adds along an
     # axis that is not the fastest one element by element, so each sum
     # starts from 0 and runs slot by slot (pairwise summation only runs
     # along the fastest).
+    F = F.reshape(-1, n)
     out = np.zeros((n, len(F)))
     for rows, columns, weights in groups:
         terms = F.T[columns]
         terms *= weights
-        if rows is None:
-            return np.add.reduce(terms, axis=0).T
+        if rows is None:  # the one group, of every vertex
+            out = np.add.reduce(terms, axis=0)
+            break
         out[rows] = np.add.reduce(terms, axis=0)
-    return out.T
+    return out.T.reshape(shape)
 
 
 def _stored_entries(kernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,9 +264,11 @@ def _stored_entries(kernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def build_graph(edges: Iterable[tuple[str, str, float]], symmetrize: bool = False) -> Graph:
     """Assemble a graph from ``(x, y, weight)`` triples.
 
-    Vertices are ordered by first appearance.  A later triple for the same
-    ordered pair overwrites an earlier one.  With ``symmetrize=True`` each
-    triple also sets the reverse edge to the same weight.
+    Vertices are ordered by first appearance.  With ``symmetrize=True`` each
+    triple also gives the reverse edge its weight.  The triples list edges:
+    an ordered pair given again with the same weight, directly or as a
+    mirror, is the same edge, and one given two weights is refused (a CSR
+    kernel passed to :class:`Graph` adds its repeated entries instead).
     """
     order: list[str] = []
     seen: dict[str, int] = {}
@@ -288,9 +289,11 @@ def build_graph(edges: Iterable[tuple[str, str, float]], symmetrize: bool = Fals
             if w != 0.0:
                 raise ValidationError(f"self-loop at {x!r}")
             continue
-        entries[(i, j)] = w
-        if symmetrize:
-            entries[(j, i)] = w
+        for pair in ((i, j), (j, i)) if symmetrize else ((i, j),):
+            if pair in entries and entries[pair] != w:
+                a, b = order[pair[0]], order[pair[1]]
+                raise ValidationError(f"edge ({a!r}, {b!r}) given two weights, {entries[pair]!r} and {w!r}")
+            entries[pair] = w
     if not order:
         raise ValidationError("empty edge list")
     rows = np.array([i for (i, _) in entries], dtype=np.intp)

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .graphs import Graph, _stored_entries
+from .graphs import Graph
 
 __all__ = [
     "as_field",
@@ -132,7 +132,7 @@ def _has_negative(a: np.ndarray) -> bool:
 
 def laplacian_field(g: Graph, f) -> np.ndarray:
     """Generalized graph Laplacian ``Lf(x) = sum_y k(x,y) (f(y) - f(x))``."""
-    return _lap(g, g.degree, _fields(g, f))
+    return g.laplacian(_fields(g, f))
 
 
 def laplacian(g: Graph, f, x: str) -> float:
@@ -234,7 +234,7 @@ def gradient_energy_field(g: Graph, m: float, w) -> np.ndarray:
     """Vectorized :func:`gradient_energy` over all vertices."""
     m = check_exponent(m)
     w = _check_field(_fields(g, w), m, allow_zero=True)
-    return _gradient_energy(g, g.degree, m, w)
+    return _gradient_energy(g, m, w)
 
 
 def gradient_energy(g: Graph, m: float, w, x: str) -> float:
@@ -288,8 +288,9 @@ def curvature_form_mixed(g: Graph, m: float, alpha: float, u, x: str) -> float:
     if alpha > 0.0 and u[i] <= 0.0:
         raise DomainError("curvature form needs a positive value at the base vertex")
     nb, w = g.neighbors_idx(i), g.weights_idx(i)
-    # one row of the batched form, so this matches the CD search bit for bit
-    return float(_curvature_form(g, g.degree, m, alpha, u[None, :], i, nb, w)[0])
+    # one row of the batched form on the graph, so this equals that row bit
+    # for bit (the CD search's dense ball kernel may differ in the last bits)
+    return float(_curvature_form(g, m, alpha, u[None, :], i, nb, w)[0])
 
 
 # -- mixed second-order quantity -------------------------------------------
@@ -301,7 +302,7 @@ def mixed_laplacian_field(g: Graph, m: float, alpha: float, u) -> np.ndarray:
     alpha = check_mixing(alpha)
     u = _check_field(_fields(g, u), m, allow_zero=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _mixed_laplacian(g, g.degree, m, alpha, u)
+        return _mixed_laplacian(g, m, alpha, u)
 
 
 def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
@@ -317,53 +318,26 @@ def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
 
 
 # -- batched core ----------------------------------------------------------
-# ``K`` is a kernel: a graph, summed from its CSR arrays, or a matrix such as
-# a two-hop ball's dense one; ``deg`` is the degree of the graph ``K`` comes
-# from, which for a ball is not the row sums of ``K``.  A graph's Laplacian
-# reads its cached entry table, each row's stored entries followed by
-# ``-degree`` at the diagonal, in one scatter (``np.bincount`` for one field,
-# the slot-by-slot row-group reduction for a batch); a matrix's is
-# ``K F - deg F``.  Callers validate and set the error state.
+# ``K`` is a kernel: any object with a graph's six kernel members.  Its
+# methods ``laplacian(F)`` and ``kernel_sum(F)`` take fields ``F`` of shape
+# ``(..., n)`` and return ``sum_y K(x,y) (F(y) - F(x))`` and
+# ``sum_y K(x,y) F(y)`` at every vertex ``x``; ``degree`` holds the row
+# sums that ``laplacian`` subtracts; ``rows``, ``indices`` and ``data`` are
+# its stored entries in row order.  The core reads nothing else, so each
+# kernel owns its storage: a :class:`~pmelab.graphs.Graph` scatters over its
+# cached entry tables, and the CD search's two-hop ball
+# (``cd._BallKernel``) multiplies its dense matrix.  Callers validate and
+# set the error state.
 
 
-def _ksum(K, F):
-    """Kernel sums ``sum_y K(x,y) F(..., y)`` at every vertex ``x``.
-
-    On a graph these are :meth:`Graph.kernel_sum`, equal to scipy's CSR
-    product bit for bit.
-    """
-    if F.ndim > 2:
-        return _ksum(K, F.reshape(-1, F.shape[-1])).reshape(F.shape)
-    if isinstance(K, Graph):
-        return K.kernel_sum(F)
-    return (K @ F.T).T
+def _flow(K, m, U):
+    """Porous medium right-hand side ``L(u^m)``."""
+    return K.laplacian(U**m)
 
 
-def _lap(K, deg, F):
-    """Laplacian ``sum_y K(x,y) (F(y) - F(x))``.
-
-    On a graph this is :meth:`Graph.laplacian`, one scatter over its entry
-    table; a matrix kernel subtracts ``deg * F``.
-    """
-    if isinstance(K, Graph):
-        return K.laplacian(F)
-    return _ksum(K, F) - deg * F
-
-
-def _flow(K, deg, m, U):
-    """Porous medium right-hand side ``L(u^m)``.
-
-    A graph's goes straight to :meth:`Graph.laplacian`, one call layer
-    fewer than through :func:`_lap`: the solver evaluates this six times
-    per step, on small graphs at the cost of its calls.
-    """
-    F = U**m
-    return K.laplacian(F) if isinstance(K, Graph) else _lap(K, deg, F)
-
-
-def _dtv(K, deg, m, U):
+def _dtv(K, m, U):
     """Pressure time derivative along the flow, ``m u^(m-2) L(u^m)``."""
-    return m * U ** (m - 2.0) * _flow(K, deg, m, U)
+    return m * U ** (m - 2.0) * _flow(K, m, U)
 
 
 def _pressure(m, U):
@@ -371,51 +345,50 @@ def _pressure(m, U):
     return m / (m - 1.0) * U ** (m - 1.0)
 
 
-def _gradient_energy(K, deg, m, W):
+def _gradient_energy(K, m, W):
     """Gradient energy of pressure fields ``W``, see :func:`gradient_energy`."""
     if m < 1.5:
         # Near m = 1 the power form cancels catastrophically (its exponents
         # grow like 1/(m-1)), so evaluate through the logarithmic form,
         # which stays conditioned there; zero values cannot occur for m < 2.
         n = W.shape[-1]
-        rows, cols, weights = (K.rows, K.indices, K.data) if isinstance(K, Graph) else _stored_entries(K, n)
         lw = np.log(W.reshape(-1, n))
-        vals = weights * exp_remainder_m(m, lw[:, cols] - lw[:, rows])
-        at = rows + n * np.arange(len(lw))[:, None]
+        vals = K.data * exp_remainder_m(m, lw[:, K.indices] - lw[:, K.rows])
+        at = K.rows + n * np.arange(len(lw))[:, None]
         return W**2 * np.bincount(at.ravel(), weights=vals.ravel(), minlength=lw.size).reshape(W.shape)
     c1 = (m - 1.0) / m
     c2 = (m - 1.0) ** 2 / m
     p = (m - 2.0) / (m - 1.0)
     q = m / (m - 1.0)
-    return c1 * deg * W**2 + c2 * W**p * _ksum(K, W**q) - (m - 1.0) * W * _ksum(K, W)
+    return c1 * K.degree * W**2 + c2 * W**p * K.kernel_sum(W**q) - (m - 1.0) * W * K.kernel_sum(W)
 
 
-def _mixed_laplacian(K, deg, m, alpha, U):
+def _mixed_laplacian(K, m, alpha, U):
     """``G = Lv + alpha * gradient_energy(v) / ((m-1) v)`` with ``v`` the pressure.
 
     Where ``v(x) = 0`` the correction takes its limit: ``+inf`` when some
     neighbor carries positive pressure, otherwise 0.
     """
     V = _pressure(m, U)
-    LV = _lap(K, deg, V)
+    LV = K.laplacian(V)
     if alpha == 0.0:
         return LV
-    G = LV + alpha * _gradient_energy(K, deg, m, V) / ((m - 1.0) * V)
+    G = LV + alpha * _gradient_energy(K, m, V) / ((m - 1.0) * V)
     zero = V == 0.0
     if zero.any():
-        has_mass = _ksum(K, V ** (m / (m - 1.0)))[zero] > 0.0
+        has_mass = K.kernel_sum(V ** (m / (m - 1.0)))[zero] > 0.0
         G[zero] = np.where(has_mass, np.inf, LV[zero])
     return G
 
 
-def _curvature_form(K, deg, m, alpha, U, i, nb, w):
+def _curvature_form(K, m, alpha, U, i, nb, w):
     """Curvature form at vertex ``i`` with neighbors ``nb`` of weights ``w``.
 
     See :func:`curvature_form_mixed`; summed neighbor by neighbor.  At
     ``alpha = 0`` the ratio ``u(y)/u(x)`` is not formed, so ``u(x)`` may
     vanish.
     """
-    LP = _flow(K, deg, m, U)
+    LP = _flow(K, m, U)
     ux = U[..., i]
     lead = trail = 0.0
     for j, wj in zip(nb, w):

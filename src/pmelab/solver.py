@@ -53,7 +53,7 @@ import numpy as np
 from .artifacts import jsonable, write_csv
 from .errors import DomainError, StiffnessError, ValidationError
 from .graphs import Graph
-from .operators import _dtv, _flow, _gradient_energy, _lap, _pressure, as_field, check_exponent
+from .operators import _dtv, _flow, _gradient_energy, _pressure, as_field, check_exponent
 
 __all__ = [
     "SolverConfig",
@@ -117,8 +117,8 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
         if self.initial_step is not None and not self.initial_step > 0.0:
             raise ValidationError("initial_step must be positive when given")
 
@@ -267,7 +267,7 @@ def pme_rhs(g: Graph, m: float, u) -> np.ndarray:
     m = check_exponent(m)
     u = as_field(g, u)
     with np.errstate(invalid="ignore"):
-        return _flow(g, g.degree, m, u)
+        return _flow(g, m, u)
 
 
 def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = None) -> Trajectory:
@@ -308,7 +308,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
     # rows the finiteness test reads.
     stages = [(_DP_A[s], k[: s + 1], k[s + 1]) for s in range(5)]
     k_sol, k_stages = k[:6], k[1:]
-    flow = partial(_flow, g, g.degree, m)
+    flow = partial(_flow, g, m)
     with np.errstate(invalid="ignore", over="ignore"):
         f = flow(y)
         ts, table = [t], [y, f]  # table: the rows of _Dense.table
@@ -476,7 +476,7 @@ def entropy_dissipation_residual(traj: Trajectory, measure: Measure) -> float:
     ent = _entropy(measure, m, U)
     slope = (ent[2:] - ent[:-2]) / (t[2:] - t[:-2])
     inner = U[1:-1]
-    psi = _gradient_energy(g, g.degree, m, _pressure(m, inner))
+    psi = _gradient_energy(g, m, _pressure(m, inner))
     predicted = -_pi_sums(measure, inner * psi) / m
     return max(0.0, float(np.max(np.abs(slope - predicted))))
 
@@ -502,8 +502,8 @@ def pressure_equation_residual(traj: Trajectory) -> float:
     """
     g, m, U = traj.graph, traj.m, traj.states
     V = _pressure(m, U)
-    lhs = _dtv(g, g.degree, m, U)
-    rhs = (m - 1.0) * V * _lap(g, g.degree, V) + _gradient_energy(g, g.degree, m, V)
+    lhs = _dtv(g, m, U)
+    rhs = (m - 1.0) * V * g.laplacian(V) + _gradient_energy(g, m, V)
     return max(0.0, float(np.max(np.abs(lhs - rhs))))
 
 
@@ -529,7 +529,7 @@ def read_trajectory_csv(path, g: Graph, m: float) -> Trajectory:
 
 
 def load_initial_condition(path, g: Graph) -> np.ndarray:
-    """Read a ``<vertex> <value>`` file covering every vertex of ``g``."""
+    """Read a ``<vertex> <value>`` file giving every vertex of ``g`` exactly once."""
     values: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -539,6 +539,10 @@ def load_initial_condition(path, g: Graph) -> np.ndarray:
             parts = line.split()
             if len(parts) != 2:
                 raise ValidationError(f"{path}:{lineno}: expected '<vertex> <value>'")
+            if parts[0] not in g._index:
+                raise ValidationError(f"{path}:{lineno}: unknown vertex {parts[0]!r}")
+            if parts[0] in values:
+                raise ValidationError(f"{path}:{lineno}: vertex {parts[0]!r} given twice")
             try:
                 values[parts[0]] = float(parts[1])
             except ValueError:

@@ -542,6 +542,14 @@ def test_config_echoes_exactly_the_parsed_settings(tmp_path):
             ["check", "diff-harnack", "--graph", "square", "--m", "3", "--mu", "1", "--u0", "const:1e100"],
             "differential Harnack slack is nan",
         ),
+        (
+            ["simulate", "--graph", "square", "--u0", "random:", "--rel-tol", "inf"],
+            "rel_tol must be positive and finite",
+        ),
+        (
+            ["simulate", "--graph", "square", "--u0", "random:", "--abs-tol", "inf"],
+            "abs_tol must be positive and finite",
+        ),
     ],
 )
 def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, message):
@@ -571,6 +579,27 @@ def test_a_non_finite_edge_weight_is_a_usage_error(tmp_path, capsys):
     argv = ["verify-cd", "--graph", str(path), "--d", "1", "--vertex", "b"]
     assert main(argv + ["--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == "error: edge weights must be finite and nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "u0,edges,message",
+    [
+        ("x 1\nzz 5\ny1 1\ny2 1\nz 1\n", None, "u0.txt:2: unknown vertex 'zz'"),
+        ("x 1\ny1 1\ny2 1\nz 1\nx 7\n", None, "u0.txt:5: vertex 'x' given twice"),
+        (None, "a b 0.5\nb a 0.5\na b 1\n", "edge ('a', 'b') given two weights, 0.5 and 1.0"),
+    ],
+)
+def test_a_file_that_drops_or_overwrites_a_value_is_a_usage_error(tmp_path, capsys, u0, edges, message):
+    argv = ["simulate", "--graph", "square", "--out", str(tmp_path / "run")]
+    if u0 is not None:
+        (tmp_path / "u0.txt").write_text(u0)
+        argv += ["--u0", f"file:{tmp_path / 'u0.txt'}"]
+    if edges is not None:
+        (tmp_path / "g.txt").write_text(edges)
+        argv[2] = str(tmp_path / "g.txt")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
 
 
 def test_running_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -42,6 +42,18 @@ def test_build_graph_symmetrize_mirrors_every_edge():
     assert g.symmetric
 
 
+def test_build_graph_refuses_a_pair_given_two_weights():
+    # the same weight again is the same edge, directly or as a mirror
+    g = build_graph([("a", "b", 0.5), ("a", "b", 0.5), ("b", "a", 1.0)])
+    assert (g.kernel("a", "b"), g.kernel("b", "a")) == (0.5, 1.0) and not g.symmetric
+    g = build_graph([("a", "b", 0.5), ("b", "a", 0.5), ("a", "b", 0.5)], symmetrize=True)
+    assert g.kernel("a", "b") == g.kernel("b", "a") == 0.5 and len(g.data) == 2
+    with pytest.raises(ValidationError, match=r"edge \('b', 'a'\) given two weights, 0.5 and 1.0"):
+        build_graph([("a", "b", 0.5), ("a", "b", 0.5), ("b", "a", 1.0)], symmetrize=True)
+    with pytest.raises(ValidationError, match=r"edge \('a', 'b'\) given two weights, 0.5 and 0.0"):
+        build_graph([("a", "b", 0.5), ("b", "c", 1.0), ("a", "b", 0.0)])
+
+
 def test_asymmetric_kernel_is_detected():
     g = build_graph([("a", "b", 1.0), ("b", "a", 2.0)])
     assert not g.symmetric
@@ -403,9 +415,22 @@ def test_edge_list_round_trip_preserves_weights_exactly(tmp_path):
     g = build_graph(edges, symmetrize=True)
     path = tmp_path / "graph.txt"
     save_edge_list(g, path)
-    h = load_edge_list(path)
-    assert h.vertices == g.vertices
-    assert (h.kernel_matrix() != g.kernel_matrix()).nnz == 0
+    # each pair is listed both ways with one weight, so its mirror agrees
+    for symmetrize in (False, True):
+        h = load_edge_list(path, symmetrize=symmetrize)
+        assert h.vertices == g.vertices
+        assert (h.kernel_matrix() != g.kernel_matrix()).nnz == 0
+
+
+def test_an_edge_list_giving_a_pair_two_weights_is_refused(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("a b 0.5\na b 0.5\nb a 1\n")
+    assert not load_edge_list(path).symmetric
+    with pytest.raises(ValidationError, match="given two weights"):
+        load_edge_list(path, symmetrize=True)
+    path.write_text("a b 0.5\nb c 1\na b 2\n")
+    with pytest.raises(ValidationError, match=r"edge \('a', 'b'\) given two weights"):
+        load_edge_list(path)
 
 
 def test_edge_list_comments_and_blank_lines_are_skipped(tmp_path):

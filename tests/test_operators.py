@@ -27,14 +27,14 @@ from pmelab import (
     resolve_graph,
     square_graph,
 )
-from pmelab.cd import _BallProblem
+from pmelab.cd import _BallKernel, _BallProblem
 from pmelab.errors import DomainError, ValidationError
 from pmelab.graphs import Graph, build_graph
 from pmelab.operators import (
     _curvature_form,
     _dtv,
+    _flow,
     _gradient_energy,
-    _ksum,
     _mixed_laplacian,
     check_exponent,
     check_mixing,
@@ -514,31 +514,89 @@ def _close(got, want, size):
 @pytest.mark.parametrize("m", CORE_EXPONENTS)
 def test_core_matches_pointwise_references_on_full_graphs(spec, m):
     g = resolve_graph(spec)
-    k, deg = g.kernel_matrix(), g.degree
     U = _core_fields(g, m, seed=int(10 * m) + len(spec))
     V = pressure(m, U)
-    psi = _gradient_energy(k, deg, m, V)
-    dtv = _dtv(k, deg, m, U)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        G = {a: _mixed_laplacian(k, deg, m, a, U) for a in CORE_MIXING}
-    for row, u in enumerate(U):
-        # a batch row is the 1-d evaluation of that row, bit for bit
-        np.testing.assert_array_equal(gradient_energy_field(g, m, V[row]), psi[row])
-        for x in g.vertices:
-            i = g.index(x)
-            want, size = _ref_gradient_energy(g, m, V[row], x)
-            assert _close(psi[row, i], want, size), (x, psi[row, i], want)
-            if u[i] > 0.0:
-                assert _close(dtv[row, i], *_ref_dtv(g, m, u, x))
-            for a in CORE_MIXING:
-                want, size = _ref_mixed_laplacian(g, m, a, u, x)
-                assert _close(G[a][row, i], want, size), (x, a, G[a][row, i], want)
+    # the graph itself, and the CD search's dense ball kernel over the whole graph
+    for k in (g, _BallKernel(g, np.arange(g.n))):
+        psi = _gradient_energy(k, m, V)
+        dtv = _dtv(k, m, U)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            G = {a: _mixed_laplacian(k, m, a, U) for a in CORE_MIXING}
+        for row, u in enumerate(U):
+            if k is g:
+                # a batch row is the 1-d evaluation of that row, bit for bit
+                np.testing.assert_array_equal(gradient_energy_field(g, m, V[row]), psi[row])
+            for x in g.vertices:
+                i = g.index(x)
+                want, size = _ref_gradient_energy(g, m, V[row], x)
+                assert _close(psi[row, i], want, size), (x, psi[row, i], want)
                 if u[i] > 0.0:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        got = _curvature_form(k, deg, m, a, U, i, g.neighbors_idx(i), g.weights_idx(i))[row]
-                    want, size = _ref_curvature(g, m, a, u, x)
-                    assert _close(got, want, size), (x, a, got, want)
-                    assert _close(curvature_form_mixed(g, m, a, u, x), want, size)
+                    assert _close(dtv[row, i], *_ref_dtv(g, m, u, x))
+                for a in CORE_MIXING:
+                    want, size = _ref_mixed_laplacian(g, m, a, u, x)
+                    assert _close(G[a][row, i], want, size), (x, a, G[a][row, i], want)
+                    if u[i] > 0.0:
+                        with np.errstate(divide="ignore", invalid="ignore"):
+                            got = _curvature_form(k, m, a, U, i, g.neighbors_idx(i), g.weights_idx(i))[row]
+                        want, size = _ref_curvature(g, m, a, u, x)
+                        assert _close(got, want, size), (x, a, got, want)
+                        assert _close(curvature_form_mixed(g, m, a, u, x), want, size)
+
+
+KERNEL_MEMBERS = ("laplacian", "kernel_sum", "degree", "rows", "indices", "data")
+
+
+class _LogsKernelReads:
+    """Logs in ``reads`` every read of a kernel member."""
+
+    __slots__ = ()
+
+    def __getattribute__(self, name):
+        if name in KERNEL_MEMBERS:
+            object.__getattribute__(self, "reads").append(name)
+        return object.__getattribute__(self, name)
+
+
+class _OnlyTheInterface(_LogsKernelReads):
+    """A kernel with nothing but a graph's six kernel members."""
+
+    __slots__ = KERNEL_MEMBERS + ("reads",)
+
+    def __init__(self, g):
+        self.reads = []
+        for name in KERNEL_MEMBERS:
+            setattr(self, name, getattr(g, name))
+
+
+class _LoggedGraph(_LogsKernelReads, Graph):
+    pass
+
+
+@pytest.mark.parametrize("spec", CORE_GRAPHS + ("complete:30",))
+@pytest.mark.parametrize("m", CORE_EXPONENTS)
+def test_core_reads_only_the_kernel_interface(spec, m):
+    # The core gives the graph's bits from the six members alone, through
+    # the same reads: a member the stub lacks raises, and a type branch
+    # on the kernel reads different members on the two.
+    g = resolve_graph(spec)
+    U = _core_fields(g, m, seed=7)
+    g.laplacian(U), g.kernel_sum(U)  # build the cached tables before the reads are logged
+    logged = object.__new__(_LoggedGraph)
+    logged.__dict__.update(vars(g), reads=[])
+    stub = _OnlyTheInterface(g)
+    calls = [lambda k, F=F: _flow(k, m, F) for F in (U, U[0], U[:1], U.reshape(1, 5, g.n))]
+    calls += [lambda k, F=F: _dtv(k, m, F) for F in (U, U[0])]
+    calls += [lambda k, F=F: _gradient_energy(k, m, pressure(m, F)) for F in (U, U[0], U.reshape(1, 5, g.n))]
+    calls += [lambda k, a=a, F=F: _mixed_laplacian(k, m, a, F) for a in CORE_MIXING for F in (U, U[0])]
+    for i in range(g.n):
+        nb, w = g.neighbors_idx(i), g.weights_idx(i)
+        calls += [lambda k, a=a, i=i, nb=nb, w=w: _curvature_form(k, m, a, U, i, nb, w) for a in CORE_MIXING]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for call in calls:
+            stub.reads.clear(), logged.reads.clear()
+            _assert_same_bits(call(stub), call(g))
+            _assert_same_bits(call(logged), call(g))
+            assert stub.reads == logged.reads and stub.reads
 
 
 @pytest.mark.parametrize("spec,x", [("square", "x"), ("complete:5", "x1"), ("path:6", "3"), ("zwindow:3", "0")])
@@ -567,14 +625,16 @@ def test_core_matches_pointwise_references_on_two_hop_balls(spec, x, m, alpha):
 @pytest.mark.parametrize("m,alpha", [(1.25, 0.5), (1.5, 0.5), (3.0, 1.0)])
 def test_pointwise_curvature_form_is_the_batched_row_bit_for_bit(m, alpha):
     # a 1-d field used to go through numpy's scalar power, which can differ
-    # from the array power of the batch in the last bit
+    # from the array power of the batch in the last bit; on this unit-weight
+    # path the dense ball kernel over the whole graph gives the same bits
     g = path_graph(6)
     i = g.index("6")
     U = np.random.default_rng(0).uniform(0.1, 2.0, (2000, g.n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        batch = _curvature_form(g.kernel_matrix(), g.degree, m, alpha, U, i, g.neighbors_idx(i), g.weights_idx(i))
     pointwise = np.array([curvature_form_mixed(g, m, alpha, u, "6") for u in U])
-    np.testing.assert_array_equal(pointwise, batch)
+    for k in (g, _BallKernel(g, np.arange(g.n))):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            batch = _curvature_form(k, m, alpha, U, i, g.neighbors_idx(i), g.weights_idx(i))
+        np.testing.assert_array_equal(pointwise, batch)
 
 
 # -- kernel sums against scipy ---------------------------------------------
@@ -630,7 +690,7 @@ def test_kernel_sums_equal_the_scipy_product_bit_for_bit(case):
     F = _kernel_fields(g.n, 64, seed=case)
     with np.errstate(invalid="ignore"):
         for f in F:
-            _assert_same_bits(_ksum(g, f), K @ f)
+            _assert_same_bits(g.kernel_sum(f), K @ f)
         for batch in (F[:1], F[-1:], F[:2], F[:5], F):
-            _assert_same_bits(_ksum(g, batch), (K @ batch.T).T)
-        _assert_same_bits(_ksum(g, F.reshape(4, 16, g.n)), (K @ F.T).T.reshape(4, 16, g.n))
+            _assert_same_bits(g.kernel_sum(batch), (K @ batch.T).T)
+        _assert_same_bits(g.kernel_sum(F.reshape(4, 16, g.n)), (K @ F.T).T.reshape(4, 16, g.n))

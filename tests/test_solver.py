@@ -1,6 +1,7 @@
 """Adaptive integration, closed-form comparison, measures and entropy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,13 @@ def test_step_cap_and_positivity_floor_are_not_settable(name):
         SolverConfig(**{name: 0.1})
 
 
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("value", [0.0, -1e-10, math.nan, math.inf])
+def test_tolerances_must_be_positive_and_finite(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+        SolverConfig(**{name: value})
+
+
 def test_fast_kernel_over_long_horizon_raises_stiffness_error():
     g = build_graph([("a", "b", 1e9)], symmetrize=True)
     with pytest.raises(StiffnessError):
@@ -357,7 +365,7 @@ def _reference_run(g, m, u0, t_eval, cfg):
     t, y = t0, np.asarray(u0, dtype=float)
     k = np.empty((7, g.n))
     with np.errstate(invalid="ignore", over="ignore"):
-        f = _flow(g, g.degree, m, y)
+        f = _flow(g, m, y)
         ts, table = [t], [y, f]
         rhs_evals, error_rejections, positivity_rejections = 1, 0, 0
         if cfg.initial_step is not None:
@@ -373,14 +381,14 @@ def _reference_run(g, m, u0, t_eval, cfg):
                 h = t_end - t
             k[0] = f
             for s in range(5):
-                k[s + 1] = _flow(g, g.degree, m, y + h * (_DP_A[s] @ k[: s + 1]))
+                k[s + 1] = _flow(g, m, y + h * (_DP_A[s] @ k[: s + 1]))
             rhs_evals += 5
             k[6] = y_new = y + h * (_DP_B @ k[:6])
             if not (np.isfinite(k[1:]).all() and y_new.min() > _POSITIVITY_FLOOR):
                 positivity_rejections += 1
                 h *= 0.5
                 continue
-            k[6] = f_new = _flow(g, g.degree, m, y_new)
+            k[6] = f_new = _flow(g, m, y_new)
             rhs_evals += 1
             err = h * (_DP_E @ k)
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(y, y_new)
@@ -554,3 +562,17 @@ def test_load_initial_condition_requires_every_vertex(tmp_path):
     path.write_text("1 0.5\n2 1.5\n")
     with pytest.raises(ValidationError):
         load_initial_condition(path, g)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 0.5\nzz 5\n2 1.5\n3 2.5\n", ":2: unknown vertex 'zz'"),
+        ("1 0.5\n2 1.5\n3 2.5\n1 7\n", ":4: vertex '1' given twice"),
+    ],
+)
+def test_load_initial_condition_refuses_unknown_and_repeated_vertices(tmp_path, text, message):
+    path = tmp_path / "u0.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}{message}")):
+        load_initial_condition(path, path_graph(3))
