@@ -182,8 +182,8 @@ def resolve_initial_state(spec: str, g: Graph, seed: int) -> np.ndarray:
             lo, hi = (float(s) for s in rest.split(",")) if rest else (0.5, 1.5)
         except ValueError as exc:
             raise ValidationError("bad random: initial state %r" % spec) from exc
-        if not (0.0 < lo <= hi):
-            raise ValidationError("random: bounds need 0 < lo <= hi")
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValidationError("random: bounds need 0 < lo <= hi < inf")
         u0 = np.random.default_rng([seed, 1]).uniform(lo, hi, g.n)
     else:
         raise ValidationError(
@@ -779,7 +779,7 @@ def main(argv=None) -> int:
     except StiffnessError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (PMELabError, FileNotFoundError, MemoryError) as exc:
+    except (PMELabError, OSError, MemoryError) as exc:
         print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
 

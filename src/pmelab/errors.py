@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "PMELabError",
+    "ValidationError",
+    "DomainError",
+    "AdmissibilityError",
+    "NoPathError",
+    "LambdaOneError",
+    "StiffnessError",
+]
+
 
 class PMELabError(Exception):
     """Base class for all errors raised by this package."""

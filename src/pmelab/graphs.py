@@ -270,6 +270,11 @@ def build_graph(edges: Iterable[tuple[str, str, float]], symmetrize: bool = Fals
     mirror, is the same edge, and one given two weights is refused (a CSR
     kernel passed to :class:`Graph` adds its repeated entries instead).
     """
+    return _assemble((("", x, y, w) for x, y, w in edges), symmetrize)
+
+
+def _assemble(edges, symmetrize: bool) -> Graph:
+    """:func:`build_graph` over ``(where, x, y, weight)``; ``where`` prefixes each refusal."""
     order: list[str] = []
     seen: dict[str, int] = {}
     entries: dict[tuple[int, int], float] = {}
@@ -280,19 +285,19 @@ def build_graph(edges: Iterable[tuple[str, str, float]], symmetrize: bool = Fals
             order.append(v)
         return seen[v]
 
-    for x, y, w in edges:
+    for where, x, y, w in edges:
         w = float(w)
         if w < 0.0:
-            raise ValidationError(f"negative weight on edge ({x!r}, {y!r})")
+            raise ValidationError(f"{where}negative weight on edge ({x!r}, {y!r})")
         i, j = vid(str(x)), vid(str(y))
         if i == j:
             if w != 0.0:
-                raise ValidationError(f"self-loop at {x!r}")
+                raise ValidationError(f"{where}self-loop at {x!r}")
             continue
         for pair in ((i, j), (j, i)) if symmetrize else ((i, j),):
             if pair in entries and entries[pair] != w:
                 a, b = order[pair[0]], order[pair[1]]
-                raise ValidationError(f"edge ({a!r}, {b!r}) given two weights, {entries[pair]!r} and {w!r}")
+                raise ValidationError(f"{where}edge ({a!r}, {b!r}) given two weights, {entries[pair]!r} and {w!r}")
             entries[pair] = w
     if not order:
         raise ValidationError("empty edge list")
@@ -413,10 +418,10 @@ def load_edge_list(path, symmetrize: bool = False) -> Graph:
                 w = float(parts[2])
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
-            edges.append((parts[0], parts[1], w))
+            edges.append((f"{path}:{lineno}: ", parts[0], parts[1], w))
     if not edges:
         raise ValidationError(f"{path}: no edges")
-    return build_graph(edges, symmetrize=symmetrize)
+    return _assemble(edges, symmetrize)
 
 
 def save_edge_list(g: Graph, path) -> None:

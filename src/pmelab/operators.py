@@ -69,10 +69,12 @@ __all__ = [
 
 
 def check_exponent(m: float) -> float:
-    """Validate a diffusion exponent: a finite real with ``m > 1``."""
+    """Validate a diffusion exponent: a real with ``m > 1`` and ``(m - 1)**2`` a float."""
     m = float(m)
     if not 1.0 < m < math.inf:
         raise DomainError(f"exponent must satisfy m > 1, got {m}")
+    if math.isinf((m - 1.0) * (m - 1.0)):
+        raise DomainError(f"exponent too large: (m - 1)**2 overflows a float at m = {m}")
     return m
 
 

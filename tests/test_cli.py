@@ -550,6 +550,12 @@ def test_config_echoes_exactly_the_parsed_settings(tmp_path):
             ["simulate", "--graph", "square", "--u0", "random:", "--abs-tol", "inf"],
             "abs_tol must be positive and finite",
         ),
+        (["simulate", "--graph", "square", "--m", "1e308"], "exponent too large"),
+        (["simulate", "--graph", "square", "--m", "1.35e154"], "exponent too large"),
+        (["simulate", "--graph", "square", "--u0", "random:0,1"], "random: bounds need 0 < lo <= hi < inf"),
+        (["simulate", "--graph", "square", "--u0", "random:2,1"], "random: bounds need 0 < lo <= hi < inf"),
+        (["simulate", "--graph", "square", "--u0", "random:1,inf"], "random: bounds need 0 < lo <= hi < inf"),
+        (["simulate", "--graph", "square", "--u0", "random:nan,1"], "random: bounds need 0 < lo <= hi < inf"),
     ],
 )
 def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, message):
@@ -586,7 +592,7 @@ def test_a_non_finite_edge_weight_is_a_usage_error(tmp_path, capsys):
     [
         ("x 1\nzz 5\ny1 1\ny2 1\nz 1\n", None, "u0.txt:2: unknown vertex 'zz'"),
         ("x 1\ny1 1\ny2 1\nz 1\nx 7\n", None, "u0.txt:5: vertex 'x' given twice"),
-        (None, "a b 0.5\nb a 0.5\na b 1\n", "edge ('a', 'b') given two weights, 0.5 and 1.0"),
+        (None, "a b 0.5\nb a 0.5\na b 1\n", "g.txt:3: edge ('a', 'b') given two weights, 0.5 and 1.0"),
     ],
 )
 def test_a_file_that_drops_or_overwrites_a_value_is_a_usage_error(tmp_path, capsys, u0, edges, message):
@@ -600,6 +606,25 @@ def test_a_file_that_drops_or_overwrites_a_value_is_a_usage_error(tmp_path, caps
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--graph", "{dir}"], "Is a directory"),
+        (["simulate", "--graph", "square", "--u0", "file:{dir}"], "Is a directory"),
+        (["gen-graph", "--graph", "square", "--out", "{file}"], "File exists"),
+    ],
+)
+def test_an_os_error_is_a_usage_error(tmp_path, capsys, argv, message):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    argv = [a.format(dir=tmp_path / "dir", file=tmp_path / "file") for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
 
 
 def test_running_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):

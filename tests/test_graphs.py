@@ -433,6 +433,30 @@ def test_an_edge_list_giving_a_pair_two_weights_is_refused(tmp_path):
         load_edge_list(path)
 
 
+@pytest.mark.parametrize(
+    "text,symmetrize,message",
+    [
+        # the line of the second weight, directly or through a mirror
+        ("a b 0.5\nb c 1\na b 2\n", False, "edge ('a', 'b') given two weights, 0.5 and 2.0"),
+        ("# pair\na b 0.5\n\nb a 1\n", True, "edge ('b', 'a') given two weights, 0.5 and 1.0"),
+        ("a b 1\nb c -0.5\n", False, "negative weight on edge ('b', 'c')"),
+        ("a b 1\nb b 2\n", False, "self-loop at 'b'"),
+    ],
+)
+def test_edge_list_refusals_name_their_line(tmp_path, text, symmetrize, message):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    lineno = len(text.splitlines())
+    with pytest.raises(ValidationError) as exc:
+        load_edge_list(path, symmetrize=symmetrize)
+    assert str(exc.value) == f"{path}:{lineno}: {message}"
+    # build_graph gives the same refusal, with no place to name
+    edges = [line.split() for line in text.splitlines() if line and not line.startswith("#")]
+    with pytest.raises(ValidationError) as exc:
+        build_graph(edges, symmetrize=symmetrize)
+    assert str(exc.value) == message
+
+
 def test_edge_list_comments_and_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "graph.txt"
     path.write_text("# header\n\na b 1.0  # trailing comment\nb a 1.0\n")

@@ -58,6 +58,16 @@ def test_exponent_must_exceed_one():
             check_exponent(bad)
 
 
+def test_an_exponent_whose_square_overflows_is_refused():
+    # (m - 1)**2 is a float up to m - 1 = sqrt(max float), about 1.34e154
+    g = square_graph()
+    assert check_exponent(1e150) == 1e150
+    assert gradient_energy_field(g, 1e150, 1.0).tolist() == [0.0] * g.n
+    for fn in (check_exponent, lambda m: gradient_energy_field(g, m, 1.0), lambda m: exp_remainder_m(m, 0.1)):
+        with pytest.raises(DomainError, match="exponent too large"):
+            fn(1.35e154)
+
+
 def test_mixing_parameter_lives_in_unit_interval():
     assert check_mixing(0) == 0.0
     assert check_mixing(1) == 1.0

@@ -1,0 +1,69 @@
+"""The package API: each module's ``__all__``, re-exported once."""
+
+import subprocess
+import sys
+
+import pmelab
+from pmelab import cd, errors, estimates, graphs, operators, solver
+
+_MODULES = (cd, errors, estimates, graphs, operators, solver)
+
+# paper name -> descriptive name
+_ALIASES = {
+    "upsilon": "exp_remainder",
+    "tilde_upsilon": "exp_remainder_m",
+    "psi_H": "difference_sum",
+    "tilde_psi": "gradient_energy",
+    "gamma": "carre_du_champ",
+    "d_m": "curvature_form",
+    "d_m_alpha": "curvature_form_mixed",
+    "g_quantity": "mixed_laplacian",
+    "rhs": "pme_rhs",
+    "complete_graph_f": "complete_graph_certificate",
+    "z_lattice_cd_check": "lattice_cd_check",
+    "lemma61_check": "quadratic_minorant_check",
+    "lemma63_check": "integral_min_inequality_check",
+}
+
+
+def test_the_package_api_is_the_module_lists_in_order():
+    want = [name for module in _MODULES for name in module.__all__]
+    assert pmelab.__all__ == want
+    assert len(set(want)) == len(want)
+    for name in ("AdmissibilityResult", "GENERATOR_HELP", "check_exponent", "check_mixing"):
+        assert name in want
+
+
+def test_each_package_name_is_its_module_object():
+    for module in _MODULES:
+        for name in module.__all__:
+            assert getattr(pmelab, name) is getattr(module, name), name
+
+
+def test_each_paper_alias_is_the_function_it_names():
+    for alias, name in _ALIASES.items():
+        assert alias in pmelab.__all__ and name in pmelab.__all__
+        assert getattr(pmelab, alias) is getattr(pmelab, name), alias
+
+
+def test_a_star_import_binds_exactly_the_api():
+    namespace = {}
+    exec("from pmelab import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(pmelab.__all__)
+
+
+def test_the_errors_module_exports_exactly_its_exceptions():
+    defined = [
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == errors.__name__
+    ]
+    assert sorted(errors.__all__) == sorted(defined) and len(defined) == 7
+
+
+def test_importing_pmelab_loads_its_library_modules_and_not_the_cli():
+    code = "import pmelab, sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('pmelab.'))))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = ["artifacts", "cd", "errors", "estimates", "graphs", "operators", "solver"]
+    assert proc.stdout.split() == ["pmelab." + name for name in want]
