@@ -52,13 +52,13 @@ from .graphs import (
 from .operators import laplacian_field, pressure
 from .solver import (
     SolverConfig,
+    _entropy,
     counting_measure,
     entropy_dissipation_residual,
     exact_two_point,
     integrate,
     load_initial_condition,
     pressure_equation_residual,
-    renyi_entropy,
     write_trajectory_csv,
 )
 
@@ -275,15 +275,12 @@ def cmd_simulate(args) -> int:
 
     columns = [traj.times, mass]
     header = ["t", "mass"]
+    series = [(traj.times, mass, "mass")]
+    summary["entropy_monotone"] = None
     if g.symmetric:
         measure = counting_measure(g)
-        entropy = np.array(
-            [renyi_entropy(g, args.m, traj.states[i], measure) for i in range(len(traj.times))]
-        )
-        diffs = np.diff(entropy)
-        summary["entropy_monotone"] = bool(
-            np.all(diffs <= 1e-12 * max(1.0, float(np.abs(entropy).max())))
-        )
+        entropy = _entropy(measure, traj.m, traj.states)
+        summary["entropy_monotone"] = bool(np.all(np.diff(entropy) <= 1e-12 * max(1.0, float(np.abs(entropy).max()))))
         if len(traj.times) >= 3:
             try:
                 residual = entropy_dissipation_residual(traj, measure)
@@ -293,18 +290,8 @@ def cmd_simulate(args) -> int:
             summary["entropy_dissipation_residual"] = residual
         columns.append(entropy)
         header.append("entropy")
-        write_svg_polyline(
-            os.path.join(outdir, "simulate.svg"),
-            [(traj.times, entropy, "entropy"), (traj.times, mass, "mass")],
-            "diffusion flow invariants",
-        )
-    else:
-        summary["entropy_monotone"] = None
-        write_svg_polyline(
-            os.path.join(outdir, "simulate.svg"),
-            [(traj.times, mass, "mass")],
-            "diffusion flow invariants",
-        )
+        series.insert(0, (traj.times, entropy, "entropy"))
+    write_svg_polyline(os.path.join(outdir, "simulate.svg"), series, "diffusion flow invariants")
 
     write_csv(os.path.join(outdir, "series.csv"), header, zip(*(c.tolist() for c in columns)))
     summary["status"] = "ok"

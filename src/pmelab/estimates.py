@@ -208,15 +208,17 @@ def diff_harnack_residual(traj: Trajectory, lam: float, mu: float, tol: float = 
     )
 
 
-def _check_harnack_params(mu: float, lam: float, t1: float, t2: float) -> None:
+def _check_harnack_params(mu: float, lam: float, t1, t2) -> None:
+    """The Harnack regime, and times ``0 < t1 < t2`` (floats or arrays) whose largest powers are floats."""
     _check_lambda_mu(lam, mu)
-    if not (0.0 < t1 < t2):
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    if not np.all((0.0 < t1) & (t1 < t2)):
         raise ValidationError("need 0 < t1 < t2")
     for name, base, exponent in (("t2**(mu + 1)", t2, mu + 1.0), ("(t2 - t1)**2", t2 - t1, 2)):
-        try:  # the largest powers of the corrections and of t^mu v
-            base**exponent
-        except OverflowError:
-            raise DomainError(f"{name} = {base!r}**{exponent!r} overflows a float") from None
+        with np.errstate(over="ignore"):  # the largest powers of the corrections and of t^mu v
+            over = np.isinf(np.float_power(base, exponent)) & np.isfinite(base)
+        if over.any():
+            raise DomainError(f"{name} = {float(base[over][0])!r}**{exponent!r} overflows a float")
 
 
 def _path_terms(mu: float, lam: float, t1: np.ndarray, t2: np.ndarray, n_edges: np.ndarray):
@@ -251,10 +253,11 @@ def harnack_rhs_path(g: Graph, m: float, mu: float, lam: float, t1: float, t2: f
     return float(scale[0] * np.add.accumulate(increments[0] / weights)[-1])
 
 
-def _distance_correction(dist: int, kmin: float, mu: float, lam: float, t1: float, t2: float) -> float:
-    """The distance-form correction for a hop distance and a smallest weight."""
-    span = t2 ** (mu + 1.0) - t1 ** (mu + 1.0)
-    return 2.0 * dist**2 * span / ((1.0 - lam) * (mu + 1.0) * kmin * (t2 - t1) ** 2)
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # an overflow gives inf, as float arithmetic does
+def _distance_correction(dist, kmin: float, mu: float, lam: float, t1, t2):
+    """The distance-form correction for hop distances and a smallest weight, with floats or arrays."""
+    span = np.float_power(t2, mu + 1.0) - np.float_power(t1, mu + 1.0)
+    return 2.0 * dist**2 * span / ((1.0 - lam) * (mu + 1.0) * kmin * np.float_power(t2 - t1, 2))
 
 
 def harnack_rhs_distance(g: Graph, mu: float, lam: float, t1: float, t2: float, x1: str, x2: str) -> float:
@@ -266,7 +269,7 @@ def harnack_rhs_distance(g: Graph, mu: float, lam: float, t1: float, t2: float, 
     that case.
     """
     _check_harnack_params(mu, lam, t1, t2)
-    return _distance_correction(graph_distance(g, x1, x2), k_min(g), mu, lam, t1, t2)
+    return float(_distance_correction(graph_distance(g, x1, x2), k_min(g), mu, lam, t1, t2))
 
 
 # The path recursion runs over blocks of rows holding about this many
@@ -276,8 +279,8 @@ def harnack_rhs_distance(g: Graph, mu: float, lam: float, t1: float, t2: float, 
 _PATH_BLOCK_VALUES = 2**19
 
 
-def _path_minima(g: Graph, mu: float, lam: float, rows: list) -> np.ndarray:
-    """Least :func:`harnack_rhs_path` over the simple paths of ``N`` edges, per ``(t1, t2, i1, i2, N)`` row.
+def _path_minima(g: Graph, mu: float, lam: float, t1, t2, sources, targets, n_edges) -> np.ndarray:
+    """Least :func:`harnack_rhs_path` over the simple paths of ``n_edges`` edges, per row of the columns.
 
     On a symmetric kernel with ``N`` at most the hop distance plus 2 the simple paths are the
     non-backtracking walks (cutting a closed sub-walk of 3 or more edges out of such a walk would
@@ -286,11 +289,10 @@ def _path_minima(g: Graph, mu: float, lam: float, rows: list) -> np.ndarray:
     sum bit for bit: rounded addition is monotone.  Rows with no such path get inf.  Rows are
     independent, so the recursion runs over blocks of ``_PATH_BLOCK_VALUES`` values.
     """
-    t1, t2, sources, targets, n_edges = (np.array(c) for c in zip(*rows))
     increments, scale = _path_terms(mu, lam, t1, t2, n_edges)
     # per out-degree c: the (c, vertices) positions of those vertices' edges, and of their reverses
     groups = [(at, back) for _, at, back in _slot_groups(g.indptr, g.n, np.arange(len(g.rows)), g.reverse)]
-    best = np.empty(len(rows))
+    best = np.empty(len(n_edges))
     order = np.argsort(-n_edges, kind="stable")  # longest first: the rows still walking are a prefix
     for block in np.array_split(order, _block_count(len(order), len(g.rows), _PATH_BLOCK_VALUES, 1)):
         best[block] = _least_walks(g, groups, sources[block], targets[block], n_edges[block], increments[block])
@@ -334,6 +336,7 @@ def _least_walks(g: Graph, groups: list, sources, targets, lengths, inc) -> np.n
     return best
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a non-finite slack raises a DomainError
 def harnack_check(
     traj: Trajectory,
     mu: float,
@@ -350,14 +353,14 @@ def harnack_check(
     ``distance + 2`` edges.  The reported per-pair slack is the smaller of
     the two, and the report kind names the form attaining the overall
     minimum.  Every slack equals the one built from :func:`harnack_rhs_distance`,
-    :func:`harnack_rhs_path` and :meth:`Trajectory.value`: the states at
-    all pair times are read in one call of the dense interpolant (or, with
-    no dense data, at the reported times), their pressures in one
-    evaluation, the hop distances by one breadth-first search per distinct
-    source vertex, and the path minima of all pairs by one min-plus
-    recursion over directed edges (:func:`_path_minima`).  A
-    slack that is not finite, because ``t^mu v`` overflows, raises a
-    :class:`DomainError` instead of a verdict.
+    :func:`harnack_rhs_path` and :meth:`Trajectory.value`, and all pairs
+    are evaluated in one array pass: one dense-interpolant call reads the
+    states (with no dense data, the reported ones), one breadth-first search
+    runs per distinct source vertex and one min-plus recursion over directed
+    edges gives the path minima (:func:`_path_minima`).  Each refusal tests
+    all pairs at once, so where several pairs are bad the error may name any
+    one of them.  A slack that is not finite, because ``t^mu v`` overflows,
+    raises a :class:`DomainError` instead of a verdict.
     """
     _check_tolerance(tol)
     g, m = traj.graph, traj.m
@@ -365,61 +368,54 @@ def harnack_check(
         raise ValidationError("Harnack comparison needs a symmetric kernel")
     if len(pairs) == 0:
         raise ValidationError("need at least one (t1, t2, x1, x2) pair")
+    t1, t2, x1, x2 = zip(*pairs)
+    times = np.array([t1, t2], dtype=float).T.ravel()  # t1 and t2 of each pair in turn
+    t1, t2 = times[0::2], times[1::2]
+    _check_harnack_params(mu, lam, t1, t2)
     t_lo, t_hi = float(traj.times[0]), float(traj.times[-1])
     slack_t = _window_slack(t_lo, t_hi, 1e-12)
-    kmin = k_min(g)
-    best = math.inf
-    best_form = "harnack_distance"
-    argmin: dict = {}
-    records = []
-    hops: dict = {}  # hop distances from each source vertex index
-    times, at, dists, rows = [], [], [], []  # rows: (t1, t2, i1, i2, edge count) of each path form
-    for t1, t2, x1, x2 in pairs:
-        _check_harnack_params(mu, lam, t1, t2)
-        if t1 < t_lo - slack_t or t2 > t_hi + slack_t:
-            raise ValidationError("pair times outside the trajectory range")
-        i1, i2 = g.index(x1), g.index(x2)
-        if i1 not in hops:
-            hops[i1] = _hop_distances(g, i1)
-        if hops[i1][i2] < 0:
-            graph_distance(g, x1, x2)  # raises the NoPathError that names the pair
-        dists.append(hops[i1][i2])
-        times += (t1, t2)
-        at += (i1, i2)
-        rows += [(t1, t2, i1, i2, dists[-1] + k) for k in range(3 if x1 != x2 else 0)]
-    with np.errstate(over="ignore"):  # a non-finite slack raises below
-        corrections = iter(_path_minima(g, mu, lam, rows).reshape(-1, 3).min(axis=1).tolist() if rows else [])
-    U = traj.dense(np.array(times)) if traj.dense is not None else np.array([traj.state_at(t) for t in times])
-    v = _pressure(m, U[np.arange(len(at)), at]).tolist()
-    for (t1, t2, x1, x2), dist, v1, v2 in zip(pairs, dists, v[0::2], v[1::2]):
-        lhs = t1**mu * v1
-        base = t2**mu * v2
-        slack = base + _distance_correction(dist, kmin, mu, lam, t1, t2) - lhs
-        form = "harnack_distance"
-        if x1 != x2:
-            slack_p = base + next(corrections) - lhs
-            if slack_p < slack:
-                slack = slack_p
-                form = "harnack_path"
-        if not math.isfinite(slack):  # no verdict: name the term that overflowed
-            pair = (t1, t2, x1, x2)
-            for t, v, product in ((t1, v1, lhs), (t2, v2, base)):
-                if math.isinf(product):
-                    raise DomainError(f"t**mu * v = {t!r}**{mu!r} * {v!r} overflows a float at the pair {pair}")
-            raise DomainError(f"the Harnack correction overflows a float at the pair {pair}")
-        records.append((t1, t2, x1, x2, float(slack)))
-        if slack < best:
-            best = float(slack)
-            best_form = form
-            argmin = {"t1": t1, "t2": t2, "x1": x1, "x2": x2}
+    if np.any((t1 < t_lo - slack_t) | (t2 > t_hi + slack_t)):
+        raise ValidationError("pair times outside the trajectory range")
+    at = np.array([g.index(x) for pair in zip(x1, x2) for x in pair])  # vertex indices, in the order of times
+    i1, i2 = at[0::2], at[1::2]
+    sources = list(dict.fromkeys(i1.tolist()))  # one breadth-first search per distinct source vertex
+    slot = np.empty(g.n, dtype=int)
+    slot[sources] = np.arange(len(sources))
+    dist = np.array([_hop_distances(g, i) for i in sources])[slot[i1], i2]
+    cut = np.flatnonzero(dist < 0)
+    if len(cut):
+        graph_distance(g, x1[cut[0]], x2[cut[0]])  # raises the NoPathError that names the pair
+    path = np.full(len(pairs), np.inf)  # no path form where x1 = x2
+    apart = np.flatnonzero(i1 != i2)
+    if len(apart):  # rows of dist, dist + 1 and dist + 2 edges
+        rows, n_edges = np.repeat(apart, 3), (dist[apart, None] + [0, 1, 2]).ravel()
+        minima = _path_minima(g, mu, lam, t1[rows], t2[rows], i1[rows], i2[rows], n_edges)
+        path[apart] = minima.reshape(-1, 3).min(axis=1)
+    U = traj.dense(times) if traj.dense is not None else np.array([traj.state_at(t) for t in times])
+    v1, v2 = _pressure(m, U[np.arange(len(at)), at]).reshape(-1, 2).T
+    lhs = np.float_power(t1, mu) * v1
+    base = np.float_power(t2, mu) * v2
+    slack_d = base + _distance_correction(dist, k_min(g), mu, lam, t1, t2) - lhs
+    slack_p = base + path - lhs
+    on_path = slack_p < slack_d
+    slack = np.where(on_path, slack_p, slack_d)
+    bad = np.flatnonzero(~np.isfinite(slack))
+    if len(bad):  # no verdict: name the term that overflowed
+        k = bad[0]
+        pair = tuple(pairs[k])
+        for t, v, product in ((pair[0], v1[k], lhs[k]), (pair[1], v2[k], base[k])):
+            if math.isinf(product):
+                raise DomainError(f"t**mu * v = {t!r}**{mu!r} * {float(v)!r} overflows a float at the pair {pair}")
+        raise DomainError(f"the Harnack correction overflows a float at the pair {pair}")
+    k = int(np.argmin(slack))
     return EstimateReport(
-        best_form,
+        "harnack_path" if on_path[k] else "harnack_distance",
         {"m": m, "lambda": lam, "mu": mu},
-        best,
-        argmin,
+        float(slack[k]),
+        dict(zip(("t1", "t2", "x1", "x2"), pairs[k])),
         len(pairs),
         tol,
-        records,
+        [(*pair, s) for pair, s in zip(pairs, slack.tolist())],
     )
 
 

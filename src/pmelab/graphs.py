@@ -400,25 +400,33 @@ def two_hop_ball(g: Graph, x: str) -> tuple[str, ...]:
 # -- edge-list files -------------------------------------------------------
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; any other file is refused by its path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not a UTF-8 text file") from None
+
+
 def load_edge_list(path, symmetrize: bool = False) -> Graph:
     """Read a graph from a text file of ``<vertex> <vertex> <weight>`` lines.
 
     Everything after ``#`` on a line is a comment; blank lines are skipped.
     """
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValidationError(f"{path}:{lineno}: expected '<vertex> <vertex> <weight>'")
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
-            edges.append((f"{path}:{lineno}: ", parts[0], parts[1], w))
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValidationError(f"{path}:{lineno}: expected '<vertex> <vertex> <weight>'")
+        try:
+            w = float(parts[2])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
+        edges.append((f"{path}:{lineno}: ", parts[0], parts[1], w))
     if not edges:
         raise ValidationError(f"{path}: no edges")
     return _assemble(edges, symmetrize)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .artifacts import jsonable, write_csv
 from .errors import DomainError, StiffnessError, ValidationError
-from .graphs import Graph
+from .graphs import Graph, _text_lines
 from .operators import _dtv, _flow, _gradient_energy, _pressure, as_field, check_exponent
 
 __all__ = [
@@ -517,11 +517,20 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 def read_trajectory_csv(path, g: Graph, m: float) -> Trajectory:
     """Read a trajectory written by :func:`write_trajectory_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "t" or tuple(header[1:]) != g.vertices:
-            raise ValidationError(f"{path}: header does not match the graph")
-        rows = [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
+    header, *lines = _text_lines(path) or [""]
+    if header.strip().split(",") != ["t", *g.vertices]:
+        raise ValidationError(f"{path}: header does not match the graph")
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        tokens = line.strip().split(",")
+        if len(tokens) != g.n + 1:
+            raise ValidationError(f"{path}:{lineno}: expected {g.n + 1} fields, got {len(tokens)}")
+        try:
+            rows.append([float(tok) for tok in tokens])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     data = np.asarray(rows)
@@ -531,22 +540,21 @@ def read_trajectory_csv(path, g: Graph, m: float) -> Trajectory:
 def load_initial_condition(path, g: Graph) -> np.ndarray:
     """Read a ``<vertex> <value>`` file giving every vertex of ``g`` exactly once."""
     values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected '<vertex> <value>'")
-            if parts[0] not in g._index:
-                raise ValidationError(f"{path}:{lineno}: unknown vertex {parts[0]!r}")
-            if parts[0] in values:
-                raise ValidationError(f"{path}:{lineno}: vertex {parts[0]!r} given twice")
-            try:
-                values[parts[0]] = float(parts[1])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: bad value {parts[1]!r}") from None
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected '<vertex> <value>'")
+        if parts[0] not in g._index:
+            raise ValidationError(f"{path}:{lineno}: unknown vertex {parts[0]!r}")
+        if parts[0] in values:
+            raise ValidationError(f"{path}:{lineno}: vertex {parts[0]!r} given twice")
+        try:
+            values[parts[0]] = float(parts[1])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: bad value {parts[1]!r}") from None
     return as_field(g, values)
 
 

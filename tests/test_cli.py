@@ -627,6 +627,17 @@ def test_an_os_error_is_a_usage_error(tmp_path, capsys, argv, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv", [["simulate", "--graph", "{file}"], ["simulate", "--graph", "square", "--u0", "file:{file}"]]
+)
+def test_a_file_that_is_not_utf8_text_is_a_usage_error(tmp_path, capsys, argv):
+    # the first bytes of an executable: 0x80 and above cannot start a UTF-8 character
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+    assert main([a.format(file=binary) for a in argv] + ["--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {binary}: not a UTF-8 text file\n"
+
+
 def test_running_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # never build a really oversized graph here: it can exhaust the machine
     def exhausted(spec):

@@ -325,6 +325,37 @@ def test_harnack_check_equals_the_per_pair_reference_exactly(spec):
         assert rep.min_slack == min(r[-1] for r in want)
 
 
+def test_harnack_check_equals_plain_float_arithmetic_on_20000_pairs():
+    # t^mu v and the distance form in Python floats (libm pow, never x * x for a square), the path
+    # form from _path_minima; enough pairs that a last-bit difference in any of them shows
+    from pmelab.cli import sample_check_tuples
+    from pmelab.estimates import _path_minima
+
+    g, m, mu, lam = square_graph(), 2.0, 0.2, 0.0
+    traj = integrate(g, m, np.random.default_rng(3).uniform(0.1, 2.0, g.n), np.linspace(0.1, 5.0, 201))
+    pairs = sample_check_tuples(g, np.random.default_rng(7), 20000, 0.1, 5.0)
+    U = traj.dense(np.array([t for pair in pairs for t in pair[:2]])).tolist()
+    kmin = min(g.data.tolist())
+    hops = {(x, y): graph_distance(g, x, y) for x in g.vertices for y in g.vertices}
+    rows = [(t1, t2, g.index(x1), g.index(x2), hops[x1, x2] + k)
+            for t1, t2, x1, x2 in pairs if x1 != x2 for k in range(3)]
+    path = iter(_path_minima(g, mu, lam, *(np.array(c) for c in zip(*rows))).tolist())
+    want = []
+    for (t1, t2, x1, x2), u1, u2 in zip(pairs, U[0::2], U[1::2]):
+        lhs = t1**mu * (m / (m - 1.0) * u1[g.index(x1)] ** (m - 1.0))
+        base = t2**mu * (m / (m - 1.0) * u2[g.index(x2)] ** (m - 1.0))
+        span = t2 ** (mu + 1.0) - t1 ** (mu + 1.0)
+        dist = hops[x1, x2]
+        slack = base + 2.0 * dist**2 * span / ((1.0 - lam) * (mu + 1.0) * kmin * (t2 - t1) ** 2) - lhs
+        if x1 != x2:
+            slack = min(slack, base + min(next(path), next(path), next(path)) - lhs)
+        want.append((t1, t2, x1, x2, slack))
+    rep = harnack_check(traj, mu, lam, pairs)
+    assert rep.records == want
+    k = min(range(len(want)), key=lambda i: want[i][-1])
+    assert (rep.min_slack, rep.argmin) == (want[k][-1], dict(zip(("t1", "t2", "x1", "x2"), pairs[k])))
+
+
 @pytest.mark.parametrize("spec", ["path:16", "complete:5", "weighted:12", "csr-duplicate"])
 def test_path_minima_equal_the_least_enumerated_path_of_each_length(spec):
     # per edge count, not only the least of the three counts a pair takes:
@@ -339,7 +370,7 @@ def test_path_minima_equal_the_least_enumerated_path_of_each_length(spec):
         x1, x2 = rng.choice(g.vertices, 2, replace=False)
         i1, i2, dist = g.index(x1), g.index(x2), graph_distance(g, x1, x2)
         rows += [(float(t1), float(t2), i1, i2, dist + k) for k in range(3)]
-    got = _path_minima(g, 1.5, 0.25, rows)
+    got = _path_minima(g, 1.5, 0.25, *(np.array(c) for c in zip(*rows)))
     for r, (t1, t2, i1, i2, n_edges) in enumerate(rows):
         want = min(
             (harnack_rhs_path(g, 2.0, 1.5, 0.25, t1, t2, [g.vertices[i] for i in p])
@@ -366,6 +397,35 @@ def test_harnack_check_needs_connected_pairs():
     with pytest.raises(NoPathError) as got:
         harnack_check(traj, 1.0, 0.0, [(0.2, 0.8, "a", "b"), (0.2, 0.8, "b", "c")])
     assert str(got.value) == str(want.value)
+
+
+# a line of good pairs and the two components a-b-c and d-e, from t = 0.1 to 2
+_GOOD_PAIRS = [(0.2, 0.8, "a", "c"), (0.3, 1.5, "b", "b"), (0.5, 1.9, "c", "a"), (0.1, 2.0, "d", "e")]
+
+
+@pytest.mark.parametrize(
+    "bad,error,message",
+    [
+        ((0.8, 0.2, "a", "c"), ValidationError, "need 0 < t1 < t2"),
+        ((0.8, 0.8, "a", "c"), ValidationError, "need 0 < t1 < t2"),
+        ((1.0, 1e300, "a", "c"), DomainError, "t2**(mu + 1) = 1e+300**1.5 overflows a float"),
+        ((1.0, 1e180, "a", "c"), DomainError, "(t2 - t1)**2 = 1e+180**2 overflows a float"),
+        ((0.05, 1.0, "a", "c"), ValidationError, "pair times outside the trajectory range"),
+        ((0.5, 2.5, "a", "c"), ValidationError, "pair times outside the trajectory range"),
+        ((0.2, 0.8, "q", "c"), ValidationError, "unknown vertex 'q'"),
+        ((0.2, 0.8, "a", "q"), ValidationError, "unknown vertex 'q'"),
+        ((0.2, 0.8, "b", "d"), NoPathError, "no path between 'b' and 'd'"),
+    ],
+)
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_harnack_check_refuses_one_bad_pair_wherever_it_stands(bad, error, message, where):
+    g = build_graph([("a", "b", 1.0), ("b", "c", 2.0), ("d", "e", 1.0)], symmetrize=True)
+    traj = integrate(g, 2.0, [1.0, 0.5, 0.7, 1.2, 0.9], np.linspace(0.1, 2.0, 5))
+    pairs = _GOOD_PAIRS[:where] + [bad] + _GOOD_PAIRS[where:]
+    assert harnack_check(traj, 0.5, 0.0, _GOOD_PAIRS).points_checked == 4
+    with pytest.raises(error) as got:
+        harnack_check(traj, 0.5, 0.0, pairs)
+    assert type(got.value) is error and str(got.value) == message
 
 
 def test_harnack_check_searches_once_per_source_vertex(monkeypatch):

@@ -549,6 +549,23 @@ def test_trajectory_csv_header_must_match_graph(tmp_path):
         read_trajectory_csv(path, complete_graph(4), 2.0)
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (b"0.1,1.0,abc\n", ":3: could not convert string to float: 'abc'"),
+        (b"0.1,1.0\n", ":3: expected 3 fields, got 2"),
+        (b"\n0.1,1.0,2.0,3.0\n", ":4: expected 3 fields, got 4"),
+        (b"0.1,1.0,\xff\n", ": not a UTF-8 text file"),
+    ],
+)
+def test_trajectory_csv_refuses_a_bad_row_by_its_line(tmp_path, body, message):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"t,1,2\n0.05,1.0,2.0\n" + body)
+    with pytest.raises(ValidationError) as err:
+        read_trajectory_csv(path, path_graph(2), 2.0)
+    assert str(err.value) == f"{path}{message}"
+
+
 def test_load_initial_condition_reads_vertex_value_pairs(tmp_path):
     g = path_graph(3)
     path = tmp_path / "u0.txt"
