@@ -72,7 +72,6 @@ def write_svg_polyline(
     path: str,
     series: list[tuple[np.ndarray, np.ndarray, str]],
     title: str,
-    xlabel: str = "t",
 ) -> None:
     """Minimal SVG polyline plot: axes, four ticks per axis, one line per series."""
     width, height = 720.0, 440.0
@@ -127,8 +126,8 @@ def write_svg_polyline(
             % (left - 6.0, sy(yv) + 4.0, yv)
         )
     parts.append(
-        '<text x="%g" y="%g" text-anchor="middle">%s</text>'
-        % ((left + width - right) / 2.0, height - 12.0, xlabel)
+        '<text x="%g" y="%g" text-anchor="middle">t</text>'
+        % ((left + width - right) / 2.0, height - 12.0)
     )
     for idx, (xs, ys, label) in enumerate(finite):
         color = colors[idx % len(colors)]
@@ -377,11 +376,10 @@ def cmd_check(args) -> int:
     report.write_slack_csv(csv_path)
 
     if args.which in ("ab", "diff-harnack"):
-        records = np.array([[r[0], r[2]] for r in report.records], dtype=float)
-        order = np.argsort(records[:, 0])
+        records = np.array([[r[0], r[2]] for r in report.records], dtype=float)  # in time order
         write_svg_polyline(
             os.path.join(outdir, "slack_%s.svg" % tag),
-            [(records[order, 0], records[order, 1], "min slack over vertices")],
+            [(records[:, 0], records[:, 1], "min slack over vertices")],
             "%s slack along the trajectory" % args.which,
         )
 

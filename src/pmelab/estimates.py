@@ -2,8 +2,10 @@
 
 All time derivatives are evaluated by exact substitution of the flow,
 ``dv/dt = m u^(m-2) L(u^m)``, never by finite differencing, so every slack
-reported here is a sharp floating-point quantity and the default tolerance
-is a pure round-off budget (``1e-8``).
+is evaluated exactly on the states it is given.  Those states carry the
+integrator's error, which the default tolerance (``1e-8``) does not bound:
+integrating at ``1e-13`` instead of ``1e-10`` moves ``ab_check`` slacks by
+2e-8 to 1e-7 on ``square``, ``complete:5`` and the two-point start.
 
 Checked statements, for a trajectory with pressure ``v``:
 
@@ -20,13 +22,16 @@ Checked statements, for a trajectory with pressure ``v``:
   the integral minimum inequality that drive the Harnack proof
   (``quadratic_minorant_check``, ``integral_min_inequality_check``).
 
-The binding regime of the time-scaled bounds is small ``t``, so checkers
-refine the first reported intervals through the trajectory's dense output
+The time-scaled bounds, ``ab_check`` and ``diff_harnack_residual``, are
+each written as slack formulas over one shared evaluation
+(:func:`_time_scaled_check`).  Their binding regime is small ``t``, so the
+first reported intervals are refined through the trajectory's dense output
 in addition to the reported grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -90,49 +95,9 @@ class EstimateReport:
         write_csv(path, ("t1", "t2", "x1", "x2", "slack") if pairs else ("t", "x", "slack"), self.records)
 
 
-def _eval_points(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Times and states: reported ones plus 10x dense refinement of the earliest intervals."""
-    ts, states = traj.times, traj.states
-    if traj.dense is None or len(ts) < 2:
-        return ts, states
-    extra = np.linspace(ts[:-1][:10], ts[1:][:10], 11, axis=1)[:, 1:-1].ravel()
-    ts = np.concatenate([ts, extra])
-    order = np.argsort(ts, kind="stable")
-    return ts[order], np.concatenate([states, traj.dense(extra)])[order]
-
-
 def _check_tolerance(tol: float) -> None:
     if not (0.0 <= tol < math.inf):
         raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
-
-
-def _require_positive_times(traj: Trajectory) -> None:
-    if traj.times[0] <= 0.0:
-        raise ValidationError("trajectory must start at t > 0 for time-scaled bounds")
-
-
-def _pressure_terms(traj: Trajectory):
-    """Evaluation points with the pressure, its exact time derivative and gradient energy."""
-    ts, U = _eval_points(traj)
-    g, m = traj.graph, traj.m
-    V = _pressure(m, U)
-    return ts, U, V, _dtv(g, m, U), _gradient_energy(g, m, V)
-
-
-def _row_minima(g: Graph, ts: np.ndarray, slack: np.ndarray, what: str):
-    """Per-time ``(t, vertex, slack)`` minima and the index of the first overall minimum.
-
-    A ``nan`` slack is no verdict: its terms overflowed or underflowed, and
-    a :class:`DomainError` names where.
-    """
-    if math.isnan(slack.min()):  # the minimum is nan where any slack is
-        k, i = np.argwhere(np.isnan(slack))[0]
-        at = f"t={float(ts[k])!r}, vertex {g.vertices[i]!r}"
-        raise DomainError(f"{what} slack is nan at {at}: its terms leave the float range")
-    cols = np.argmin(slack, axis=1)
-    mins = slack[np.arange(len(ts)), cols]
-    records = [(t, g.vertices[i], s) for t, i, s in zip(ts.tolist(), cols.tolist(), mins.tolist())]
-    return records, int(np.argmin(mins)), cols
 
 
 def _check_lambda_mu(lam: float, mu: float) -> None:
@@ -146,6 +111,45 @@ def _check_lambda_mu(lam: float, mu: float) -> None:
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a nan slack raises a DomainError
+def _time_scaled_check(traj: Trajectory, kind: str, what: str, parameters: dict, tol: float, **forms) -> EstimateReport:
+    """Least slack of a time-scaled bound, given as one or more named forms.
+
+    Each form maps the time column ``t`` and the states ``U``, pressures
+    ``V``, exact ``dv/dt`` and gradient energies at those times to a slack
+    per vertex.  They are evaluated at the reported times plus a 10x dense
+    refinement of the earliest ten intervals (reported times only without
+    dense data).  Each record is a time's least slack over forms and
+    vertices; ``argmin`` names the binding form where there are several.
+    A ``nan`` slack is no verdict: its terms overflowed or underflowed, and
+    a :class:`DomainError` names where.
+    """
+    ts, U = traj.times, traj.states
+    if ts[0] <= 0.0:
+        raise ValidationError("trajectory must start at t > 0 for time-scaled bounds")
+    g, m = traj.graph, traj.m
+    if traj.dense is not None and len(ts) >= 2:
+        extra = np.linspace(ts[:-1][:10], ts[1:][:10], 11, axis=1)[:, 1:-1].ravel()
+        order = np.argsort(np.concatenate([ts, extra]), kind="stable")
+        ts, U = np.concatenate([ts, extra])[order], np.concatenate([U, traj.dense(extra)])[order]
+    V = _pressure(m, U)
+    terms = (ts[:, None], U, V, _dtv(g, m, U), _gradient_energy(g, m, V))
+    slacks = [form(*terms) for form in forms.values()]
+    slack = functools.reduce(np.minimum, slacks)
+    if math.isnan(slack.min()):  # the minimum is nan where any slack is
+        k, i = np.argwhere(np.isnan(slack))[0]
+        at = f"t={float(ts[k])!r}, vertex {g.vertices[i]!r}"
+        raise DomainError(f"{what} slack is nan at {at}: its terms leave the float range")
+    cols = np.argmin(slack, axis=1)
+    mins = slack[np.arange(len(ts)), cols]
+    records = [(t, g.vertices[i], s) for t, i, s in zip(ts.tolist(), cols.tolist(), mins.tolist())]
+    k = int(np.argmin(mins))
+    t, x, best = records[k]
+    argmin = {"t": t, "vertex": x}
+    if len(forms) > 1:  # the first form attaining the minimum
+        argmin["form"] = list(forms)[int(np.argmin([s[k, cols[k]] for s in slacks]))]
+    return EstimateReport(kind, parameters, best, argmin, len(ts) * g.n, tol, records)
+
+
 def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> EstimateReport:
     """Check the time-scaled upper bound on the mixed pressure Laplacian.
 
@@ -154,57 +158,39 @@ def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> Est
     equation,
     ``d/t - ((1-alpha) gradient_energy(v) - dv/dt) / ((m-1) v) >= 0``,
     with the exact time derivative.  The minimum slack across both forms is
-    reported; on a graph satisfying ``CD(0, d)`` with mixing ``alpha`` it
-    stays nonnegative up to round-off.  A ``nan`` slack raises a
-    :class:`DomainError` instead of a verdict.
+    reported.  On a graph satisfying ``CD(0, d)`` with mixing ``alpha`` the
+    theorem bounds a solution started at ``t = 0``; ``t`` here is the
+    trajectory's own time, so a trajectory whose initial state sits at a
+    later time is held to a stronger inequality and can fail.  A ``nan``
+    slack raises a :class:`DomainError` instead of a verdict.
     """
     _check_tolerance(tol)
     alpha = check_mixing(alpha)
     if not 0.0 < d < math.inf:
         raise ValidationError("d must be positive and finite")
-    _require_positive_times(traj)
     g, m = traj.graph, traj.m
-    ts, U, V, dtv, psi = _pressure_terms(traj)
-    slack_direct = d / ts[:, None] + _mixed_laplacian(g, m, alpha, U)
-    slack_pressure = d / ts[:, None] - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V)
-    records, k, cols = _row_minima(g, ts, np.minimum(slack_direct, slack_pressure), "AB")
-    t, x, best = records[k]
-    form = "direct" if slack_direct[k, cols[k]] <= slack_pressure[k, cols[k]] else "pressure_equation"
-    return EstimateReport(
-        "ab",
-        {"m": m, "alpha": alpha, "d": d},
-        best,
-        {"t": t, "vertex": x, "form": form},
-        len(ts) * g.n,
-        tol,
-        records,
+    return _time_scaled_check(
+        traj, "ab", "AB", {"m": m, "alpha": alpha, "d": d}, tol,
+        direct=lambda t, U, V, dtv, psi: d / t + _mixed_laplacian(g, m, alpha, U),
+        pressure_equation=lambda t, U, V, dtv, psi: d / t - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V),
     )
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a nan slack raises a DomainError
 def diff_harnack_residual(traj: Trajectory, lam: float, mu: float, tol: float = 1e-8) -> EstimateReport:
     """Check ``dv/dt >= (1-lambda) gradient_energy(v) - (mu/t) v``.
 
-    On a graph satisfying ``CD(0, d)`` with mixing ``alpha``, trajectories
-    pass with ``mu = (m-1) d`` and ``lambda = alpha``; this hypothesis is
+    On a graph satisfying ``CD(0, d)`` with mixing ``alpha``, a solution
+    started at ``t = 0`` passes with ``mu = (m-1) d`` and
+    ``lambda = alpha``; ``t`` here is the trajectory's own time, so one
+    whose initial state sits at a later time can fail.  This hypothesis is
     what the integrated Harnack bounds are built from.  A ``nan`` slack
     raises a :class:`DomainError` instead of a verdict.
     """
     _check_tolerance(tol)
     _check_lambda_mu(lam, mu)
-    _require_positive_times(traj)
-    g, m = traj.graph, traj.m
-    ts, U, V, dtv, psi = _pressure_terms(traj)
-    records, k, _ = _row_minima(g, ts, dtv - (1.0 - lam) * psi + mu / ts[:, None] * V, "differential Harnack")
-    t, x, best = records[k]
-    return EstimateReport(
-        "diff_harnack",
-        {"m": m, "lambda": lam, "mu": mu},
-        best,
-        {"t": t, "vertex": x},
-        len(ts) * g.n,
-        tol,
-        records,
+    return _time_scaled_check(
+        traj, "diff_harnack", "differential Harnack", {"m": traj.m, "lambda": lam, "mu": mu}, tol,
+        hypothesis=lambda t, U, V, dtv, psi: dtv - (1.0 - lam) * psi + mu / t * V,
     )
 
 
@@ -219,6 +205,10 @@ def _check_harnack_params(mu: float, lam: float, t1, t2) -> None:
             over = np.isinf(np.float_power(base, exponent)) & np.isfinite(base)
         if over.any():
             raise DomainError(f"{name} = {float(base[over][0])!r}**{exponent!r} overflows a float")
+    width = t2 - t1
+    zero = np.float_power(width, 2) == 0.0  # the width squared divides both corrections
+    if zero.any():
+        raise DomainError(f"(t2 - t1)**2 = {float(width[zero][0])!r}**2 underflows to 0")
 
 
 def _path_terms(mu: float, lam: float, t1: np.ndarray, t2: np.ndarray, n_edges: np.ndarray):

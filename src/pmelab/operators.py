@@ -113,10 +113,10 @@ def _fields(g: Graph, values) -> np.ndarray:
     return arr
 
 
-def _check_field(u: np.ndarray, m: float, allow_zero: bool) -> np.ndarray:
+def _check_field(u: np.ndarray, m: float) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise DomainError("field contains non-finite values")
-    if allow_zero and m >= 2.0:
+    if m >= 2.0:
         if np.any(u < 0.0):
             raise DomainError("field contains negative values")
     elif np.any(u <= 0.0):
@@ -235,7 +235,7 @@ def pressure_inverse(m: float, v):
 def gradient_energy_field(g: Graph, m: float, w) -> np.ndarray:
     """Vectorized :func:`gradient_energy` over all vertices."""
     m = check_exponent(m)
-    w = _check_field(_fields(g, w), m, allow_zero=True)
+    w = _check_field(_fields(g, w), m)
     return _gradient_energy(g, m, w)
 
 
@@ -285,7 +285,7 @@ def curvature_form_mixed(g: Graph, m: float, alpha: float, u, x: str) -> float:
     """
     m = check_exponent(m)
     alpha = check_mixing(alpha)
-    u = _check_field(as_field(g, u), m, allow_zero=True)
+    u = _check_field(as_field(g, u), m)
     i = g.index(x)
     if alpha > 0.0 and u[i] <= 0.0:
         raise DomainError("curvature form needs a positive value at the base vertex")
@@ -302,7 +302,7 @@ def mixed_laplacian_field(g: Graph, m: float, alpha: float, u) -> np.ndarray:
     """Vectorized :func:`mixed_laplacian` over all vertices."""
     m = check_exponent(m)
     alpha = check_mixing(alpha)
-    u = _check_field(_fields(g, u), m, allow_zero=True)
+    u = _check_field(_fields(g, u), m)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _mixed_laplacian(g, m, alpha, u)
 

@@ -75,8 +75,8 @@ __all__ = [
 
 
 # Dormand-Prince 5(4) tableau; the propagated solution is 5th order and the
-# last error coefficient belongs to the FSAL stage.
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+# last error coefficient belongs to the FSAL stage.  The flow is autonomous,
+# so the stage nodes c_i never enter a stage and are not kept.
 _DP_A = tuple(map(np.array, (
     (0.2,),
     (3.0 / 40.0, 9.0 / 40.0),

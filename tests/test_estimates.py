@@ -1,6 +1,7 @@
 """Time-scaled regularity estimates, Harnack bounds and scalar lemmas."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -36,6 +37,7 @@ from pmelab import (
     square_graph,
     write_trajectory_csv,
 )
+from pmelab.cli import main
 from pmelab.errors import DomainError, LambdaOneError, NoPathError, ValidationError
 
 
@@ -130,6 +132,29 @@ def test_checkers_reject_a_negative_or_non_finite_tolerance(tol):
         harnack_check(traj, 4.0 / 3.0, 0.0, [(0.2, 0.8, "x", "z")], tol=tol)
 
 
+def test_time_scaled_checkers_refuse_a_trajectory_from_t_zero():
+    traj = square_run(t0=0.0)
+    for check in (lambda: ab_check(traj, 0.0, 4.0 / 3.0), lambda: diff_harnack_residual(traj, 0.0, 4.0 / 3.0)):
+        with pytest.raises(ValidationError) as got:
+            check()
+        assert str(got.value) == "trajectory must start at t > 0 for time-scaled bounds"
+
+
+@pytest.mark.parametrize("spec", ["square", "path:16", "complete:5"])
+@pytest.mark.parametrize("m", [1.25, 2.0, 3.0])
+def test_time_scaled_checkers_at_reported_times_need_no_dense_data(tmp_path, spec, m):
+    g = resolve_graph(spec)
+    traj = integrate(g, m, np.random.default_rng(5).uniform(0.5, 1.5, g.n), np.linspace(0.1, 3.0, 30))
+    write_trajectory_csv(traj, tmp_path / "traj.csv")
+    plain = read_trajectory_csv(tmp_path / "traj.csv", g, m)
+    assert plain.dense is None
+    reported = set(traj.times.tolist())
+    for check in (lambda tr: ab_check(tr, 0.5, 4.0 / 3.0), lambda tr: diff_harnack_residual(tr, 0.25, 0.7)):
+        rep = check(plain)
+        assert rep.points_checked == len(traj.times) * g.n
+        assert rep.records == [r for r in check(traj).records if r[0] in reported]
+
+
 # -- Harnack right-hand sides ----------------------------------------------
 
 
@@ -174,6 +199,29 @@ def test_rhs_forms_refuse_an_overflowing_power(mu, t2):
         harnack_rhs_path(g, 2.0, mu, 0.0, 1.0, t2, ["1", "2", "3"])
     with pytest.raises(DomainError, match="overflows a float"):
         harnack_rhs_distance(g, mu, 0.0, 1.0, t2, "1", "3")
+
+
+def test_a_harnack_width_whose_square_underflows_is_refused(tmp_path, capsys):
+    # (t2 - t1)**2 divides both corrections; at 0 they would be inf or nan
+    g = path_graph(3)
+    message = "(t2 - t1)**2 = 1e-170**2 underflows to 0"
+    traj = integrate(g, 2.0, [1.0, 0.5, 0.7], np.linspace(1e-170, 3e-170, 5))
+    calls = [
+        lambda: harnack_rhs_distance(g, 1.0, 0.0, 1e-170, 2e-170, "1", "3"),
+        lambda: harnack_rhs_distance(g, 1.0, 0.0, 1e-170, 2e-170, "1", "1"),
+        lambda: harnack_rhs_path(g, 2.0, 1.0, 0.0, 1e-170, 2e-170, ["1", "2", "3"]),
+        lambda: harnack_check(traj, 1.0, 0.0, [(1e-170, 2e-170, "1", "3")]),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as got:
+            call()
+        assert str(got.value) == message
+    argv = ["check", "harnack", "--graph", "path:3", "--mu", "1", "--pairs", "5", "--u0", "random:"]
+    for start, code in (("1e-170", 2), ("1e-150", 0)):
+        window = ["--t-start", start, "--t-end", start.replace("1e", "3e"), "--out", str(tmp_path / start)]
+        assert main(argv + window) == code
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \(t2 - t1\)\*\*2 = \S+\*\*2 underflows to 0\n" if code else "", err), err
 
 
 def test_harnack_check_refuses_a_slack_past_the_float_range():

@@ -1,5 +1,8 @@
 """The package API: each module's ``__all__``, re-exported once."""
 
+import ast
+import collections
+import pathlib
 import subprocess
 import sys
 
@@ -67,3 +70,36 @@ def test_importing_pmelab_loads_its_library_modules_and_not_the_cli():
     assert proc.returncode == 0, proc.stderr
     want = ["artifacts", "cd", "errors", "estimates", "graphs", "operators", "solver"]
     assert proc.stdout.split() == ["pmelab." + name for name in want]
+
+
+def _private_definitions(tree):
+    """``(name, node)`` of each module-level name with one leading underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node):
+    """How often each identifier is read in ``node``, as a name or as an attribute."""
+    return collections.Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)) or isinstance(sub, ast.Attribute)
+    )
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    trees = [ast.parse(path.read_text()) for path in sorted(pathlib.Path(pmelab.__file__).parent.glob("*.py"))]
+    used = sum((_references(tree) for tree in trees), collections.Counter())
+    definitions = [pair for tree in trees for pair in _private_definitions(tree)]
+    assert definitions
+    dead = [name for name, node in definitions if used[name] <= _references(node)[name]]
+    assert dead == []
