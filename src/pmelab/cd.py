@@ -366,8 +366,38 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     return _SearchOutcome(float(S[i]), X[i], evaluations, admissible)
 
 
-def _ratio_from_score(score: float) -> float:
-    return math.inf if score <= 0.0 else 1.0 / score
+@dataclass(frozen=True)
+class _SearchResult:
+    """One search at ``vertex``, in which ``d`` plays no part, and the supremum of :func:`cd_ratio` it found."""
+
+    vertex: str
+    m: float
+    alpha: float
+    config: SearchConfig
+    ball: tuple[str, ...]
+    outcome: _SearchOutcome
+    ratio: float  # nan when no field was admissible, +inf when the best score is <= 0, else 1 / min_score
+
+    def report(self, d: float) -> CDReport:
+        """The verdict at ``d``: ``inconclusive`` at a ``nan`` ratio, ``violated`` with a witness above ``d(1+tol)``."""
+        cfg, out, ratio = self.config, self.outcome, self.ratio
+        verdict, witness = "holds_empirically", None
+        if math.isnan(ratio):
+            verdict, ratio = "inconclusive", None
+        elif ratio > d * (1.0 + cfg.tol):
+            field_values = {v: float(value) for v, value in zip(self.ball, out.best_u)}
+            verdict, witness = "violated", AdmissibleConfig(self.vertex, field_values, self.m, self.alpha, cfg.delta)
+        floor = cfg.floor if self.m < 2.0 else None
+        return CDReport(self.vertex, self.m, self.alpha, d, verdict, witness, ratio, out.evaluations, cfg.seed, floor)
+
+
+def _search(g: Graph, x: str, m: float, alpha: float, search: Optional[SearchConfig]) -> _SearchResult:
+    """Run the violation search at ``x`` once, for any number of verdicts."""
+    cfg = search or SearchConfig()
+    prob = _BallProblem(g, x, m, alpha)
+    out = _search_min_score(prob, cfg)
+    ratio = math.nan if out.admissible_found == 0 else math.inf if out.min_score <= 0.0 else 1.0 / out.min_score
+    return _SearchResult(x, prob.m, prob.alpha, cfg, prob.ball, out, ratio)
 
 
 def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Optional[SearchConfig] = None) -> CDReport:
@@ -387,20 +417,7 @@ def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Opt
     alpha = check_mixing(alpha)
     if not 0.0 < d < math.inf:
         raise ValidationError("d must be positive and finite")
-    cfg = search or SearchConfig()
-    prob = _BallProblem(g, x, m, alpha)
-    out = _search_min_score(prob, cfg)
-    floor_flag = cfg.floor if m < 2.0 else None
-    if out.admissible_found == 0:
-        return CDReport(x, m, alpha, d, "inconclusive", None, None, out.evaluations, cfg.seed, floor_flag)
-    ratio = _ratio_from_score(out.min_score)
-    prob_witness = None
-    verdict = "holds_empirically"
-    if ratio > d * (1.0 + cfg.tol):
-        verdict = "violated"
-        field_values = {v: float(value) for v, value in zip(prob.ball, out.best_u)}
-        prob_witness = AdmissibleConfig(x, field_values, m, alpha, cfg.delta)
-    return CDReport(x, m, alpha, d, verdict, prob_witness, ratio, out.evaluations, cfg.seed, floor_flag)
+    return _search(g, x, m, alpha, search).report(d)
 
 
 def empirical_optimal_d(g: Graph, m: float, alpha: float, x: str, search: Optional[SearchConfig] = None) -> float:
@@ -412,15 +429,7 @@ def empirical_optimal_d(g: Graph, m: float, alpha: float, x: str, search: Option
     nonpositive curvature form, and ``nan`` if no admissible field was
     found at all.
     """
-    return _optimal_d(g, m, alpha, x, search)[0]
-
-
-def _optimal_d(g: Graph, m: float, alpha: float, x: str, search: Optional[SearchConfig]) -> tuple[float, int]:
-    """:func:`empirical_optimal_d` and the number of fields its search scored."""
-    out = _search_min_score(_BallProblem(g, x, m, alpha), search or SearchConfig())
-    if out.admissible_found == 0:
-        return math.nan, out.evaluations
-    return _ratio_from_score(out.min_score), out.evaluations
+    return _search(g, x, m, alpha, search).ratio
 
 
 # -- closed forms and counterexamples --------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from .artifacts import write_csv, write_json
 from .cd import (
     SearchConfig,
-    _optimal_d,
+    _search,
     chain_counterexample,
     chain_limit_curvature,
     empirical_optimal_d,
@@ -325,18 +325,10 @@ def cmd_verify_cd(args) -> int:
                 % (args.graph, v, report.verdict, report.empirical_optimal_d)
             )
         else:
-            best, evaluations = _optimal_d(g, args.m, args.alpha, v, search)
-            reports.append(
-                {
-                    "vertex": v,
-                    "m": args.m,
-                    "alpha": args.alpha,
-                    "empirical_optimal_d": best,
-                    "samples_used": evaluations,
-                    "seed": search.seed,
-                }
-            )
-            print("verify-cd %s at %s: empirical optimal d %s" % (args.graph, v, best))
+            result = _search(g, v, args.m, args.alpha, search)
+            reports.append(dict(vertex=v, m=args.m, alpha=args.alpha, seed=search.seed,
+                                empirical_optimal_d=result.ratio, samples_used=result.outcome.evaluations))
+            print("verify-cd %s at %s: empirical optimal d %s" % (args.graph, v, result.ratio))
 
     out_path = os.path.join(outdir, "cd_report.json")
     write_json(
@@ -422,12 +414,11 @@ def _run_complete_optimal(d_count: int, m: float, seed: int) -> tuple[bool, dict
 def _run_square(seed: int) -> tuple[bool, dict]:
     g = square_graph()
     search = SearchConfig(seed=seed)
-    reports = {v: verify_cd_at(g, 2.0, 0.0, 4.0 / 3.0, v, search) for v in ("x", "y1", "y2", "z")}
-    verdicts = {v: report.verdict for v, report in reports.items()}
+    results = {v: _search(g, v, 2.0, 0.0, search) for v in ("x", "y1", "y2", "z")}  # one search per vertex
+    verdicts = {v: result.report(4.0 / 3.0).verdict for v, result in results.items()}
     all_hold = all(verdict == "holds_empirically" for verdict in verdicts.values())
-    tight = verify_cd_at(g, 2.0, 0.0, 1.32, "x", search)
-    # the reports carry empirical_optimal_d's value (None where it is nan)
-    optimal = max(math.nan if r.empirical_optimal_d is None else r.empirical_optimal_d for r in reports.values())
+    tight = results["x"].report(1.32)
+    optimal = max(result.ratio for result in results.values())
     passed = (
         all_hold
         and tight.verdict == "violated"

@@ -211,12 +211,23 @@ def _check_harnack_params(mu: float, lam: float, t1, t2) -> None:
         raise DomainError(f"(t2 - t1)**2 = {float(width[zero][0])!r}**2 underflows to 0")
 
 
+def _denominator(form: str, kmin: float, mu: float, lam: float, t1, t2):
+    """``(1-lambda)(mu+1) kmin (t2-t1)^2``, with ``kmin = 1`` in the path form; refused where it underflows to 0."""
+    den = (1.0 - lam) * (mu + 1.0) * kmin * np.float_power(t2 - t1, 2)  # libm's pow, as Python's float ** takes it
+    zero = np.flatnonzero(den == 0.0)
+    if len(zero):
+        times = tuple(float(np.ravel(t)[zero[0]]) for t in (t1, t2))
+        factor = " k_min " if form == "distance" else ""
+        raise DomainError(f"the {form}-form denominator (1 - lambda)(mu + 1){factor}(t2 - t1)**2 underflows to 0 "
+                          f"at (t1, t2) = {times}")
+    return den
+
+
 def _path_terms(mu: float, lam: float, t1: np.ndarray, t2: np.ndarray, n_edges: np.ndarray):
     """Zero-padded increments ``tau_j^(mu+1) - tau_{j-1}^(mu+1)`` and prefactors of ``n_edges``-edge paths."""
     steps = np.minimum(np.arange(n_edges.max() + 1), n_edges[:, None])
     powers = (t1[:, None] + steps * (t2 - t1)[:, None] / n_edges[:, None]) ** (mu + 1.0)
-    width = np.float_power(t2 - t1, 2)  # libm's pow, as Python's float ** takes it
-    return np.diff(powers, axis=1), 2.0 * n_edges**2 / ((1.0 - lam) * (mu + 1.0) * width)
+    return np.diff(powers, axis=1), 2.0 * n_edges**2 / _denominator("path", 1.0, mu, lam, t1, t2)
 
 
 def harnack_rhs_path(g: Graph, m: float, mu: float, lam: float, t1: float, t2: float, path: Sequence[str]) -> float:
@@ -247,7 +258,7 @@ def harnack_rhs_path(g: Graph, m: float, mu: float, lam: float, t1: float, t2: f
 def _distance_correction(dist, kmin: float, mu: float, lam: float, t1, t2):
     """The distance-form correction for hop distances and a smallest weight, with floats or arrays."""
     span = np.float_power(t2, mu + 1.0) - np.float_power(t1, mu + 1.0)
-    return 2.0 * dist**2 * span / ((1.0 - lam) * (mu + 1.0) * kmin * np.float_power(t2 - t1, 2))
+    return 2.0 * dist**2 * span / _denominator("distance", kmin, mu, lam, t1, t2)
 
 
 def harnack_rhs_distance(g: Graph, mu: float, lam: float, t1: float, t2: float, x1: str, x2: str) -> float:

@@ -26,7 +26,7 @@ from pmelab import (
     square_graph,
     verify_cd_at,
 )
-from pmelab.cd import _BLOCK_VALUES, _MIN_ROWS, _BallProblem, _search_min_score
+from pmelab.cd import _BLOCK_VALUES, _MIN_ROWS, _BallProblem, _search, _search_min_score
 from pmelab.errors import AdmissibilityError, ValidationError
 
 FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
@@ -318,6 +318,31 @@ def test_a_search_scores_no_block_wider_than_the_budget(spec, x, m, alpha):
         # at most the budget plus one row, unless that would leave fewer rows than the floor
         assert (rows - 1) * n <= _BLOCK_VALUES or rows < 2 * _MIN_ROWS
         assert rows >= _MIN_ROWS or (rows, n) in batches  # a small batch is not split
+
+
+@pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS + [("square", "x", 1.25, 0.5)])
+def test_each_verdict_is_a_comparison_on_one_search_result(spec, x, m, alpha):
+    g = resolve_graph(spec)
+    for seed in range(2):
+        cfg = SearchConfig(samples=4000, seed=seed)
+        result = _search(g, x, m, alpha, cfg)
+        assert result.ratio == empirical_optimal_d(g, m, alpha, x, cfg)
+        for d in (0.5, 1.3, 4.0 / 3.0, 2.0, 50.0):
+            report = result.report(d)
+            assert report == verify_cd_at(g, m, alpha, d, x, cfg)
+            violated = result.ratio > d * (1.0 + cfg.tol)
+            assert report.verdict == ("violated" if violated else "holds_empirically")
+            assert (report.witness is not None) == violated and report.empirical_optimal_d == result.ratio
+            assert report.samples_used == result.outcome.evaluations
+
+
+def test_an_inconclusive_vertex_has_a_nan_optimum():
+    # c has no out-neighbours, so -G(c) = 0 for every field and nothing is admissible
+    g = build_graph([("a", "b", 1.0), ("b", "c", 1.0)])
+    assert math.isnan(empirical_optimal_d(g, 2.0, 0.0, "c", FAST))
+    report = verify_cd_at(g, 2.0, 0.0, 1.0, "c", FAST)
+    assert (report.verdict, report.witness, report.empirical_optimal_d) == ("inconclusive", None, None)
+    assert report.samples_used == FAST.samples
 
 
 def test_report_serialization_encodes_infinities():

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmelab import SearchConfig, SolverConfig, ab_check, integrate, load_edge_list, square_graph
+from pmelab import SearchConfig, SolverConfig, ab_check, integrate, load_edge_list, square_graph, verify_cd_at
+from pmelab.cd import _search_min_score
 from pmelab.cli import REPRODUCE_IDS, build_parser, main, resolve_reproduce
 from pmelab.errors import ValidationError
 
@@ -339,6 +340,21 @@ def test_reproduce_ab_square_reports_where_the_minimum_sits(tmp_path):
     assert 0.05 <= argmin["t"] <= 5.0
     assert argmin["vertex"] in ("x", "y1", "y2", "z")
     assert argmin["form"] in ("direct", "pressure_equation")
+
+
+def test_reproduce_square_searches_each_vertex_once(tmp_path, monkeypatch):
+    # the verdicts at 4/3 and at 1.32 at x come from one search at x
+    searches = []
+    monkeypatch.setattr("pmelab.cd._search_min_score", lambda *args: searches.append(args) or _search_min_score(*args))
+    assert main(["reproduce", "sq3.3", "--seed", "1", "--out", str(tmp_path / "run")]) == 0
+    assert len(searches) == 4
+    got = read_json(tmp_path / "run" / "reproduce_sq3.3.json")
+    g, cfg = square_graph(), SearchConfig(seed=1)
+    reports = {v: verify_cd_at(g, 2.0, 0.0, 4.0 / 3.0, v, cfg) for v in ("x", "y1", "y2", "z")}
+    tight = verify_cd_at(g, 2.0, 0.0, 1.32, "x", cfg)
+    assert got["verdicts_at_4_3"] == {v: report.verdict for v, report in reports.items()}
+    assert (got["verdict_at_1.32"], got["witness_at_1.32"]) == (tight.verdict, tight.to_json_dict()["witness"])
+    assert got["measured_optimal_d"] == max(report.empirical_optimal_d for report in reports.values())
 
 
 def test_reproduce_refuses_an_m_without_a_closed_form_before_searching(tmp_path, capsys, monkeypatch):

@@ -224,6 +224,27 @@ def test_a_harnack_width_whose_square_underflows_is_refused(tmp_path, capsys):
         assert re.fullmatch(r"error: \(t2 - t1\)\*\*2 = \S+\*\*2 underflows to 0\n" if code else "", err), err
 
 
+def test_a_harnack_denominator_that_underflows_is_refused(tmp_path, capsys):
+    # (t2 - t1)**2 = 1e-322 is nonzero, but (1 - lambda)(mu + 1) times it underflows to 0
+    g = path_graph(3)
+    times = "at (t1, t2) = (1e-161, 2e-161)"
+    distance = "the distance-form denominator (1 - lambda)(mu + 1) k_min (t2 - t1)**2 underflows to 0 " + times
+    for x2 in ("1", "2", "3"):
+        with pytest.raises(DomainError) as got:
+            harnack_rhs_distance(g, 1.0, 0.99999, 1e-161, 2e-161, "1", x2)
+        assert str(got.value) == distance
+    with pytest.raises(DomainError) as got:
+        harnack_rhs_path(g, 2.0, 1.0, 0.99999, 1e-161, 2e-161, ["1", "2", "3"])
+    assert str(got.value) == "the path-form denominator (1 - lambda)(mu + 1)(t2 - t1)**2 underflows to 0 " + times
+    argv = ["check", "harnack", "--graph", "path:3", "--mu", "1", "--t-start", "1e-161", "--t-end", "1e-160"]
+    argv += ["--pairs", "5", "--u0", "random:", "--seed", "0"]
+    for lam, code in (("0.99999", 2), ("0.5", 0)):
+        assert main(argv + ["--lambda", lam, "--out", str(tmp_path / lam)]) == code
+        err = capsys.readouterr().err
+        pattern = r"error: the path-form denominator \(1 - lambda\)\(mu \+ 1\)\(t2 - t1\)\*\*2 underflows to 0 at .*\n"
+        assert re.fullmatch(pattern if code else "", err), err
+
+
 def test_harnack_check_refuses_a_slack_past_the_float_range():
     # t^mu v overflows on a huge state; a weight of 1e-308 puts both corrections past the range
     traj = integrate(path_graph(3), 2.0, [1e100] * 3, np.linspace(1.0, 100.0, 5))

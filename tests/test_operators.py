@@ -607,6 +607,10 @@ def test_core_reads_only_the_kernel_interface(spec, m):
             _assert_same_bits(call(stub), call(g))
             _assert_same_bits(call(logged), call(g))
             assert stub.reads == logged.reads and stub.reads
+    # the CD search's dense ball kernel sums a batch of any rank as the rows it holds
+    ball, F = _BallKernel(g, np.arange(g.n)), np.concatenate([U, U[:1]]).reshape(2, 3, g.n)
+    _assert_same_bits(ball.kernel_sum(F), ball.kernel_sum(F.reshape(6, g.n)).reshape(F.shape))
+    np.testing.assert_allclose(ball.kernel_sum(F), g.kernel_sum(F), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("spec,x", [("square", "x"), ("complete:5", "x1"), ("path:6", "3"), ("zwindow:3", "0")])

@@ -119,6 +119,14 @@ def test_dense_output_rejects_times_outside_the_run():
         traj.state_at(0.1)
 
 
+def test_dense_output_refuses_an_array_reaching_outside_the_run():
+    g = complete_graph(2)
+    traj = integrate(g, 2.0, [1.0, 0.5], np.linspace(0.5, 1.0, 4))
+    for times in ([0.6, 0.1], np.array([0.7, 2.0])):
+        with pytest.raises(DomainError, match="time outside the integrated range"):
+            traj.dense(times)
+
+
 def test_dense_output_at_no_times_is_empty():
     g = square_graph()
     traj = integrate(g, 2.0, [1.0, 0.5, 0.7, 1.2], np.linspace(0.0, 1.0, 5))
@@ -519,6 +527,20 @@ def test_entropy_dissipation_residual_refuses_an_ulp_narrow_grid():
     traj = integrate(g, 2.0, [1.0, 0.5, 0.7, 1.2], np.linspace(1e6, 1000000.0000001, 201))
     with pytest.raises(ValidationError, match=r"grid spacing 4\.66e-10 at t=1e\+06 is only 4 ulps wide"):
         entropy_dissipation_residual(traj, counting_measure(g))
+
+
+def test_a_measure_on_another_graph_object_is_checked_against_the_graph_read():
+    # pi = (1, 2) balances a -> b 2, b -> a 1, but not the symmetric unit kernel
+    g, u = complete_graph(2), [1.0, 2.0]
+    same = counting_measure(complete_graph(2))
+    lopsided = Measure(build_graph([("a", "b", 2.0), ("b", "a", 1.0)]), np.array([1.0, 2.0]))
+    assert renyi_entropy(g, 2.0, u, same) == renyi_entropy(g, 2.0, u, counting_measure(g))
+    traj = integrate(g, 2.0, u, np.linspace(0.1, 0.3, 21))
+    assert entropy_dissipation_residual(traj, same) == entropy_dissipation_residual(traj, counting_measure(g))
+    with pytest.raises(ValidationError, match="detailed balance"):
+        renyi_entropy(g, 2.0, u, lopsided)
+    with pytest.raises(ValidationError, match="detailed balance"):
+        entropy_dissipation_residual(traj, lopsided)
 
 
 def test_pressure_equation_residual_is_floating_point_small():
