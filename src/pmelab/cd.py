@@ -25,6 +25,7 @@ faces, where coordinates are pinned at ``lo`` or 1.  For ``m >= 2``,
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,8 +75,10 @@ class SearchConfig:
     Fields are normalized by their largest ball value, so the search
     domain is ``[lo, 1]^n``: ``lo = 0`` for ``m >= 2``, else ``lo = floor``
     (the formulas involve ``u^(m-2)``).  ``samples`` rows are drawn, the
-    best ``starts`` seed the compass refinement, and ``refine_iters`` bounds
-    its iterations (0: sampling only); an iteration polls every start once.
+    ``starts`` rows with the lowest scores seed the compass refinement
+    (among equal scores the earlier sample first, NaN after ``+inf``, as a
+    stable sort orders them), and ``refine_iters`` bounds its iterations
+    (0: sampling only); an iteration polls every start once.
     A report's ``samples_used`` counts every field the search scored: the
     samples plus ``starts x 2(n - 1)`` polls per iteration run.
     ``delta`` is the strictness margin while refining, ``tol`` the relative
@@ -91,6 +94,14 @@ class SearchConfig:
     starts: int = 3
 
     def __post_init__(self):
+        for name in ("samples", "refine_iters", "seed", "starts"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"search {name} must be an integer, not {value!r}") from None
         if self.samples < 1:
             raise ValidationError("search budget must be at least 1 sample")
         if self.refine_iters < 0 or self.starts < 1:
@@ -301,6 +312,46 @@ class _SearchOutcome:
     admissible_found: int
 
 
+def _sample_fields(rng: np.random.Generator, samples: int, n: int, lo: float) -> np.ndarray:
+    """``samples`` seeded rows of ``[lo, 1]^n``, the second half on its faces.
+
+    Each face row draws a pin probability ``q``; a coordinate is pinned
+    where its first draw falls below ``q``, to ``lo`` where its second draw
+    falls below 1/2, else to 1.  The pins are written by arithmetic, not by
+    masked selects, which branch on random masks: ``x * 1 + 0 = x`` and
+    ``0 + 1 = 1`` are exact.
+    """
+    U = rng.uniform(lo, 1.0, (samples, n))
+    faces = U[samples // 2 :]  # a view: pins are written into U
+    draw = rng.random(faces.shape)
+    pinned = draw < rng.random((len(faces), 1))
+    low = rng.random(out=draw) < 0.5
+    low &= pinned
+    faces *= ~pinned
+    faces += pinned ^ low  # pinned high
+    faces += lo * low
+    return U
+
+
+def _lowest_first(score: np.ndarray, starts: int) -> np.ndarray:
+    """The rows of the ``starts`` lowest scores, the earlier row first among equal scores and NaN after ``+inf``.
+
+    This is ``np.argsort(score, kind="stable")[:starts]``, found in at most
+    ``starts`` passes of ``np.argmin`` (which returns the first of tied
+    rows) over a copy, so it does not depend on how numpy sorts.
+    """
+    s = np.fmin(score, np.inf)  # a copy in which NaN reads as +inf
+    top = []
+    for _ in range(min(starts, len(s))):
+        i = int(np.argmin(s))
+        if s[i] == np.inf:  # only +inf and NaN are left: the +inf first, each in row order
+            top += [*np.flatnonzero(score == np.inf), *np.flatnonzero(np.isnan(score))][: starts - len(top)]
+            break
+        top.append(i)
+        s[i] = np.inf
+    return np.array(top, dtype=np.intp)
+
+
 def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     """Minimize score = curvature form / (-G)^2 over admissible ball fields.
 
@@ -308,8 +359,9 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     The second half of the samples lies on faces: each row draws a pin
     probability ``q`` and pins every coordinate with probability ``q`` to
     ``lo`` or 1, so every pin count, up to a full corner, gets about the
-    same budget.  The admissible rows among the ``starts`` best then take
-    compass steps of ``±step`` on every coordinate but the largest (the
+    same budget.  The admissible rows among the ``starts`` lowest scores
+    (the earlier sample first among ties, see :func:`_lowest_first`) then
+    take compass steps of ``±step`` on every coordinate but the largest (the
     flat scale direction), each moving to its best admissible improving
     candidate with ``-G > delta``, else shrinking its step fourfold.
     Until some start moves, the polls of the coming iterations are known,
@@ -322,18 +374,12 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     row differently in a batch of another shape (the last bits only).
     """
     lo = 0.0 if prob.m >= 2.0 else cfg.floor
-    rng = np.random.default_rng(cfg.seed)
-    U = rng.uniform(lo, 1.0, (cfg.samples, len(prob.ball)))
-    faces = U[cfg.samples // 2 :]  # a view: pins are written into U
-    pinned = rng.random(faces.shape) < rng.random((len(faces), 1))
-    np.copyto(faces, np.where(rng.random(faces.shape) < 0.5, lo, 1.0), where=pinned)
-    del faces, pinned
-
+    U = _sample_fields(np.random.default_rng(cfg.seed), cfg.samples, len(prob.ball), lo)
     ok, score, _, _ = prob.evaluate(U)
     admissible = int(ok.sum())
     if admissible == 0:
         return _SearchOutcome(math.inf, None, len(U), 0)
-    top = np.argsort(score)[: cfg.starts]
+    top = _lowest_first(score, cfg.starts)
     X, S = U[top[ok[top]]], score[top[ok[top]]]
     k, n = X.shape
     step = np.full(k, (1.0 - lo) / 4.0)

@@ -26,7 +26,15 @@ from pmelab import (
     square_graph,
     verify_cd_at,
 )
-from pmelab.cd import _BLOCK_VALUES, _MIN_ROWS, _BallProblem, _search, _search_min_score
+from pmelab.cd import (
+    _BLOCK_VALUES,
+    _MIN_ROWS,
+    _BallProblem,
+    _lowest_first,
+    _sample_fields,
+    _search,
+    _search_min_score,
+)
 from pmelab.errors import AdmissibilityError, ValidationError
 
 FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
@@ -35,13 +43,25 @@ FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
 # -- admissibility and ratio -----------------------------------------------
 
 
-BAD_SETTINGS = [(f, v) for v in (-1e-9, math.inf, math.nan) for f in ("tol", "delta")] + [("seed", -1)]
+BAD_MARGINS = [(f, v) for v in (-1e-9, math.inf, math.nan) for f in ("tol", "delta")] + [("seed", -1)]
+# budgets that are not integers, which numpy would refuse later with a bare TypeError or truncate
+BAD_BUDGETS = [("samples", 2.5), ("samples", True), ("seed", 1.5), ("starts", 2.5), ("refine_iters", 2.5)]
+BAD_BUDGETS += [("seed", "1"), ("starts", np.True_)]
+BAD_SETTINGS = [(f, v, None) for f, v in BAD_MARGINS]
+BAD_SETTINGS += [(f, v, f"search {f} must be an integer") for f, v in BAD_BUDGETS]
 
 
-@pytest.mark.parametrize("field,value", BAD_SETTINGS, ids=["%s-%s" % (v, f) for f, v in BAD_SETTINGS])
-def test_search_config_rejects_a_negative_or_non_finite_margin(field, value):
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize("field,value,match", BAD_SETTINGS, ids=["%s-%s" % (v, f) for f, v, _ in BAD_SETTINGS])
+def test_search_config_rejects_a_negative_or_non_finite_margin(field, value, match):
+    with pytest.raises(ValidationError, match=match):
         SearchConfig(**{field: value})
+
+
+def test_search_config_stores_an_integer_budget_as_an_int():
+    for field in ("samples", "refine_iters", "seed", "starts"):
+        cfg = SearchConfig(**{field: np.int64(3)})
+        assert getattr(cfg, field) == 3 and type(getattr(cfg, field)) is int
+    assert SearchConfig(seed=2**70).seed == 2**70
 
 
 def test_search_config_has_no_box_height():
@@ -192,22 +212,62 @@ def test_search_verdict_is_stable_across_seeds():
         assert verify_cd_at(g, 2.0, 0.0, 1.25, "x1", cfg).verdict == "violated"
 
 
+def _masked_select_sample(rng, samples, n, lo):
+    """The search's samples as they were drawn first, with the pins written by masked selects."""
+    U = rng.uniform(lo, 1.0, (samples, n))
+    faces = U[samples // 2 :]
+    pinned = rng.random(faces.shape) < rng.random((len(faces), 1))
+    np.copyto(faces, np.where(rng.random(faces.shape) < 0.5, lo, 1.0), where=pinned)
+    return U
+
+
+SAMPLE_GRID = [
+    (n, lo, samples, seed)
+    for n in (1, 2, 3, 4, 5, 12, 30)
+    for lo in (0.0, 1e-6, 0.3, 0.999)
+    for samples in (1, 2, 3, 60, 2000, 20001)
+    for seed in range(4)
+]
+
+
+def test_samples_equal_the_masked_select_draws_bit_for_bit():
+    for n, lo, samples, seed in SAMPLE_GRID:
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = _sample_fields(got_rng, samples, n, lo), _masked_select_sample(want_rng, samples, n, lo)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), (n, lo, samples, seed)
+        # the generator is left in the same state
+        assert got_rng.random(3).tobytes() == want_rng.random(3).tobytes(), (n, lo, samples, seed)
+
+
+def test_starts_are_the_lowest_scores_in_stable_sort_order():
+    rng = np.random.default_rng(11)
+    values = np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, 0.5, 1.0, 2.0])
+    for _ in range(3000):
+        rows = int(rng.integers(1, 40))
+        # few distinct values, so the lowest scores tie often
+        score = rng.choice(values[: rng.integers(2, len(values) + 1)], rows)
+        if rng.random() < 0.3:  # mostly inadmissible (+inf), as on a sparse ball
+            score = np.where(rng.random(rows) < 0.9, np.inf, rng.integers(0, 3, rows) / 2.0)
+        for starts in (1, 2, 3, rows, rows + 4):
+            got = _lowest_first(score, starts)
+            assert got.dtype == np.intp
+            assert got.tolist() == np.argsort(score, kind="stable")[:starts].tolist(), (score, starts)
+
+
 def _one_iteration_per_evaluate(prob, cfg):
     """The compass search as it was written first: one ``evaluate`` per iteration.
 
     ``_search_min_score`` scores several iterations' polls per call and
-    replays them; it must agree with this loop bit for bit.
+    replays them; it must agree with this loop bit for bit.  Its starts
+    are the stated rule, a stable sort of the scores.
     """
     lo = 0.0 if prob.m >= 2.0 else cfg.floor
-    rng = np.random.default_rng(cfg.seed)
-    U = rng.uniform(lo, 1.0, (cfg.samples, len(prob.ball)))
-    faces = U[cfg.samples // 2 :]
-    pinned = rng.random(faces.shape) < rng.random((len(faces), 1))
-    faces[pinned] = np.where(rng.random(faces.shape) < 0.5, lo, 1.0)[pinned]
+    U = _masked_select_sample(np.random.default_rng(cfg.seed), cfg.samples, len(prob.ball), lo)
     ok, score, _, _ = prob.evaluate(U)
     if not ok.any():
         return math.inf, None, len(U), 0
-    top = np.argsort(score)[: cfg.starts]
+    top = np.argsort(score, kind="stable")[: cfg.starts]
     X, S = U[top[ok[top]]], score[top[ok[top]]]
     k, n = X.shape
     step = np.full(k, (1.0 - lo) / 4.0)
