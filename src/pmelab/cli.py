@@ -22,25 +22,7 @@ import sys
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
-from .cd import (
-    SearchConfig,
-    _search,
-    chain_counterexample,
-    chain_limit_curvature,
-    empirical_optimal_d,
-    lattice_cd_check,
-    verify_cd_at,
-)
 from .errors import PMELabError, StiffnessError, ValidationError
-from .estimates import (
-    ab_check,
-    diff_harnack_residual,
-    harnack_check,
-    integral_min_inequality_check,
-    minorant_ratio,
-    quadratic_minorant_check,
-)
 from .graphs import (
     GENERATOR_HELP,
     Graph,
@@ -49,18 +31,9 @@ from .graphs import (
     save_edge_list,
     square_graph,
 )
-from .operators import laplacian_field, pressure
-from .solver import (
-    SolverConfig,
-    _entropy,
-    counting_measure,
-    entropy_dissipation_residual,
-    exact_two_point,
-    integrate,
-    load_initial_condition,
-    pressure_equation_residual,
-    write_trajectory_csv,
-)
+
+# Each command imports the library modules it runs when it is called, so a
+# cold process loads only those: ``gen-graph`` needs ``graphs`` alone.
 
 DEFAULT_OUT = "pmelab-out"
 
@@ -161,6 +134,8 @@ def resolve_initial_state(spec: str, g: Graph, seed: int) -> np.ndarray:
     if kind == "file":
         if not rest:
             raise ValidationError("file: initial state needs a path")
+        from .solver import load_initial_condition
+
         return load_initial_condition(rest, g)
     if kind == "const":
         try:
@@ -243,6 +218,17 @@ def sample_check_tuples(
 
 
 def cmd_simulate(args) -> int:
+    from .artifacts import write_csv, write_json
+    from .solver import (
+        SolverConfig,
+        _entropy,
+        counting_measure,
+        entropy_dissipation_residual,
+        integrate,
+        pressure_equation_residual,
+        write_trajectory_csv,
+    )
+
     outdir = resolve_outdir(args)
     g = resolve_graph(args.graph)
     u0 = resolve_initial_state(args.u0, g, args.seed)
@@ -305,6 +291,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_cd(args) -> int:
+    from .artifacts import write_json
+    from .cd import SearchConfig, _search, verify_cd_at
+
     outdir = resolve_outdir(args)
     g = resolve_graph(args.graph)
     vertices = args.vertex or [str(v) for v in g.vertices]
@@ -340,6 +329,10 @@ def cmd_verify_cd(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .artifacts import write_json
+    from .estimates import ab_check, diff_harnack_residual, harnack_check
+    from .solver import integrate
+
     outdir = resolve_outdir(args)
     g = resolve_graph(args.graph)
     u0 = resolve_initial_state(args.u0, g, args.seed)
@@ -398,6 +391,8 @@ def _optimal_d_target(m: float, d_count: int) -> float:
 
 
 def _run_complete_optimal(d_count: int, m: float, seed: int) -> tuple[bool, dict]:
+    from .cd import SearchConfig, empirical_optimal_d
+
     g = complete_graph(d_count)
     expected = _optimal_d_target(m, d_count)  # refuses an m without a closed form before the search
     measured = empirical_optimal_d(g, m, 0.0, "x1", SearchConfig(seed=seed))
@@ -412,6 +407,8 @@ def _run_complete_optimal(d_count: int, m: float, seed: int) -> tuple[bool, dict
 
 
 def _run_square(seed: int) -> tuple[bool, dict]:
+    from .cd import SearchConfig, _search
+
     g = square_graph()
     search = SearchConfig(seed=seed)
     results = {v: _search(g, v, 2.0, 0.0, search) for v in ("x", "y1", "y2", "z")}  # one search per vertex
@@ -435,6 +432,8 @@ def _run_square(seed: int) -> tuple[bool, dict]:
 
 
 def _run_chain(n: int, m: float, eps: float, expected, window: float) -> tuple[bool, dict]:
+    from .cd import chain_counterexample
+
     witness = chain_counterexample(n, m, eps)
     measured = witness.curvature
     passed = abs(measured - expected) <= window
@@ -448,6 +447,8 @@ def _run_chain(n: int, m: float, eps: float, expected, window: float) -> tuple[b
 
 
 def _run_chain_limit(m: float) -> tuple[bool, dict]:
+    from .cd import chain_counterexample, chain_limit_curvature
+
     if m <= 2.0:
         raise ValidationError("the chain limit comparison needs m > 2")
     q = m / (m - 1.0)
@@ -470,12 +471,17 @@ def _run_chain_limit(m: float) -> tuple[bool, dict]:
 
 
 def _run_lattice(m: float, seed: int) -> tuple[bool, dict]:
+    from .cd import lattice_cd_check
+
     measured = lattice_cd_check(m, 10000, seed)
     passed = measured >= -1e-9
     return passed, {"measured": measured, "expected": ">= -1e-9", "m": m, "samples": 10000}
 
 
 def _run_ab_square(seed: int) -> tuple[bool, dict]:
+    from .estimates import ab_check
+    from .solver import integrate
+
     g = square_graph()
     u0 = resolve_initial_state("random:", g, seed)
     traj = integrate(g, 2.0, u0, np.linspace(0.05, 5.0, 201))
@@ -488,6 +494,9 @@ def _run_ab_square(seed: int) -> tuple[bool, dict]:
 
 
 def _run_ab_sharpness() -> tuple[bool, dict]:
+    from .operators import laplacian_field, pressure
+    from .solver import exact_two_point, integrate
+
     g = complete_graph(2)
     a1, a2 = 1.0, 1e-6
     times = np.linspace(0.0, 5.0, 201)
@@ -510,6 +519,9 @@ def _run_ab_sharpness() -> tuple[bool, dict]:
 
 
 def _run_harnack(graph_spec: str, m: float, mu: float, seed: int) -> tuple[bool, dict]:
+    from .estimates import harnack_check
+    from .solver import integrate
+
     g = resolve_graph(graph_spec)
     u0 = resolve_initial_state("random:", g, seed)
     times = np.linspace(0.1, 5.0, 201)
@@ -528,6 +540,8 @@ def _run_harnack(graph_spec: str, m: float, mu: float, seed: int) -> tuple[bool,
 
 
 def _run_minorant(m: float) -> tuple[bool, dict]:
+    from .estimates import minorant_ratio, quadratic_minorant_check
+
     if m < 2.0:
         grids = [np.linspace(1.0, 10.0, 1000)]
     elif m > 2.0:
@@ -547,6 +561,8 @@ def _run_minorant(m: float) -> tuple[bool, dict]:
 
 
 def _run_integral_min(seed: int) -> tuple[bool, dict]:
+    from .estimates import integral_min_inequality_check
+
     rng = np.random.default_rng([seed, 3])
     t1, t2 = 0.5, 3.0
     ts = np.linspace(t1, t2, 2000)
@@ -614,6 +630,8 @@ def resolve_reproduce(token: str):
 
 
 def cmd_reproduce(args) -> int:
+    from .artifacts import write_json
+
     outdir = resolve_outdir(args)
     runner, value = resolve_reproduce(args.id)
     passed, payload = runner(value, args)
@@ -670,10 +688,12 @@ FLAGS = {
     "--t-start": dict(type=float, default=0.1),
     "--t-end": dict(type=float, default=5.0),
     "--points": dict(type=int, default=201),
-    "--rel-tol": dict(type=float, default=SolverConfig.rel_tol),
-    "--abs-tol": dict(type=float, default=SolverConfig.abs_tol),
+    # the SolverConfig and SearchConfig defaults, written out so that parsing
+    # imports neither module; the tests tie each to its config
+    "--rel-tol": dict(type=float, default=1e-10),
+    "--abs-tol": dict(type=float, default=1e-10),
     "--vertex": dict(action="append", default=None, help="vertex to verify (repeatable; default all)"),
-    "--samples": dict(type=int, default=SearchConfig.samples, help="search sample budget"),
+    "--samples": dict(type=int, default=20000, help="search sample budget"),
     "--pairs": dict(type=int, default=100, help="harnack: sampled tuples"),
     "--seed": dict(type=_seed, default=0, help="seed for all randomized choices"),
     "--tol": dict(type=float, default=None, help="reporting tolerance override"),

@@ -361,7 +361,7 @@ def test_reproduce_refuses_an_m_without_a_closed_form_before_searching(tmp_path,
     def search(*args, **kwargs):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr("pmelab.cli.empirical_optimal_d", search)
+    monkeypatch.setattr("pmelab.cd.empirical_optimal_d", search)
     assert main(["reproduce", "ex3.5:100", "--m", "1.5", "--out", str(tmp_path / "run")]) == 2
     assert "closed-form optimal d" in capsys.readouterr().err
 
@@ -514,11 +514,56 @@ def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [want for _, want in _NO_SCIPY_RUNS]
 
 
+# the pmelab modules each group of commands loads, and every command path in
+# it: the subcommands, and each reproduce id with the runner it calls
+_COMMAND_GROUPS = {
+    "graphs": (
+        ["cli", "errors", "graphs"],
+        [["gen-graph", "--graph", "zwindow:3"]],
+    ),
+    "cd": (
+        ["artifacts", "cd", "cli", "errors", "graphs", "operators"],
+        [["verify-cd", "--graph", "square", "--vertex", "x", "--d", "1.4"]]
+        + [["reproduce", rid] for rid in ("ex3.3", "ex3.4", "ex3.5:3", "sq3.3", "ex4.1", "ex4.2", "ex4.3", "ex4.5:3", "thm4.6:2")],
+    ),
+    "flow": (
+        ["artifacts", "cli", "errors", "estimates", "graphs", "operators", "solver"],
+        [
+            ["simulate", "--graph", "square", "--u0", "random:"],
+            ["check", "ab", "--graph", "square", "--d", "1.3333333333333333", "--u0", "random:"],
+            ["check", "diff-harnack", "--graph", "complete:3", "--mu", "1.3333333333333333", "--u0", "random:"],
+            ["check", "harnack", "--graph", "square", "--mu", "1.3333333333333333", "--u0", "random:"],
+        ]
+        + [["reproduce", rid] for rid in ("ex5.3i", "ex5.3ii", "ex6.6i", "ex6.6ii:3", "lemma6.1:2", "lemma6.3")],
+    ),
+}
+
+
+@pytest.mark.parametrize("group", list(_COMMAND_GROUPS))
+def test_each_command_runs_and_loads_only_its_modules(tmp_path, group):
+    modules, argvs = _COMMAND_GROUPS[group]
+    runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(argvs)]
+    code = (
+        "import json, sys; from pmelab.cli import main; "
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+        "print(json.dumps([codes, sorted(sys.modules)]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True, timeout=240)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [1 if argv == ["reproduce", "ex4.3"] else 0 for argv in argvs]
+    assert [m.partition(".")[2] for m in loaded if m.startswith("pmelab.")] == modules
+    if group == "graphs":
+        assert "dataclasses" not in loaded
+
+
 def test_flag_defaults_are_the_library_defaults(tmp_path):
+    # the parser spells these out; a type mismatch would change the echoed config
     parser = build_parser()
-    assert parser.parse_args(["verify-cd"]).samples == SearchConfig().samples
-    simulate = parser.parse_args(["simulate"])
-    assert (simulate.rel_tol, simulate.abs_tol) == (SolverConfig().rel_tol, SolverConfig().abs_tol)
+    verify, simulate, solver = parser.parse_args(["verify-cd"]), parser.parse_args(["simulate"]), SolverConfig()
+    pairs = ((verify.samples, SearchConfig().samples), (simulate.rel_tol, solver.rel_tol), (simulate.abs_tol, solver.abs_tol))
+    for got, want in pairs:
+        assert (got, type(got)) == (want, type(want))
     out = tmp_path / "run"
     assert main(["check", "ab", "--graph", "square", "--d", "2", "--out", str(out)]) == 0
     report = read_json(out / "report_ab.json")

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import pmelab
 from pmelab import cd, errors, estimates, graphs, operators, solver
 
@@ -64,12 +66,49 @@ def test_the_errors_module_exports_exactly_its_exceptions():
     assert sorted(errors.__all__) == sorted(defined) and len(defined) == 7
 
 
-def test_importing_pmelab_loads_its_library_modules_and_not_the_cli():
-    code = "import pmelab, sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('pmelab.'))))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+def test_the_name_map_is_the_module_lists_in_order():
+    assert pmelab._EXPORTS == {module.__name__.rpartition(".")[2]: tuple(module.__all__) for module in _MODULES}
+    assert list(pmelab._MODULE_OF) == pmelab.__all__
+
+
+def test_dir_lists_the_api_and_the_modules():
+    listed = dir(pmelab)
+    assert listed == sorted(listed)
+    assert set(pmelab.__all__) | {"cd", "errors", "estimates", "graphs", "operators", "solver", "artifacts"} <= set(listed)
+    assert "__version__" in listed
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pmelab.no_such_name
+    assert not hasattr(pmelab, "no_such_name")
+
+
+# each step runs in a fresh interpreter, where nothing has touched the package yet
+_LAZY_STEPS = """
+import sys
+import pmelab
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("pmelab."))
+
+assert loaded() == [], loaded()
+assert pmelab.__version__
+assert "pressure" not in vars(pmelab)
+pressure = pmelab.pressure
+assert vars(pmelab)["pressure"] is pressure is sys.modules["pmelab.operators"].pressure
+assert loaded() == ["pmelab.errors", "pmelab.graphs", "pmelab.operators"], loaded()
+assert pmelab.cd is sys.modules["pmelab.cd"] and vars(pmelab)["cd"] is pmelab.cd
+assert not hasattr(pmelab, "cli")
+namespace = {}
+exec("from pmelab import *", namespace)
+assert "pmelab.cli" not in sys.modules and "pmelab.solver" in sys.modules
+"""
+
+
+def test_importing_pmelab_loads_none_of_its_modules():
+    proc = subprocess.run([sys.executable, "-c", _LAZY_STEPS], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    want = ["artifacts", "cd", "errors", "estimates", "graphs", "operators", "solver"]
-    assert proc.stdout.split() == ["pmelab." + name for name in want]
 
 
 def _private_definitions(tree):
