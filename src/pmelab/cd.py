@@ -210,15 +210,10 @@ def cd_ratio(g: Graph, m: float, alpha: float, u, x: str) -> float:
 
 # -- vectorized search engine ----------------------------------------------
 
-# Large batches are scored in blocks of about this many field values: 2**15
-# float64 values are 256 KB, so the few temporaries of a block that are live
-# at once fit a 2 MB L2 cache instead of being mapped afresh for every batch.
+# Large batches of any ball are scored in blocks of about this many values:
+# 2**15 float64 values are 256 KB, so the few temporaries of a block that are
+# live at once fit a 2 MB L2 cache instead of being mapped afresh every batch.
 _BLOCK_VALUES = 2**15
-# ... but of no fewer rows than this, because the curvature form loops over
-# the base vertex's neighbours once per block.  The floor binds on balls of
-# more than 16 vertices, where smaller blocks cost more in that loop than
-# they save.
-_MIN_ROWS = 2048
 
 
 class _BallKernel:
@@ -242,7 +237,11 @@ class _BallKernel:
     def kernel_sum(self, F: np.ndarray) -> np.ndarray:
         if F.ndim > 2:
             return self.kernel_sum(F.reshape(-1, F.shape[-1])).reshape(F.shape)
-        return (self.matrix @ F.T).T
+        # not (matrix @ F.T).T: OpenBLAS 0.3.31 sums some of its rows by batch size
+        # on balls of 30+ vertices, so blocks would not score as the whole batch;
+        # the sums keep F's layout, so elementwise work mixes no layouts
+        out = F @ self.matrix.T
+        return np.asfortranarray(out) if F.flags.f_contiguous else out
 
     def laplacian(self, F: np.ndarray) -> np.ndarray:
         return self.kernel_sum(F) - self.degree * F
@@ -266,7 +265,6 @@ class _BallProblem:
         idx = np.array([g.index(v) for v in self.ball])
         self.kernel = _BallKernel(g, idx)
         self.one_hop_local = np.searchsorted(idx, g.neighbors_idx(g.index(x)))  # the ball is in graph order
-        self.base_weights = self.kernel.matrix[self.pos_x, self.one_hop_local]
 
     def evaluate(self, U: np.ndarray):
         """Score a batch of ball fields.
@@ -274,16 +272,13 @@ class _BallProblem:
         Returns ``(admissible mask, score, -G(base), curvature form)`` for
         ``U`` of shape ``(batch, ball size)``; a row with a zero base value
         is never admissible.  A batch of more than ``_BLOCK_VALUES`` values
-        and at least ``2 * _MIN_ROWS`` rows is scored in near-equal blocks
-        of rows, each copied vertex-major (Fortran order) so the per-vertex
-        columns are contiguous, and the results are concatenated.  A block
-        holds at most ``_BLOCK_VALUES`` values plus one row, unless that
-        would leave it fewer than ``_MIN_ROWS`` rows, so the temporaries of
-        a block of a small ball stay in cache, and those of any ball are
-        bounded and reused from the heap.  Any other batch is scored as it
-        is, without a copy.
+        and at least 2 rows is scored in near-equal blocks of at most that
+        many values plus one row, each copied vertex-major (Fortran order),
+        in which the ball kernel sums each row as in one block of the whole
+        batch, and the results (copies, which keep no block alive) are
+        concatenated.  Any other batch is scored as it is, without a copy.
         """
-        count = _block_count(len(U), U.shape[1], _BLOCK_VALUES, _MIN_ROWS)
+        count = _block_count(len(U), U.shape[1], _BLOCK_VALUES)
         if count < 2:
             return self._score(U)
         parts = [self._score(np.asfortranarray(block)) for block in np.array_split(U, count)]
@@ -293,13 +288,9 @@ class _BallProblem:
         """:meth:`evaluate` on one block."""
         with np.errstate(divide="ignore", invalid="ignore"):
             neg_g = -_mixed_laplacian(self.kernel, self.m, self.alpha, U)
-            base = neg_g[:, self.pos_x]
-            ok = base > 0.0
-            for j in self.one_hop_local:
-                ok &= base >= neg_g[:, j]
-            dform = _curvature_form(
-                self.kernel, self.m, self.alpha, U, self.pos_x, self.one_hop_local, self.base_weights
-            )
+            base = neg_g[:, self.pos_x].copy()
+            ok = (base > 0.0) & (base[:, None] >= neg_g[:, self.one_hop_local]).all(axis=1)
+            dform = _curvature_form(self.kernel, self.m, self.alpha, U, self.pos_x)
             score = np.where(ok, dform / np.where(ok, base, 1.0) ** 2, np.inf)
         return ok, score, base, dform
 

@@ -432,18 +432,27 @@ def _run_square(seed: int) -> tuple[bool, dict]:
 
 
 def _run_chain(n: int, m: float, eps: float, expected, window: float) -> tuple[bool, dict]:
-    from .cd import chain_counterexample
+    from .cd import chain_counterexample, chain_limit_curvature
 
     witness = chain_counterexample(n, m, eps)
     measured = witness.curvature
     passed = abs(measured - expected) <= window
-    return passed, {
+    report = {
         "measured": measured,
         "expected": expected,
         "tolerance": window,
         "neg_lap_pressure": witness.neg_lap_pressure,
         "field": {str(v): float(x) for v, x in zip(witness.graph.vertices, witness.u)},
     }
+    if n == 5:  # the family's eps -> 0 limit at this m, and that of its product form as m -> 2+
+        report.update(limit_eps_to_0=chain_limit_curvature(m), limit_m_to_2_plus=_chain_product_form(2.0))
+    return passed, report
+
+
+def _chain_product_form(m: float) -> float:
+    """The eps -> 0 limit of the length-5 chain curvature for m > 2, continuous in m down to 2."""
+    q, scale = m / (m - 1.0), (m - 1.0) ** 2 / m
+    return scale * (2.0 ** ((m - 2.0) / (m - 1.0)) * (3.0**q + 1.0 - 2.0 * 2.0**q) - 2.0 * (2.0**q - 2.0))
 
 
 def _run_chain_limit(m: float) -> tuple[bool, dict]:
@@ -451,12 +460,7 @@ def _run_chain_limit(m: float) -> tuple[bool, dict]:
 
     if m <= 2.0:
         raise ValidationError("the chain limit comparison needs m > 2")
-    q = m / (m - 1.0)
-    scale = (m - 1.0) ** 2 / m
-    limit_expression = scale * (
-        2.0 ** ((m - 2.0) / (m - 1.0)) * (3.0**q + 1.0 - 2.0 * 2.0**q)
-        - 2.0 * (2.0**q - 2.0)
-    )
+    limit_expression = _chain_product_form(m)
     closed_form = chain_limit_curvature(m)
     at_eps = chain_counterexample(5, m, 1e-3).curvature
     gap = abs(limit_expression - closed_form)

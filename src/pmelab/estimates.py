@@ -295,7 +295,7 @@ def _path_minima(g: Graph, mu: float, lam: float, t1, t2, sources, targets, n_ed
     groups = [(at, back) for _, at, back in _slot_groups(g.indptr, g.n, np.arange(len(g.rows)), g.reverse)]
     best = np.empty(len(n_edges))
     order = np.argsort(-n_edges, kind="stable")  # longest first: the rows still walking are a prefix
-    for block in np.array_split(order, _block_count(len(order), len(g.rows), _PATH_BLOCK_VALUES, 1)):
+    for block in np.array_split(order, _block_count(len(order), len(g.rows), _PATH_BLOCK_VALUES)):
         best[block] = _least_walks(g, groups, sources[block], targets[block], n_edges[block], increments[block])
     return scale * best
 

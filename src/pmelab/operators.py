@@ -289,10 +289,9 @@ def curvature_form_mixed(g: Graph, m: float, alpha: float, u, x: str) -> float:
     i = g.index(x)
     if alpha > 0.0 and u[i] <= 0.0:
         raise DomainError("curvature form needs a positive value at the base vertex")
-    nb, w = g.neighbors_idx(i), g.weights_idx(i)
     # one row of the batched form on the graph, so this equals that row bit
     # for bit (the CD search's dense ball kernel may differ in the last bits)
-    return float(_curvature_form(g, m, alpha, u[None, :], i, nb, w)[0])
+    return float(_curvature_form(g, m, alpha, u[None, :], i)[0])
 
 
 # -- mixed second-order quantity -------------------------------------------
@@ -337,9 +336,9 @@ def _flow(K, m, U):
     return K.laplacian(U**m)
 
 
-def _dtv(K, m, U):
-    """Pressure time derivative along the flow, ``m u^(m-2) L(u^m)``."""
-    return m * U ** (m - 2.0) * _flow(K, m, U)
+def _dtv(K, m, U, LP=None):
+    """Pressure time derivative along the flow, ``m u^(m-2) L(u^m)``; ``LP`` is ``L(u^m)`` if the caller holds it."""
+    return m * U ** (m - 2.0) * (_flow(K, m, U) if LP is None else LP)
 
 
 def _pressure(m, U):
@@ -383,30 +382,33 @@ def _mixed_laplacian(K, m, alpha, U):
     return G
 
 
-def _curvature_form(K, m, alpha, U, i, nb, w):
-    """Curvature form at vertex ``i`` with neighbors ``nb`` of weights ``w``.
+def _curvature_form(K, m, alpha, U, i):
+    """Curvature form at vertex ``i``, see :func:`curvature_form_mixed`, as a new array.
 
-    See :func:`curvature_form_mixed`; summed neighbor by neighbor.  At
-    ``alpha = 0`` the ratio ``u(y)/u(x)`` is not formed, so ``u(x)`` may
-    vanish.
+    At ``alpha = 0`` it is ``dLv/dt = L(D)`` with ``D = dv/dt``, and ``u(x)`` may vanish; else
+    ``(1-alpha) K(D) + (alpha/u) K(u D) - u^(m-2) L(u^m) (m deg + alpha L(u^m)/u^m)`` at ``x``.
+    ``K(D)`` reads ``D`` at all ``n`` columns, a dense kernel through zero weights, so ``D``
+    must be finite there: ``u > 0`` wherever ``m < 2``.
     """
+    if not alpha:
+        return K.laplacian(_dtv(K, m, U))[..., i].copy()
     LP = _flow(K, m, U)
-    ux = U[..., i]
-    lead = trail = 0.0
-    for j, wj in zip(nb, w):
-        r = U[..., j] / ux if alpha else 0.0
-        lead = lead + wj * (1.0 - alpha + alpha * r) * m * U[..., j] ** (m - 2.0) * LP[..., j]
-        trail = trail + wj * (m - alpha + alpha * r**m)
-    return lead - trail * ux ** (m - 2.0) * LP[..., i]
+    D = _dtv(K, m, U, LP)
+    ux, lx = U[..., i], LP[..., i]
+    return (
+        (1.0 - alpha) * K.kernel_sum(D)[..., i]
+        + alpha / ux * K.kernel_sum(U * D)[..., i]
+        - ux ** (m - 2.0) * lx * (m * K.degree[i] + alpha * lx / ux**m)
+    )
 
 
-def _block_count(rows: int, width: int, budget: int, min_rows: int) -> int:
+def _block_count(rows: int, width: int, budget: int) -> int:
     """How many near-equal blocks (``np.array_split``) to cut ``rows`` rows of ``width`` values into.
 
     Enough that a block holds at most ``budget`` values plus one row, but no
-    more than leave each block ``min_rows`` rows, and at least one.
+    more blocks than rows, and at least one.
     """
-    return max(1, min(-(-rows * width // budget), rows // min_rows))
+    return max(1, min(-(-rows * width // budget), rows))
 
 
 # -- alternate operation names ---------------------------------------------

@@ -28,7 +28,6 @@ from pmelab import (
 )
 from pmelab.cd import (
     _BLOCK_VALUES,
-    _MIN_ROWS,
     _BallProblem,
     _lowest_first,
     _sample_fields,
@@ -341,8 +340,8 @@ def test_ball_scores_do_not_depend_on_the_batch_layout(spec, x, m, alpha):
         assert np.ascontiguousarray(rows).tobytes() == np.ascontiguousarray(cols).tobytes()
 
 
-# every ball of the cd_search benchmark, and the m = 3, alpha = 0.5 chain ball
-BLOCK_BALLS = SEARCH_BALLS + [("complete:5", "x1", 3.0, 0.0), ("complete:12", "x1", 2.0, 0.0)]
+# every ball of the cd_search benchmark, the m = 3, alpha = 0.5 chain ball, and a ball of 30 vertices
+BLOCK_BALLS = SEARCH_BALLS + [("complete:5", "x1", 3.0, 0.0), ("complete:12", "x1", 2.0, 0.0), ("complete:30", "x1", 2.0, 0.0)]
 
 
 @pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS)
@@ -354,12 +353,12 @@ def test_blocked_scoring_equals_one_block_scoring_bit_for_bit(spec, x, m, alpha)
     U = rng.uniform(lo, 1.0, (20000, n))
     pinned = rng.random(U.shape) < 0.3
     U[pinned] = np.where(rng.random(U.shape) < 0.5, lo, 1.0)[pinned]
-    for rows in (20000, 2 * _MIN_ROWS, 2 * _MIN_ROWS - 1, _BLOCK_VALUES // n + 1, _BLOCK_VALUES // n - 1, 2):
+    for rows in (20000, 4096, 4095, _BLOCK_VALUES // n + 1, _BLOCK_VALUES // n - 1, 2):
         V = U[:rows]
         # blocks are vertex-major, and so is the one block they are compared with: on
         # complete:12 BLAS sums a few rows of a 2731-row batch differently in row-major
         # layout; a batch that is not split is scored as it is
-        split = len(V) >= 2 * _MIN_ROWS and V.size > _BLOCK_VALUES
+        split = len(V) >= 2 and V.size > _BLOCK_VALUES
         whole = prob._score(np.asfortranarray(V) if split else V)
         for got, want in zip(prob.evaluate(V), whole):
             assert got.tobytes() == want.tobytes()
@@ -375,9 +374,8 @@ def test_a_search_scores_no_block_wider_than_the_budget(spec, x, m, alpha):
     _search_min_score(prob, SearchConfig(seed=0))
     assert batches[0][0] == 20000 and len(blocks) > len(batches)  # the sample batch is split
     for rows, n in blocks:
-        # at most the budget plus one row, unless that would leave fewer rows than the floor
-        assert (rows - 1) * n <= _BLOCK_VALUES or rows < 2 * _MIN_ROWS
-        assert rows >= _MIN_ROWS or (rows, n) in batches  # a small batch is not split
+        assert (rows - 1) * n <= _BLOCK_VALUES  # at most the budget plus one row
+    assert all((rows, n) in blocks for rows, n in batches if rows * n <= _BLOCK_VALUES)  # a small batch is not split
 
 
 @pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS + [("square", "x", 1.25, 0.5)])

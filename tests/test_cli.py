@@ -330,6 +330,10 @@ def test_reproduce_chain_example_reports_the_value_mismatch(tmp_path):
     assert proc.returncode == 1
     report = read_json(out / "reproduce_ex4.3.json")
     assert report["passed"] is False
+    # beside the value, the two limits it lies between: -1/2 as eps -> 0 at
+    # m = 2, and the recorded -1 as m -> 2+ after eps -> 0
+    assert report["measured"] == -0.49899749999999954
+    assert (report["limit_eps_to_0"], report["limit_m_to_2_plus"]) == (-0.5, -1.0)
 
 
 def test_reproduce_ab_square_reports_where_the_minimum_sits(tmp_path):

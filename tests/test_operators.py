@@ -17,6 +17,7 @@ from pmelab import (
     exp_remainder_m,
     gradient_energy,
     gradient_energy_field,
+    integrate,
     laplacian,
     laplacian_field,
     mixed_laplacian,
@@ -365,6 +366,23 @@ def test_curvature_form_scales_like_u_to_the_two_m_minus_two(seed):
         assert scaled == pytest.approx(c ** (2.0 * m - 2.0) * base, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", ["square", "complete:5", "path:6"])
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_curvature_form_is_the_time_derivative_of_the_pressure_laplacian(spec, m):
+    # At a step endpoint of the dense output its time derivative is the flow
+    # L(u^m) itself, so a central difference of Lv there measures d/dt Lv
+    # along the flow, up to h times the jump of the interpolant's curvature.
+    g = resolve_graph(spec)
+    traj = integrate(g, m, np.random.default_rng(1).uniform(0.5, 1.5, g.n), np.linspace(0.0, 0.5, 6))
+    for t in traj.dense.ts[1:-1]:
+        h = 1e-5 * t
+        ahead, behind = (laplacian_field(g, pressure(m, u)) for u in traj.dense(np.array([t + h, t - h])))
+        want = (ahead - behind) / (2.0 * h)
+        u = traj.dense(np.array([t]))[0]
+        got = np.array([curvature_form(g, m, u, x) for x in g.vertices])
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), t
+
+
 def test_curvature_form_allows_zero_neighbors_only_for_m_at_least_two():
     g = path_graph(3)
     u = np.array([0.0, 1.0, 2.0])
@@ -547,7 +565,7 @@ def test_core_matches_pointwise_references_on_full_graphs(spec, m):
                     assert _close(G[a][row, i], want, size), (x, a, G[a][row, i], want)
                     if u[i] > 0.0:
                         with np.errstate(divide="ignore", invalid="ignore"):
-                            got = _curvature_form(k, m, a, U, i, g.neighbors_idx(i), g.weights_idx(i))[row]
+                            got = _curvature_form(k, m, a, U, i)[row]
                         want, size = _ref_curvature(g, m, a, u, x)
                         assert _close(got, want, size), (x, a, got, want)
                         assert _close(curvature_form_mixed(g, m, a, u, x), want, size)
@@ -599,8 +617,7 @@ def test_core_reads_only_the_kernel_interface(spec, m):
     calls += [lambda k, F=F: _gradient_energy(k, m, pressure(m, F)) for F in (U, U[0], U.reshape(1, 5, g.n))]
     calls += [lambda k, a=a, F=F: _mixed_laplacian(k, m, a, F) for a in CORE_MIXING for F in (U, U[0])]
     for i in range(g.n):
-        nb, w = g.neighbors_idx(i), g.weights_idx(i)
-        calls += [lambda k, a=a, i=i, nb=nb, w=w: _curvature_form(k, m, a, U, i, nb, w) for a in CORE_MIXING]
+        calls += [lambda k, a=a, i=i: _curvature_form(k, m, a, U, i) for a in CORE_MIXING]
     with np.errstate(divide="ignore", invalid="ignore"):
         for call in calls:
             stub.reads.clear(), logged.reads.clear()
@@ -647,7 +664,7 @@ def test_pointwise_curvature_form_is_the_batched_row_bit_for_bit(m, alpha):
     pointwise = np.array([curvature_form_mixed(g, m, alpha, u, "6") for u in U])
     for k in (g, _BallKernel(g, np.arange(g.n))):
         with np.errstate(divide="ignore", invalid="ignore"):
-            batch = _curvature_form(k, m, alpha, U, i, g.neighbors_idx(i), g.weights_idx(i))
+            batch = _curvature_form(k, m, alpha, U, i)
         np.testing.assert_array_equal(pointwise, batch)
 
 
