@@ -68,6 +68,16 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is an integer other than a bool, else a ``ValidationError``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget and domain parameters for the violation search.
@@ -95,13 +105,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("samples", "refine_iters", "seed", "starts"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValidationError(f"search {name} must be an integer, not {value!r}") from None
+            object.__setattr__(self, name, _integer(f"search {name}", getattr(self, name)))
         if self.samples < 1:
             raise ValidationError("search budget must be at least 1 sample")
         if self.refine_iters < 0 or self.starts < 1:
@@ -600,8 +604,9 @@ def lattice_cd_check(m: float, samples: int, seed: int) -> float:
     nonnegative up to round-off when the reduction is correct.
     """
     m = check_exponent(m)
-    if samples < 1:
-        raise ValidationError("need at least one sample")
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
+    if samples < 1 or seed < 0:
+        raise ValidationError("need at least one sample and a nonnegative seed")
     rng = np.random.default_rng(seed)
     q = m / (m - 1.0)
     A = rng.uniform(0.0, 2.0, size=samples)

@@ -44,6 +44,7 @@ from .graphs import Graph, _hop_distances, _slot_groups, graph_distance, k_min
 from .operators import (
     _block_count,
     _dtv,
+    _edge_remainder,
     _gradient_energy,
     _mixed_laplacian,
     _pressure,
@@ -423,58 +424,45 @@ def harnack_check(
 # -- supporting inequalities -----------------------------------------------
 
 
-def _power_remainder(m: float, x: np.ndarray) -> np.ndarray:
-    # exp_remainder_m(m, log x) in the algebraically equivalent power form;
-    # the logarithms cancel exactly, which keeps the m=2 equality sharp.
-    return (m - 1.0) ** 2 / m * x ** (m / (m - 1.0)) - (m - 1.0) * x + (m - 1.0) / m
-
-
 def quadratic_minorant_check(m: float, grid) -> float:
     """Minimum slack of ``exp_remainder_m(m, log x) >= (x-1)^2 / 2``.
 
     The inequality holds on ``[1, inf)`` for ``m <= 2`` and on ``(0, 1]``
     for ``m >= 2`` (both at ``m = 2``, where the slack vanishes
-    identically); the grid must respect that regime.
+    identically); the grid must respect that regime, and the slack is ``+inf`` where it overflows.
     """
     m = check_exponent(m)
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or len(x) == 0:
         raise ValidationError("grid must be a nonempty 1-d array")
-    if np.any(x <= 0.0):
-        raise ValidationError("grid points must be positive")
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise ValidationError("grid points must be positive and finite")
     if m < 2.0 and np.any(x < 1.0):
         raise ValidationError("for m < 2 the inequality is claimed on [1, inf)")
     if m > 2.0 and np.any(x > 1.0):
         raise ValidationError("for m > 2 the inequality is claimed on (0, 1]")
-    return float(np.min(_power_remainder(m, x) - 0.5 * (x - 1.0) ** 2))
+    s = x - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, skipped by fmin, where both overflow
+        return float(np.fmin.reduce(_edge_remainder(m, s) - 0.5 * s * s, initial=math.inf))
 
 
 def minorant_ratio(m: float, x: float) -> float:
     """Ratio ``exp_remainder_m(m, log x) / (x-1)^2``, stable near ``x = 1``.
 
     Tends to 1/2 as ``x -> 1`` from either side for every ``m > 1``, which
-    is why the quadratic minorant's constant cannot be improved.  Near 1
-    the ratio is evaluated by the binomial series of the power form, so the
-    limit can be probed without catastrophic cancellation.
+    is why the quadratic minorant's constant cannot be improved.  It is
+    divided by ``s = x - 1`` scaled to ``[1/2, 1)``, so that it does not
+    overflow unless the remainder does, and is exactly 1/2 at ``m = 2``.
     """
     m = check_exponent(m)
     x = float(x)
-    if x <= 0.0:
-        raise DomainError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"x must be positive and finite, got {x}")
     s = x - 1.0
     if s == 0.0:
         return 0.5
-    if abs(s) > 1e-2:
-        return _power_remainder(m, x) / s**2
-    p = m / (m - 1.0)
-    coeff = p * (p - 1.0) / 2.0
-    total = coeff
-    power = 1.0
-    for j in range(3, 13):
-        coeff *= (p - (j - 1.0)) / j
-        power *= s
-        total += coeff * power
-    return (m - 1.0) ** 2 / m * total
+    f, e = math.frexp(s)
+    return math.ldexp(float(_edge_remainder(m, np.float64(s))), -2 * e) / (f * f)
 
 
 def integral_min_inequality_check(
@@ -491,14 +479,14 @@ def integral_min_inequality_check(
     to ``s``.  Integrals use composite trapezoid on the given grid and the
     comparison absorbs quadrature error through a ``1e-6`` slack.
     """
-    if not (0.0 < t1 < t2):
-        raise ValidationError("need 0 < t1 < t2")
-    if not (c > 0.0 and nu > 0.0):
-        raise ValidationError("c and nu must be positive")
+    if not (0.0 < t1 < t2 < math.inf):
+        raise ValidationError("need 0 < t1 < t2 < inf")
+    if not (0.0 < c < math.inf and 0.0 < nu < math.inf):
+        raise ValidationError("c and nu must be positive and finite")
     ts = np.asarray(ts, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    if ts.shape != psi.shape or ts.ndim != 1:
-        raise ValidationError("ts and psi must be 1-d arrays of equal length")
+    if ts.shape != psi.shape or ts.ndim != 1 or not np.isfinite((ts, psi)).all():
+        raise ValidationError("ts and psi must be finite 1-d arrays of equal length")
     if len(ts) < 100:
         raise ValidationError("grid too coarse; need at least 100 points")
     if np.any(np.diff(ts) <= 0.0):

@@ -6,6 +6,7 @@ algebra that the verification routines build on:
 
 * the generalized graph Laplacian ``L``,
 * remainder functions of the exponential replacing ``|grad|^2`` calculus,
+  written once as the per-edge remainder ``R_m`` (``(m-1)/m`` at 0, ``+inf`` at ``+inf``),
 * the nonlinear gradient energy entering the pressure equation
   ``dv/dt = (m-1) v Lv + gradient_energy(v)``,
 * the curvature forms whose lower bounds are the discrete
@@ -177,32 +178,13 @@ def exp_remainder(r):
 def exp_remainder_m(m: float, r):
     """Exponent-weighted remainder combination for diffusion exponent ``m``.
 
-    ``((m-1)^2/m) * exp_remainder(m r / (m-1)) - (m-1) * exp_remainder(r)``.
-    Nonnegative for every ``m > 1``; for ``m = 2`` it collapses to
-    ``(e^r - 1)^2 / 2``.  Saturates to ``+inf`` for large positive ``r``.
+    ``((m-1)^2/m) * exp_remainder(m r / (m-1)) - (m-1) * exp_remainder(r)``, the per-edge
+    remainder ``R_m(e^r)`` of :func:`gradient_energy`.  Nonnegative for every ``m > 1``; for
+    ``m = 2`` it collapses to ``(e^r - 1)^2 / 2``.  ``(m-1)/m`` at ``r = -inf``, ``+inf`` at
+    ``r = +inf`` and wherever it overflows.
     """
     m = check_exponent(m)
-    r = np.asarray(r, dtype=float)
-    q = m / (m - 1.0)
-    lead = exp_remainder(q * r)
-    with np.errstate(invalid="ignore"):
-        out = np.where(
-            np.isinf(lead),
-            np.inf,
-            (m - 1.0) ** 2 / m * lead - (m - 1.0) * exp_remainder(r),
-        )
-    # The two terms are about r^2/2 times a factor and cancel to r^2/2, so
-    # for small r they lose digits and, once subnormal, the sign.  For
-    # |q r| < 1/2 sum the series sum_k s_k r^k / k! with positive
-    # s_k = 1 + q + ... + q^(k-2) instead, by Horner to k = 24.
-    small = np.abs(q * r) < 0.5
-    rs, s = r[small], [1.0]
-    for _ in range(22):
-        s.append(1.0 + q * s[-1])  # s_2 .. s_24
-    tail = s[-1]
-    for k in range(24, 2, -1):
-        tail = s[k - 3] + rs * tail / k
-    out[small] = 0.5 * rs * rs * tail
+    out = _edge_remainder(m, np.expm1(np.asarray(r, dtype=float)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -247,9 +229,9 @@ def gradient_energy(g: Graph, m: float, w, x: str) -> float:
 
     This is the discrete stand-in for ``|grad w|^2`` in the pressure
     equation and the entropy dissipation.  It is nonnegative, and for
-    ``m = 2`` it equals :func:`carre_du_champ`.  It equals the logarithmic
-    form ``w(x)^2 * difference_sum(exp_remainder_m, log w)(x)``, which is
-    how it is evaluated for ``m < 1.5``.
+    ``m = 2`` it equals :func:`carre_du_champ`.  It is ``w(x)^2 sum_y k(x,y) R_m(w(y)/w(x))`` with
+    ``R_m(x) = ((m-1)^2/m) x^(m/(m-1)) - (m-1) x + (m-1)/m`` (``(m-1)/m`` at 0, ``+inf`` at ``+inf``),
+    which is the logarithmic form ``w(x)^2 * difference_sum(exp_remainder_m, log w)(x)``.
     """
     return float(gradient_energy_field(g, m, as_field(g, w))[g.index(x)])
 
@@ -346,17 +328,40 @@ def _pressure(m, U):
     return m / (m - 1.0) * U ** (m - 1.0)
 
 
+def _edge_remainder(m, s):
+    """``R_m(1 + s) = ((m-1)^2/m) ((1+s)^q - 1 - q s)``, ``q = m/(m-1)``, for ``s >= -1``, as a new array.
+
+    ``(m-1)/m`` at ``s = -1``, ``+inf`` at ``+inf`` and where it overflows.  Not ``(1+s)**q``,
+    which loses about ``q`` ulps to the rounding of ``1+s``.
+    """
+    q, c2 = m / (m - 1.0), (m - 1.0) ** 2 / m
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        qL = q * np.log1p(s)
+        # c2 e^(qL) stays finite beyond where e^(qL) overflows when c2 < 1
+        lead = np.where(qL < 700.0, c2 * np.expm1(qL), np.exp(qL + math.log(c2)))
+        out = np.select([s == -1.0, s == math.inf], [(m - 1.0) / m, math.inf], lead - (m - 1.0) * s)
+    # The terms cancel to s^2/2, losing about 4/((q-1)|s|) ulps: for |q s| < 1/2 sum (s^2/2) (1 + sum_j
+    # b_j s^(j-2)), b_j = C(q, j)/C(q, 2), to 2^-54; it ends for integer q, so m = 2 gives s^2/2 exactly.
+    tau, j, b, tail = 0.5 / q, 3, (q - 2.0) / 3.0, 1.0
+    ss = power = s[np.abs(s) < tau]
+    while abs(b) * tau ** (j - 2) >= 2.0**-54:
+        tail, power, j = tail + b * power, power * ss, j + 1
+        b *= (q - j + 1.0) / j
+    out[np.abs(s) < tau] = 0.5 * ss * ss * tail
+    return out
+
+
 def _gradient_energy(K, m, W):
     """Gradient energy of pressure fields ``W``, see :func:`gradient_energy`."""
     if m < 1.5:
-        # Near m = 1 the power form cancels catastrophically (its exponents
-        # grow like 1/(m-1)), so evaluate through the logarithmic form,
-        # which stays conditioned there; zero values cannot occur for m < 2.
-        n = W.shape[-1]
-        lw = np.log(W.reshape(-1, n))
-        vals = K.data * exp_remainder_m(m, lw[:, K.indices] - lw[:, K.rows])
-        at = K.rows + n * np.arange(len(lw))[:, None]
-        return W**2 * np.bincount(at.ravel(), weights=vals.ravel(), minlength=lw.size).reshape(W.shape)
+        # Near m = 1 the kernel-sum form cancels catastrophically (its
+        # exponents grow like 1/(m-1)), so sum the per-edge remainder at
+        # s = (w(y) - w(x))/w(x); zero values cannot occur for m < 2.
+        W2 = W.reshape(-1, W.shape[-1])
+        wx = W2[:, K.rows]
+        vals = K.data * _edge_remainder(m, (W2[:, K.indices] - wx) / wx)
+        at = K.rows + W.shape[-1] * np.arange(len(W2))[:, None]
+        return W**2 * np.bincount(at.ravel(), weights=vals.ravel(), minlength=W2.size).reshape(W.shape)
     c1 = (m - 1.0) / m
     c2 = (m - 1.0) ** 2 / m
     p = (m - 2.0) / (m - 1.0)

@@ -1,6 +1,7 @@
-"""Shared fixtures: one-line summaries for the acceptance checks."""
+"""Shared fixtures: one-line summaries for the acceptance checks, and a 60-digit remainder."""
 
 import os
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,24 @@ def criterion_line():
         print(line)
 
     return record
+
+
+@pytest.fixture
+def remainder_reference():
+    """``R_m(x) = ((m-1)^2/m) x^(m/(m-1)) - (m-1) x + (m-1)/m``, exact to 60 digits.
+
+    ``m`` is a float, taken at its exact value, and ``x`` a nonnegative
+    ``Decimal``.  The test's own decimal arithmetic also runs at 60 digits.
+    """
+
+    def reference(m, x):
+        M = Decimal(m)
+        power = (M / (M - 1) * x.ln()).exp() if x > 0 else Decimal(0)
+        return (M - 1) ** 2 / M * power - (M - 1) * x + (M - 1) / M
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        yield reference
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

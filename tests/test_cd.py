@@ -521,3 +521,11 @@ def test_lattice_check_is_deterministic():
 def test_lattice_check_validates_inputs():
     with pytest.raises(ValidationError):
         lattice_cd_check(2.0, 0, seed=0)
+
+
+def test_lattice_check_takes_the_search_budget_integer_rule():
+    # numpy raised its own TypeError or ValueError for each of these
+    for samples, seed in ((2.5, 0), (True, 0), (10, 1.5), (10, True), (10, -1)):
+        with pytest.raises(ValidationError, match="must be an integer|nonnegative seed"):
+            lattice_cd_check(2.0, samples, seed)
+    assert lattice_cd_check(2.0, np.int64(50), np.uint8(3)) == lattice_cd_check(2.0, 50, 3)

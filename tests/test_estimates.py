@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -575,6 +576,29 @@ def test_minorant_ratio_approaches_one_half_at_the_fixed_point():
     assert minorant_ratio(2.0, 1.0 + 1e-4) == 0.5
 
 
+@pytest.mark.parametrize("m", [1.01, 1.2, 1.5, 2.0, 3.0, 5.0, 50.0])
+def test_minorant_ratio_matches_a_60_digit_reference(m, remainder_reference):
+    # the 10-term series and the power form erred by up to 3.6e-11 at m = 50
+    for x in (1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-4, 1.0 + 1e-4, 1.0 - 2e-2, 1.0 + 2e-2, 1e-3, 50.0):
+        s = Decimal(x) - 1
+        want = remainder_reference(m, Decimal(x)) / s / s
+        assert abs(Decimal(minorant_ratio(m, x)) / want - 1) <= 1e-13, x
+
+
+def test_minorant_checks_refuse_non_finite_input_and_do_not_overflow():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="positive and finite"):
+            minorant_ratio(2.0, bad)
+        with pytest.raises(ValidationError, match="finite"):
+            quadratic_minorant_check(1.5, [1.0, bad])
+    # s**2 overflowed here; the remainder is (4/3) x^(3/2) to 16 digits
+    assert minorant_ratio(3.0, 1e200) == pytest.approx(4.0 / 3.0 / math.sqrt(1e200), rel=1e-12)
+    # (1/6) x^3 overflows, and so does the ratio; its slack is +inf, not NaN
+    assert minorant_ratio(1.5, 1e200) == math.inf
+    assert quadratic_minorant_check(1.5, [1e200]) == math.inf
+    assert quadratic_minorant_check(1.5, [1.0, 1e200]) == 0.0
+
+
 def test_integral_min_inequality_on_constant_and_cubic_profiles():
     ts = np.linspace(0.5, 3.0, 2001)
     assert integral_min_inequality_check(0.5, 3.0, 2.0, 0.7, ts, np.ones_like(ts))
@@ -588,6 +612,23 @@ def test_integral_min_inequality_on_seeded_random_cubics():
         coeffs = rng.uniform(-5.0, 5.0, 4)
         psi = np.polyval(coeffs, ts)
         assert integral_min_inequality_check(0.5, 3.0, 1.5, 1.0, ts, psi)
+
+
+def test_integral_min_inequality_refuses_non_finite_input():
+    # these were verdicts on invalid input: c = inf gave True, t2 = inf and a NaN in psi False
+    ts = np.linspace(0.5, 3.0, 2001)
+    psi = np.ones_like(ts)
+    inf, nan = math.inf, math.nan
+    for t1, t2, c, nu in ((0.5, inf, 2.0, 0.7), (0.5, 3.0, inf, 0.7), (0.5, 3.0, 2.0, inf), (nan, 3.0, 2.0, 0.7)):
+        with pytest.raises(ValidationError):
+            integral_min_inequality_check(t1, t2, c, nu, ts, psi)
+    bad_psi = psi.copy()
+    bad_psi[7] = math.nan
+    bad_ts = ts.copy()
+    bad_ts[7] = math.inf
+    for grid, values in ((ts, bad_psi), (bad_ts, psi)):
+        with pytest.raises(ValidationError, match="finite"):
+            integral_min_inequality_check(0.5, 3.0, 2.0, 0.7, grid, values)
 
 
 # -- report plumbing -------------------------------------------------------

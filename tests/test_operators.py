@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pmelab import (
     pressure_inverse,
     resolve_graph,
     square_graph,
+    two_hop_ball,
 )
 from pmelab.cd import _BallKernel, _BallProblem
 from pmelab.errors import DomainError, ValidationError
@@ -197,6 +199,30 @@ def test_exp_remainder_m_overflow_returns_infinity():
     assert exp_remainder_m(1.001, 50.0) == math.inf
 
 
+def _relative_error(got, want):
+    """Relative error of a float against a ``Decimal``; beyond float range only ``+inf`` is exact."""
+    if want > Decimal(np.finfo(float).max):
+        return 0.0 if got == math.inf else math.inf
+    return float(abs(Decimal(float(got)) - want) / want)
+
+
+@pytest.mark.parametrize("m", [1.001, 1.01, 1.25, 1.5, 2.0, 3.0, 5.0, 50.0])
+def test_exp_remainder_m_matches_a_60_digit_reference(m, remainder_reference):
+    # the difference of two exp_remainder terms gave 0.0, 0.21875 or 0.5 for
+    # r <= -1e15, inf at r = -inf and NaN at r = +inf; at m = 1.001 the value
+    # stays finite a little beyond where e^(m r/(m-1)) overflows.  r = -inf and
+    # +inf are s = -1 and +inf, where log1p and inf - inf warn unless silenced
+    size = np.geomspace(1e-12, 30.0, 400)
+    r = np.concatenate([size, -size, -np.geomspace(30.0, 1e20, 60), [0.709, 0.71, 0.72]])
+    errors = [
+        _relative_error(value, remainder_reference(m, Decimal(x).exp()))
+        for x, value in zip(r.tolist(), exp_remainder_m(m, r).tolist())
+    ]
+    assert max(errors) <= 1e-13
+    assert exp_remainder_m(m, -math.inf) == (m - 1.0) / m
+    assert exp_remainder_m(m, math.inf) == math.inf
+
+
 # -- pressure --------------------------------------------------------------
 
 
@@ -311,6 +337,36 @@ def test_gradient_energy_near_one_stays_finite_on_pressure_fields():
         field = gradient_energy_field(g, m, pressure(m, u))
         assert np.all(np.isfinite(field))
         assert np.all(field >= 0.0)
+
+
+def _gradient_energy_reference(K, m, w, remainder_reference):
+    """``w(x)^2 sum_y k(x,y) R_m(w(y)/w(x))`` over ``K``'s stored entries, at 60 digits."""
+    out = [Decimal(0)] * len(w)
+    for x, y, k in zip(K.rows.tolist(), K.indices.tolist(), K.data.tolist()):
+        out[x] += Decimal(k) * remainder_reference(m, Decimal(w[y]) / Decimal(w[x]))
+    return [Decimal(wx) ** 2 * value for wx, value in zip(w.tolist(), out)]
+
+
+@pytest.mark.parametrize("spec", ["complete:5", "path:6", "ball:path:8"])
+@pytest.mark.parametrize("m", [1.01, 1.1, 1.25, 1.45])
+def test_gradient_energy_below_one_and_a_half_matches_a_60_digit_reference(spec, m, remainder_reference):
+    # the log route exp_remainder_m(log w(y) - log w(x)) erred by 3e-4 to 5e-2
+    # on such near-constant fields: the rounding of log w over the log spread
+    g = resolve_graph(spec.removeprefix("ball:"))
+    rng = np.random.default_rng(int(100 * m) + len(spec))
+    eps = np.repeat([1e-1, 1e-4, 1e-8, 1e-12], 5)[:, None]
+    near = 3.0 * (1.0 + eps * rng.uniform(-1.0, 1.0, (20, g.n)))
+    W = np.concatenate([near, rng.uniform(0.05, 5.0, (5, g.n))])
+    if spec.startswith("ball:"):
+        idx = np.array([g.index(v) for v in two_hop_ball(g, "4")])
+        K, W = _BallKernel(g, idx), W[:, idx]
+        psi = _gradient_energy(K, m, W)
+    else:
+        K, psi = g, gradient_energy_field(g, m, W)
+    assert np.all(psi >= 0.0)
+    for w, row in zip(W, psi):
+        want = _gradient_energy_reference(K, m, w, remainder_reference)
+        assert max(map(_relative_error, row.tolist(), want)) <= 1e-13, w
 
 
 def test_gradient_energy_near_one_saturates_on_wide_fields():
