@@ -273,14 +273,16 @@ class _BallProblem:
     def evaluate(self, U: np.ndarray):
         """Score a batch of ball fields.
 
-        Returns ``(admissible mask, score, -G(base), curvature form)`` for
-        ``U`` of shape ``(batch, ball size)``; a row with a zero base value
-        is never admissible.  A batch of more than ``_BLOCK_VALUES`` values
-        and at least 2 rows is scored in near-equal blocks of at most that
-        many values plus one row, each copied vertex-major (Fortran order),
-        in which the ball kernel sums each row as in one block of the whole
-        batch, and the results (copies, which keep no block alive) are
-        concatenated.  Any other batch is scored as it is, without a copy.
+        Returns ``(admissible mask, score, -G(base))`` for ``U`` of shape
+        ``(batch, ball size)``; a row with a zero base value is never
+        admissible, and the curvature form is scored at admissible rows
+        only (``score`` is ``+inf`` elsewhere).  A batch of more than
+        ``_BLOCK_VALUES`` values and at least 2 rows is scored in
+        near-equal blocks of at most that many values plus one row, each
+        copied vertex-major (Fortran order), in which the ball kernel sums
+        each row as in one block of the whole batch, and the results
+        (copies, which keep no block alive) are concatenated.  Any other
+        batch is scored as it is, without a copy.
         """
         count = _block_count(len(U), U.shape[1], _BLOCK_VALUES)
         if count < 2:
@@ -289,14 +291,28 @@ class _BallProblem:
         return tuple(np.concatenate(results) for results in zip(*parts))
 
     def _score(self, U: np.ndarray):
-        """:meth:`evaluate` on one block."""
+        """:meth:`evaluate` on one block: ``(ok, score, base)``, the curvature form at admissible rows only.
+
+        Admissibility is read from ``G`` without negating it: ``G(x) < 0``
+        and ``G(x) <= G(y)`` at every one-hop ``y`` are ``-G(x) > 0`` and
+        ``-G(x) >= -G(y)`` (NaN fails both).  The admissible rows are
+        gathered in the block's own layout; in a vertex-major block the ball
+        kernel then sums each of them as in the whole block, while a
+        row-major batch may differ in the last bits (see
+        :func:`_search_min_score`).
+        """
         with np.errstate(divide="ignore", invalid="ignore"):
-            neg_g = -_mixed_laplacian(self.kernel, self.m, self.alpha, U)
-            base = neg_g[:, self.pos_x].copy()
-            ok = (base > 0.0) & (base[:, None] >= neg_g[:, self.one_hop_local]).all(axis=1)
-            dform = _curvature_form(self.kernel, self.m, self.alpha, U, self.pos_x)
-            score = np.where(ok, dform / np.where(ok, base, 1.0) ** 2, np.inf)
-        return ok, score, base, dform
+            G = _mixed_laplacian(self.kernel, self.m, self.alpha, U)
+            gx = G[:, self.pos_x]
+            ok = gx < 0.0
+            ok &= (gx[:, None] <= G[:, self.one_hop_local]).all(axis=1)
+            base = -gx
+            rows = np.flatnonzero(ok)
+            # one copy in U's layout: U.T[:, rows].T would copy a vertex-major block row-major
+            A = U.T.take(rows, axis=1).T if U.flags.f_contiguous else U[rows]
+            score = np.full(len(U), np.inf)
+            score[rows] = _curvature_form(self.kernel, self.m, self.alpha, A, self.pos_x) / base[rows] ** 2
+        return ok, score, base
 
 
 @dataclass
@@ -310,13 +326,17 @@ class _SearchOutcome:
 def _sample_fields(rng: np.random.Generator, samples: int, n: int, lo: float) -> np.ndarray:
     """``samples`` seeded rows of ``[lo, 1]^n``, the second half on its faces.
 
+    The rows are ``random`` draws scaled in place, ``u (1 - lo) + lo``, which
+    are the draws of ``uniform(lo, 1)`` bit for bit, without its temporaries.
     Each face row draws a pin probability ``q``; a coordinate is pinned
     where its first draw falls below ``q``, to ``lo`` where its second draw
     falls below 1/2, else to 1.  The pins are written by arithmetic, not by
     masked selects, which branch on random masks: ``x * 1 + 0 = x`` and
     ``0 + 1 = 1`` are exact.
     """
-    U = rng.uniform(lo, 1.0, (samples, n))
+    U = rng.random((samples, n))
+    U *= 1.0 - lo
+    U += lo
     faces = U[samples // 2 :]  # a view: pins are written into U
     draw = rng.random(faces.shape)
     pinned = draw < rng.random((len(faces), 1))
@@ -361,16 +381,19 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     candidate with ``-G > delta``, else shrinking its step fourfold.
     Until some start moves, the polls of the coming iterations are known,
     so one ``evaluate`` call scores ``depth`` of them and they are replayed
-    in order up to the first move: ``depth`` doubles after a round without
-    a move and returns to 1 after one, and no round scores more rows than
-    the sample batch held.  ``evaluations`` counts the
-    iterations replayed, as one call per iteration would, and minimum and
-    field are those of one call per iteration too, unless BLAS sums a ball
-    row differently in a batch of another shape (the last bits only).
+    in order up to the first move.  No round scores more rows than the
+    sample batch held (the round cap), and none polls past the budget or
+    below the step floor 1e-12.  The first round polls down to the floor
+    or the cap, so a search whose starts never move takes one call; after
+    a round with a move ``depth`` is 1, and it doubles after each round
+    without one.  ``evaluations`` counts the iterations replayed, as one
+    call per iteration would, and minimum and field are those of one call
+    per iteration too, unless BLAS sums a ball row differently in a batch
+    of another shape (the last bits only).
     """
     lo = 0.0 if prob.m >= 2.0 else cfg.floor
     U = _sample_fields(np.random.default_rng(cfg.seed), cfg.samples, len(prob.ball), lo)
-    ok, score, _, _ = prob.evaluate(U)
+    ok, score, _ = prob.evaluate(U)
     admissible = int(ok.sum())
     if admissible == 0:
         return _SearchOutcome(math.inf, None, len(U), 0)
@@ -384,14 +407,14 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     # a round scores at most as many rows as the sample batch, so wide balls need no more memory
     max_depth = max(1, cfg.samples // max(1, E.size // n))
     evaluations = ok.size
-    iters, depth = 0, 1
+    iters, depth = 0, max_depth
     while iters < cfg.refine_iters and step.max() >= 1e-12:
         # the steps of the next `depth` iterations if no start moves, cut
         # where the budget ends or every step falls below 1e-12
         steps = step[:, None] / 4.0 ** np.arange(min(depth, max_depth, cfg.refine_iters - iters))
         steps = steps[:, steps.max(axis=0) >= 1e-12]
         C = np.clip(X[:, None, None, :] + steps[:, :, None, None] * E, lo, 1.0)
-        ok_c, score_c, base_c, _ = (a.reshape(C.shape[:3]) for a in prob.evaluate(C.reshape(-1, n)))
+        ok_c, score_c, base_c = (a.reshape(C.shape[:3]) for a in prob.evaluate(C.reshape(-1, n)))
         better = ok_c & (base_c > cfg.delta) & (score_c < S[:, None, None])
         moves = better.any(axis=2)
         hit = np.flatnonzero(moves.any(axis=0))

@@ -342,12 +342,15 @@ def _edge_remainder(m, s):
         out = np.select([s == -1.0, s == math.inf], [(m - 1.0) / m, math.inf], lead - (m - 1.0) * s)
     # The terms cancel to s^2/2, losing about 4/((q-1)|s|) ulps: for |q s| < 1/2 sum (s^2/2) (1 + sum_j
     # b_j s^(j-2)), b_j = C(q, j)/C(q, 2), to 2^-54; it ends for integer q, so m = 2 gives s^2/2 exactly.
-    tau, j, b, tail = 0.5 / q, 3, (q - 2.0) / 3.0, 1.0
-    ss = power = s[np.abs(s) < tau]
-    while abs(b) * tau ** (j - 2) >= 2.0**-54:
-        tail, power, j = tail + b * power, power * ss, j + 1
-        b *= (q - j + 1.0) / j
-    out[np.abs(s) < tau] = 0.5 * ss * ss * tail
+    tau = 0.5 / q
+    small = np.abs(s) < tau
+    if small.any():
+        j, b, tail = 3, (q - 2.0) / 3.0, 1.0
+        ss = power = s[small]
+        while abs(b) * tau ** (j - 2) >= 2.0**-54:
+            tail, power, j = tail + b * power, power * ss, j + 1
+            b *= (q - j + 1.0) / j
+        out[small] = 0.5 * ss * ss * tail
     return out
 
 

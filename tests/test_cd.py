@@ -26,6 +26,7 @@ from pmelab import (
     square_graph,
     verify_cd_at,
 )
+from pmelab import cd
 from pmelab.cd import (
     _BLOCK_VALUES,
     _BallProblem,
@@ -35,6 +36,7 @@ from pmelab.cd import (
     _search_min_score,
 )
 from pmelab.errors import AdmissibilityError, ValidationError
+from pmelab.operators import _curvature_form
 
 FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
 
@@ -263,7 +265,7 @@ def _one_iteration_per_evaluate(prob, cfg):
     """
     lo = 0.0 if prob.m >= 2.0 else cfg.floor
     U = _masked_select_sample(np.random.default_rng(cfg.seed), cfg.samples, len(prob.ball), lo)
-    ok, score, _, _ = prob.evaluate(U)
+    ok, score, _ = prob.evaluate(U)
     if not ok.any():
         return math.inf, None, len(U), 0
     top = np.argsort(score, kind="stable")[: cfg.starts]
@@ -278,7 +280,7 @@ def _one_iteration_per_evaluate(prob, cfg):
             break
         C = np.repeat(X[:, None, :], 2 * n - 2, axis=1)
         C[np.arange(k)[:, None], np.arange(2 * n - 2), free] += sign * step[:, None]
-        ok_c, score_c, base_c, _ = (a.reshape(k, -1) for a in prob.evaluate(np.clip(C, lo, 1.0, out=C).reshape(-1, n)))
+        ok_c, score_c, base_c = (a.reshape(k, -1) for a in prob.evaluate(np.clip(C, lo, 1.0, out=C).reshape(-1, n)))
         evaluations += ok_c.size
         better = ok_c & (base_c > cfg.delta) & (score_c < S[:, None])
         j = np.argmin(np.where(better, score_c, np.inf), axis=1)
@@ -321,9 +323,9 @@ def test_shrink_only_iterations_share_evaluate_calls():
     evaluate = prob.evaluate
     prob.evaluate = lambda U: batches.append(len(U)) or evaluate(U)
     out = _search_min_score(prob, SearchConfig(seed=0))
-    # no start moves: 19 fourfold shrinks take 0.25 below 1e-12, in rounds of 1, 2, 4, 8 and 4
+    # no start moves: 19 fourfold shrinks take 0.25 below 1e-12, all in the first round
     assert out.evaluations == 20000 + 19 * 3 * 4
-    assert batches == [20000] + [3 * 4 * depth for depth in (1, 2, 4, 8, 4)]
+    assert batches == [20000, 3 * 4 * 19]
 
 
 LAYOUT_BALLS = SEARCH_BALLS + [("square", "x", 1.25, 0.0), ("complete:5", "x1", 1.25, 0.5), ("square", "x", 2.0, 0.5)]
@@ -376,6 +378,31 @@ def test_a_search_scores_no_block_wider_than_the_budget(spec, x, m, alpha):
     for rows, n in blocks:
         assert (rows - 1) * n <= _BLOCK_VALUES  # at most the budget plus one row
     assert all((rows, n) in blocks for rows, n in batches if rows * n <= _BLOCK_VALUES)  # a small batch is not split
+
+
+@pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS)
+def test_the_curvature_form_is_scored_only_at_admissible_rows(spec, x, m, alpha, monkeypatch):
+    prob = _BallProblem(resolve_graph(spec), x, m, alpha)
+    blocks, forms = [], []
+    score = prob._score
+    prob._score = lambda U: blocks.append((U, score(U))) or blocks[-1][1]
+    monkeypatch.setattr(cd, "_curvature_form", lambda K, m, alpha, U, i: forms.append(U) or _curvature_form(K, m, alpha, U, i))
+    _search_min_score(prob, SearchConfig(seed=0))
+    assert len(forms) == len(blocks) > 1
+    assert {U.flags.f_contiguous for U, _ in blocks} == {True, False}  # split sample blocks and row-major polls
+    for (U, (ok, _, _)), A in zip(blocks, forms):
+        assert A.shape == (ok.sum(), U.shape[1]) and A.tobytes() == U[ok].tobytes()
+        assert A.flags.f_contiguous if U.flags.f_contiguous else A.flags.c_contiguous
+    # one admissible row among inadmissible ones: its form alone is scored, the others read +inf
+    U = _sample_fields(np.random.default_rng(1), 200, len(prob.ball), 0.0 if m >= 2.0 else 1e-6)
+    ok, _, _ = prob.evaluate(U)
+    rest = np.flatnonzero(~ok)[:6]
+    V = U[[*rest[:3], np.flatnonzero(ok)[0], *rest[3:]]]
+    ok, score, base = prob.evaluate(V)
+    assert ok.tolist() == [False] * 3 + [True] + [False] * 3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert score[3] == _curvature_form(prob.kernel, m, alpha, V[3:4], prob.pos_x)[0] / base[3] ** 2
+    assert (score[~ok] == np.inf).all()
 
 
 @pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS + [("square", "x", 1.25, 0.5)])

@@ -36,6 +36,7 @@ from pmelab.graphs import Graph, build_graph
 from pmelab.operators import (
     _curvature_form,
     _dtv,
+    _edge_remainder,
     _flow,
     _gradient_energy,
     _mixed_laplacian,
@@ -221,6 +222,21 @@ def test_exp_remainder_m_matches_a_60_digit_reference(m, remainder_reference):
     assert max(errors) <= 1e-13
     assert exp_remainder_m(m, -math.inf) == (m - 1.0) / m
     assert exp_remainder_m(m, math.inf) == math.inf
+
+
+@pytest.mark.parametrize("m", [1.01, 1.25, 1.45, 3.0, 50.0])
+def test_edge_remainder_outside_the_series_region_is_the_closed_form_bit_for_bit(m):
+    # a call with no entry in |s| < 1/(2q) runs no series step, and gives the closed form's bits
+    q, c2 = m / (m - 1.0), (m - 1.0) ** 2 / m
+    tau = 0.5 / q
+    rng = np.random.default_rng(int(100 * m))
+    s = np.concatenate([[-1.0, -tau, tau, 1e300, math.inf], -rng.uniform(tau, 1.0, 17), np.exp(rng.uniform(math.log(tau), 60.0, 18))])
+    assert not (np.abs(s) < tau).any()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        qL = q * np.log1p(s)
+        lead = np.where(qL < 700.0, c2 * np.expm1(qL), np.exp(qL + math.log(c2)))
+        want = np.select([s == -1.0, s == math.inf], [(m - 1.0) / m, math.inf], lead - (m - 1.0) * s)
+    assert _edge_remainder(m, s).tobytes() == want.tobytes()
 
 
 # -- pressure --------------------------------------------------------------
@@ -695,7 +711,10 @@ def test_core_matches_pointwise_references_on_two_hop_balls(spec, x, m, alpha):
     idx = [g.index(v) for v in prob.ball]
     full = _core_fields(g, m, seed=int(10 * m) + 3)
     full[:, g.index(x)] = 1.0
-    ok, score, base, dform = prob.evaluate(full[:, idx])
+    U = full[:, idx]
+    ok, score, base = prob.evaluate(U)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dform = _curvature_form(prob.kernel, m, alpha, U, prob.pos_x)
     for row, u in enumerate(full):
         want_g, size_g = _ref_mixed_laplacian(g, m, alpha, u, x)
         assert _close(-base[row], want_g, size_g), (row, -base[row], want_g)
