@@ -221,10 +221,11 @@ _BLOCK_VALUES = 2**15
 
 
 class _BallKernel:
-    """A two-hop ball's kernel for the batched core: a dense matrix, with the full graph's degrees.
+    """A two-hop ball's kernel for the batched core, which reads only its ``laplacian``.
 
-    Only the closed one-hop rows are ever read, and those are complete
-    inside the ball, so their Laplacian is the graph's.
+    That is a dense matrix product less the full graph's degrees.  Only the
+    closed one-hop rows are ever read, and those are complete inside the
+    ball, so their Laplacian is the graph's.
     """
 
     def __init__(self, g: Graph, idx: np.ndarray):
@@ -232,23 +233,17 @@ class _BallKernel:
         local[idx] = np.arange(len(idx))
         rows, cols = local[g.rows], local[g.indices]
         inside = (rows >= 0) & (cols >= 0)
-        # the ball is in graph order, so these stay in row order
-        self.rows, self.indices, self.data = rows[inside], cols[inside], g.data[inside]
         self.matrix = np.zeros((len(idx), len(idx)))
-        self.matrix[self.rows, self.indices] = self.data
+        self.matrix[rows[inside], cols[inside]] = g.data[inside]
         self.degree = g.degree[idx]
 
-    def kernel_sum(self, F: np.ndarray) -> np.ndarray:
-        if F.ndim > 2:
-            return self.kernel_sum(F.reshape(-1, F.shape[-1])).reshape(F.shape)
+    def laplacian(self, F: np.ndarray) -> np.ndarray:
+        """``sum_y K(x,y) (F(y) - F(x))`` for a batch ``F`` of shape ``(batch, ball size)``."""
         # not (matrix @ F.T).T: OpenBLAS 0.3.31 sums some of its rows by batch size
         # on balls of 30+ vertices, so blocks would not score as the whole batch;
         # the sums keep F's layout, so elementwise work mixes no layouts
-        out = F @ self.matrix.T
-        return np.asfortranarray(out) if F.flags.f_contiguous else out
-
-    def laplacian(self, F: np.ndarray) -> np.ndarray:
-        return self.kernel_sum(F) - self.degree * F
+        sums = F @ self.matrix.T
+        return (np.asfortranarray(sums) if F.flags.f_contiguous else sums) - self.degree * F
 
 
 class _BallProblem:

@@ -294,6 +294,8 @@ def cmd_verify_cd(args) -> int:
     from .artifacts import write_json
     from .cd import SearchConfig, _search, verify_cd_at
 
+    if args.tol is not None and args.d is None:
+        raise ValidationError("--tol is the margin of a verdict at --d; without --d no verdict reads it")
     outdir = resolve_outdir(args)
     g = resolve_graph(args.graph)
     vertices = args.vertex or [str(v) for v in g.vertices]
@@ -638,6 +640,9 @@ def cmd_reproduce(args) -> int:
 
     outdir = resolve_outdir(args)
     runner, value = resolve_reproduce(args.id)
+    # the other ids run at m = 2 or take m from their suffix
+    if args.m != 2.0 and args.id.partition(":")[0] not in ("ex3.5", "ex6.6ii"):
+        raise ValidationError("reproduce %s does not read --m; only ex3.5:D and ex6.6ii:D do" % args.id)
     passed, payload = runner(value, args)
     result = {
         "command": "reproduce",

@@ -9,9 +9,10 @@ algebra that the verification routines build on:
   written once as the per-edge remainder ``R_m`` (``(m-1)/m`` at 0, ``+inf`` at ``+inf``),
 * the nonlinear gradient energy entering the pressure equation
   ``dv/dt = (m-1) v Lv + gradient_energy(v)``,
-* the curvature forms whose lower bounds are the discrete
-  curvature-dimension conditions, and
-* the mixed second-order quantity bounded by the Aronson-Benilan estimate.
+* the mixed second-order quantity ``G`` bounded by the Aronson-Benilan
+  estimate, by the pressure equation ``(1-alpha) Lv + alpha L(u^m)/u``, and
+* its time derivatives along the flow, the curvature forms whose lower
+  bounds are the discrete curvature-dimension conditions.
 
 Pointwise operators take ``(graph, field, vertex)`` and return a float; the
 ``*_field`` variants evaluate every vertex at once.  Fields are numpy arrays
@@ -262,8 +263,10 @@ def curvature_form_mixed(g: Graph, m: float, alpha: float, u, x: str) -> float:
     ``sum_y k(x,y) [ (1 - alpha + alpha u(y)/u(x)) m u(y)^(m-2) L(u^m)(y)
     - (m - alpha + alpha (u(y)/u(x))^m) u(x)^(m-2) L(u^m)(x) ]``
 
-    Reduces to :func:`curvature_form` at ``alpha = 0``.  For ``alpha > 0``
-    it requires ``u(x) > 0``; zero values are allowed for ``m >= 2``.
+    Reduces to :func:`curvature_form` at ``alpha = 0``.  Along solutions it is ``d/dt``
+    of :func:`mixed_laplacian`, evaluated as ``(1-alpha) L(D) + alpha (L(u D)/u - (L(u^m)/u)^2)``
+    at ``x`` with ``D = dv/dt``.  For ``alpha > 0`` it requires ``u(x) > 0``; zero
+    values are allowed for ``m >= 2``.
     """
     m = check_exponent(m)
     alpha = check_mixing(alpha)
@@ -295,22 +298,22 @@ def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
     ``v = pressure(m, u)``.  The negative of this quantity is what the
     Aronson-Benilan estimate bounds by ``d/t`` along solutions, and its
     strict positive local maxima define admissibility for the
-    curvature-dimension checks.
+    curvature-dimension checks.  By the pressure equation it is evaluated as
+    ``(1-alpha) Lv(x) + alpha L(u^m)(x)/u(x)``, which has the limit ``+inf`` (if
+    ``L(u^m)(x) > 0``) or ``Lv(x)`` where ``u(x) = 0`` and ``alpha > 0``.
     """
     return float(mixed_laplacian_field(g, m, alpha, as_field(g, u))[g.index(x)])
 
 
 # -- batched core ----------------------------------------------------------
-# ``K`` is a kernel: any object with a graph's six kernel members.  Its
-# methods ``laplacian(F)`` and ``kernel_sum(F)`` take fields ``F`` of shape
-# ``(..., n)`` and return ``sum_y K(x,y) (F(y) - F(x))`` and
-# ``sum_y K(x,y) F(y)`` at every vertex ``x``; ``degree`` holds the row
-# sums that ``laplacian`` subtracts; ``rows``, ``indices`` and ``data`` are
-# its stored entries in row order.  The core reads nothing else, so each
-# kernel owns its storage: a :class:`~pmelab.graphs.Graph` scatters over its
-# cached entry tables, and the CD search's two-hop ball
-# (``cd._BallKernel``) multiplies its dense matrix.  Callers validate and
-# set the error state.
+# ``K`` is a kernel: any object whose ``laplacian(F)`` takes fields ``F`` of
+# shape ``(..., n)`` and returns ``sum_y K(x,y) (F(y) - F(x))`` at every vertex
+# ``x``.  The flow, ``dv/dt``, ``G`` and the curvature form read nothing else,
+# so each kernel owns its storage: a :class:`~pmelab.graphs.Graph` scatters
+# over its cached entry table, and the CD search's two-hop ball
+# (``cd._BallKernel``) multiplies its dense matrix.  ``_gradient_energy``, the
+# checkers' independent route to ``G``, also reads a graph's ``degree``,
+# ``kernel_sum`` and stored entries.  Callers validate and set the error state.
 
 
 def _flow(K, m, U):
@@ -373,41 +376,36 @@ def _gradient_energy(K, m, W):
 
 
 def _mixed_laplacian(K, m, alpha, U):
-    """``G = Lv + alpha * gradient_energy(v) / ((m-1) v)`` with ``v`` the pressure.
+    """``G = (1-alpha) Lv + alpha L(u^m)/u`` with ``v`` the pressure, see :func:`mixed_laplacian`.
 
-    Where ``v(x) = 0`` the correction takes its limit: ``+inf`` when some
-    neighbor carries positive pressure, otherwise 0.
+    Where ``u(x) = 0`` the quotient takes its limit: ``G(x) = +inf`` when
+    ``L(u^m)(x) > 0`` (some neighbor carries mass), otherwise ``Lv(x)``.
     """
     V = _pressure(m, U)
     LV = K.laplacian(V)
     if alpha == 0.0:
         return LV
-    G = LV + alpha * _gradient_energy(K, m, V) / ((m - 1.0) * V)
-    zero = V == 0.0
+    LP = _flow(K, m, U)
+    G = (1.0 - alpha) * LV + alpha * LP / U
+    zero = U == 0.0
     if zero.any():
-        has_mass = K.kernel_sum(V ** (m / (m - 1.0)))[zero] > 0.0
-        G[zero] = np.where(has_mass, np.inf, LV[zero])
+        G[zero] = np.where(LP[zero] > 0.0, np.inf, LV[zero])
     return G
 
 
 def _curvature_form(K, m, alpha, U, i):
-    """Curvature form at vertex ``i``, see :func:`curvature_form_mixed`, as a new array.
+    """Curvature form ``dG/dt`` at vertex ``i``, see :func:`curvature_form_mixed`, as a new array.
 
-    At ``alpha = 0`` it is ``dLv/dt = L(D)`` with ``D = dv/dt``, and ``u(x)`` may vanish; else
-    ``(1-alpha) K(D) + (alpha/u) K(u D) - u^(m-2) L(u^m) (m deg + alpha L(u^m)/u^m)`` at ``x``.
-    ``K(D)`` reads ``D`` at all ``n`` columns, a dense kernel through zero weights, so ``D``
-    must be finite there: ``u > 0`` wherever ``m < 2``.
+    With ``D = dv/dt`` it is ``(1-alpha) L(D) + alpha (L(u D)/u - (L(u^m)/u)^2)`` at ``x``;
+    ``u(x)`` may vanish at ``alpha = 0`` only.  ``L`` reads ``D`` at all ``n`` columns, a dense
+    kernel through zero weights, so ``D`` must be finite there: ``u > 0`` wherever ``m < 2``.
     """
     if not alpha:
         return K.laplacian(_dtv(K, m, U))[..., i].copy()
     LP = _flow(K, m, U)
     D = _dtv(K, m, U, LP)
-    ux, lx = U[..., i], LP[..., i]
-    return (
-        (1.0 - alpha) * K.kernel_sum(D)[..., i]
-        + alpha / ux * K.kernel_sum(U * D)[..., i]
-        - ux ** (m - 2.0) * lx * (m * K.degree[i] + alpha * lx / ux**m)
-    )
+    ux, qx = U[..., i], LP[..., i] / U[..., i]
+    return (1.0 - alpha) * K.laplacian(D)[..., i] + alpha * (K.laplacian(U * D)[..., i] / ux - qx * qx)
 
 
 def _block_count(rows: int, width: int, budget: int) -> int:

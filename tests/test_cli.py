@@ -621,6 +621,9 @@ def test_config_echoes_exactly_the_parsed_settings(tmp_path):
         (["simulate", "--graph", "square", "--u0", "random:2,1"], "random: bounds need 0 < lo <= hi < inf"),
         (["simulate", "--graph", "square", "--u0", "random:1,inf"], "random: bounds need 0 < lo <= hi < inf"),
         (["simulate", "--graph", "square", "--u0", "random:nan,1"], "random: bounds need 0 < lo <= hi < inf"),
+        (["verify-cd", "--graph", "square", "--vertex", "x", "--tol", "0.5"], "without --d no verdict reads it"),
+        (["reproduce", "ex4.1", "--m", "3"], "only ex3.5:D and ex6.6ii:D do"),
+        (["reproduce", "lemma6.1:3", "--m", "2.5"], "only ex3.5:D and ex6.6ii:D do"),
     ],
 )
 def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, message):

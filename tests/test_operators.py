@@ -355,10 +355,10 @@ def test_gradient_energy_near_one_stays_finite_on_pressure_fields():
         assert np.all(field >= 0.0)
 
 
-def _gradient_energy_reference(K, m, w, remainder_reference):
-    """``w(x)^2 sum_y k(x,y) R_m(w(y)/w(x))`` over ``K``'s stored entries, at 60 digits."""
+def _gradient_energy_reference(g, m, w, remainder_reference):
+    """``w(x)^2 sum_y k(x,y) R_m(w(y)/w(x))`` over ``g``'s stored entries, at 60 digits."""
     out = [Decimal(0)] * len(w)
-    for x, y, k in zip(K.rows.tolist(), K.indices.tolist(), K.data.tolist()):
+    for x, y, k in zip(g.rows.tolist(), g.indices.tolist(), g.data.tolist()):
         out[x] += Decimal(k) * remainder_reference(m, Decimal(w[y]) / Decimal(w[x]))
     return [Decimal(wx) ** 2 * value for wx, value in zip(w.tolist(), out)]
 
@@ -374,14 +374,15 @@ def test_gradient_energy_below_one_and_a_half_matches_a_60_digit_reference(spec,
     near = 3.0 * (1.0 + eps * rng.uniform(-1.0, 1.0, (20, g.n)))
     W = np.concatenate([near, rng.uniform(0.05, 5.0, (5, g.n))])
     if spec.startswith("ball:"):
+        # the graph of the entries inside the two-hop ball of "4"
         idx = np.array([g.index(v) for v in two_hop_ball(g, "4")])
-        K, W = _BallKernel(g, idx), W[:, idx]
-        psi = _gradient_energy(K, m, W)
-    else:
-        K, psi = g, gradient_energy_field(g, m, W)
+        dense = np.zeros((g.n, g.n))
+        dense[g.rows, g.indices] = g.data
+        g, W = Graph([g.vertices[i] for i in idx], dense[np.ix_(idx, idx)]), W[:, idx]
+    psi = gradient_energy_field(g, m, W)
     assert np.all(psi >= 0.0)
     for w, row in zip(W, psi):
-        want = _gradient_energy_reference(K, m, w, remainder_reference)
+        want = _gradient_energy_reference(g, m, w, remainder_reference)
         assert max(map(_relative_error, row.tolist(), want)) <= 1e-13, w
 
 
@@ -442,17 +443,19 @@ def test_curvature_form_scales_like_u_to_the_two_m_minus_two(seed):
 @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
 def test_curvature_form_is_the_time_derivative_of_the_pressure_laplacian(spec, m):
     # At a step endpoint of the dense output its time derivative is the flow
-    # L(u^m) itself, so a central difference of Lv there measures d/dt Lv
+    # L(u^m) itself, so a central difference of G there measures dG/dt
     # along the flow, up to h times the jump of the interpolant's curvature.
+    # At alpha = 0, G is the pressure Laplacian Lv.
     g = resolve_graph(spec)
     traj = integrate(g, m, np.random.default_rng(1).uniform(0.5, 1.5, g.n), np.linspace(0.0, 0.5, 6))
     for t in traj.dense.ts[1:-1]:
         h = 1e-5 * t
-        ahead, behind = (laplacian_field(g, pressure(m, u)) for u in traj.dense(np.array([t + h, t - h])))
-        want = (ahead - behind) / (2.0 * h)
         u = traj.dense(np.array([t]))[0]
-        got = np.array([curvature_form(g, m, u, x) for x in g.vertices])
-        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), t
+        for alpha in CORE_MIXING:
+            ahead, behind = (mixed_laplacian_field(g, m, alpha, w) for w in traj.dense(np.array([t + h, t - h])))
+            want = (ahead - behind) / (2.0 * h)
+            got = np.array([curvature_form_mixed(g, m, alpha, u, x) for x in g.vertices])
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), (t, alpha)
 
 
 def test_curvature_form_allows_zero_neighbors_only_for_m_at_least_two():
@@ -616,20 +619,21 @@ def test_core_matches_pointwise_references_on_full_graphs(spec, m):
     g = resolve_graph(spec)
     U = _core_fields(g, m, seed=int(10 * m) + len(spec))
     V = pressure(m, U)
+    psi = _gradient_energy(g, m, V)
+    for row, w in enumerate(V):
+        # a batch row is the 1-d evaluation of that row, bit for bit
+        np.testing.assert_array_equal(gradient_energy_field(g, m, w), psi[row])
+        for x in g.vertices:
+            want, size = _ref_gradient_energy(g, m, w, x)
+            assert _close(psi[row, g.index(x)], want, size), (x, psi[row, g.index(x)], want)
     # the graph itself, and the CD search's dense ball kernel over the whole graph
     for k in (g, _BallKernel(g, np.arange(g.n))):
-        psi = _gradient_energy(k, m, V)
         dtv = _dtv(k, m, U)
         with np.errstate(divide="ignore", invalid="ignore"):
             G = {a: _mixed_laplacian(k, m, a, U) for a in CORE_MIXING}
         for row, u in enumerate(U):
-            if k is g:
-                # a batch row is the 1-d evaluation of that row, bit for bit
-                np.testing.assert_array_equal(gradient_energy_field(g, m, V[row]), psi[row])
             for x in g.vertices:
                 i = g.index(x)
-                want, size = _ref_gradient_energy(g, m, V[row], x)
-                assert _close(psi[row, i], want, size), (x, psi[row, i], want)
                 if u[i] > 0.0:
                     assert _close(dtv[row, i], *_ref_dtv(g, m, u, x))
                 for a in CORE_MIXING:
@@ -677,29 +681,35 @@ class _LoggedGraph(_LogsKernelReads, Graph):
 def test_core_reads_only_the_kernel_interface(spec, m):
     # The core gives the graph's bits from the six members alone, through
     # the same reads: a member the stub lacks raises, and a type branch
-    # on the kernel reads different members on the two.
+    # on the kernel reads different members on the two.  The flow, dv/dt,
+    # G and the curvature form read the Laplacian and nothing else.
     g = resolve_graph(spec)
     U = _core_fields(g, m, seed=7)
     g.laplacian(U), g.kernel_sum(U)  # build the cached tables before the reads are logged
     logged = object.__new__(_LoggedGraph)
     logged.__dict__.update(vars(g), reads=[])
     stub = _OnlyTheInterface(g)
-    calls = [lambda k, F=F: _flow(k, m, F) for F in (U, U[0], U[:1], U.reshape(1, 5, g.n))]
-    calls += [lambda k, F=F: _dtv(k, m, F) for F in (U, U[0])]
-    calls += [lambda k, F=F: _gradient_energy(k, m, pressure(m, F)) for F in (U, U[0], U.reshape(1, 5, g.n))]
-    calls += [lambda k, a=a, F=F: _mixed_laplacian(k, m, a, F) for a in CORE_MIXING for F in (U, U[0])]
+    laplacian_only = [lambda k, F=F: _flow(k, m, F) for F in (U, U[0], U[:1], U.reshape(1, 5, g.n))]
+    laplacian_only += [lambda k, F=F: _dtv(k, m, F) for F in (U, U[0])]
+    laplacian_only += [lambda k, a=a, F=F: _mixed_laplacian(k, m, a, F) for a in CORE_MIXING for F in (U, U[0])]
     for i in range(g.n):
-        calls += [lambda k, a=a, i=i: _curvature_form(k, m, a, U, i) for a in CORE_MIXING]
+        laplacian_only += [lambda k, a=a, i=i: _curvature_form(k, m, a, U, i) for a in CORE_MIXING]
+    energies = [lambda k, F=F: _gradient_energy(k, m, pressure(m, F)) for F in (U, U[0], U.reshape(1, 5, g.n))]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for call in calls:
+        for call in laplacian_only + energies:
             stub.reads.clear(), logged.reads.clear()
             _assert_same_bits(call(stub), call(g))
             _assert_same_bits(call(logged), call(g))
             assert stub.reads == logged.reads and stub.reads
-    # the CD search's dense ball kernel sums a batch of any rank as the rows it holds
-    ball, F = _BallKernel(g, np.arange(g.n)), np.concatenate([U, U[:1]]).reshape(2, 3, g.n)
-    _assert_same_bits(ball.kernel_sum(F), ball.kernel_sum(F.reshape(6, g.n)).reshape(F.shape))
-    np.testing.assert_allclose(ball.kernel_sum(F), g.kernel_sum(F), rtol=1e-14, atol=0.0)
+            if call in laplacian_only:
+                assert set(stub.reads) == {"laplacian"}, stub.reads
+    # the CD search's dense ball kernel over the whole graph: the graph's
+    # Laplacian of a batch, in the batch's layout
+    ball = _BallKernel(g, np.arange(g.n))
+    for F in (U, np.asfortranarray(U)):
+        got = ball.laplacian(F)
+        assert got.flags.f_contiguous == F.flags.f_contiguous
+        np.testing.assert_allclose(got, g.laplacian(U), rtol=0.0, atol=1e-14 * 2.0 * g.degree.max() * np.abs(U).max())
 
 
 @pytest.mark.parametrize("spec,x", [("square", "x"), ("complete:5", "x1"), ("path:6", "3"), ("zwindow:3", "0")])
