@@ -27,6 +27,10 @@ each written as slack formulas over one shared evaluation
 (:func:`_time_scaled_check`).  Their binding regime is small ``t``, so the
 first reported intervals are refined through the trajectory's dense output
 in addition to the reported grid.
+
+A report's verdict fields are set when it is made; its per-point
+``records`` are built from the check's arrays at their first read, so a
+caller that reads only the verdict builds no per-point rows.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,7 +74,14 @@ __all__ = [
 
 @dataclass
 class EstimateReport:
-    """Minimum slack of one inequality over all checked points."""
+    """Minimum slack of one inequality over all checked points.
+
+    ``records`` holds one row per checked time or pair (see
+    :meth:`write_slack_csv`).  It may be given as a list, or as a function
+    of no arguments that returns one; the checkers pass such a function,
+    and the rows are built at the first read of ``records`` (``==`` reads
+    them too).
+    """
 
     kind: str
     parameters: dict
@@ -84,6 +95,10 @@ class EstimateReport:
     def passed(self) -> bool:
         return self.min_slack >= -self.tolerance
 
+    def __getstate__(self) -> dict:
+        """The instance's attributes with ``records`` built, so that a report pickles."""
+        return {**vars(self), "_records": self.records}
+
     def to_json_dict(self) -> dict:
         """Every field but ``records``, and ``passed``, in plain JSON types."""
         out = jsonable({f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"})
@@ -94,6 +109,20 @@ class EstimateReport:
         """Per-point slack rows, ``t,x,slack`` or ``t1,t2,x1,x2,slack``."""
         pairs = self.kind in ("harnack_path", "harnack_distance")
         write_csv(path, ("t1", "t2", "x1", "x2", "slack") if pairs else ("t", "x", "slack"), self.records)
+
+
+def _read_records(report: EstimateReport) -> list:
+    if callable(report._records):
+        report._records = report._records()
+    return report._records
+
+
+def _set_records(report: EstimateReport, rows: list | Callable[[], list]) -> None:
+    report._records = rows
+
+
+# set after the dataclass is made, so that its fields, __init__ and __eq__ still name ``records``
+EstimateReport.records = property(_read_records, _set_records, doc="Per-point rows, built at the first read.")
 
 
 def _check_tolerance(tol: float) -> None:
@@ -109,6 +138,16 @@ def _check_lambda_mu(lam: float, mu: float) -> None:
         raise DomainError(f"lambda must lie in [0, 1), got {lam}")
     if not 0.0 < mu < math.inf:
         raise DomainError("mu must be positive and finite")
+
+
+def _refinement(ts: np.ndarray) -> np.ndarray:
+    """The nine interior times of each of the first ten intervals of ``ts``, interval by interval.
+
+    ``np.linspace(ts[:-1][:10], ts[1:][:10], 11, axis=1)[:, 1:-1].ravel()`` bit for bit: the same
+    arithmetic, ``j * ((t[k+1] - t[k]) / 10) + t[k]``, without its general set-up.
+    """
+    lo, hi = ts[:-1][:10, None], ts[1:][:10, None]
+    return (np.arange(1, 10) * ((hi - lo) / 10) + lo).ravel()
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a nan slack raises a DomainError
@@ -129,9 +168,10 @@ def _time_scaled_check(traj: Trajectory, kind: str, what: str, parameters: dict,
         raise ValidationError("trajectory must start at t > 0 for time-scaled bounds")
     g, m = traj.graph, traj.m
     if traj.dense is not None and len(ts) >= 2:
-        extra = np.linspace(ts[:-1][:10], ts[1:][:10], 11, axis=1)[:, 1:-1].ravel()
-        order = np.argsort(np.concatenate([ts, extra]), kind="stable")
-        ts, U = np.concatenate([ts, extra])[order], np.concatenate([U, traj.dense(extra)])[order]
+        extra = _refinement(ts)
+        ts = np.concatenate([ts, extra])
+        order = np.argsort(ts, kind="stable")
+        ts, U = ts[order], np.concatenate([U, traj.dense(extra)])[order]
     V = _pressure(m, U)
     terms = (ts[:, None], U, V, _dtv(g, m, U), _gradient_energy(g, m, V))
     slacks = [form(*terms) for form in forms.values()]
@@ -142,13 +182,14 @@ def _time_scaled_check(traj: Trajectory, kind: str, what: str, parameters: dict,
         raise DomainError(f"{what} slack is nan at {at}: its terms leave the float range")
     cols = np.argmin(slack, axis=1)
     mins = slack[np.arange(len(ts)), cols]
-    records = [(t, g.vertices[i], s) for t, i, s in zip(ts.tolist(), cols.tolist(), mins.tolist())]
     k = int(np.argmin(mins))
-    t, x, best = records[k]
-    argmin = {"t": t, "vertex": x}
+    argmin = {"t": float(ts[k]), "vertex": g.vertices[cols[k]]}
     if len(forms) > 1:  # the first form attaining the minimum
         argmin["form"] = list(forms)[int(np.argmin([s[k, cols[k]] for s in slacks]))]
-    return EstimateReport(kind, parameters, best, argmin, len(ts) * g.n, tol, records)
+    return EstimateReport(
+        kind, parameters, float(mins[k]), argmin, len(ts) * g.n, tol,
+        lambda: [(t, g.vertices[i], s) for t, i, s in zip(ts.tolist(), cols.tolist(), mins.tolist())],
+    )
 
 
 def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> EstimateReport:
@@ -370,7 +411,8 @@ def harnack_check(
         raise ValidationError("Harnack comparison needs a symmetric kernel")
     if len(pairs) == 0:
         raise ValidationError("need at least one (t1, t2, x1, x2) pair")
-    t1, t2, x1, x2 = zip(*pairs)
+    columns = tuple(zip(*pairs))
+    t1, t2, x1, x2 = columns
     times = np.array([t1, t2], dtype=float).T.ravel()  # t1 and t2 of each pair in turn
     t1, t2 = times[0::2], times[1::2]
     _check_harnack_params(mu, lam, t1, t2)
@@ -417,7 +459,7 @@ def harnack_check(
         dict(zip(("t1", "t2", "x1", "x2"), pairs[k])),
         len(pairs),
         tol,
-        [(*pair, s) for pair, s in zip(pairs, slack.tolist())],
+        lambda: list(zip(*columns, slack.tolist())),
     )
 
 

@@ -208,7 +208,7 @@ def pressure_inverse(m: float, v):
     v = np.asarray(v, dtype=float)
     if _has_negative(v):
         raise DomainError("pressure must be nonnegative")
-    out = ((m - 1.0) / m * v) ** (1.0 / (m - 1.0))
+    out = _pow((m - 1.0) / m * v, 1.0 / (m - 1.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -314,21 +314,36 @@ def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
 # (``cd._BallKernel``) multiplies its dense matrix.  ``_gradient_energy``, the
 # checkers' independent route to ``G``, also reads a graph's ``degree``,
 # ``kernel_sum`` and stored entries.  Callers validate and set the error state.
+# Every power of a field is taken in ``_pow``, which skips the pass only where
+# the result is exact (``p = 1`` and ``p = 0``); other exponents go to numpy's
+# ``**``, whose last bits follow numpy's SIMD dispatch.
+
+
+def _pow(U, p):
+    """``U ** p`` bit for bit, with no pass at ``p = 1`` or ``p = 0``.
+
+    At ``p = 1`` it is ``U`` itself, not a copy, so callers only multiply it; at ``p = 0`` it is ``1.0``.
+    """
+    if p == 1.0:
+        return U
+    if p == 0.0:
+        return 1.0  # as 0 ** 0, inf ** 0 and nan ** 0
+    return U**p
 
 
 def _flow(K, m, U):
     """Porous medium right-hand side ``L(u^m)``."""
-    return K.laplacian(U**m)
+    return K.laplacian(_pow(U, m))
 
 
 def _dtv(K, m, U, LP=None):
     """Pressure time derivative along the flow, ``m u^(m-2) L(u^m)``; ``LP`` is ``L(u^m)`` if the caller holds it."""
-    return m * U ** (m - 2.0) * (_flow(K, m, U) if LP is None else LP)
+    return m * _pow(U, m - 2.0) * (_flow(K, m, U) if LP is None else LP)
 
 
 def _pressure(m, U):
     """Pressure ``(m/(m-1)) u^(m-1)``."""
-    return m / (m - 1.0) * U ** (m - 1.0)
+    return m / (m - 1.0) * _pow(U, m - 1.0)
 
 
 def _edge_remainder(m, s):
@@ -367,12 +382,12 @@ def _gradient_energy(K, m, W):
         wx = W2[:, K.rows]
         vals = K.data * _edge_remainder(m, (W2[:, K.indices] - wx) / wx)
         at = K.rows + W.shape[-1] * np.arange(len(W2))[:, None]
-        return W**2 * np.bincount(at.ravel(), weights=vals.ravel(), minlength=W2.size).reshape(W.shape)
+        return _pow(W, 2.0) * np.bincount(at.ravel(), weights=vals.ravel(), minlength=W2.size).reshape(W.shape)
     c1 = (m - 1.0) / m
     c2 = (m - 1.0) ** 2 / m
     p = (m - 2.0) / (m - 1.0)
     q = m / (m - 1.0)
-    return c1 * K.degree * W**2 + c2 * W**p * K.kernel_sum(W**q) - (m - 1.0) * W * K.kernel_sum(W)
+    return c1 * K.degree * _pow(W, 2.0) + c2 * _pow(W, p) * K.kernel_sum(_pow(W, q)) - (m - 1.0) * W * K.kernel_sum(W)
 
 
 def _mixed_laplacian(K, m, alpha, U):
@@ -405,7 +420,8 @@ def _curvature_form(K, m, alpha, U, i):
     LP = _flow(K, m, U)
     D = _dtv(K, m, U, LP)
     ux, qx = U[..., i], LP[..., i] / U[..., i]
-    return (1.0 - alpha) * K.laplacian(D)[..., i] + alpha * (K.laplacian(U * D)[..., i] / ux - qx * qx)
+    mixed = alpha * (K.laplacian(U * D)[..., i] / ux - qx * qx)
+    return mixed if alpha == 1.0 else (1.0 - alpha) * K.laplacian(D)[..., i] + mixed
 
 
 def _block_count(rows: int, width: int, budget: int) -> int:

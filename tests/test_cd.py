@@ -36,7 +36,7 @@ from pmelab.cd import (
     _search_min_score,
 )
 from pmelab.errors import AdmissibilityError, ValidationError
-from pmelab.operators import _curvature_form
+from pmelab.operators import _curvature_form, _dtv, _flow
 
 FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
 
@@ -315,6 +315,28 @@ def test_batched_polls_replay_the_one_iteration_search_bit_for_bit(spec, x, m, a
             score, best_u, evaluations, admissible = _one_iteration_per_evaluate(prob, cfg)
             assert (got.min_score, got.evaluations, got.admissible_found) == (score, evaluations, admissible)
             assert (got.best_u is None and best_u is None) or got.best_u.tobytes() == best_u.tobytes()
+
+
+def _curvature_form_with_every_term(K, m, alpha, U, i):
+    """The mixed curvature form with its ``(1 - alpha) L(D)`` term evaluated at every ``alpha > 0``."""
+    LP = _flow(K, m, U)
+    D = _dtv(K, m, U, LP)
+    ux, qx = U[..., i], LP[..., i] / U[..., i]
+    return (1.0 - alpha) * K.laplacian(D)[..., i] + alpha * (K.laplacian(U * D)[..., i] / ux - qx * qx)
+
+
+@pytest.mark.parametrize("spec,x,m", [("zwindow:3", "0", 2.0), ("path:6", "3", 3.0), ("square", "x", 2.0),
+                                      ("complete:5", "x1", 1.5)])
+def test_unit_mixing_searches_equal_those_that_evaluate_the_zero_term(monkeypatch, spec, x, m):
+    # at alpha = 1 the curvature form skips its (1 - alpha) L(D) term, which is 0 * L(D)
+    prob = _BallProblem(resolve_graph(spec), x, m, 1.0)
+    outcomes = {}
+    for form in (_curvature_form, _curvature_form_with_every_term):
+        monkeypatch.setattr(cd, "_curvature_form", form)
+        outcomes[form] = [_search_min_score(prob, SearchConfig(seed=seed)) for seed in [*range(20), 7919]]
+    for got, want in zip(*outcomes.values()):
+        assert (got.min_score, got.evaluations) == (want.min_score, want.evaluations)
+        assert (got.best_u is None and want.best_u is None) or got.best_u.tobytes() == want.best_u.tobytes()
 
 
 def test_shrink_only_iterations_share_evaluate_calls():

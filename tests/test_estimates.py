@@ -1,6 +1,8 @@
 """Time-scaled regularity estimates, Harnack bounds and scalar lemmas."""
 
+import functools
 import math
+import pickle
 import re
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmelab import (
+    EstimateReport,
     Graph,
     ab_check,
     build_graph,
@@ -40,6 +43,8 @@ from pmelab import (
 )
 from pmelab.cli import main
 from pmelab.errors import DomainError, LambdaOneError, NoPathError, ValidationError
+from pmelab.estimates import _refinement
+from pmelab.operators import _dtv, _gradient_energy, _mixed_laplacian, _pressure
 
 
 def square_run(m=2.0, u0=(1.2, 0.9, 1.05, 0.8), t0=0.1, t1=2.0, points=40):
@@ -154,6 +159,77 @@ def test_time_scaled_checkers_at_reported_times_need_no_dense_data(tmp_path, spe
         rep = check(plain)
         assert rep.points_checked == len(traj.times) * g.n
         assert rep.records == [r for r in check(traj).records if r[0] in reported]
+
+
+@pytest.mark.parametrize("lo,hi", [(1e-4, 5.0), (0.1, 5.0), (1e6, 1e6 + 1e-7)])
+@pytest.mark.parametrize("count", [2, 3, 11, 12, 201])
+def test_refinement_times_equal_linspace_bit_for_bit(lo, hi, count):
+    for ts in (np.linspace(lo, hi, count), np.geomspace(lo, hi, count)):
+        want = np.linspace(ts[:-1][:10], ts[1:][:10], 11, axis=1)[:, 1:-1].ravel()
+        assert _refinement(ts).tobytes() == want.tobytes()
+
+
+def _eager_time_scaled_records(traj, *forms):
+    """A time-scaled check's records, built at once from the arrays that the check evaluates."""
+    g, m, ts, U = traj.graph, traj.m, traj.times, traj.states
+    extra = _refinement(ts)
+    order = np.argsort(np.concatenate([ts, extra]), kind="stable")
+    ts, U = np.concatenate([ts, extra])[order], np.concatenate([U, traj.dense(extra)])[order]
+    V = _pressure(m, U)
+    terms = (ts[:, None], U, V, _dtv(g, m, U), _gradient_energy(g, m, V))
+    slack = functools.reduce(np.minimum, [form(*terms) for form in forms])
+    cols = np.argmin(slack, axis=1)
+    mins = slack[np.arange(len(ts)), cols]
+    return [(t, g.vertices[i], s) for t, i, s in zip(ts.tolist(), cols.tolist(), mins.tolist())]
+
+
+def _checks_with_eager_records(traj, pairs):
+    """``(report, records built at once)`` for the three checkers, as ``check ab``, ``diff-harnack`` and ``harnack``."""
+    g, m, alpha, d, lam, mu = traj.graph, traj.m, 0.5, 4.0 / 3.0, 0.25, 0.7
+    ab = _eager_time_scaled_records(
+        traj,
+        lambda t, U, V, dtv, psi: d / t + _mixed_laplacian(g, m, alpha, U),
+        lambda t, U, V, dtv, psi: d / t - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V),
+    )
+    dh = _eager_time_scaled_records(traj, lambda t, U, V, dtv, psi: dtv - (1.0 - lam) * psi + mu / t * V)
+    return [
+        (ab_check(traj, alpha, d), ab),
+        (diff_harnack_residual(traj, lam, mu), dh),
+        (harnack_check(traj, mu, lam, pairs), _harnack_reference(traj, mu, lam, pairs)),
+    ]
+
+
+@pytest.mark.parametrize("spec", ["square", "complete:5", "path:5"])
+def test_checkers_build_their_records_at_the_first_read(tmp_path, spec):
+    g = resolve_graph(spec)
+    rng = np.random.default_rng(4)
+    traj = integrate(g, 2.0, rng.uniform(0.5, 1.5, g.n), np.linspace(0.1, 5.0, 201))
+    pairs = [(0.1, 5.0, g.vertices[0], g.vertices[-1]), (0.3, 0.4, g.vertices[1], g.vertices[1])]
+    pairs += [(float(a), float(b), g.vertices[i], g.vertices[j]) for (a, b), (i, j) in
+              zip(np.sort(rng.uniform(0.1, 5.0, (20, 2)), axis=1), rng.integers(g.n, size=(20, 2)))]
+    for rep, eager in _checks_with_eager_records(traj, pairs):
+        rep.passed, rep.min_slack, rep.argmin, rep.points_checked, rep.to_json_dict(), repr(rep)
+        assert callable(vars(rep)["_records"])  # reading the verdict built no per-point row
+        assert rep.min_slack == min(r[-1] for r in eager)
+        built = rep.records
+        assert built == eager and rep.records is built
+        made_at_once = EstimateReport(rep.kind, rep.parameters, rep.min_slack, rep.argmin, rep.points_checked,
+                                      rep.tolerance, eager)
+        assert rep == made_at_once
+        rep.write_slack_csv(tmp_path / "lazy.csv")
+        made_at_once.write_slack_csv(tmp_path / "eager.csv")
+        assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
+
+
+def test_a_report_builds_from_its_verdict_fields_and_pickles_with_its_records():
+    plain = EstimateReport("ab", {"m": 2.0, "alpha": 0.0, "d": 1.0}, 0.5, {"t": 0.1, "vertex": "x"}, 8, 1e-8)
+    assert plain.records == [] and plain.passed
+    keys = {"kind", "parameters", "min_slack", "argmin", "points_checked", "tolerance", "passed"}
+    assert set(plain.to_json_dict()) == keys
+    rep = ab_check(square_run(), 0.0, 4.0 / 3.0)
+    assert set(rep.to_json_dict()) == keys
+    back = pickle.loads(pickle.dumps(rep))
+    assert back == rep and back.records == rep.records and not callable(vars(back)["_records"])
 
 
 # -- Harnack right-hand sides ----------------------------------------------

@@ -33,6 +33,7 @@ from pmelab import (
 from pmelab.cd import _BallKernel, _BallProblem
 from pmelab.errors import DomainError, ValidationError
 from pmelab.graphs import Graph, build_graph
+from pmelab import operators
 from pmelab.operators import (
     _curvature_form,
     _dtv,
@@ -40,6 +41,8 @@ from pmelab.operators import (
     _flow,
     _gradient_energy,
     _mixed_laplacian,
+    _pow,
+    _pressure,
     check_exponent,
     check_mixing,
 )
@@ -810,3 +813,52 @@ def test_kernel_sums_equal_the_scipy_product_bit_for_bit(case):
         for batch in (F[:1], F[-1:], F[:2], F[:5], F):
             _assert_same_bits(g.kernel_sum(batch), (K @ batch.T).T)
         _assert_same_bits(g.kernel_sum(F.reshape(4, 16, g.n)), (K @ F.T).T.reshape(4, 16, g.n))
+
+
+POW_VALUES = np.array([0.0, 5e-324, 1e-300, 1.0, 1e300, np.inf, np.nan])
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_pow_shortcuts_equal_the_power_bit_for_bit(p):
+    got = _pow(POW_VALUES, p)
+    assert got is POW_VALUES if p == 1.0 else type(got) is float  # no pass, no copy
+    want = POW_VALUES**p
+    assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+
+
+# the benchmark's checker graphs and its CD search balls
+POW_CHECK_GRAPHS = ("square", "complete:3", "complete:5")
+POW_CD_BALLS = (("square", "x"), ("complete:5", "x1"), ("complete:3", "x1"), ("complete:12", "x1"),
+                ("zwindow:3", "0"), ("path:5", "3"))
+
+
+def _powered_outputs(m, cases):
+    """Every core and public function that takes an ``m``-derived power, on each ``(kernel, fields)``."""
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for K, U in cases:
+            V = _pressure(m, U)
+            out += [V, _flow(K, m, U), _dtv(K, m, U), pressure(m, U), pressure_inverse(m, V)]
+            if isinstance(K, Graph):
+                out.append(_gradient_energy(K, m, V))
+    return out
+
+
+@pytest.mark.parametrize("m", CORE_EXPONENTS)
+def test_core_powers_equal_their_plain_power_forms(monkeypatch, m):
+    cases = []
+    for spec in POW_CHECK_GRAPHS:
+        g = resolve_graph(spec)
+        traj = integrate(g, m, np.random.default_rng(12).uniform(0.5, 1.5, g.n), np.linspace(0.1, 5.0, 201))
+        cases.append((g, traj.states))
+    lo = 0.0 if m >= 2.0 else 1e-3  # zero values only where m >= 2 accepts them
+    for spec, x in POW_CD_BALLS:
+        g = resolve_graph(spec)
+        prob = _BallProblem(g, x, m, 0.0)
+        U = np.random.default_rng(14).uniform(lo, 1.0, (200, len(prob.ball)))
+        U[:20, prob.pos_x] = lo
+        cases += [(prob.kernel, U), (g, np.random.default_rng(15).uniform(lo, 1.0, (50, g.n)))]
+    got = _powered_outputs(m, cases)
+    monkeypatch.setattr(operators, "_pow", lambda U, p: U**p)
+    for a, b in zip(got, _powered_outputs(m, cases), strict=True):
+        _assert_same_bits(a, b)
