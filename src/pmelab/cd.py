@@ -274,10 +274,16 @@ class _BallProblem:
         only (``score`` is ``+inf`` elsewhere).  A batch of more than
         ``_BLOCK_VALUES`` values and at least 2 rows is scored in
         near-equal blocks of at most that many values plus one row, each
-        copied vertex-major (Fortran order), in which the ball kernel sums
-        each row as in one block of the whole batch, and the results
-        (copies, which keep no block alive) are concatenated.  Any other
-        batch is scored as it is, without a copy.
+        copied vertex-major (Fortran order), and the results (copies,
+        which keep no block alive) are concatenated.  Any other batch is
+        scored as it is, without a copy.  On balls of up to 75 vertices the
+        ball kernel sums each row of a block as in one vertex-major block of
+        the whole batch (measured on 2000 rows at m = 2 on ``complete:30``,
+        ``:50`` and ``:75``); on wider balls a few rows differ in the last
+        bits (1, 2 and 4 of 2000 on ``complete:100``, ``:200`` and ``:300``).
+        The search never scores a one-row batch: BLAS sums one row on its
+        matrix-vector path, so a field scored alone can differ in the last
+        bits from its score in a batch.
         """
         count = _block_count(len(U), U.shape[1], _BLOCK_VALUES)
         if count < 2:
@@ -291,10 +297,10 @@ class _BallProblem:
         Admissibility is read from ``G`` without negating it: ``G(x) < 0``
         and ``G(x) <= G(y)`` at every one-hop ``y`` are ``-G(x) > 0`` and
         ``-G(x) >= -G(y)`` (NaN fails both).  The admissible rows are
-        gathered in the block's own layout; in a vertex-major block the ball
-        kernel then sums each of them as in the whole block, while a
-        row-major batch may differ in the last bits (see
-        :func:`_search_min_score`).
+        gathered in the block's own layout; in a vertex-major block of a
+        ball of up to 75 vertices the ball kernel then sums each of them as
+        in the whole block (see :meth:`evaluate`), while a row-major batch
+        may differ in the last bits (see :func:`_search_min_score`).
         """
         with np.errstate(divide="ignore", invalid="ignore"):
             G = _mixed_laplacian(self.kernel, self.m, self.alpha, U)
@@ -384,7 +390,9 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     without one.  ``evaluations`` counts the iterations replayed, as one
     call per iteration would, and minimum and field are those of one call
     per iteration too, unless BLAS sums a ball row differently in a batch
-    of another shape (the last bits only).
+    of another shape (the last bits only; a vertex-major block sums each row
+    as its whole batch does only on balls of up to 75 vertices, see
+    :meth:`_BallProblem.evaluate`).
     """
     lo = 0.0 if prob.m >= 2.0 else cfg.floor
     U = _sample_fields(np.random.default_rng(cfg.seed), cfg.samples, len(prob.ball), lo)

@@ -28,6 +28,11 @@ each written as slack formulas over one shared evaluation
 first reported intervals are refined through the trajectory's dense output
 in addition to the reported grid.
 
+Every power of a time is libm's ``pow``: ``np.float_power`` on arrays and
+Python's float ``**``, which calls it too, on scalars.  So no slack's last
+bits follow numpy's SIMD dispatch except through the powers of fields, which
+are taken in ``operators._pow``.
+
 A report's verdict fields are set when it is made; its per-point
 ``records`` are built from the check's arrays at their first read, so a
 caller that reads only the verdict builds no per-point rows.
@@ -255,7 +260,7 @@ def _check_harnack_params(mu: float, lam: float, t1, t2) -> None:
 
 def _denominator(form: str, kmin: float, mu: float, lam: float, t1, t2):
     """``(1-lambda)(mu+1) kmin (t2-t1)^2``, with ``kmin = 1`` in the path form; refused where it underflows to 0."""
-    den = (1.0 - lam) * (mu + 1.0) * kmin * np.float_power(t2 - t1, 2)  # libm's pow, as Python's float ** takes it
+    den = (1.0 - lam) * (mu + 1.0) * kmin * np.float_power(t2 - t1, 2)
     zero = np.flatnonzero(den == 0.0)
     if len(zero):
         times = tuple(float(np.ravel(t)[zero[0]]) for t in (t1, t2))
@@ -268,7 +273,7 @@ def _denominator(form: str, kmin: float, mu: float, lam: float, t1, t2):
 def _path_terms(mu: float, lam: float, t1: np.ndarray, t2: np.ndarray, n_edges: np.ndarray):
     """Zero-padded increments ``tau_j^(mu+1) - tau_{j-1}^(mu+1)`` and prefactors of ``n_edges``-edge paths."""
     steps = np.minimum(np.arange(n_edges.max() + 1), n_edges[:, None])
-    powers = (t1[:, None] + steps * (t2 - t1)[:, None] / n_edges[:, None]) ** (mu + 1.0)
+    powers = np.float_power(t1[:, None] + steps * (t2 - t1)[:, None] / n_edges[:, None], mu + 1.0)
     return np.diff(powers, axis=1), 2.0 * n_edges**2 / _denominator("path", 1.0, mu, lam, t1, t2)
 
 
@@ -536,7 +541,7 @@ def integral_min_inequality_check(
     span = t2 - t1
     if abs(ts[0] - t1) > 1e-9 * span or abs(ts[-1] - t2) > 1e-9 * span:
         raise ValidationError("grid must span [t1, t2]")
-    w = ts**-nu * psi**2
+    w = np.float_power(ts, -nu) * psi**2
     cum = np.concatenate(([0.0], np.cumsum(np.diff(ts) * (w[1:] + w[:-1]) / 2.0)))
     total = cum[-1]
     lhs_tail = float(np.min(psi - (total - cum) / c))

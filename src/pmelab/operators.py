@@ -314,9 +314,11 @@ def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
 # (``cd._BallKernel``) multiplies its dense matrix.  ``_gradient_energy``, the
 # checkers' independent route to ``G``, also reads a graph's ``degree``,
 # ``kernel_sum`` and stored entries.  Callers validate and set the error state.
-# Every power of a field is taken in ``_pow``, which skips the pass only where
-# the result is exact (``p = 1`` and ``p = 0``); other exponents go to numpy's
-# ``**``, whose last bits follow numpy's SIMD dispatch.
+# Every power of a field, here, in the solver and in the checkers, is taken in
+# ``_pow``, which skips the pass only where the result is exact (``p = 1`` and
+# ``p = 0``); other exponents go to numpy's ``**``, whose last bits follow
+# numpy's SIMD dispatch.  It is the lab's only such power: powers of times are
+# libm's (see :mod:`pmelab.estimates`).
 
 
 def _pow(U, p):

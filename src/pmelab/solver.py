@@ -53,7 +53,7 @@ import numpy as np
 from .artifacts import jsonable, write_csv
 from .errors import DomainError, StiffnessError, ValidationError
 from .graphs import Graph, _text_lines
-from .operators import _dtv, _flow, _gradient_energy, _pressure, as_field, check_exponent
+from .operators import _dtv, _flow, _gradient_energy, _pow, _pressure, as_field, check_exponent
 
 __all__ = [
     "SolverConfig",
@@ -488,7 +488,7 @@ def _pi_sums(measure: Measure, F: np.ndarray) -> np.ndarray:
 
 def _entropy(measure: Measure, m: float, U: np.ndarray) -> np.ndarray:
     """:func:`renyi_entropy` of every field of ``U``."""
-    return _pi_sums(measure, U**m) / (m * (m - 1.0))
+    return _pi_sums(measure, _pow(U, m)) / (m * (m - 1.0))
 
 
 def pressure_equation_residual(traj: Trajectory) -> float:

@@ -518,6 +518,60 @@ def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [want for _, want in _NO_SCIPY_RUNS]
 
 
+# m = 2 commands whose exit codes, output and artifacts must not depend on numpy's SIMD dispatch
+_DISPATCH_RUNS = [
+    ["check", "harnack", "--graph", "square", "--mu", "1.3", "--u0", "random:"],
+    ["check", "harnack", "--graph", "path:5", "--mu", "1.3", "--u0", "random:"],
+    ["check", "harnack", "--graph", "complete:5", "--lambda", "0.25", "--mu", "1.3", "--u0", "random:"],
+    ["check", "ab", "--graph", "square", "--d", "1.3", "--u0", "random:"],
+    ["check", "diff-harnack", "--graph", "complete:3", "--mu", "1.3", "--u0", "random:"],
+    ["simulate", "--m", "2", "--graph", "square", "--u0", "random:"],
+    ["verify-cd", "--graph", "square", "--vertex", "x", "--d", "1.3"],
+    ["reproduce", "sq3.3"],
+    ["reproduce", "ex6.6i"],
+]
+
+
+def _avx512_targets():
+    """The AVX-512 dispatch targets numpy finds on this CPU (``X86_V4`` is numpy 2's AVX-512 level)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return []
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t) and (t.startswith("AVX512") or t == "X86_V4")]
+
+
+def test_m2_runs_do_not_depend_on_numpys_simd_dispatch(tmp_path):
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 target on this CPU")
+    code = (
+        "import contextlib, io, json, sys; from pmelab.cli import main\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        "        out.append([main(argv), text.getvalue()])\n"
+        "print(json.dumps(out))"
+    )
+    results = []
+    for level, disabled in (("default", {}), ("no-avx512", {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"} | disabled
+        out = tmp_path / level
+        runs = [argv + ["--seed", "1", "--out", str(out / str(i))] for i, argv in enumerate(_DISPATCH_RUNS)]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True, env=env, timeout=240
+        )
+        assert proc.returncode == 0, proc.stderr
+        results.append([(c, text.replace(str(out), "OUT")) for c, text in json.loads(proc.stdout.splitlines()[-1])])
+    for i, argv in enumerate(_DISPATCH_RUNS):
+        assert results[0][i] == results[1][i], argv
+        runs = [tmp_path / level / str(i) for level in ("default", "no-avx512")]
+        names = [sorted(p.name for p in run.iterdir()) for run in runs]
+        assert names[0] == names[1], argv
+        for name in names[0]:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), (argv, name)
+
+
 # the pmelab modules each group of commands loads, and every command path in
 # it: the subcommands, and each reproduce id with the runner it calls
 _COMMAND_GROUPS = {

@@ -473,9 +473,10 @@ def test_harnack_check_equals_the_per_pair_reference_exactly(spec):
 
 def test_harnack_check_equals_plain_float_arithmetic_on_20000_pairs():
     # t^mu v and the distance form in Python floats (libm pow, never x * x for a square), the path
-    # form from _path_minima; enough pairs that a last-bit difference in any of them shows
+    # form from _path_minima, whose increments are libm's too; enough pairs that a last-bit
+    # difference in any of them shows
     from pmelab.cli import sample_check_tuples
-    from pmelab.estimates import _path_minima
+    from pmelab.estimates import _path_minima, _path_terms
 
     g, m, mu, lam = square_graph(), 2.0, 0.2, 0.0
     traj = integrate(g, m, np.random.default_rng(3).uniform(0.1, 2.0, g.n), np.linspace(0.1, 5.0, 201))
@@ -485,7 +486,12 @@ def test_harnack_check_equals_plain_float_arithmetic_on_20000_pairs():
     hops = {(x, y): graph_distance(g, x, y) for x in g.vertices for y in g.vertices}
     rows = [(t1, t2, g.index(x1), g.index(x2), hops[x1, x2] + k)
             for t1, t2, x1, x2 in pairs if x1 != x2 for k in range(3)]
-    path = iter(_path_minima(g, mu, lam, *(np.array(c) for c in zip(*rows))).tolist())
+    columns = [np.array(c) for c in zip(*rows)]
+    increments = _path_terms(mu, lam, columns[0], columns[1], columns[4])[0].tolist()
+    for (t1, t2, _, _, n_edges), got in zip(rows, increments):
+        powers = [(t1 + j * (t2 - t1) / n_edges) ** (mu + 1.0) for j in range(n_edges + 1)]
+        assert got == [b - a for a, b in zip(powers, powers[1:])] + [0.0] * (len(got) - n_edges)
+    path = iter(_path_minima(g, mu, lam, *columns).tolist())
     want = []
     for (t1, t2, x1, x2), u1, u2 in zip(pairs, U[0::2], U[1::2]):
         lhs = t1**mu * (m / (m - 1.0) * u1[g.index(x1)] ** (m - 1.0))

@@ -33,7 +33,7 @@ from pmelab import (
 from pmelab.cd import _BallKernel, _BallProblem
 from pmelab.errors import DomainError, ValidationError
 from pmelab.graphs import Graph, build_graph
-from pmelab import operators
+from pmelab import operators, solver
 from pmelab.operators import (
     _curvature_form,
     _dtv,
@@ -826,21 +826,22 @@ def test_pow_shortcuts_equal_the_power_bit_for_bit(p):
     assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
 
 
-# the benchmark's checker graphs and its CD search balls
+# the benchmark's checker graphs, its flow graphs (the first with the two-point start) and its CD search balls
 POW_CHECK_GRAPHS = ("square", "complete:3", "complete:5")
+POW_FLOW_GRAPHS = ("complete:2", "square", "complete:5", "complete:30", "zwindow:100", "path:16")
 POW_CD_BALLS = (("square", "x"), ("complete:5", "x1"), ("complete:3", "x1"), ("complete:12", "x1"),
                 ("zwindow:3", "0"), ("path:5", "3"))
 
 
 def _powered_outputs(m, cases):
-    """Every core and public function that takes an ``m``-derived power, on each ``(kernel, fields)``."""
+    """Every core and public function, and the solver's entropy, that takes an ``m``-derived power, on each ``(kernel, fields)``."""
     out = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for K, U in cases:
             V = _pressure(m, U)
             out += [V, _flow(K, m, U), _dtv(K, m, U), pressure(m, U), pressure_inverse(m, V)]
             if isinstance(K, Graph):
-                out.append(_gradient_energy(K, m, V))
+                out += [_gradient_energy(K, m, V), solver._entropy(solver.counting_measure(K), m, U)]
     return out
 
 
@@ -851,6 +852,10 @@ def test_core_powers_equal_their_plain_power_forms(monkeypatch, m):
         g = resolve_graph(spec)
         traj = integrate(g, m, np.random.default_rng(12).uniform(0.5, 1.5, g.n), np.linspace(0.1, 5.0, 201))
         cases.append((g, traj.states))
+    for spec in POW_FLOW_GRAPHS:
+        g = resolve_graph(spec)
+        u0 = [1.0, 1e-6] if spec == "complete:2" else np.random.default_rng(11).uniform(0.5, 1.5, g.n)
+        cases.append((g, integrate(g, m, u0, np.linspace(0.0, 5.0, 201)).states))
     lo = 0.0 if m >= 2.0 else 1e-3  # zero values only where m >= 2 accepts them
     for spec, x in POW_CD_BALLS:
         g = resolve_graph(spec)
@@ -859,6 +864,7 @@ def test_core_powers_equal_their_plain_power_forms(monkeypatch, m):
         U[:20, prob.pos_x] = lo
         cases += [(prob.kernel, U), (g, np.random.default_rng(15).uniform(lo, 1.0, (50, g.n)))]
     got = _powered_outputs(m, cases)
-    monkeypatch.setattr(operators, "_pow", lambda U, p: U**p)
+    for module in (operators, solver):
+        monkeypatch.setattr(module, "_pow", lambda U, p: U**p)
     for a, b in zip(got, _powered_outputs(m, cases), strict=True):
         _assert_same_bits(a, b)
