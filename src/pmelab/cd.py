@@ -241,9 +241,9 @@ class _BallKernel:
         """``sum_y K(x,y) (F(y) - F(x))`` for a batch ``F`` of shape ``(batch, ball size)``."""
         # not (matrix @ F.T).T: OpenBLAS 0.3.31 sums some of its rows by batch size
         # on balls of 30+ vertices, so blocks would not score as the whole batch;
-        # the sums keep F's layout, so elementwise work mixes no layouts
-        sums = F @ self.matrix.T
-        return (np.asfortranarray(sums) if F.flags.f_contiguous else sums) - self.degree * F
+        # F is a vertex-major block (see _BallProblem.evaluate), and so are the sums,
+        # so elementwise work mixes no layouts
+        return np.asfortranarray(F @ self.matrix.T) - self.degree * F
 
 
 class _BallProblem:
@@ -271,23 +271,21 @@ class _BallProblem:
         Returns ``(admissible mask, score, -G(base))`` for ``U`` of shape
         ``(batch, ball size)``; a row with a zero base value is never
         admissible, and the curvature form is scored at admissible rows
-        only (``score`` is ``+inf`` elsewhere).  A batch of more than
-        ``_BLOCK_VALUES`` values and at least 2 rows is scored in
-        near-equal blocks of at most that many values plus one row, each
-        copied vertex-major (Fortran order), and the results (copies,
-        which keep no block alive) are concatenated.  Any other batch is
-        scored as it is, without a copy.  On balls of up to 75 vertices the
-        ball kernel sums each row of a block as in one vertex-major block of
-        the whole batch (measured on 2000 rows at m = 2 on ``complete:30``,
-        ``:50`` and ``:75``); on wider balls a few rows differ in the last
-        bits (1, 2 and 4 of 2000 on ``complete:100``, ``:200`` and ``:300``).
-        The search never scores a one-row batch: BLAS sums one row on its
-        matrix-vector path, so a field scored alone can differ in the last
-        bits from its score in a batch.
+        only (``score`` is ``+inf`` elsewhere).  Every batch is cut into
+        near-equal blocks of at most ``_BLOCK_VALUES`` values plus one row
+        (one block when it is small), each block is scored as a vertex-major
+        (Fortran order) copy, and the results (copies, which keep no block
+        alive) are concatenated, so a row scores the same in a row-major and
+        a vertex-major batch.  On balls of up to 75 vertices the ball kernel
+        sums each row of a block as in one vertex-major block of the whole
+        batch (measured on 2000 rows at m = 2 on ``complete:30``, ``:50`` and
+        ``:75``); on wider balls a few rows differ in the last bits (1, 2 and
+        4 of 2000 on ``complete:100``, ``:200`` and ``:300``).  The search
+        never scores a one-row batch: BLAS sums one row on its matrix-vector
+        path, so a field scored alone can differ in the last bits from its
+        score in a batch.
         """
         count = _block_count(len(U), U.shape[1], _BLOCK_VALUES)
-        if count < 2:
-            return self._score(U)
         parts = [self._score(np.asfortranarray(block)) for block in np.array_split(U, count)]
         return tuple(np.concatenate(results) for results in zip(*parts))
 
@@ -296,11 +294,10 @@ class _BallProblem:
 
         Admissibility is read from ``G`` without negating it: ``G(x) < 0``
         and ``G(x) <= G(y)`` at every one-hop ``y`` are ``-G(x) > 0`` and
-        ``-G(x) >= -G(y)`` (NaN fails both).  The admissible rows are
-        gathered in the block's own layout; in a vertex-major block of a
-        ball of up to 75 vertices the ball kernel then sums each of them as
-        in the whole block (see :meth:`evaluate`), while a row-major batch
-        may differ in the last bits (see :func:`_search_min_score`).
+        ``-G(x) >= -G(y)`` (NaN fails both).  ``U`` is vertex-major, and the
+        admissible rows are gathered vertex-major too, so on a ball of up to
+        75 vertices the ball kernel sums each of them as in the whole block
+        (see :meth:`evaluate`).
         """
         with np.errstate(divide="ignore", invalid="ignore"):
             G = _mixed_laplacian(self.kernel, self.m, self.alpha, U)
@@ -309,8 +306,8 @@ class _BallProblem:
             ok &= (gx[:, None] <= G[:, self.one_hop_local]).all(axis=1)
             base = -gx
             rows = np.flatnonzero(ok)
-            # one copy in U's layout: U.T[:, rows].T would copy a vertex-major block row-major
-            A = U.T.take(rows, axis=1).T if U.flags.f_contiguous else U[rows]
+            # one vertex-major copy: U[rows] and U.T[:, rows].T would copy row-major
+            A = U.T.take(rows, axis=1).T
             score = np.full(len(U), np.inf)
             score[rows] = _curvature_form(self.kernel, self.m, self.alpha, A, self.pos_x) / base[rows] ** 2
         return ok, score, base
@@ -389,10 +386,9 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     a round with a move ``depth`` is 1, and it doubles after each round
     without one.  ``evaluations`` counts the iterations replayed, as one
     call per iteration would, and minimum and field are those of one call
-    per iteration too, unless BLAS sums a ball row differently in a batch
-    of another shape (the last bits only; a vertex-major block sums each row
-    as its whole batch does only on balls of up to 75 vertices, see
-    :meth:`_BallProblem.evaluate`).
+    per iteration too, on balls of up to 75 vertices; on wider balls BLAS
+    may sum a row differently in a block of another shape (the last bits
+    only, see :meth:`_BallProblem.evaluate`).
     """
     lo = 0.0 if prob.m >= 2.0 else cfg.floor
     U = _sample_fields(np.random.default_rng(cfg.seed), cfg.samples, len(prob.ball), lo)
@@ -518,11 +514,11 @@ def complete_graph_certificate(nu: float, m: float, z) -> float:
     test exactly; this is the independent oracle for complete graphs.
     """
     m = check_exponent(m)
-    if not nu > 0.0:
-        raise ValidationError("nu must be positive")
+    if not 0.0 < nu < math.inf:
+        raise ValidationError("nu must be finite and positive")
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z <= 0.0) or np.any(z > 1.0):
-        raise ValidationError("certificate coordinates must lie in (0, 1]")
+    if not np.all((z > 0.0) & (z <= 1.0)):
+        raise ValidationError("certificate coordinates z must lie in (0, 1]")
     dm1 = len(z)
     s_m = float(np.sum(z**m))
     s_m1 = float(np.sum(z ** (m - 1.0)))

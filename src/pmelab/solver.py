@@ -237,6 +237,8 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=float)
         if self.times.ndim != 1 or len(self.times) == 0:
             raise ValidationError("times must be a nonempty 1-d array")
+        if not np.all(np.isfinite(self.times)):
+            raise ValidationError("times must be finite")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValidationError("times must be strictly increasing")
         if self.states.shape != (len(self.times), self.graph.n):
@@ -391,11 +393,11 @@ def exact_two_point(a1: float, a2: float, t):
     and symmetrically for ``u2``.  Returns shape ``(2,)`` for scalar ``t``
     and ``(len(t), 2)`` for an array.
     """
-    if not (a1 > 0.0 and a2 > 0.0):
-        raise ValidationError("initial values must be positive")
+    if not (0.0 < a1 < math.inf and 0.0 < a2 < math.inf):
+        raise ValidationError("initial values a1 and a2 must be finite and positive")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValidationError("time must be nonnegative")
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise ValidationError("time t must be finite and nonnegative")
     lam = a1 + a2
     gap = 0.5 * (a1 - a2) * np.exp(-2.0 * lam * t)
     out = np.stack([0.5 * lam + gap, 0.5 * lam - gap], axis=-1)

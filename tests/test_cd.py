@@ -302,13 +302,17 @@ SEARCH_BALLS = [
     ("path:6", "3", 3.0, 0.5),
 ]
 
+# balls of 30 and 50 vertices, where a vertex-major block still sums each row as the whole batch does
+REPLAY_CASES = [(*ball, 10) for ball in SEARCH_BALLS]
+REPLAY_CASES += [("complete:30", "x1", 2.0, 0.0, 3), ("complete:50", "x1", 2.0, 0.0, 1)]
 
-@pytest.mark.parametrize("spec,x,m,alpha", SEARCH_BALLS)
-def test_batched_polls_replay_the_one_iteration_search_bit_for_bit(spec, x, m, alpha):
+
+@pytest.mark.parametrize("spec,x,m,alpha,seeds", REPLAY_CASES, ids=["-".join(map(str, c[:4])) for c in REPLAY_CASES])
+def test_batched_polls_replay_the_one_iteration_search_bit_for_bit(spec, x, m, alpha, seeds):
     prob = _BallProblem(resolve_graph(spec), x, m, alpha)
     # budgets that run out inside a round of batched polls; 60 samples cap a round's depth
     budgets = [(2000, iters) for iters in (0, 1, 2, 5, 200)] + [(60, 200)]
-    for seed in range(10):
+    for seed in range(seeds):
         for samples, iters in budgets:
             cfg = SearchConfig(samples=samples, refine_iters=iters, seed=seed)
             got = _search_min_score(prob, cfg)
@@ -350,29 +354,28 @@ def test_shrink_only_iterations_share_evaluate_calls():
     assert batches == [20000, 3 * 4 * 19]
 
 
-LAYOUT_BALLS = SEARCH_BALLS + [("square", "x", 1.25, 0.0), ("complete:5", "x1", 1.25, 0.5), ("square", "x", 2.0, 0.5)]
-
-
-@pytest.mark.parametrize("spec,x,m,alpha", LAYOUT_BALLS)
-def test_ball_scores_do_not_depend_on_the_batch_layout(spec, x, m, alpha):
-    prob = _BallProblem(resolve_graph(spec), x, m, alpha)
-    rng = np.random.default_rng(5)
-    U = rng.uniform(1e-6 if m < 2.0 else 0.0, 1.0, (500, len(prob.ball)))
-    if m >= 2.0:
-        U[rng.random(U.shape) < 0.3] = 0.0
-    for rows, cols in zip(prob.evaluate(U), prob.evaluate(np.asfortranarray(U))):
-        assert np.ascontiguousarray(rows).tobytes() == np.ascontiguousarray(cols).tobytes()
-
-
-# every ball of the cd_search benchmark, the m = 3, alpha = 0.5 chain ball, and balls of 30 and 50 vertices,
-# where a vertex-major block still sums each row as the whole batch does
-BLOCK_BALLS = SEARCH_BALLS + [
+# every ball of the cd_search benchmark, the m = 3, alpha = 0.5 chain ball, balls of 30 and 50 vertices,
+# where a vertex-major block still sums each row as the whole batch does, and mixings at m = 1.25 and 2
+SCORING_BALLS = SEARCH_BALLS + [
     ("complete:5", "x1", 3.0, 0.0), ("complete:12", "x1", 2.0, 0.0), ("complete:30", "x1", 2.0, 0.0),
-    ("complete:50", "x1", 2.0, 0.0),
+    ("complete:50", "x1", 2.0, 0.0), ("square", "x", 1.25, 0.0), ("square", "x", 1.25, 0.5),
+    ("complete:5", "x1", 1.25, 0.5), ("square", "x", 2.0, 0.5),
 ]
 
 
-@pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS)
+@pytest.mark.parametrize("spec,x,m,alpha", SCORING_BALLS)
+def test_ball_scores_do_not_depend_on_the_batch_layout(spec, x, m, alpha):
+    prob = _BallProblem(resolve_graph(spec), x, m, alpha)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        U = rng.uniform(1e-6 if m < 2.0 else 0.0, 1.0, (500, len(prob.ball)))
+        if m >= 2.0:
+            U[rng.random(U.shape) < 0.3] = 0.0
+        for rows, cols in zip(prob.evaluate(U), prob.evaluate(np.asfortranarray(U))):
+            assert rows.tobytes() == cols.tobytes()
+
+
+@pytest.mark.parametrize("spec,x,m,alpha", SCORING_BALLS)
 def test_blocked_scoring_equals_one_block_scoring_bit_for_bit(spec, x, m, alpha):
     prob = _BallProblem(resolve_graph(spec), x, m, alpha)
     n = len(prob.ball)
@@ -384,15 +387,13 @@ def test_blocked_scoring_equals_one_block_scoring_bit_for_bit(spec, x, m, alpha)
     for rows in (20000, 4096, 4095, _BLOCK_VALUES // n + 1, _BLOCK_VALUES // n - 1, 2):
         V = U[:rows]
         # blocks are vertex-major, and so is the one block they are compared with: on
-        # complete:12 BLAS sums a few rows of a 2731-row batch differently in row-major
-        # layout; a batch that is not split is scored as it is
-        split = len(V) >= 2 and V.size > _BLOCK_VALUES
-        whole = prob._score(np.asfortranarray(V) if split else V)
+        # complete:12 BLAS sums a few rows of a 2731-row batch differently in row-major layout
+        whole = prob._score(np.asfortranarray(V))
         for got, want in zip(prob.evaluate(V), whole):
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS + [("complete:100", "x1", 2.0, 0.0)])
+@pytest.mark.parametrize("spec,x,m,alpha", SCORING_BALLS + [("complete:100", "x1", 2.0, 0.0)])
 def test_a_search_scores_no_block_wider_than_the_budget(spec, x, m, alpha):
     prob = _BallProblem(resolve_graph(spec), x, m, alpha)
     batches, blocks = [], []
@@ -408,7 +409,7 @@ def test_a_search_scores_no_block_wider_than_the_budget(spec, x, m, alpha):
     assert all((rows, n) in blocks for rows, n in batches if rows * n <= _BLOCK_VALUES)  # a small batch is not split
 
 
-@pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS)
+@pytest.mark.parametrize("spec,x,m,alpha", SCORING_BALLS)
 def test_the_curvature_form_is_scored_only_at_admissible_rows(spec, x, m, alpha, monkeypatch):
     prob = _BallProblem(resolve_graph(spec), x, m, alpha)
     blocks, forms = [], []
@@ -417,10 +418,10 @@ def test_the_curvature_form_is_scored_only_at_admissible_rows(spec, x, m, alpha,
     monkeypatch.setattr(cd, "_curvature_form", lambda K, m, alpha, U, i: forms.append(U) or _curvature_form(K, m, alpha, U, i))
     _search_min_score(prob, SearchConfig(seed=0))
     assert len(forms) == len(blocks) > 1
-    assert {U.flags.f_contiguous for U, _ in blocks} == {True, False}  # split sample blocks and row-major polls
+    # sample blocks and polls alike are vertex-major, and so are the gathered admissible rows
+    assert all(U.flags.f_contiguous for U, _ in blocks) and all(A.flags.f_contiguous for A in forms)
     for (U, (ok, _, _)), A in zip(blocks, forms):
         assert A.shape == (ok.sum(), U.shape[1]) and A.tobytes() == U[ok].tobytes()
-        assert A.flags.f_contiguous if U.flags.f_contiguous else A.flags.c_contiguous
     # one admissible row among inadmissible ones: its form alone is scored, the others read +inf
     U = _sample_fields(np.random.default_rng(1), 200, len(prob.ball), 0.0 if m >= 2.0 else 1e-6)
     ok, _, _ = prob.evaluate(U)
@@ -433,7 +434,7 @@ def test_the_curvature_form_is_scored_only_at_admissible_rows(spec, x, m, alpha,
     assert (score[~ok] == np.inf).all()
 
 
-@pytest.mark.parametrize("spec,x,m,alpha", BLOCK_BALLS + [("square", "x", 1.25, 0.5)])
+@pytest.mark.parametrize("spec,x,m,alpha", SCORING_BALLS)
 def test_each_verdict_is_a_comparison_on_one_search_result(spec, x, m, alpha):
     g = resolve_graph(spec)
     for seed in range(2):
@@ -505,6 +506,20 @@ def test_certificate_validates_coordinates():
         complete_graph_certificate(1.0, 2.0, [1.5])
     with pytest.raises(ValidationError):
         complete_graph_certificate(-1.0, 2.0, [0.5])
+
+
+@pytest.mark.parametrize(
+    "nu,z,match",
+    [
+        (math.inf, [0.5, 0.5], "nu must be finite and positive"),
+        (math.nan, [0.5, 0.5], "nu must be finite and positive"),
+        (1.0, [math.nan, 0.5], r"z must lie in \(0, 1\]"),
+        (1.0, [0.5, math.inf], r"z must lie in \(0, 1\]"),
+    ],
+)
+def test_certificate_refuses_non_finite_input(nu, z, match):
+    with pytest.raises(ValidationError, match=match):
+        complete_graph_certificate(nu, 2.0, z)
 
 
 # -- chain counterexamples -------------------------------------------------

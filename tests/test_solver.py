@@ -64,6 +64,22 @@ def test_exact_two_point_validates_inputs():
         exact_two_point(1.0, 1.0, -0.5)
 
 
+@pytest.mark.parametrize(
+    "a1,a2,t,match",
+    [
+        (math.inf, 1.0, 0.5, "a1 and a2"),
+        (1.0, math.inf, 0.5, "a1 and a2"),
+        (math.nan, 1.0, 0.5, "a1 and a2"),
+        (1.0, 1.0, math.nan, "time t"),
+        (1.0, 1.0, math.inf, "time t"),
+        (1.0, 1.0, [0.5, math.nan], "time t"),
+    ],
+)
+def test_exact_two_point_refuses_non_finite_input(a1, a2, t, match):
+    with pytest.raises(ValidationError, match=match):
+        exact_two_point(a1, a2, t)
+
+
 def test_integrate_matches_the_two_point_solution():
     g = complete_graph(2)
     tt = np.linspace(0.0, 5.0, 201)
@@ -470,6 +486,21 @@ def test_trajectory_validation():
         Trajectory(g, 2.0, np.array([0.0, 0.0]), np.ones((2, 2)))
     with pytest.raises(ValidationError):
         Trajectory(g, 2.0, np.array([0.0, 1.0]), np.array([[1.0, 1.0], [1.0, -1.0]]))
+
+
+# each bad time sits where the strictly increasing test alone would let it pass
+NON_FINITE_TIMES = {"nan": [0.1, math.nan, 1.0], "inf": [0.1, 1.0, math.inf], "-inf": [-math.inf, 0.1, 1.0]}
+
+
+@pytest.mark.parametrize("times", NON_FINITE_TIMES.values(), ids=NON_FINITE_TIMES.keys())
+def test_trajectory_refuses_non_finite_times(tmp_path, times):
+    g = path_graph(2)
+    with pytest.raises(ValidationError, match="times must be finite"):
+        Trajectory(g, 2.0, times, np.ones((3, 2)))
+    path = tmp_path / "traj.csv"
+    path.write_text("t,1,2\n" + "".join(f"{t!r},1.0,1.0\n" for t in times))
+    with pytest.raises(ValidationError, match="times must be finite"):
+        read_trajectory_csv(path, g, 2.0)
 
 
 # -- measures and entropy --------------------------------------------------
