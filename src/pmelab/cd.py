@@ -273,19 +273,23 @@ class _BallProblem:
         admissible, and the curvature form is scored at admissible rows
         only (``score`` is ``+inf`` elsewhere).  Every batch is cut into
         near-equal blocks of at most ``_BLOCK_VALUES`` values plus one row
-        (one block when it is small), each block is scored as a vertex-major
-        (Fortran order) copy, and the results (copies, which keep no block
-        alive) are concatenated, so a row scores the same in a row-major and
-        a vertex-major batch.  On balls of up to 75 vertices the ball kernel
-        sums each row of a block as in one vertex-major block of the whole
-        batch (measured on 2000 rows at m = 2 on ``complete:30``, ``:50`` and
-        ``:75``); on wider balls a few rows differ in the last bits (1, 2 and
-        4 of 2000 on ``complete:100``, ``:200`` and ``:300``).  The search
-        never scores a one-row batch: BLAS sums one row on its matrix-vector
-        path, so a field scored alone can differ in the last bits from its
-        score in a batch.
+        (one block when it is small), and each block is scored as a
+        vertex-major (Fortran order) copy, so a row scores the same in a
+        row-major and a vertex-major batch.  The results of several blocks
+        (copies, which keep no block alive) are concatenated; those of one
+        block, such as every refinement poll, are returned as scored, with
+        no split and no concatenated copy.  On balls of up to 75 vertices
+        the ball kernel sums each row of a block as in one vertex-major
+        block of the whole batch (measured on 2000 rows at m = 2 on
+        ``complete:30``, ``:50`` and ``:75``); on wider balls a few rows
+        differ in the last bits (1, 2 and 4 of 2000 on ``complete:100``,
+        ``:200`` and ``:300``).  The search never scores a one-row batch:
+        BLAS sums one row on its matrix-vector path, so a field scored alone
+        can differ in the last bits from its score in a batch.
         """
         count = _block_count(len(U), U.shape[1], _BLOCK_VALUES)
+        if count == 1:
+            return self._score(np.asfortranarray(U))
         parts = [self._score(np.asfortranarray(block)) for block in np.array_split(U, count)]
         return tuple(np.concatenate(results) for results in zip(*parts))
 
@@ -330,11 +334,15 @@ def _sample_fields(rng: np.random.Generator, samples: int, n: int, lo: float) ->
     where its first draw falls below ``q``, to ``lo`` where its second draw
     falls below 1/2, else to 1.  The pins are written by arithmetic, not by
     masked selects, which branch on random masks: ``x * 1 + 0 = x`` and
-    ``0 + 1 = 1`` are exact.
+    ``0 + 1 = 1`` are exact.  At ``lo = 0`` the scaling and the low pins are
+    such identities on nonnegative values (``u * 1 + 0 = u``, ``x + 0 = x``),
+    so they are skipped; otherwise the low pins ``lo * low`` are written
+    into the spent buffer of the draws, not into a new half-batch array.
     """
     U = rng.random((samples, n))
-    U *= 1.0 - lo
-    U += lo
+    if lo:
+        U *= 1.0 - lo
+        U += lo
     faces = U[samples // 2 :]  # a view: pins are written into U
     draw = rng.random(faces.shape)
     pinned = draw < rng.random((len(faces), 1))
@@ -342,7 +350,8 @@ def _sample_fields(rng: np.random.Generator, samples: int, n: int, lo: float) ->
     low &= pinned
     faces *= ~pinned
     faces += pinned ^ low  # pinned high
-    faces += lo * low
+    if lo:
+        faces += np.multiply(low, lo, out=draw)
     return U
 
 
@@ -407,16 +416,20 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     max_depth = max(1, cfg.samples // max(1, E.size // n))
     evaluations = ok.size
     iters, depth = 0, max_depth
-    while iters < cfg.refine_iters and step.max() >= 1e-12:
-        # the steps of the next `depth` iterations if no start moves, cut
-        # where the budget ends or every step falls below 1e-12
-        steps = step[:, None] / 4.0 ** np.arange(min(depth, max_depth, cfg.refine_iters - iters))
-        steps = steps[:, steps.max(axis=0) >= 1e-12]
-        C = np.clip(X[:, None, None, :] + steps[:, :, None, None] * E, lo, 1.0)
+    quarters = 4.0 ** np.arange(min(max_depth, cfg.refine_iters))  # a round's step divisors
+    while iters < cfg.refine_iters and (largest := step.max()) >= 1e-12:
+        # the steps of the next `depth` iterations if no start moves, cut where
+        # the budget ends or where the largest step, largest / q, falls below 1e-12
+        q = quarters[: min(depth, max_depth, cfg.refine_iters - iters)]
+        steps = step[:, None] / q[largest / q >= 1e-12]
+        C = X[:, None, None, :] + steps[:, :, None, None] * E
+        np.clip(C, lo, 1.0, out=C)
         ok_c, score_c, base_c = (a.reshape(C.shape[:3]) for a in prob.evaluate(C.reshape(-1, n)))
-        better = ok_c & (base_c > cfg.delta) & (score_c < S[:, None, None])
-        moves = better.any(axis=2)
-        hit = np.flatnonzero(moves.any(axis=0))
+        better = base_c > cfg.delta
+        better &= ok_c
+        better &= score_c < S[:, None, None]
+        moves = np.logical_or.reduce(better, axis=2)
+        hit = np.flatnonzero(np.logical_or.reduce(moves, axis=0))
         t = hit[0] if len(hit) else steps.shape[1] - 1
         iters += t + 1
         evaluations += ok_c[:, : t + 1].size

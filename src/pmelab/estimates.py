@@ -54,6 +54,7 @@ from .operators import (
     _block_count,
     _dtv,
     _edge_remainder,
+    _flow,
     _gradient_energy,
     _mixed_laplacian,
     _pressure,
@@ -160,10 +161,10 @@ def _time_scaled_check(traj: Trajectory, kind: str, what: str, parameters: dict,
     """Least slack of a time-scaled bound, given as one or more named forms.
 
     Each form maps the time column ``t`` and the states ``U``, pressures
-    ``V``, exact ``dv/dt`` and gradient energies at those times to a slack
-    per vertex.  They are evaluated at the reported times plus a 10x dense
-    refinement of the earliest ten intervals (reported times only without
-    dense data).  Each record is a time's least slack over forms and
+    ``V``, flows ``L(u^m)``, exact ``dv/dt`` and gradient energies at those
+    times to a slack per vertex; each term is evaluated once, for all forms.
+    They are evaluated at the reported times plus a 10x dense refinement of
+    the earliest ten intervals (reported times only without dense data).  Each record is a time's least slack over forms and
     vertices; ``argmin`` names the binding form where there are several.
     A ``nan`` slack is no verdict: its terms overflowed or underflowed, and
     a :class:`DomainError` names where.
@@ -177,8 +178,8 @@ def _time_scaled_check(traj: Trajectory, kind: str, what: str, parameters: dict,
         ts = np.concatenate([ts, extra])
         order = np.argsort(ts, kind="stable")
         ts, U = ts[order], np.concatenate([U, traj.dense(extra)])[order]
-    V = _pressure(m, U)
-    terms = (ts[:, None], U, V, _dtv(g, m, U), _gradient_energy(g, m, V))
+    V, LP = _pressure(m, U), _flow(g, m, U)
+    terms = (ts[:, None], U, V, LP, _dtv(g, m, U, LP), _gradient_energy(g, m, V))
     slacks = [form(*terms) for form in forms.values()]
     slack = functools.reduce(np.minimum, slacks)
     if math.isnan(slack.min()):  # the minimum is nan where any slack is
@@ -218,8 +219,8 @@ def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> Est
     g, m = traj.graph, traj.m
     return _time_scaled_check(
         traj, "ab", "AB", {"m": m, "alpha": alpha, "d": d}, tol,
-        direct=lambda t, U, V, dtv, psi: d / t + _mixed_laplacian(g, m, alpha, U),
-        pressure_equation=lambda t, U, V, dtv, psi: d / t - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V),
+        direct=lambda t, U, V, LP, dtv, psi: d / t + _mixed_laplacian(g, m, alpha, U, V, LP),
+        pressure_equation=lambda t, U, V, LP, dtv, psi: d / t - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V),
     )
 
 
@@ -237,7 +238,7 @@ def diff_harnack_residual(traj: Trajectory, lam: float, mu: float, tol: float = 
     _check_lambda_mu(lam, mu)
     return _time_scaled_check(
         traj, "diff_harnack", "differential Harnack", {"m": traj.m, "lambda": lam, "mu": mu}, tol,
-        hypothesis=lambda t, U, V, dtv, psi: dtv - (1.0 - lam) * psi + mu / t * V,
+        hypothesis=lambda t, U, V, LP, dtv, psi: dtv - (1.0 - lam) * psi + mu / t * V,
     )
 
 

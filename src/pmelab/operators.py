@@ -392,17 +392,18 @@ def _gradient_energy(K, m, W):
     return c1 * K.degree * _pow(W, 2.0) + c2 * _pow(W, p) * K.kernel_sum(_pow(W, q)) - (m - 1.0) * W * K.kernel_sum(W)
 
 
-def _mixed_laplacian(K, m, alpha, U):
+def _mixed_laplacian(K, m, alpha, U, V=None, LP=None):
     """``G = (1-alpha) Lv + alpha L(u^m)/u`` with ``v`` the pressure, see :func:`mixed_laplacian`.
 
     Where ``u(x) = 0`` the quotient takes its limit: ``G(x) = +inf`` when
     ``L(u^m)(x) > 0`` (some neighbor carries mass), otherwise ``Lv(x)``.
+    ``V`` is the pressure and ``LP`` is ``L(u^m)`` if the caller holds them.
     """
-    V = _pressure(m, U)
-    LV = K.laplacian(V)
+    LV = K.laplacian(_pressure(m, U) if V is None else V)
     if alpha == 0.0:
         return LV
-    LP = _flow(K, m, U)
+    if LP is None:
+        LP = _flow(K, m, U)
     G = (1.0 - alpha) * LV + alpha * LP / U
     zero = U == 0.0
     if zero.any():

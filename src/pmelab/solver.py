@@ -522,7 +522,7 @@ def read_trajectory_csv(path, g: Graph, m: float) -> Trajectory:
     header, *lines = _text_lines(path) or [""]
     if header.strip().split(",") != ["t", *g.vertices]:
         raise ValidationError(f"{path}: header does not match the graph")
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -533,10 +533,21 @@ def read_trajectory_csv(path, g: Graph, m: float) -> Trajectory:
             rows.append([float(tok) for tok in tokens])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     data = np.asarray(rows)
-    return Trajectory(g, m, data[:, 0], data[:, 1:])
+    times, states = data[:, 0], data[:, 1:]
+
+    def refuse(bad, what):
+        if bad.any():
+            raise ValidationError(f"{path}:{linenos[int(np.argmax(bad))]}: {what}")
+
+    # Trajectory's own tests, in its order, naming the first line each fails
+    refuse(~np.isfinite(times), "times must be finite")
+    refuse(np.diff(times, prepend=-np.inf) <= 0.0, "times must be strictly increasing")
+    refuse(~((states > 0.0) & (states < np.inf)).all(axis=1), "states must be strictly positive and finite")
+    return Trajectory(g, m, times, states)
 
 
 def load_initial_condition(path, g: Graph) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Curvature-dimension verification: admissibility, search, certificates."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -241,6 +242,20 @@ def test_samples_equal_the_masked_select_draws_bit_for_bit():
         assert got_rng.random(3).tobytes() == want_rng.random(3).tobytes(), (n, lo, samples, seed)
 
 
+@pytest.mark.parametrize("lo", [0.0, 0.05])
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_sampling_holds_at_most_twice_the_samples(n, lo):
+    # the samples themselves, half a batch of draws and the boolean pin masks
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        U = _sample_fields(rng, 20000, n, lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * U.nbytes, peak / U.nbytes
+
+
 def test_starts_are_the_lowest_scores_in_stable_sort_order():
     rng = np.random.default_rng(11)
     values = np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, 0.5, 1.0, 2.0])
@@ -302,8 +317,10 @@ SEARCH_BALLS = [
     ("path:6", "3", 3.0, 0.5),
 ]
 
-# balls of 30 and 50 vertices, where a vertex-major block still sums each row as the whole batch does
+# the rest of the benchmark's balls, and balls of 30 and 50 vertices, where a
+# vertex-major block still sums each row as the whole batch does
 REPLAY_CASES = [(*ball, 10) for ball in SEARCH_BALLS]
+REPLAY_CASES += [("complete:12", "x1", 2.0, 0.0, 3), ("complete:5", "x1", 3.0, 0.0, 10)]
 REPLAY_CASES += [("complete:30", "x1", 2.0, 0.0, 3), ("complete:50", "x1", 2.0, 0.0, 1)]
 
 

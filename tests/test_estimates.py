@@ -41,6 +41,7 @@ from pmelab import (
     square_graph,
     write_trajectory_csv,
 )
+from pmelab import estimates, operators
 from pmelab.cli import main
 from pmelab.errors import DomainError, LambdaOneError, NoPathError, ValidationError
 from pmelab.estimates import _refinement
@@ -69,6 +70,22 @@ def test_ab_estimate_fails_for_an_undersized_dimension():
     assert not rep.passed
     assert rep.min_slack < -1.0
     assert rep.argmin["vertex"] == "x"
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_ab_check_evaluates_pressure_and_flow_once(monkeypatch, alpha):
+    traj = square_run()
+    calls = []
+
+    def counted(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    # each module calls the core through its own names (estimates may not import them)
+    for name, f in (("_flow", operators._flow), ("_pressure", operators._pressure)):
+        monkeypatch.setattr(operators, name, counted(name, f))
+        monkeypatch.setattr(estimates, name, counted(name, f), raising=False)
+    ab_check(traj, alpha, 4.0 / 3.0)
+    assert sorted(calls) == ["_flow", "_pressure"]
 
 
 def test_ab_report_records_parameters_and_argmin():

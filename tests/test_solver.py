@@ -609,6 +609,11 @@ def test_trajectory_csv_header_must_match_graph(tmp_path):
         (b"0.1,1.0\n", ":3: expected 3 fields, got 2"),
         (b"\n0.1,1.0,2.0,3.0\n", ":4: expected 3 fields, got 4"),
         (b"0.1,1.0,\xff\n", ": not a UTF-8 text file"),
+        # Trajectory's own tests name the first line that fails them
+        (b"0.1,1.0,1.0\ninf,1.0,1.0\n", ":4: times must be finite"),
+        (b"0.1,1.0,1.0\n0.1,1.0,1.0\n0.2,1.0,1.0\n", ":4: times must be strictly increasing"),
+        (b"0.1,0.0,1.0\n0.2,nan,1.0\n", ":3: states must be strictly positive and finite"),
+        (b"0.1,1.0,1.0\n\n0.2,1.0,nan\n", ":5: states must be strictly positive and finite"),
     ],
 )
 def test_trajectory_csv_refuses_a_bad_row_by_its_line(tmp_path, body, message):
