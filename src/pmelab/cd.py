@@ -416,7 +416,9 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     max_depth = max(1, cfg.samples // max(1, E.size // n))
     evaluations = ok.size
     iters, depth = 0, max_depth
-    quarters = 4.0 ** np.arange(min(max_depth, cfg.refine_iters))  # a round's step divisors
+    # a round's step divisors; a step starts at (1 - lo) / 4 <= 1/4 and only
+    # shrinks, and 1/4 / 4**19 < 1e-12, so divisors past the 20th are always cut
+    quarters = 4.0 ** np.arange(min(max_depth, cfg.refine_iters, 20))
     while iters < cfg.refine_iters and (largest := step.max()) >= 1e-12:
         # the steps of the next `depth` iterations if no start moves, cut where
         # the budget ends or where the largest step, largest / q, falls below 1e-12

@@ -527,6 +527,12 @@ def integral_min_inequality_check(
     to ``s``.  Integrals use composite trapezoid on the given grid and the
     comparison absorbs quadrature error through a ``1e-6`` slack.
     """
+    lhs_tail, lhs_head, rhs = _integral_min_sides(t1, t2, c, nu, ts, psi)
+    return rhs - lhs_tail >= -1e-6 and rhs - lhs_head >= -1e-6
+
+
+def _integral_min_sides(t1: float, t2: float, c: float, nu: float, ts, psi) -> tuple[float, float, float]:
+    """The two minima of :func:`integral_min_inequality_check` (integral to ``t2``, then from ``t1``) and its bound."""
     if not (0.0 < t1 < t2 < math.inf):
         raise ValidationError("need 0 < t1 < t2 < inf")
     if not (0.0 < c < math.inf and 0.0 < nu < math.inf):
@@ -548,7 +554,7 @@ def integral_min_inequality_check(
     lhs_tail = float(np.min(psi - (total - cum) / c))
     lhs_head = float(np.min(psi - cum / c))
     rhs = c / (nu + 1.0) * (t2 ** (nu + 1.0) - t1 ** (nu + 1.0)) / span**2
-    return rhs - lhs_tail >= -1e-6 and rhs - lhs_head >= -1e-6
+    return lhs_tail, lhs_head, rhs
 
 
 # -- alternate operation names ---------------------------------------------

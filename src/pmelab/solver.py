@@ -26,7 +26,14 @@ read-only table of interleaved rows ``y_0, f_0, y_1, f_1, ...``, so a point
 query (:meth:`Trajectory.state_at`) takes its step's four rows as one
 contiguous slice and sums them, weighted by the Hermite weights computed
 on Python floats, in one reduction; it equals the matching row of the
-vectorised interpolant bit for bit.  Both accept times up to
+vectorised interpolant bit for bit.  The vectorised interpolant builds
+``((w0 y0 + w1 f0) + w2 y1) + w3 f1`` in its first gathered product,
+gathering each later row set into one reused buffer, scaling it in place
+and adding it; these are the multiplications and additions of the
+four-term sum in its order, so each row rounds as that sum does, and the
+read holds one output-sized temporary.  :func:`integrate` drops its list
+of step rows once they are stacked into the table, before it reads the
+requested times.  Both accept times up to
 ``1e-12`` of the span (never less than four ulps of the end) outside the
 integrated range.
 
@@ -187,7 +194,18 @@ class _Dense:
         idx = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
         t0, t1 = self.ts[idx], self.ts[idx + 1]
         w0, w1, w2, w3 = _hermite_weights(((t - t0) / (t1 - t0))[:, None], (t1 - t0)[:, None])
-        return w0 * self.ys[idx] + w1 * self.fs[idx] + w2 * self.ys[idx + 1] + w3 * self.fs[idx + 1]
+        # ((w0 y0 + w1 f0) + w2 y1) + w3 f1 summed into the first gathered
+        # product, in the four-term sum's order, so it rounds as that sum
+        # does; each later row set goes into one reused buffer (``np.take``
+        # writes ``out`` unbuffered only outside mode "raise"; idx is in range)
+        out = self.ys[idx]
+        out *= w0
+        term = np.empty_like(out)
+        for rows, at, w in ((self.fs, idx, w1), (self.ys, idx + 1, w2), (self.fs, idx + 1, w3)):
+            np.take(rows, at, axis=0, out=term, mode="clip")
+            term *= w
+            out += term
+        return out
 
 
 @dataclass(frozen=True)
@@ -380,6 +398,8 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
 
     stats = SolverStats.of(ts, error_rejections, positivity_rejections, rhs_evals)
     dense = _Dense(np.asarray(ts), np.asarray(table))
+    # the step rows and loop buffers go before the grid is read
+    del table, k, stages, k_sol, k_stages, z, err, scale
     return Trajectory(g, m, t_eval.copy(), dense(t_eval), dense=dense, stats=stats)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -254,6 +255,24 @@ def test_sampling_holds_at_most_twice_the_samples(n, lo):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * U.nbytes, peak / U.nbytes
+
+
+def test_a_long_refinement_budget_overflows_no_step_divisor():
+    # the budget and the round cap both exceed 511, where 4.0 ** j overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_cd_at(square_graph(), 2.0, 0.0, 1.5, "x", SearchConfig(refine_iters=1000))
+    assert rep.to_json_dict() == {
+        "alpha": 0.0,
+        "d_tested": 1.5,
+        "empirical_optimal_d": 1.3333333333333335,
+        "m": 2.0,
+        "samples_used": 20342,
+        "seed": 0,
+        "verdict": "holds_empirically",
+        "vertex": "x",
+        "witness": None,
+    }
 
 
 def test_starts_are_the_lowest_scores_in_stable_sort_order():

@@ -713,6 +713,63 @@ def test_integral_min_inequality_on_seeded_random_cubics():
         assert integral_min_inequality_check(0.5, 3.0, 1.5, 1.0, ts, psi)
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.0, 1.7])
+def test_integral_min_sides_of_a_constant_profile_have_closed_forms(nu):
+    # at psi = 1 both minima are 1 - (1/c) * integral of tau^(-nu) over [t1, t2],
+    # the tail one at s = t1 and the head one at s = t2
+    t1, t2, c = 0.5, 3.0, 0.8
+    ts = np.linspace(t1, t2, 20001)
+    integral = math.log(t2 / t1) if nu == 1.0 else (t2 ** (1.0 - nu) - t1 ** (1.0 - nu)) / (1.0 - nu)
+    lhs_tail, lhs_head, rhs = estimates._integral_min_sides(t1, t2, c, nu, ts, np.ones_like(ts))
+    assert lhs_tail == pytest.approx(1.0 - integral / c, abs=1e-7)
+    assert lhs_head == pytest.approx(1.0 - integral / c, abs=1e-7)
+    # the bound is c times the integral of tau^nu over [t1, t2], over the span squared
+    bound = c * (t2 + t1) / (2.0 * (t2 - t1)) if nu == 1.0 else c * np.trapezoid(ts**nu, ts) / (t2 - t1) ** 2
+    assert rhs == pytest.approx(bound, rel=1e-8)
+
+
+def _near_extremal_profile(t1, t2, c, nu, gap):
+    """A grid, a ``psi`` on it, its tail integrals and the bound, for a check ``gap`` (relative) from equality.
+
+    ``psi`` is solved node by node from ``t2`` down (the smaller root of
+    each node's quadratic) so that every tail value ``psi_i - T_i / c``,
+    with ``T_i`` the trapezoid integral of ``tau^(-nu) psi^2`` from
+    ``ts[i]`` to ``t2``, is ``(1 - gap)`` times the bound; the last node,
+    whose tail integral is 0, holds ``(1 + gap)`` times the bound.  The grid
+    is geometric towards ``t1``, where ``psi`` grows steeply, and ends with
+    one step of a twentieth of the span, so every ``T_i / c`` is at least 0.04.
+    """
+    span = t2 - t1
+    bound = c / (nu + 1.0) * (t2 ** (nu + 1.0) - t1 ** (nu + 1.0)) / span**2
+    ts = np.append(t1 + 0.95 * span * (np.geomspace(1e-5, 1.0, 999) - 1e-5) / (1.0 - 1e-5), t2)
+    psi, tails = np.empty_like(ts), np.zeros_like(ts)
+    psi[-1] = (1.0 + gap) * bound
+    for i in range(len(ts) - 2, -1, -1):
+        step = ts[i + 1] - ts[i]
+        a = step * ts[i] ** -nu / (2.0 * c)
+        r = (1.0 - gap) * bound + (step * ts[i + 1] ** -nu * psi[i + 1] ** 2 / 2.0 + tails[i + 1]) / c
+        psi[i] = 2.0 * r / (1.0 + math.sqrt(1.0 - 4.0 * a * r))
+        tails[i] = tails[i + 1] + step * (ts[i] ** -nu * psi[i] ** 2 + ts[i + 1] ** -nu * psi[i + 1] ** 2) / 2.0
+    return ts, psi, tails, bound
+
+
+def test_integral_min_inequality_holds_within_a_hair_of_equality():
+    # the lemma is nearly sharp at small nu: its bound exceeds the supremum
+    # c / integral(tau^(-nu)) of the tail minimum by 1.6e-5 of itself here
+    t1, t2, c, nu, gap = 1.0, 2.0, 0.8, 0.02, 2e-4
+    ts, psi, tails, bound = _near_extremal_profile(t1, t2, c, nu, gap)
+    assert integral_min_inequality_check(t1, t2, c, nu, ts, psi)
+    lhs_tail, lhs_head, rhs = estimates._integral_min_sides(t1, t2, c, nu, ts, psi)
+    assert rhs == bound and lhs_head < 0.0
+    assert rhs - lhs_tail == pytest.approx(gap * bound, rel=1e-6)
+    # 1% of each term (psi_i and T_i / c at every node, and the bound) is
+    # more than twice the gap, and the last node, which has no integral,
+    # lies above the bound: raising every psi_i by 1%, lowering every
+    # T_i / c by 1% or lowering the bound by 1% flips the verdict
+    assert 0.01 * min(psi.min(), tails[:-1].min() / c, rhs) > 2.0 * (rhs - lhs_tail)
+    assert psi[-1] - rhs > 1e-6
+
+
 def test_integral_min_inequality_refuses_non_finite_input():
     # these were verdicts on invalid input: c = inf gave True, t2 = inf and a NaN in psi False
     ts = np.linspace(0.5, 3.0, 2001)

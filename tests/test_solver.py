@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,37 @@ def test_a_point_query_is_the_dense_row_bit_for_bit(spec, m):
     assert np.array_equal(traj.dense(times), np.array([traj.state_at(t) for t in times]))
 
 
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated, as ``tracemalloc`` saw it."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _wide_run():
+    g = resolve_graph("zwindow:200")
+    return g, np.random.default_rng(0).uniform(0.5, 1.5, g.n), np.linspace(0.1, 1.0, 2001)
+
+
+def test_integrate_holds_one_output_sized_temporary_beside_its_results():
+    # the states, the step table and one gathered row set of the grid read
+    g, u0, ts = _wide_run()
+    traj, peak = _traced_peak(lambda: integrate(g, 2.0, u0, ts))
+    states, table = traj.states.nbytes, traj.dense.table.nbytes
+    assert peak <= 2.5 * states + table, (peak - table) / states
+
+
+def test_a_dense_grid_read_holds_one_output_sized_temporary():
+    g, u0, ts = _wide_run()
+    traj = integrate(g, 2.0, u0, ts)
+    out, peak = _traced_peak(lambda: traj.dense(ts))
+    assert peak <= 2.5 * out.nbytes, peak / out.nbytes
+    assert out.tobytes() == traj.states.tobytes()
+
+
 def test_a_point_query_returns_a_fresh_array_over_a_read_only_table():
     g = square_graph()
     traj = integrate(g, 2.0, [1.0, 0.5, 0.7, 1.2], np.linspace(0.1, 1.0, 5))
@@ -268,6 +300,22 @@ def test_a_stiff_run_stops_at_the_step_budget(monkeypatch):
     stats = exc.value.stats
     assert stats.accepted_steps + stats.error_rejections + stats.positivity_rejections == 2000
     assert 0.0 < exc.value.t < 1e-5 and stats.h_max < 1e-8
+
+
+def test_the_step_budget_admits_exactly_its_count_of_attempts(monkeypatch):
+    import pmelab.solver
+
+    args = (complete_graph(2), 3.0, [5.0, 1e-9], np.linspace(0.0, 5.0, 21), SolverConfig(initial_step=0.25))
+    stats = integrate(*args).stats
+    assert stats.error_rejections > 0 and stats.positivity_rejections > 0
+    attempts = stats.accepted_steps + stats.error_rejections + stats.positivity_rejections
+    monkeypatch.setattr(pmelab.solver, "_MAX_STEP_ATTEMPTS", attempts)
+    assert integrate(*args).stats == stats
+    monkeypatch.setattr(pmelab.solver, "_MAX_STEP_ATTEMPTS", attempts - 1)
+    with pytest.raises(StiffnessError, match=f"step budget of {attempts - 1} attempts ran out") as exc:
+        integrate(*args)
+    short = exc.value.stats
+    assert short.accepted_steps + short.error_rejections + short.positivity_rejections == attempts - 1
 
 
 @pytest.mark.parametrize("t0, ulps", [(1e6, 860), (1e6, 50), (3.0, 300)])
