@@ -3,19 +3,20 @@
 The package integrates ``du/dt = L(u^m)`` on finite weighted graphs,
 decides discrete curvature-dimension conditions empirically, and checks the
 time-scaled regularity and Harnack estimates that those conditions imply.
-Each module's ``__all__`` declares its public names; the package re-exports
-them all.
+``_EXPORTS`` below is the one declaration of the public names: each
+module's ``__all__`` is read from it, and the package re-exports them all.
 
 ``import pmelab`` loads none of its modules.  A public name, or a module
 such as ``pmelab.cd``, is imported on first access (PEP 562) and then bound
 in the package namespace, so a process that only builds graphs never loads
-the solver or the curvature search.  ``_EXPORTS`` names which module
-defines which name; the tests tie it to each module's ``__all__``.
+the solver or the curvature search.
 """
 
 import importlib
 
-# module -> its ``__all__``, in the order the package re-exports them
+# module -> its public names, in the order the package re-exports them; each
+# module sets ``__all__`` from its entry, and since this file imports no
+# submodule, reading the map loads nothing more
 _EXPORTS = {
     "cd": (
         "SearchConfig", "AdmissibilityResult", "AdmissibleConfig", "CDReport", "is_admissible", "cd_ratio",

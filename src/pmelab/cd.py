@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _EXPORTS
 from .artifacts import jsonable
 from .errors import AdmissibilityError, DomainError, ValidationError
 from .graphs import Graph, path_graph, two_hop_ball
@@ -49,23 +50,7 @@ from .operators import (
     pressure_inverse,
 )
 
-__all__ = [
-    "SearchConfig",
-    "AdmissibilityResult",
-    "AdmissibleConfig",
-    "CDReport",
-    "is_admissible",
-    "cd_ratio",
-    "verify_cd_at",
-    "empirical_optimal_d",
-    "complete_graph_certificate",
-    "ChainWitness",
-    "chain_counterexample",
-    "lattice_cd_check",
-    "chain_limit_curvature",
-    "complete_graph_f",
-    "z_lattice_cd_check",
-]
+__all__ = list(_EXPORTS["cd"])
 
 
 def _integer(name: str, value) -> int:
@@ -611,16 +596,16 @@ def chain_limit_curvature(m: float) -> float:
     m = check_exponent(m)
     if m < 2.0:
         raise ValidationError("the chain family is an m >= 2 construction")
+    if m == 2.0:
+        return _chain_product_form(m) + (m - 1.0) ** 2 / m
+    return _chain_product_form(m)
+
+
+def _chain_product_form(m: float) -> float:
+    """The product form of ``chain_limit_curvature``, continuous in m down to 2."""
     q = m / (m - 1.0)
     scale = (m - 1.0) ** 2 / m
-    product_form = (
-        scale
-        * 2.0 ** (-1.0 / (m - 1.0))
-        * (2.0 * 3.0**q - 4.0**q - 2.0**q + 2.0 - 2.0**q)
-    )
-    if m == 2.0:
-        return product_form + scale
-    return product_form
+    return scale * 2.0 ** (-1.0 / (m - 1.0)) * (2.0 * 3.0**q - 4.0**q - 2.0**q + 2.0 - 2.0**q)
 
 
 def lattice_cd_check(m: float, samples: int, seed: int) -> float:

@@ -434,7 +434,7 @@ def _run_square(seed: int) -> tuple[bool, dict]:
 
 
 def _run_chain(n: int, m: float, eps: float, expected, window: float) -> tuple[bool, dict]:
-    from .cd import chain_counterexample, chain_limit_curvature
+    from .cd import _chain_product_form, chain_counterexample, chain_limit_curvature
 
     witness = chain_counterexample(n, m, eps)
     measured = witness.curvature
@@ -451,27 +451,22 @@ def _run_chain(n: int, m: float, eps: float, expected, window: float) -> tuple[b
     return passed, report
 
 
-def _chain_product_form(m: float) -> float:
-    """The eps -> 0 limit of the length-5 chain curvature for m > 2, continuous in m down to 2."""
-    q, scale = m / (m - 1.0), (m - 1.0) ** 2 / m
-    return scale * (2.0 ** ((m - 2.0) / (m - 1.0)) * (3.0**q + 1.0 - 2.0 * 2.0**q) - 2.0 * (2.0**q - 2.0))
-
-
 def _run_chain_limit(m: float) -> tuple[bool, dict]:
     from .cd import chain_counterexample, chain_limit_curvature
 
     if m <= 2.0:
         raise ValidationError("the chain limit comparison needs m > 2")
-    limit_expression = _chain_product_form(m)
-    closed_form = chain_limit_curvature(m)
-    at_eps = chain_counterexample(5, m, 1e-3).curvature
-    gap = abs(limit_expression - closed_form)
-    passed = gap <= 1e-6 and closed_form < 0.0 and at_eps < 0.0
+    # the family approaches its eps -> 0 limit: each gap below the last
+    eps_values = [1e-2, 1e-4, 1e-6, 1e-8]
+    limit = chain_limit_curvature(m)
+    values = [chain_counterexample(5, m, eps).curvature for eps in eps_values]
+    gaps = [abs(value - limit) for value in values]
+    passed = all(b < a for a, b in zip(gaps, gaps[1:])) and limit < 0.0 and values[-1] < 0.0
     return passed, {
-        "measured": limit_expression,
-        "expected": closed_form,
-        "tolerance": 1e-6,
-        "value_at_eps_1e-3": at_eps,
+        "measured": values[-1],
+        "expected": limit,
+        "eps_values": eps_values,
+        "gaps": gaps,
         "m": m,
     }
 
@@ -589,7 +584,8 @@ def _run_integral_min(seed: int) -> tuple[bool, dict]:
 
 
 # base id -> (suffix kind, runner of (suffix value, args)); the kind is None
-# for a bare id, "D" for an integer suffix and "m" for a numeric one
+# for a bare id, "D" for an integer suffix and "m" for a numeric one.  The
+# "D" ids alone read --m; the others run at m = 2 or take m from their suffix
 REPRODUCE = {
     "ex3.3": (None, lambda _, args: _run_complete_optimal(2, 2.0, args.seed)),
     "ex3.4": (None, lambda _, args: _run_complete_optimal(3, 2.0, args.seed)),
@@ -640,9 +636,9 @@ def cmd_reproduce(args) -> int:
 
     outdir = resolve_outdir(args)
     runner, value = resolve_reproduce(args.id)
-    # the other ids run at m = 2 or take m from their suffix
-    if args.m != 2.0 and args.id.partition(":")[0] not in ("ex3.5", "ex6.6ii"):
-        raise ValidationError("reproduce %s does not read --m; only ex3.5:D and ex6.6ii:D do" % args.id)
+    if args.m != 2.0 and REPRODUCE[args.id.partition(":")[0]][0] != "D":
+        reads_m = " and ".join(rid for rid in REPRODUCE_IDS if rid.endswith(":D"))
+        raise ValidationError("reproduce %s does not read --m; only %s do" % (args.id, reads_m))
     passed, payload = runner(value, args)
     result = {
         "command": "reproduce",

@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-__all__ = [
-    "PMELabError",
-    "ValidationError",
-    "DomainError",
-    "AdmissibilityError",
-    "NoPathError",
-    "LambdaOneError",
-    "StiffnessError",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class PMELabError(Exception):

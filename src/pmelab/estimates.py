@@ -47,6 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .artifacts import jsonable, write_csv
 from .errors import DomainError, LambdaOneError, ValidationError
 from .graphs import Graph, _hop_distances, _slot_groups, graph_distance, k_min
@@ -63,19 +64,7 @@ from .operators import (
 )
 from .solver import Trajectory, _window_slack
 
-__all__ = [
-    "EstimateReport",
-    "ab_check",
-    "diff_harnack_residual",
-    "harnack_rhs_path",
-    "harnack_rhs_distance",
-    "harnack_check",
-    "quadratic_minorant_check",
-    "minorant_ratio",
-    "integral_min_inequality_check",
-    "lemma61_check",
-    "lemma63_check",
-]
+__all__ = list(_EXPORTS["estimates"])
 
 
 @dataclass

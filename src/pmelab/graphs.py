@@ -16,23 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import NoPathError, ValidationError
 
-__all__ = [
-    "Graph",
-    "build_graph",
-    "complete_graph",
-    "path_graph",
-    "square_graph",
-    "lattice_window",
-    "graph_distance",
-    "k_min",
-    "two_hop_ball",
-    "load_edge_list",
-    "save_edge_list",
-    "resolve_graph",
-    "GENERATOR_HELP",
-]
+__all__ = list(_EXPORTS["graphs"])
 
 
 class Graph:
@@ -409,19 +396,29 @@ def _text_lines(path) -> list[str]:
         raise ValidationError(f"{path}: not a UTF-8 text file") from None
 
 
+def _records(path, fields: str):
+    """``(lineno, parts)`` of each record of a whitespace-separated text file.
+
+    Everything after ``#`` on a line is a comment and blank lines are
+    skipped; a record without one part per word of ``fields`` is refused.
+    """
+    width = len(fields.split())
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != width:
+            raise ValidationError(f"{path}:{lineno}: expected '{fields}'")
+        yield lineno, parts
+
+
 def load_edge_list(path, symmetrize: bool = False) -> Graph:
     """Read a graph from a text file of ``<vertex> <vertex> <weight>`` lines.
 
     Everything after ``#`` on a line is a comment; blank lines are skipped.
     """
     edges = []
-    for lineno, raw in enumerate(_text_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValidationError(f"{path}:{lineno}: expected '<vertex> <vertex> <weight>'")
+    for lineno, parts in _records(path, "<vertex> <vertex> <weight>"):
         try:
             w = float(parts[2])
         except ValueError:
@@ -444,7 +441,7 @@ def save_edge_list(g: Graph, path) -> None:
 GENERATOR_HELP = "complete:D | path:n | square | zwindow:radius | <edge-list file>"
 
 
-def resolve_graph(spec: str, symmetrize: bool = False) -> Graph:
+def resolve_graph(spec: str) -> Graph:
     """Build a graph from a generator name or an edge-list file path.
 
     Recognized generator names: ``complete:D``, ``path:n``, ``square`` and
@@ -463,4 +460,4 @@ def resolve_graph(spec: str, symmetrize: bool = False) -> Graph:
         if name == "path":
             return path_graph(value)
         return lattice_window(value)
-    return load_edge_list(spec, symmetrize=symmetrize)
+    return load_edge_list(spec)

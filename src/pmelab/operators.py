@@ -35,36 +35,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DomainError
 from .graphs import Graph
 
-__all__ = [
-    "as_field",
-    "check_exponent",
-    "check_mixing",
-    "laplacian",
-    "laplacian_field",
-    "exp_remainder",
-    "exp_remainder_m",
-    "difference_sum",
-    "pressure",
-    "pressure_inverse",
-    "gradient_energy",
-    "gradient_energy_field",
-    "carre_du_champ",
-    "curvature_form",
-    "curvature_form_mixed",
-    "mixed_laplacian",
-    "mixed_laplacian_field",
-    "upsilon",
-    "tilde_upsilon",
-    "psi_H",
-    "tilde_psi",
-    "gamma",
-    "d_m",
-    "d_m_alpha",
-    "g_quantity",
-]
+__all__ = list(_EXPORTS["operators"])
 
 
 # -- argument validation ---------------------------------------------------

@@ -57,28 +57,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import _EXPORTS
 from .artifacts import jsonable, write_csv
 from .errors import DomainError, StiffnessError, ValidationError
-from .graphs import Graph, _text_lines
+from .graphs import Graph, _records, _text_lines
 from .operators import _dtv, _flow, _gradient_energy, _pow, _pressure, as_field, check_exponent
 
-__all__ = [
-    "SolverConfig",
-    "SolverStats",
-    "Trajectory",
-    "Measure",
-    "counting_measure",
-    "pme_rhs",
-    "integrate",
-    "exact_two_point",
-    "renyi_entropy",
-    "entropy_dissipation_residual",
-    "pressure_equation_residual",
-    "write_trajectory_csv",
-    "read_trajectory_csv",
-    "load_initial_condition",
-    "rhs",
-]
+__all__ = list(_EXPORTS["solver"])
 
 
 # Dormand-Prince 5(4) tableau; the propagated solution is 5th order and the
@@ -573,13 +558,7 @@ def read_trajectory_csv(path, g: Graph, m: float) -> Trajectory:
 def load_initial_condition(path, g: Graph) -> np.ndarray:
     """Read a ``<vertex> <value>`` file giving every vertex of ``g`` exactly once."""
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(_text_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValidationError(f"{path}:{lineno}: expected '<vertex> <value>'")
+    for lineno, parts in _records(path, "<vertex> <value>"):
         if parts[0] not in g._index:
             raise ValidationError(f"{path}:{lineno}: unknown vertex {parts[0]!r}")
         if parts[0] in values:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pmelab import SearchConfig, SolverConfig, ab_check, integrate, load_edge_list, square_graph, verify_cd_at
-from pmelab.cd import _search_min_score
+from pmelab.cd import _chain_product_form, _search_min_score, chain_counterexample, chain_limit_curvature
 from pmelab.cli import REPRODUCE_IDS, build_parser, main, resolve_reproduce
 from pmelab.errors import ValidationError
 
@@ -334,6 +334,26 @@ def test_reproduce_chain_example_reports_the_value_mismatch(tmp_path):
     # m = 2, and the recorded -1 as m -> 2+ after eps -> 0
     assert report["measured"] == -0.49899749999999954
     assert (report["limit_eps_to_0"], report["limit_m_to_2_plus"]) == (-0.5, -1.0)
+
+
+def test_reproduce_chain_limit_reads_the_family_closing_in_on_it(tmp_path):
+    assert main(["reproduce", "ex4.5:3", "--out", str(tmp_path / "run")]) == 0
+    report = read_json(tmp_path / "run" / "reproduce_ex4.5_3.json")
+    eps = [1e-2, 1e-4, 1e-6, 1e-8]
+    values = [chain_counterexample(5, 3.0, e).curvature for e in eps]
+    assert report["expected"] == chain_limit_curvature(3.0)
+    assert report["measured"] == values[-1] < 0.0
+    assert report["eps_values"] == eps
+    assert report["gaps"] == [abs(value - report["expected"]) for value in values]
+    assert report["gaps"] == sorted(report["gaps"], reverse=True)
+    assert "tolerance" not in report and "value_at_eps_1e-3" not in report
+
+
+def test_reproduce_chain_limit_fails_when_the_limit_is_off(tmp_path, monkeypatch):
+    # the family, not a second copy of the closed form, is what the limit is read against
+    monkeypatch.setattr("pmelab.cd._chain_product_form", lambda m: _chain_product_form(m) + 1e-3)
+    assert main(["reproduce", "ex4.5:3", "--out", str(tmp_path / "run")]) == 1
+    assert read_json(tmp_path / "run" / "reproduce_ex4.5_3.json")["passed"] is False
 
 
 def test_reproduce_ab_square_reports_where_the_minimum_sits(tmp_path):

@@ -465,6 +465,15 @@ def test_edge_list_comments_and_blank_lines_are_skipped(tmp_path):
     assert g.symmetric
 
 
+@pytest.mark.parametrize("record", ["a b", "a b 1 2", "a"])
+def test_an_edge_record_with_the_wrong_field_count_names_its_line(tmp_path, record):
+    path = tmp_path / "graph.txt"
+    path.write_text("# header\n\na b 1  # comment\n%s # comment\n" % record)
+    with pytest.raises(ValidationError) as exc:
+        load_edge_list(path)
+    assert str(exc.value) == f"{path}:4: expected '<vertex> <vertex> <weight>'"
+
+
 def test_edge_list_bad_lines_are_reported_with_line_numbers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("a b 1.0\na b\n")
@@ -491,8 +500,8 @@ def test_resolve_graph_dispatches_generator_names(spec, n):
 
 def test_resolve_graph_falls_back_to_files(tmp_path):
     path = tmp_path / "ring.txt"
-    path.write_text("a b 1\nb c 1\nc a 1\n")
-    g = resolve_graph(str(path), symmetrize=True)
+    path.write_text("a b 1\nb c 1\nc a 1\nb a 1\nc b 1\na c 1\n")
+    g = resolve_graph(str(path))
     assert g.n == 3
     assert g.symmetric
 

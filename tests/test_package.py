@@ -3,6 +3,7 @@
 import ast
 import collections
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -69,6 +70,12 @@ def test_the_errors_module_exports_exactly_its_exceptions():
 def test_the_name_map_is_the_module_lists_in_order():
     assert pmelab._EXPORTS == {module.__name__.rpartition(".")[2]: tuple(module.__all__) for module in _MODULES}
     assert list(pmelab._MODULE_OF) == pmelab.__all__
+
+
+def test_the_version_is_the_one_pyproject_declares():
+    pyproject = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'^version = "([^"]+)"$', project, re.M) == [pmelab.__version__]
 
 
 def test_dir_lists_the_api_and_the_modules():

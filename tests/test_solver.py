@@ -687,6 +687,15 @@ def test_load_initial_condition_requires_every_vertex(tmp_path):
         load_initial_condition(path, g)
 
 
+@pytest.mark.parametrize("record", ["2", "2 1.5 7"])
+def test_an_initial_condition_record_with_the_wrong_field_count_names_its_line(tmp_path, record):
+    path = tmp_path / "u0.txt"
+    path.write_text("# state\n1 0.5  # comment\n\n%s\n3 2.5\n" % record)
+    with pytest.raises(ValidationError) as exc:
+        load_initial_condition(path, path_graph(3))
+    assert str(exc.value) == f"{path}:4: expected '<vertex> <value>'"
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
