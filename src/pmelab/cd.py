@@ -36,9 +36,11 @@ from .artifacts import jsonable
 from .errors import AdmissibilityError, DomainError, ValidationError
 from .graphs import Graph, path_graph, two_hop_ball
 from .operators import (
+    _admissible,
     _block_count,
     _curvature_form,
     _mixed_laplacian,
+    _pow,
     as_field,
     check_exponent,
     check_mixing,
@@ -173,12 +175,11 @@ def is_admissible(g: Graph, m: float, alpha: float, u, x: str, delta: float = 0.
     """
     if delta < 0.0:
         raise DomainError("strictness margin must be nonnegative")
-    neg_g = -mixed_laplacian_field(g, m, alpha, u)
+    G = mixed_laplacian_field(g, m, alpha, u)
     i = g.index(x)
-    nbrs = {g.vertices[j]: float(neg_g[j]) for j in g.neighbors_idx(i)}
-    base = float(neg_g[i])
-    ok = base > delta and all(base >= val for val in nbrs.values())
-    return AdmissibilityResult(ok, x, base, nbrs)
+    nbrs = g.neighbors_idx(i)
+    ok = bool(_admissible(G, i, nbrs, delta))
+    return AdmissibilityResult(ok, x, -float(G[i]), {g.vertices[j]: -float(G[j]) for j in nbrs})
 
 
 def cd_ratio(g: Graph, m: float, alpha: float, u, x: str) -> float:
@@ -281,19 +282,14 @@ class _BallProblem:
     def _score(self, U: np.ndarray):
         """:meth:`evaluate` on one block: ``(ok, score, base)``, the curvature form at admissible rows only.
 
-        Admissibility is read from ``G`` without negating it: ``G(x) < 0``
-        and ``G(x) <= G(y)`` at every one-hop ``y`` are ``-G(x) > 0`` and
-        ``-G(x) >= -G(y)`` (NaN fails both).  ``U`` is vertex-major, and the
-        admissible rows are gathered vertex-major too, so on a ball of up to
-        75 vertices the ball kernel sums each of them as in the whole block
-        (see :meth:`evaluate`).
+        ``ok`` is :func:`is_admissible`'s rule at margin 0.  ``U`` is vertex-major, and so are the gathered
+        admissible rows, so on a ball of up to 75 vertices the ball kernel sums each of them as in the
+        whole block (see :meth:`evaluate`).
         """
         with np.errstate(divide="ignore", invalid="ignore"):
             G = _mixed_laplacian(self.kernel, self.m, self.alpha, U)
-            gx = G[:, self.pos_x]
-            ok = gx < 0.0
-            ok &= (gx[:, None] <= G[:, self.one_hop_local]).all(axis=1)
-            base = -gx
+            ok = _admissible(G, self.pos_x, self.one_hop_local)
+            base = -G[:, self.pos_x]
             rows = np.flatnonzero(ok)
             # one vertex-major copy: U[rows] and U.T[:, rows].T would copy row-major
             A = U.T.take(rows, axis=1).T
@@ -302,12 +298,38 @@ class _BallProblem:
         return ok, score, base
 
 
-@dataclass
-class _SearchOutcome:
+@dataclass(frozen=True)
+class _SearchResult:
+    """One search on ``problem``, in which ``d`` plays no part: every verdict compares ``d`` with :attr:`ratio`.
+
+    ``best_u`` is the ball field of the least score ``min_score`` (None and ``+inf`` when no sample
+    was admissible), ``evaluations`` counts the fields scored, ``admissible_found`` the admissible samples.
+    """
+
+    problem: _BallProblem
+    config: SearchConfig
     min_score: float
     best_u: Optional[np.ndarray]
     evaluations: int
     admissible_found: int
+
+    @property
+    def ratio(self) -> float:
+        """The supremum of :func:`cd_ratio` found: ``nan`` with no admissible field, ``+inf`` at a score ``<= 0``."""
+        return math.nan if not self.admissible_found else math.inf if self.min_score <= 0.0 else 1.0 / self.min_score
+
+    def report(self, d: float) -> CDReport:
+        """The verdict at ``d``: ``inconclusive`` at a ``nan`` ratio, ``violated`` with a witness above ``d(1+tol)``."""
+        prob, cfg, ratio = self.problem, self.config, self.ratio
+        x = prob.ball[prob.pos_x]
+        verdict, witness = "holds_empirically", None
+        if math.isnan(ratio):
+            verdict, ratio = "inconclusive", None
+        elif ratio > d * (1.0 + cfg.tol):
+            field_values = {v: float(value) for v, value in zip(prob.ball, self.best_u)}
+            verdict, witness = "violated", AdmissibleConfig(x, field_values, prob.m, prob.alpha, cfg.delta)
+        floor = cfg.floor if prob.m < 2.0 else None
+        return CDReport(x, prob.m, prob.alpha, d, verdict, witness, ratio, self.evaluations, cfg.seed, floor)
 
 
 def _sample_fields(rng: np.random.Generator, samples: int, n: int, lo: float) -> np.ndarray:
@@ -359,7 +381,7 @@ def _lowest_first(score: np.ndarray, starts: int) -> np.ndarray:
     return np.array(top, dtype=np.intp)
 
 
-def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
+def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchResult:
     """Minimize score = curvature form / (-G)^2 over admissible ball fields.
 
     The score is scale invariant, so fields are rows of ``[lo, 1]^n``.
@@ -382,14 +404,14 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
     call per iteration would, and minimum and field are those of one call
     per iteration too, on balls of up to 75 vertices; on wider balls BLAS
     may sum a row differently in a block of another shape (the last bits
-    only, see :meth:`_BallProblem.evaluate`).
+    only, see :meth:`_BallProblem.evaluate`).  Returns the search's one result.
     """
     lo = 0.0 if prob.m >= 2.0 else cfg.floor
     U = _sample_fields(np.random.default_rng(cfg.seed), cfg.samples, len(prob.ball), lo)
     ok, score, _ = prob.evaluate(U)
     admissible = int(ok.sum())
     if admissible == 0:
-        return _SearchOutcome(math.inf, None, len(U), 0)
+        return _SearchResult(prob, cfg, math.inf, None, len(U), 0)
     top = _lowest_first(score, cfg.starts)
     X, S = U[top[ok[top]]], score[top[ok[top]]]
     k, n = X.shape
@@ -426,41 +448,12 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchOutcome:
         step = np.where(moved, steps[:, t], steps[:, t] / 4.0)
         depth = 1 if len(hit) else 2 * depth
     i = int(np.argmin(S))
-    return _SearchOutcome(float(S[i]), X[i], evaluations, admissible)
-
-
-@dataclass(frozen=True)
-class _SearchResult:
-    """One search at ``vertex``, in which ``d`` plays no part, and the supremum of :func:`cd_ratio` it found."""
-
-    vertex: str
-    m: float
-    alpha: float
-    config: SearchConfig
-    ball: tuple[str, ...]
-    outcome: _SearchOutcome
-    ratio: float  # nan when no field was admissible, +inf when the best score is <= 0, else 1 / min_score
-
-    def report(self, d: float) -> CDReport:
-        """The verdict at ``d``: ``inconclusive`` at a ``nan`` ratio, ``violated`` with a witness above ``d(1+tol)``."""
-        cfg, out, ratio = self.config, self.outcome, self.ratio
-        verdict, witness = "holds_empirically", None
-        if math.isnan(ratio):
-            verdict, ratio = "inconclusive", None
-        elif ratio > d * (1.0 + cfg.tol):
-            field_values = {v: float(value) for v, value in zip(self.ball, out.best_u)}
-            verdict, witness = "violated", AdmissibleConfig(self.vertex, field_values, self.m, self.alpha, cfg.delta)
-        floor = cfg.floor if self.m < 2.0 else None
-        return CDReport(self.vertex, self.m, self.alpha, d, verdict, witness, ratio, out.evaluations, cfg.seed, floor)
+    return _SearchResult(prob, cfg, float(S[i]), X[i], evaluations, admissible)
 
 
 def _search(g: Graph, x: str, m: float, alpha: float, search: Optional[SearchConfig]) -> _SearchResult:
     """Run the violation search at ``x`` once, for any number of verdicts."""
-    cfg = search or SearchConfig()
-    prob = _BallProblem(g, x, m, alpha)
-    out = _search_min_score(prob, cfg)
-    ratio = math.nan if out.admissible_found == 0 else math.inf if out.min_score <= 0.0 else 1.0 / out.min_score
-    return _SearchResult(x, prob.m, prob.alpha, cfg, prob.ball, out, ratio)
+    return _search_min_score(_BallProblem(g, x, m, alpha), search or SearchConfig())
 
 
 def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Optional[SearchConfig] = None) -> CDReport:
@@ -520,11 +513,12 @@ def complete_graph_certificate(nu: float, m: float, z) -> float:
     if not np.all((z > 0.0) & (z <= 1.0)):
         raise ValidationError("certificate coordinates z must lie in (0, 1]")
     dm1 = len(z)
-    s_m = float(np.sum(z**m))
-    s_m1 = float(np.sum(z ** (m - 1.0)))
-    s_m2_cross = float(np.sum(z ** (m - 2.0) * (s_m - z**m)))
-    s_m2 = float(np.sum(z ** (m - 2.0)))
-    s_2m2 = float(np.sum(z ** (2.0 * m - 2.0)))
+    zm, zm2 = _pow(z, m), _pow(z, m - 2.0)
+    s_m = float(np.sum(zm))
+    s_m1 = float(np.sum(_pow(z, m - 1.0)))
+    s_m2_cross = float(np.sum(zm2 * (s_m - zm)))
+    s_m2 = float(np.sum(np.broadcast_to(zm2, z.shape)))  # D - 1 at m = 2, where zm2 is the scalar 1
+    s_2m2 = float(np.sum(_pow(z, 2.0 * m - 2.0)))
     curv = nu * m * (s_m2_cross + s_m2 - dm1 * s_2m2 - dm1 * s_m + dm1**2)
     grad = m**2 / (m - 1.0) ** 2 * (s_m1**2 - 2.0 * dm1 * s_m1 + dm1**2)
     return curv - grad
@@ -633,12 +627,14 @@ def lattice_cd_check(m: float, samples: int, seed: int) -> float:
     q = m / (m - 1.0)
     A = rng.uniform(0.0, 2.0, size=samples)
     B = rng.uniform(0.0, 2.0 - A)
-    a = A ** (1.0 / q)
-    b = B ** (1.0 / q)
+    a = _pow(A, 1.0 / q)
+    b = _pow(B, 1.0 / q)
     ex_s = np.where(rng.random(samples) < 0.25, 0.0, rng.exponential(1.0, size=samples))
     ex_n = np.where(rng.random(samples) < 0.25, 0.0, rng.exponential(1.0, size=samples))
-    r_s = 2.0 * A - 1.0 - 2.0 * a ** (1.0 / (m - 1.0)) + a ** ((m + 1.0) / (m - 1.0)) + a ** (1.0 / (m - 1.0)) * B
-    r_n = 2.0 * B - 1.0 - 2.0 * b ** (1.0 / (m - 1.0)) + b ** ((m + 1.0) / (m - 1.0)) + a ** (m / (m - 1.0)) * b ** (1.0 / (m - 1.0))
+    p, p_hi = 1.0 / (m - 1.0), (m + 1.0) / (m - 1.0)
+    a_p, b_p = _pow(a, p), _pow(b, p)
+    r_s = 2.0 * A - 1.0 - 2.0 * a_p + _pow(a, p_hi) + a_p * B
+    r_n = 2.0 * B - 1.0 - 2.0 * b_p + _pow(b, p_hi) + _pow(a, m / (m - 1.0)) * b_p
     S = np.maximum(r_s, 0.0) + ex_s
     N = np.maximum(r_n, 0.0) + ex_n
     lhs = (
@@ -648,7 +644,7 @@ def lattice_cd_check(m: float, samples: int, seed: int) -> float:
         - B * (A + B - 2.0)
         + m * b * (N + 1.0 - 2.0 * B)
     )
-    rhs = (m - 1.0) * (2.0 - A - B) ** 2
+    rhs = (m - 1.0) * _pow(2.0 - A - B, 2.0)
     # the constant field gives exact equality, so the result is at most 0
     return min(0.0, float(np.min(lhs - rhs)))
 

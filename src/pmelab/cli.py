@@ -318,7 +318,7 @@ def cmd_verify_cd(args) -> int:
         else:
             result = _search(g, v, args.m, args.alpha, search)
             reports.append(dict(vertex=v, m=args.m, alpha=args.alpha, seed=search.seed,
-                                empirical_optimal_d=result.ratio, samples_used=result.outcome.evaluations))
+                                empirical_optimal_d=result.ratio, samples_used=result.evaluations))
             print("verify-cd %s at %s: empirical optimal d %s" % (args.graph, v, result.ratio))
 
     out_path = os.path.join(outdir, "cd_report.json")
@@ -330,28 +330,30 @@ def cmd_verify_cd(args) -> int:
     return 1 if violated else 0
 
 
-def cmd_check(args) -> int:
-    from .artifacts import write_json
+def _integrate_and_check(args):
+    """``(trajectory, report)`` of a ``check`` command, which the ``reproduce`` ids that re-run a check share."""
     from .estimates import ab_check, diff_harnack_residual, harnack_check
     from .solver import integrate
 
-    outdir = resolve_outdir(args)
     g = resolve_graph(args.graph)
     u0 = resolve_initial_state(args.u0, g, args.seed)
     times = resolve_times(args, need_positive_start=True)
     tol = _tol_override(args)
     traj = integrate(g, args.m, u0, times)
-
     if args.which == "ab":
-        report = ab_check(traj, args.alpha, args.d, **tol)
-    elif args.which == "diff-harnack":
-        report = diff_harnack_residual(traj, args.lam, args.mu, **tol)
-    else:
-        rng = np.random.default_rng([args.seed, 2])
-        pairs = sample_check_tuples(
-            g, rng, args.pairs, float(times[0]), float(times[-1])
-        )
-        report = harnack_check(traj, args.mu, args.lam, pairs, **tol)
+        return traj, ab_check(traj, args.alpha, args.d, **tol)
+    if args.which == "diff-harnack":
+        return traj, diff_harnack_residual(traj, args.lam, args.mu, **tol)
+    rng = np.random.default_rng([args.seed, 2])
+    pairs = sample_check_tuples(g, rng, args.pairs, float(times[0]), float(times[-1]))
+    return traj, harnack_check(traj, args.mu, args.lam, pairs, **tol)
+
+
+def cmd_check(args) -> int:
+    from .artifacts import write_json
+
+    outdir = resolve_outdir(args)
+    traj, report = _integrate_and_check(args)
 
     tag = args.which.replace("-", "_")
     report_path = os.path.join(outdir, "report_%s.json" % tag)
@@ -480,13 +482,8 @@ def _run_lattice(m: float, seed: int) -> tuple[bool, dict]:
 
 
 def _run_ab_square(seed: int) -> tuple[bool, dict]:
-    from .estimates import ab_check
-    from .solver import integrate
-
-    g = square_graph()
-    u0 = resolve_initial_state("random:", g, seed)
-    traj = integrate(g, 2.0, u0, np.linspace(0.05, 5.0, 201))
-    report = ab_check(traj, 0.0, 4.0 / 3.0, tol=1e-8)
+    argv = ["check", "ab", "--graph", "square", "--d", repr(4.0 / 3.0), "--u0", "random:", "--t-start", "0.05"]
+    _, report = _integrate_and_check(build_parser().parse_args(argv + ["--tol", "1e-8", "--seed", str(seed)]))
     return report.passed, {
         "measured": report.min_slack,
         "expected": ">= -1e-8",
@@ -520,23 +517,15 @@ def _run_ab_sharpness() -> tuple[bool, dict]:
 
 
 def _run_harnack(graph_spec: str, m: float, mu: float, seed: int) -> tuple[bool, dict]:
-    from .estimates import harnack_check
-    from .solver import integrate
-
-    g = resolve_graph(graph_spec)
-    u0 = resolve_initial_state("random:", g, seed)
-    times = np.linspace(0.1, 5.0, 201)
-    traj = integrate(g, m, u0, times)
-    rng = np.random.default_rng([seed, 2])
-    pairs = sample_check_tuples(g, rng, 100, float(times[0]), float(times[-1]))
-    report = harnack_check(traj, mu, 0.0, pairs, tol=1e-8)
+    argv = ["check", "harnack", "--graph", graph_spec, "--m", repr(m), "--mu", repr(mu), "--u0", "random:"]
+    _, report = _integrate_and_check(build_parser().parse_args(argv + ["--seed", str(seed)]))
     return report.passed, {
         "measured": report.min_slack,
         "expected": ">= -1e-8",
         "graph": graph_spec,
         "m": m,
         "mu": mu,
-        "pairs": len(pairs),
+        "pairs": report.points_checked,
     }
 
 

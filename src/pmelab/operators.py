@@ -386,6 +386,13 @@ def _mixed_laplacian(K, m, alpha, U, V=None, LP=None):
     return G
 
 
+def _admissible(G, i, nbrs, delta=0.0):
+    """The admissibility rule on ``G`` of shape ``(..., n)``: ``-G(i) > delta`` and ``-G(i) >= -G(y)``
+    at every ``y`` in ``nbrs`` (ties admitted), read from ``G`` without negating it; NaN fails both."""
+    gx = G[..., i]
+    return (gx < -delta) & (gx[..., None] <= G[..., nbrs]).all(axis=-1)
+
+
 def _curvature_form(K, m, alpha, U, i):
     """Curvature form ``dG/dt`` at vertex ``i``, see :func:`curvature_form_mixed`, as a new array.
 

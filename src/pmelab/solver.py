@@ -556,7 +556,7 @@ def read_trajectory_csv(path, g: Graph, m: float) -> Trajectory:
 
 
 def load_initial_condition(path, g: Graph) -> np.ndarray:
-    """Read a ``<vertex> <value>`` file giving every vertex of ``g`` exactly once."""
+    """Read a ``<vertex> <value>`` file giving every vertex of ``g`` once, with a strictly positive finite value."""
     values: dict[str, float] = {}
     for lineno, parts in _records(path, "<vertex> <value>"):
         if parts[0] not in g._index:
@@ -564,10 +564,14 @@ def load_initial_condition(path, g: Graph) -> np.ndarray:
         if parts[0] in values:
             raise ValidationError(f"{path}:{lineno}: vertex {parts[0]!r} given twice")
         try:
-            values[parts[0]] = float(parts[1])
+            values[parts[0]] = value = float(parts[1])
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: bad value {parts[1]!r}") from None
-    return as_field(g, values)
+        if not 0.0 < value < math.inf:
+            raise ValidationError(f"{path}:{lineno}: value {parts[1]!r} is not strictly positive and finite")
+    if len(values) < g.n:  # each value is of a distinct vertex of g
+        raise ValidationError(f"{path}: no value for vertices {[v for v in g.vertices if v not in values]}")
+    return np.array([values[v] for v in g.vertices])
 
 
 # -- alternate operation names ---------------------------------------------

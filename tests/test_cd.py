@@ -38,7 +38,7 @@ from pmelab.cd import (
     _search_min_score,
 )
 from pmelab.errors import AdmissibilityError, ValidationError
-from pmelab.operators import _curvature_form, _dtv, _flow
+from pmelab.operators import _admissible, _curvature_form, _dtv, _flow
 
 FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
 
@@ -87,6 +87,38 @@ def test_admissibility_strictness_margin():
     g = complete_graph(2)
     result = is_admissible(g, 2.0, 1.0, [1.0, 0.5], "x1", delta=1.0)
     assert not result
+
+
+# hand-made G on the path 1 - 2 - 3 (vertex 2 has neighbours 1 and 3) and on a -> b -> c, where c has none:
+# (G, vertex, delta, verdict)
+NEXT_ABOVE = float(np.nextafter(0.5, 1.0))
+RULE_CASES = [
+    ([0.0, -1.0, 0.0], "2", 0.0, True),
+    ([0.0, math.nan, 0.0], "2", 0.0, False),  # NaN at the base
+    ([0.0, -1.0, math.nan], "2", 0.0, False),  # NaN at a neighbour
+    ([-1.0, -1.0, 0.0], "2", 0.0, True),  # a tie with a neighbour is admitted
+    ([-2.0, -1.0, 0.0], "2", 0.0, False),
+    ([0.0, -0.5, 0.0], "2", 0.5, False),  # -G(x) == delta is refused
+    ([0.0, -NEXT_ABOVE, 0.0], "2", 0.5, True),  # and the next float above it admitted
+    ([0.0, -0.0, 0.0], "2", 0.0, False),
+    ([5.0, 5.0, -1.0], "c", 0.0, True),  # no out-neighbours: only the margin decides
+    ([5.0, 5.0, -1.0], "c", 1.0, False),
+]
+
+
+@pytest.mark.parametrize("G,x,delta,verdict", RULE_CASES)
+def test_one_admissibility_rule_decides_is_admissible_and_the_search(monkeypatch, G, x, delta, verdict):
+    g = path_graph(3) if x == "2" else build_graph([("a", "b", 1.0), ("b", "c", 1.0)])
+    i, nbrs = g.index(x), g.neighbors_idx(g.index(x))
+    G = np.array(G)
+    # a field as a 1-d array and as a one-row batch, as the search's blocks hold it
+    assert bool(_admissible(G, i, nbrs, delta)) is verdict
+    assert _admissible(G[None, :], i, nbrs, delta).tolist() == [verdict]
+    assert _admissible(np.asfortranarray(G[None, :]), i, nbrs, delta).tolist() == [verdict]
+    monkeypatch.setattr(cd, "mixed_laplacian_field", lambda *args: G)
+    result = is_admissible(g, 2.0, 0.0, np.ones(3), x, delta)
+    assert result.admissible is verdict
+    assert result.base_neg_g == -G[i] or math.isnan(G[i])
 
 
 def test_cd_ratio_two_point_oracle():
@@ -483,7 +515,7 @@ def test_each_verdict_is_a_comparison_on_one_search_result(spec, x, m, alpha):
             violated = result.ratio > d * (1.0 + cfg.tol)
             assert report.verdict == ("violated" if violated else "holds_empirically")
             assert (report.witness is not None) == violated and report.empirical_optimal_d == result.ratio
-            assert report.samples_used == result.outcome.evaluations
+            assert report.samples_used == result.evaluations
 
 
 def test_an_inconclusive_vertex_has_a_nan_optimum():
@@ -535,6 +567,28 @@ def test_certificate_fails_below_the_optimal_dimension(D):
     nu = 2.0 * (D - 1) / D - 0.05
     z = np.full(D - 1, 1e-9)
     assert complete_graph_certificate(nu, 2.0, z) < 0.0
+
+
+def _certificate_with_numpy_powers(nu, m, z):
+    """:func:`complete_graph_certificate` with every power of ``z`` taken by numpy's ``**``."""
+    dm1 = len(z)
+    s_m = float(np.sum(z**m))
+    s_m1 = float(np.sum(z ** (m - 1.0)))
+    s_m2_cross = float(np.sum(z ** (m - 2.0) * (s_m - z**m)))
+    s_m2 = float(np.sum(z ** (m - 2.0)))
+    s_2m2 = float(np.sum(z ** (2.0 * m - 2.0)))
+    curv = nu * m * (s_m2_cross + s_m2 - dm1 * s_2m2 - dm1 * s_m + dm1**2)
+    return curv - m**2 / (m - 1.0) ** 2 * (s_m1**2 - 2.0 * dm1 * s_m1 + dm1**2)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 2.5, 3.0])
+def test_certificate_powers_equal_numpys_bit_for_bit(m):
+    # at m = 2, z^(m-2) is the scalar 1 in _pow, yet its sum over the D - 1 coordinates must stay D - 1
+    rng = np.random.default_rng(int(4 * m))
+    for D in (2, 3, 6):
+        for nu in (0.5, 4.0 / 3.0, 2.0):
+            z = rng.uniform(1e-3, 1.0, D - 1)
+            assert complete_graph_certificate(nu, m, z) == _certificate_with_numpy_powers(nu, m, z)
 
 
 def test_certificate_validates_coordinates():

@@ -366,6 +366,26 @@ def test_reproduce_ab_square_reports_where_the_minimum_sits(tmp_path):
     assert argmin["form"] in ("direct", "pressure_equation")
 
 
+# each reproduce id that re-runs a check, and that check command, with S the seed
+CHECK_IDS = [
+    (["ex5.3i"], "ab --graph square --d 1.3333333333333333 --u0 random: --t-start 0.05 --tol 1e-8 --seed S"),
+    (["ex6.6i"], "harnack --graph square --mu 1.3333333333333333 --u0 random: --seed S"),
+    (["ex6.6ii:4", "--m", "3"], "harnack --graph complete:4 --m 3 --mu 1.5 --u0 random: --seed S"),
+]
+
+
+@pytest.mark.parametrize("rid,command", CHECK_IDS, ids=[rid[0] for rid, _ in CHECK_IDS])
+def test_a_check_reproduce_id_measures_the_min_slack_of_its_check_command(tmp_path, rid, command):
+    for seed in range(3):
+        out = tmp_path / str(seed)
+        assert main(["reproduce", *rid, "--seed", str(seed), "--out", str(out / "reproduce")]) == 0
+        (artifact,) = (out / "reproduce").glob("reproduce_*.json")
+        argv = ["check", *command.replace("S", str(seed)).split()]
+        assert main(argv + ["--out", str(out / "check")]) == 0
+        (report,) = (out / "check").glob("report_*.json")
+        assert read_json(artifact)["measured"] == read_json(report)["min_slack"]
+
+
 def test_reproduce_square_searches_each_vertex_once(tmp_path, monkeypatch):
     # the verdicts at 4/3 and at 1.32 at x come from one search at x
     searches = []
@@ -735,6 +755,8 @@ def test_a_non_finite_edge_weight_is_a_usage_error(tmp_path, capsys):
         ("x 1\nzz 5\ny1 1\ny2 1\nz 1\n", None, "u0.txt:2: unknown vertex 'zz'"),
         ("x 1\ny1 1\ny2 1\nz 1\nx 7\n", None, "u0.txt:5: vertex 'x' given twice"),
         (None, "a b 0.5\nb a 0.5\na b 1\n", "g.txt:3: edge ('a', 'b') given two weights, 0.5 and 1.0"),
+        ("x 1\ny1 1\n", None, "u0.txt: no value for vertices ['y2', 'z']"),
+        ("x 1\ny1 1\ny2 1\nz -1\n", None, "u0.txt:4: value '-1' is not strictly positive and finite"),
     ],
 )
 def test_a_file_that_drops_or_overwrites_a_value_is_a_usage_error(tmp_path, capsys, u0, edges, message):

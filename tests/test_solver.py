@@ -687,6 +687,25 @@ def test_load_initial_condition_requires_every_vertex(tmp_path):
         load_initial_condition(path, g)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 0.5\n2 1.5\n", ": no value for vertices ['3']"),
+        ("2 1.5\n", ": no value for vertices ['1', '3']"),
+        ("1 0.5\n\n2 -1\n3 2.5\n", ":3: value '-1' is not strictly positive and finite"),
+        ("1 0.5\n2 0\n3 2.5\n", ":2: value '0' is not strictly positive and finite"),
+        ("1 nan\n2 1.5\n3 2.5\n", ":1: value 'nan' is not strictly positive and finite"),
+        ("1 0.5\n2 1.5\n3 inf\n", ":3: value 'inf' is not strictly positive and finite"),
+    ],
+)
+def test_load_initial_condition_names_the_file_of_a_missing_or_bad_value(tmp_path, text, message):
+    path = tmp_path / "u0.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        load_initial_condition(path, path_graph(3))
+    assert str(err.value) == f"{path}{message}"
+
+
 @pytest.mark.parametrize("record", ["2", "2 1.5 7"])
 def test_an_initial_condition_record_with_the_wrong_field_count_names_its_line(tmp_path, record):
     path = tmp_path / "u0.txt"
