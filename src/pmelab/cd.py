@@ -469,8 +469,6 @@ def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Opt
     ``holds_empirically`` is a budget-bounded claim, not a proof; the
     report carries seed and budget so it can be falsified.
     """
-    m = check_exponent(m)
-    alpha = check_mixing(alpha)
     if not 0.0 < d < math.inf:
         raise ValidationError("d must be positive and finite")
     return _search(g, x, m, alpha, search).report(d)

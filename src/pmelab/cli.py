@@ -129,7 +129,7 @@ def resolve_outdir(args) -> str:
 
 
 def resolve_initial_state(spec: str, g: Graph, seed: int) -> np.ndarray:
-    """Parse an initial-state spec: file:PATH, const:v[,v2,...], random:lo,hi."""
+    """Parse an initial-state spec: file:PATH, const:v[,v2,...], random:lo,hi (``integrate`` checks the values)."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
         if not rest:
@@ -163,8 +163,6 @@ def resolve_initial_state(spec: str, g: Graph, seed: int) -> np.ndarray:
         raise ValidationError(
             "unknown initial state kind %r (use file:, const:, random:)" % spec
         )
-    if not np.all(np.isfinite(u0)) or np.any(u0 <= 0.0):
-        raise ValidationError("initial state must be strictly positive and finite")
     return u0
 
 
@@ -386,9 +384,10 @@ def cmd_check(args) -> int:
 # reproduce runners
 
 
-def _optimal_d_target(m: float, d_count: int) -> float:
+def _optimal_d_target(m: float, g: Graph) -> float:
+    """The closed-form optimal d on the complete graph ``g``."""
     if m == 2.0:
-        return 2.0 * (d_count - 1) / d_count
+        return 2.0 * (g.n - 1) / g.n
     if m > 2.0:
         return m / (m - 1.0) ** 2
     raise ValidationError("closed-form optimal d needs m = 2 or m > 2")
@@ -398,7 +397,7 @@ def _run_complete_optimal(d_count: int, m: float, seed: int) -> tuple[bool, dict
     from .cd import SearchConfig, empirical_optimal_d
 
     g = complete_graph(d_count)
-    expected = _optimal_d_target(m, d_count)  # refuses an m without a closed form before the search
+    expected = _optimal_d_target(m, g)  # refuses an m without a closed form before the search
     measured = empirical_optimal_d(g, m, 0.0, "x1", SearchConfig(seed=seed))
     passed = abs(measured - expected) <= 1e-3
     return passed, {
@@ -435,10 +434,10 @@ def _run_square(seed: int) -> tuple[bool, dict]:
     }
 
 
-def _run_chain(n: int, m: float, eps: float, expected, window: float) -> tuple[bool, dict]:
+def _run_chain(n: int, eps: float, expected, window: float) -> tuple[bool, dict]:
     from .cd import _chain_product_form, chain_counterexample, chain_limit_curvature
 
-    witness = chain_counterexample(n, m, eps)
+    witness = chain_counterexample(n, 2.0, eps)
     measured = witness.curvature
     passed = abs(measured - expected) <= window
     report = {
@@ -448,8 +447,8 @@ def _run_chain(n: int, m: float, eps: float, expected, window: float) -> tuple[b
         "neg_lap_pressure": witness.neg_lap_pressure,
         "field": {str(v): float(x) for v, x in zip(witness.graph.vertices, witness.u)},
     }
-    if n == 5:  # the family's eps -> 0 limit at this m, and that of its product form as m -> 2+
-        report.update(limit_eps_to_0=chain_limit_curvature(m), limit_m_to_2_plus=_chain_product_form(2.0))
+    if n == 5:  # the family's eps -> 0 limit at m = 2, and that of its product form as m -> 2+
+        report.update(limit_eps_to_0=chain_limit_curvature(2.0), limit_m_to_2_plus=_chain_product_form(2.0))
     return passed, report
 
 
@@ -580,9 +579,9 @@ REPRODUCE = {
     "ex3.4": (None, lambda _, args: _run_complete_optimal(3, 2.0, args.seed)),
     "ex3.5": ("D", lambda D, args: _run_complete_optimal(D, args.m, args.seed)),
     "sq3.3": (None, lambda _, args: _run_square(args.seed)),
-    "ex4.1": (None, lambda _, args: _run_chain(3, 2.0, 1e-6, -1.5, 0.0)),
-    "ex4.2": (None, lambda _, args: _run_chain(4, 2.0, 1e-6, -1.5, 0.0)),
-    "ex4.3": (None, lambda _, args: _run_chain(5, 2.0, 1e-3, -1.0, 0.05)),
+    "ex4.1": (None, lambda _, args: _run_chain(3, 1e-6, -1.5, 0.0)),
+    "ex4.2": (None, lambda _, args: _run_chain(4, 1e-6, -1.5, 0.0)),
+    "ex4.3": (None, lambda _, args: _run_chain(5, 1e-3, -1.0, 0.05)),
     "ex4.5": ("m", lambda m, args: _run_chain_limit(m)),
     "thm4.6": ("m", lambda m, args: _run_lattice(m, args.seed)),
     "ex5.3i": (None, lambda _, args: _run_ab_square(args.seed)),
@@ -591,7 +590,8 @@ REPRODUCE = {
     "ex6.6ii": (
         "D",
         lambda D, args: _run_harnack(
-            "complete:%d" % D, args.m, (args.m - 1.0) * _optimal_d_target(args.m, D), args.seed
+            "complete:%d" % D, args.m, (args.m - 1.0) * _optimal_d_target(args.m, complete_graph(D)),
+            args.seed,
         ),
     ),
     "lemma6.1": ("m", lambda m, args: _run_minorant(m)),

@@ -115,15 +115,12 @@ def laplacian_field(g: Graph, f) -> np.ndarray:
 
 
 def laplacian(g: Graph, f, x: str) -> float:
-    """Value of ``Lf`` at a single vertex: :func:`difference_sum` of the identity."""
-    return difference_sum(g, lambda r: r, f, x)
+    """Value of ``Lf`` at a single vertex: the entry at ``x`` of :func:`laplacian_field`, bit for bit."""
+    return float(laplacian_field(g, as_field(g, f))[g.index(x)])
 
 
 def difference_sum(g: Graph, h: Callable[[np.ndarray], np.ndarray], f, x: str) -> float:
-    """Kernel-weighted sum ``sum_y k(x,y) h(f(y) - f(x))``.
-
-    With ``h`` the identity this is exactly :func:`laplacian`.
-    """
+    """Kernel-weighted sum ``sum_y k(x,y) h(f(y) - f(x))`` of an edge function ``h``."""
     f = as_field(g, f)
     i = g.index(x)
     w = g.weights_idx(i)

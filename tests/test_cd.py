@@ -52,6 +52,8 @@ BAD_BUDGETS = [("samples", 2.5), ("samples", True), ("seed", 1.5), ("starts", 2.
 BAD_BUDGETS += [("seed", "1"), ("starts", np.True_)]
 BAD_SETTINGS = [(f, v, None) for f, v in BAD_MARGINS]
 BAD_SETTINGS += [(f, v, f"search {f} must be an integer") for f, v in BAD_BUDGETS]
+BAD_SETTINGS += [("refine_iters", -1, "bad refinement budget"), ("starts", 0, "bad refinement budget")]
+BAD_SETTINGS += [("floor", 1.0, r"search floor must satisfy 0 < floor < 1")]
 
 
 @pytest.mark.parametrize("field,value,match", BAD_SETTINGS, ids=["%s-%s" % (v, f) for f, v, _ in BAD_SETTINGS])
@@ -87,6 +89,8 @@ def test_admissibility_strictness_margin():
     g = complete_graph(2)
     result = is_admissible(g, 2.0, 1.0, [1.0, 0.5], "x1", delta=1.0)
     assert not result
+    with pytest.raises(ValidationError, match="strictness margin must be nonnegative"):
+        is_admissible(g, 2.0, 1.0, [1.0, 0.5], "x1", delta=-1.0)
 
 
 # hand-made G on the path 1 - 2 - 3 (vertex 2 has neighbours 1 and 3) and on a -> b -> c, where c has none:
@@ -222,6 +226,23 @@ def test_verify_cd_at_holds_with_margin_and_fails_below_the_optimum():
     broken = verify_cd_at(g, 2.0, 0.0, 1.32, "x", FAST)
     assert broken.verdict == "violated"
     assert broken.witness is not None
+
+
+# d is checked first; m and alpha are checked once, by the search's ball problem
+@pytest.mark.parametrize(
+    "m,alpha,d,message",
+    [
+        (1.0, 0.0, 1.0, "exponent must satisfy m > 1, got 1.0"),
+        (1e200, 0.0, 1.0, "exponent too large: (m - 1)**2 overflows a float at m = 1e+200"),
+        (2.0, 1.5, 1.0, "mixing parameter must lie in [0, 1], got 1.5"),
+        (2.0, 0.0, 0.0, "d must be positive and finite"),
+        (1.0, 1.5, math.nan, "d must be positive and finite"),
+    ],
+)
+def test_verify_cd_at_refuses_a_bad_exponent_mixing_or_dimension(m, alpha, d, message):
+    with pytest.raises(ValidationError) as err:
+        verify_cd_at(square_graph(), m, alpha, d, "x", FAST)
+    assert str(err.value) == message
 
 
 def test_violation_witness_reproduces_the_ratio():

@@ -632,7 +632,10 @@ _COMMAND_GROUPS = {
             ["check", "diff-harnack", "--graph", "complete:3", "--mu", "1.3333333333333333", "--u0", "random:"],
             ["check", "harnack", "--graph", "square", "--mu", "1.3333333333333333", "--u0", "random:"],
         ]
-        + [["reproduce", rid] for rid in ("ex5.3i", "ex5.3ii", "ex6.6i", "ex6.6ii:3", "lemma6.1:2", "lemma6.3")],
+        + [
+            ["reproduce", rid]
+            for rid in ("ex5.3i", "ex5.3ii", "ex6.6i", "ex6.6ii:3", "lemma6.1:1.5", "lemma6.1:2", "lemma6.1:3", "lemma6.3")
+        ],
     ),
 }
 
@@ -718,12 +721,40 @@ def test_config_echoes_exactly_the_parsed_settings(tmp_path):
         (["verify-cd", "--graph", "square", "--vertex", "x", "--tol", "0.5"], "without --d no verdict reads it"),
         (["reproduce", "ex4.1", "--m", "3"], "only ex3.5:D and ex6.6ii:D do"),
         (["reproduce", "lemma6.1:3", "--m", "2.5"], "only ex3.5:D and ex6.6ii:D do"),
+        # both D ids build complete:D before they read its closed form
+        (["reproduce", "ex6.6ii:0"], "complete graph needs at least 2 vertices"),
+        (["reproduce", "ex3.5:0"], "complete graph needs at least 2 vertices"),
+        (["simulate", "--u0", "file:"], "file: initial state needs a path"),
+        (["simulate", "--u0", "const:a"], "bad const: initial state 'const:a'"),
+        (["simulate", "--u0", "random:1,x"], "bad random: initial state 'random:1,x'"),
+        (["simulate", "--u0", "bogus:1"], "unknown initial state kind 'bogus:1' (use file:, const:, random:)"),
+        # integrate refuses the state, after the time flags are read
+        (["simulate", "--u0", "const:-1"], "initial state must be strictly positive and finite"),
+        (["check", "ab", "--d", "1", "--u0", "const:nan"], "initial state must be strictly positive and finite"),
+        (["simulate", "--u0", "const:-1", "--t-end", "inf"], "--t-end must be finite"),
+        (["check", "ab", "--d", "1", "--points", "1"], "--points must be at least 2"),
+        (["check", "ab", "--d", "1", "--t-start", "0"], "--t-start must be positive for this command"),
+        (["simulate", "--t-start", "-1"], "--t-start must be nonnegative"),
+        (["check", "diff-harnack", "--mu", "1", "--lambda", "1.5"], "lambda must lie in [0, 1), got 1.5"),
+        (["check", "harnack", "--mu", "1", "--pairs", "0"], "need at least one (t1, t2, x1, x2) pair"),
+        (
+            ["verify-cd", "--graph", "square", "--vertex", "x", "--d", "1", "--samples", "0"],
+            "search budget must be at least 1 sample",
+        ),
+        (["reproduce", "ex4.5:2"], "the chain limit comparison needs m > 2"),
     ],
 )
 def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err, err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("which,flag", [("ab", "--d"), ("harnack", "--mu")])
+def test_a_check_whose_step_size_underflows_exits_three(tmp_path, capsys, which, flag):
+    argv = ["check", which, "--graph", "complete:2", flag, "1", "--u0", "const:1e308"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == "error: step size underflow at t=0.1\n"
 
 
 @pytest.mark.parametrize(
@@ -757,10 +788,14 @@ def test_a_non_finite_edge_weight_is_a_usage_error(tmp_path, capsys):
         (None, "a b 0.5\nb a 0.5\na b 1\n", "g.txt:3: edge ('a', 'b') given two weights, 0.5 and 1.0"),
         ("x 1\ny1 1\n", None, "u0.txt: no value for vertices ['y2', 'z']"),
         ("x 1\ny1 1\ny2 1\nz -1\n", None, "u0.txt:4: value '-1' is not strictly positive and finite"),
+        ("x 1\ny1 abc\n", None, "u0.txt:2: bad value 'abc'"),
+        (None, "a b 0\nb a 0\n", "kernel has no positive entries"),
+        (None, "a a 0\n", "kernel has no positive entries"),
     ],
 )
 def test_a_file_that_drops_or_overwrites_a_value_is_a_usage_error(tmp_path, capsys, u0, edges, message):
-    argv = ["simulate", "--graph", "square", "--out", str(tmp_path / "run")]
+    # simulate reads an initial-state file on the square; gen-graph reads a graph file alone
+    argv = ["simulate" if u0 is not None else "gen-graph", "--graph", "square", "--out", str(tmp_path / "run")]
     if u0 is not None:
         (tmp_path / "u0.txt").write_text(u0)
         argv += ["--u0", f"file:{tmp_path / 'u0.txt'}"]

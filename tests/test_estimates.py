@@ -275,6 +275,8 @@ def test_path_form_requires_consecutive_edges():
     g = path_graph(4)
     with pytest.raises(ValidationError):
         harnack_rhs_path(g, 2.0, 0.5, 0.0, 1.0, 2.0, ["1", "3"])
+    with pytest.raises(ValidationError, match="a path needs at least one edge"):
+        harnack_rhs_path(g, 2.0, 0.5, 0.0, 1.0, 2.0, ["1"])
 
 
 def test_rhs_forms_reject_unit_lambda():
@@ -665,6 +667,8 @@ def test_quadratic_minorant_regime_validation():
         quadratic_minorant_check(1.5, np.array([0.5]))
     with pytest.raises(ValidationError):
         quadratic_minorant_check(2.0, np.array([-1.0]))
+    with pytest.raises(ValidationError, match="grid must be a nonempty 1-d array"):
+        quadratic_minorant_check(2.0, np.array([]))
 
 
 def test_minorant_ratio_approaches_one_half_at_the_fixed_point():
@@ -673,6 +677,8 @@ def test_minorant_ratio_approaches_one_half_at_the_fixed_point():
         assert minorant_ratio(m, 1.0 + 1e-4) == pytest.approx(0.5, abs=1e-3)
     assert minorant_ratio(2.0, 1.0 - 1e-4) == 0.5
     assert minorant_ratio(2.0, 1.0 + 1e-4) == 0.5
+    for m in (1.2, 2.0, 5.0):
+        assert minorant_ratio(m, 1.0) == 0.5  # the limit, taken at x = 1 itself
 
 
 @pytest.mark.parametrize("m", [1.01, 1.2, 1.5, 2.0, 3.0, 5.0, 50.0])
@@ -785,6 +791,13 @@ def test_integral_min_inequality_refuses_non_finite_input():
     for grid, values in ((ts, bad_psi), (bad_ts, psi)):
         with pytest.raises(ValidationError, match="finite"):
             integral_min_inequality_check(0.5, 3.0, 2.0, 0.7, grid, values)
+    for grid, message in (
+        (ts[::30], "grid too coarse; need at least 100 points"),
+        (ts[::-1], "ts must be strictly increasing"),
+        (np.linspace(0.5, 2.9, 2001), r"grid must span \[t1, t2\]"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            integral_min_inequality_check(0.5, 3.0, 2.0, 0.7, grid, np.ones_like(grid))
 
 
 # -- report plumbing -------------------------------------------------------

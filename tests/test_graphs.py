@@ -92,6 +92,12 @@ def test_duplicate_vertex_identifier_rejected():
         Graph(["a", "a"], sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
+def _scipy_csr(dense):
+    import scipy.sparse as sp
+
+    return sp.csr_array(dense)
+
+
 def _scipy_kernel_graphs():
     import scipy.sparse as sp
 
@@ -144,6 +150,9 @@ def test_kernel_forms_give_the_same_csr_arrays():
         (np.ones((1, 2)), np.array([[1, 0]]), np.array([0, 1, 2])),  # 2-d arrays
         (np.ones(2), np.array([1, 0]), np.array([0, 1, 2]), (2, 2)),  # four arrays
         np.ones((2, 3)),
+        np.zeros((2, 2)),  # kernel has no positive entries
+        np.array([[1.0, 1.0], [1.0, 0.0]]),  # positive self-loop weight
+        _scipy_csr(np.ones((3, 3)) - np.eye(3)),  # a scipy matrix of the wrong shape
     ],
 )
 def test_malformed_kernels_are_rejected(kernel):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pmelab import (
+    as_field,
     carre_du_champ,
     complete_graph,
     curvature_form,
@@ -98,11 +99,14 @@ def test_laplacian_of_constants_vanishes():
 
 
 def test_laplacian_field_matches_pointwise():
-    g = square_graph()
-    f = np.array([0.3, 1.2, -0.5, 2.0])
-    field = laplacian_field(g, f)
-    for x in g.vertices:
-        assert field[g.index(x)] == pytest.approx(laplacian(g, f, x), rel=1e-14)
+    # the pointwise Laplacian is one entry of the batched one, bit for bit
+    rng = np.random.default_rng(7)
+    for spec in ("square", "complete:5", "path:16", "zwindow:3", "complete:30"):
+        g = resolve_graph(spec)
+        for _ in range(50):
+            f = rng.normal(size=g.n)
+            field = laplacian_field(g, f)
+            assert [laplacian(g, f, x) for x in g.vertices] == field.tolist(), spec
 
 
 def test_carre_du_champ_two_point_oracle():
@@ -533,6 +537,12 @@ def test_field_length_validation():
     g = path_graph(3)
     with pytest.raises(ValidationError):
         laplacian_field(g, np.ones(4))
+    with pytest.raises(DomainError, match=r"field missing vertices \['3'\]"):
+        as_field(g, {"1": 1.0, "2": 1.0})
+    with pytest.raises(DomainError, match="field contains non-finite values"):
+        gradient_energy_field(g, 2.0, [1.0, math.nan, 1.0])
+    with pytest.raises(DomainError, match="field contains negative values"):
+        gradient_energy_field(g, 2.0, [1.0, -1.0, 1.0])
 
 
 # -- batched core against per-point references -----------------------------

@@ -251,6 +251,10 @@ def test_integrate_validates_inputs():
         integrate(g, 2.0, [1.0, 1.0], np.array([1.0, 0.5]))
     with pytest.raises(ValidationError):
         integrate(g, 2.0, [1.0, 1.0], np.array([-0.5, 1.0]))
+    with pytest.raises(ValidationError, match="t_eval must be a nonempty 1-d array"):
+        integrate(g, 2.0, [1.0, 1.0], np.array([]))
+    with pytest.raises(ValidationError, match="initial_step must be positive when given"):
+        SolverConfig(initial_step=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -534,6 +538,10 @@ def test_trajectory_validation():
         Trajectory(g, 2.0, np.array([0.0, 0.0]), np.ones((2, 2)))
     with pytest.raises(ValidationError):
         Trajectory(g, 2.0, np.array([0.0, 1.0]), np.array([[1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(ValidationError, match="times must be a nonempty 1-d array"):
+        Trajectory(g, 2.0, np.array([]), np.ones((0, 2)))
+    with pytest.raises(ValidationError, match="states shape does not match times and graph"):
+        Trajectory(g, 2.0, np.array([0.0, 1.0]), np.ones((2, 3)))
 
 
 # each bad time sits where the strictly increasing test alone would let it pass
@@ -569,6 +577,8 @@ def test_detailed_balance_is_enforced():
     one_way = build_graph([("a", "b", 1e-13), ("b", "c", 1.0), ("c", "b", 1.0)])
     with pytest.raises(ValidationError):
         Measure(one_way, np.ones(3))
+    with pytest.raises(ValidationError, match="measure must be strictly positive and finite"):
+        Measure(g, np.array([1.0, 0.0]))
 
 
 def test_renyi_entropy_value_and_sign():
@@ -576,6 +586,8 @@ def test_renyi_entropy_value_and_sign():
     mu = counting_measure(g)
     # sum u^m pi / (m (m-1)) with m = 2: (1 + 4) / 2
     assert renyi_entropy(g, 2.0, [1.0, 2.0], mu) == pytest.approx(2.5, rel=1e-15)
+    with pytest.raises(DomainError, match="density must be nonnegative"):
+        renyi_entropy(g, 2.0, [1.0, -1.0], mu)
 
 
 def test_renyi_entropy_decreases_along_the_flow():
@@ -648,6 +660,10 @@ def test_trajectory_csv_header_must_match_graph(tmp_path):
     write_trajectory_csv(traj, path)
     with pytest.raises(ValidationError):
         read_trajectory_csv(path, complete_graph(4), 2.0)
+    path.write_text("t,x,y1,y2,z\n")
+    with pytest.raises(ValidationError) as err:
+        read_trajectory_csv(path, g, 2.0)
+    assert str(err.value) == f"{path}: no data rows"
 
 
 @pytest.mark.parametrize(
