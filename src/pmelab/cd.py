@@ -25,16 +25,15 @@ faces, where coordinates are pinned at ``lo`` or 1.  For ``m >= 2``,
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from . import _EXPORTS
 from .artifacts import jsonable
 from .errors import AdmissibilityError, DomainError, ValidationError
-from .graphs import Graph, path_graph, two_hop_ball
+from .graphs import Graph, _integer, path_graph, two_hop_ball
 from .operators import (
     _admissible,
     _block_count,
@@ -55,19 +54,9 @@ from .operators import (
 __all__ = list(_EXPORTS["cd"])
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int`` if it is an integer other than a bool, else a ``ValidationError``."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
-
-
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and domain parameters for the violation search.
+    """Budget of the violation search; its domain constants are class constants.
 
     Fields are normalized by their largest ball value, so the search
     domain is ``[lo, 1]^n``: ``lo = 0`` for ``m >= 2``, else ``lo = floor``
@@ -80,29 +69,31 @@ class SearchConfig:
     samples plus ``starts x 2(n - 1)`` polls per iteration run.
     ``delta`` is the strictness margin while refining, ``tol`` the relative
     margin a ratio must exceed ``d`` by before a violation is declared.
+    Only that budget, ``samples``, ``refine_iters``, ``seed`` and ``tol``, is
+    set per search; ``floor``, ``delta`` and ``starts`` are constants, so a
+    verdict is re-run from its seed and budget.
     """
+
+    floor: ClassVar[float] = 1e-6
+    delta: ClassVar[float] = 1e-12
+    starts: ClassVar[int] = 3
 
     samples: int = 20000
     refine_iters: int = 200
     seed: int = 0
-    floor: float = 1e-6
-    delta: float = 1e-12
     tol: float = 1e-6
-    starts: int = 3
 
     def __post_init__(self):
-        for name in ("samples", "refine_iters", "seed", "starts"):
+        for name in ("samples", "refine_iters", "seed"):
             object.__setattr__(self, name, _integer(f"search {name}", getattr(self, name)))
         if self.samples < 1:
             raise ValidationError("search budget must be at least 1 sample")
-        if self.refine_iters < 0 or self.starts < 1:
+        if self.refine_iters < 0:
             raise ValidationError("bad refinement budget")
         if self.seed < 0:
             raise ValidationError("search seed must be nonnegative")
-        if not 0.0 < self.floor < 1.0:
-            raise ValidationError("search floor must satisfy 0 < floor < 1")
-        if not (0.0 <= self.delta < math.inf and 0.0 <= self.tol < math.inf):
-            raise ValidationError("delta and tol must be finite and nonnegative")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValidationError("tol must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -245,6 +236,8 @@ class _BallProblem:
     def __init__(self, g: Graph, x: str, m: float, alpha: float):
         self.m = check_exponent(m)
         self.alpha = check_mixing(alpha)
+        # the search domain [lo, 1]^n: u^(m-2) needs a positive floor below m = 2
+        self.lo = 0.0 if self.m >= 2.0 else SearchConfig.floor
         self.ball = two_hop_ball(g, x)
         self.pos_x = self.ball.index(x)
         idx = np.array([g.index(v) for v in self.ball])
@@ -328,8 +321,7 @@ class _SearchResult:
         elif ratio > d * (1.0 + cfg.tol):
             field_values = {v: float(value) for v, value in zip(prob.ball, self.best_u)}
             verdict, witness = "violated", AdmissibleConfig(x, field_values, prob.m, prob.alpha, cfg.delta)
-        floor = cfg.floor if prob.m < 2.0 else None
-        return CDReport(x, prob.m, prob.alpha, d, verdict, witness, ratio, self.evaluations, cfg.seed, floor)
+        return CDReport(x, prob.m, prob.alpha, d, verdict, witness, ratio, self.evaluations, cfg.seed, prob.lo or None)
 
 
 def _sample_fields(rng: np.random.Generator, samples: int, n: int, lo: float) -> np.ndarray:
@@ -337,14 +329,15 @@ def _sample_fields(rng: np.random.Generator, samples: int, n: int, lo: float) ->
 
     The rows are ``random`` draws scaled in place, ``u (1 - lo) + lo``, which
     are the draws of ``uniform(lo, 1)`` bit for bit, without its temporaries.
-    Each face row draws a pin probability ``q``; a coordinate is pinned
-    where its first draw falls below ``q``, to ``lo`` where its second draw
-    falls below 1/2, else to 1.  The pins are written by arithmetic, not by
-    masked selects, which branch on random masks: ``x * 1 + 0 = x`` and
-    ``0 + 1 = 1`` are exact.  At ``lo = 0`` the scaling and the low pins are
-    such identities on nonnegative values (``u * 1 + 0 = u``, ``x + 0 = x``),
-    so they are skipped; otherwise the low pins ``lo * low`` are written
-    into the spent buffer of the draws, not into a new half-batch array.
+    Each face row draws a pin probability ``q`` and a low fraction ``r``; a
+    coordinate is pinned where its first draw falls below ``q``, to ``lo``
+    where its second draw falls below ``r``, else to 1.  The pins are
+    written by arithmetic, not by masked selects, which branch on random
+    masks: ``x * 1 + 0 = x`` and ``0 + 1 = 1`` are exact.  At ``lo = 0``
+    the scaling and the low pins are such identities on nonnegative values
+    (``u * 1 + 0 = u``, ``x + 0 = x``), so they are skipped; otherwise the
+    low pins ``lo * low`` are written into the spent buffer of the draws,
+    not into a new half-batch array.
     """
     U = rng.random((samples, n))
     if lo:
@@ -353,7 +346,7 @@ def _sample_fields(rng: np.random.Generator, samples: int, n: int, lo: float) ->
     faces = U[samples // 2 :]  # a view: pins are written into U
     draw = rng.random(faces.shape)
     pinned = draw < rng.random((len(faces), 1))
-    low = rng.random(out=draw) < 0.5
+    low = rng.random(out=draw) < rng.random((len(faces), 1))
     low &= pinned
     faces *= ~pinned
     faces += pinned ^ low  # pinned high
@@ -386,13 +379,16 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchResult:
 
     The score is scale invariant, so fields are rows of ``[lo, 1]^n``.
     The second half of the samples lies on faces: each row draws a pin
-    probability ``q`` and pins every coordinate with probability ``q`` to
-    ``lo`` or 1, so every pin count, up to a full corner, gets about the
-    same budget.  The admissible rows among the ``starts`` lowest scores
-    (the earlier sample first among ties, see :func:`_lowest_first`) then
-    take compass steps of ``±step`` on every coordinate but the largest (the
-    flat scale direction), each moving to its best admissible improving
-    candidate with ``-G > delta``, else shrinking its step fourfold.
+    probability ``q`` and a low fraction ``r`` the same way, and pins every
+    coordinate with probability ``q``, to ``lo`` with probability ``r``,
+    else to 1.  So every pin count and every split of the pins between
+    ``lo`` and 1 gets about the same budget, up to the corners, such as
+    one coordinate at 1 and every other at ``lo``.  The admissible rows
+    among the ``starts`` lowest scores (the earlier sample first among
+    ties, see :func:`_lowest_first`) then take compass steps of ``±step``
+    on every coordinate but the largest (the flat scale direction), each
+    moving to its best admissible improving candidate with ``-G > delta``,
+    else shrinking its step fourfold.
     Until some start moves, the polls of the coming iterations are known,
     so one ``evaluate`` call scores ``depth`` of them and they are replayed
     in order up to the first move.  No round scores more rows than the
@@ -406,8 +402,7 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchResult:
     may sum a row differently in a block of another shape (the last bits
     only, see :meth:`_BallProblem.evaluate`).  Returns the search's one result.
     """
-    lo = 0.0 if prob.m >= 2.0 else cfg.floor
-    U = _sample_fields(np.random.default_rng(cfg.seed), cfg.samples, len(prob.ball), lo)
+    U = _sample_fields(np.random.default_rng(cfg.seed), cfg.samples, len(prob.ball), prob.lo)
     ok, score, _ = prob.evaluate(U)
     admissible = int(ok.sum())
     if admissible == 0:
@@ -415,7 +410,7 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchResult:
     top = _lowest_first(score, cfg.starts)
     X, S = U[top[ok[top]]], score[top[ok[top]]]
     k, n = X.shape
-    step = np.full(k, (1.0 - lo) / 4.0)
+    step = np.full(k, (1.0 - prob.lo) / 4.0)
     # poll j of start i moves along E[i, 0, j], +e_c then -e_c for every coordinate c but the largest
     axes = [np.delete(np.eye(n), h, axis=0) for h in np.argmax(X, axis=1)]
     E = np.array([np.concatenate([a, -a]) for a in axes])[:, None]
@@ -432,7 +427,7 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchResult:
         q = quarters[: min(depth, max_depth, cfg.refine_iters - iters)]
         steps = step[:, None] / q[largest / q >= 1e-12]
         C = X[:, None, None, :] + steps[:, :, None, None] * E
-        np.clip(C, lo, 1.0, out=C)
+        np.clip(C, prob.lo, 1.0, out=C)
         ok_c, score_c, base_c = (a.reshape(C.shape[:3]) for a in prob.evaluate(C.reshape(-1, n)))
         better = base_c > cfg.delta
         better &= ok_c

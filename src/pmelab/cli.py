@@ -123,6 +123,7 @@ def write_svg_polyline(
 
 
 def resolve_outdir(args) -> str:
+    """The output directory, made on the spot: a command calls this at its first write, so a refusal writes nothing."""
     out = args.out or os.environ.get("PME_LAB_OUT") or DEFAULT_OUT
     os.makedirs(out, exist_ok=True)
     return out
@@ -227,12 +228,10 @@ def cmd_simulate(args) -> int:
         write_trajectory_csv,
     )
 
-    outdir = resolve_outdir(args)
     g = resolve_graph(args.graph)
     u0 = resolve_initial_state(args.u0, g, args.seed)
     times = resolve_times(args, need_positive_start=False)
     cfg = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    summary_path = os.path.join(outdir, "summary.json")
     summary = {"command": "simulate", "config": config_echo(args)}
 
     try:
@@ -242,11 +241,14 @@ def cmd_simulate(args) -> int:
         summary["failure_time"] = exc.t
         summary["error"] = str(exc)
         summary["solver_stats"] = exc.stats.to_json_dict()
+        summary_path = os.path.join(resolve_outdir(args), "summary.json")
         write_json(summary_path, summary)
         print("simulate: numerical failure, %s" % exc)
         print("wrote %s" % summary_path)
         return 3
 
+    outdir = resolve_outdir(args)
+    summary_path = os.path.join(outdir, "summary.json")
     traj_path = os.path.join(outdir, "trajectory.csv")
     write_trajectory_csv(traj, traj_path)
 
@@ -294,7 +296,6 @@ def cmd_verify_cd(args) -> int:
 
     if args.tol is not None and args.d is None:
         raise ValidationError("--tol is the margin of a verdict at --d; without --d no verdict reads it")
-    outdir = resolve_outdir(args)
     g = resolve_graph(args.graph)
     vertices = args.vertex or [str(v) for v in g.vertices]
     for v in vertices:
@@ -319,7 +320,7 @@ def cmd_verify_cd(args) -> int:
                                 empirical_optimal_d=result.ratio, samples_used=result.evaluations))
             print("verify-cd %s at %s: empirical optimal d %s" % (args.graph, v, result.ratio))
 
-    out_path = os.path.join(outdir, "cd_report.json")
+    out_path = os.path.join(resolve_outdir(args), "cd_report.json")
     write_json(
         out_path,
         {"command": "verify-cd", "config": config_echo(args), "reports": reports},
@@ -350,8 +351,8 @@ def _integrate_and_check(args):
 def cmd_check(args) -> int:
     from .artifacts import write_json
 
-    outdir = resolve_outdir(args)
     traj, report = _integrate_and_check(args)
+    outdir = resolve_outdir(args)
 
     tag = args.which.replace("-", "_")
     report_path = os.path.join(outdir, "report_%s.json" % tag)
@@ -623,7 +624,6 @@ def resolve_reproduce(token: str):
 def cmd_reproduce(args) -> int:
     from .artifacts import write_json
 
-    outdir = resolve_outdir(args)
     runner, value = resolve_reproduce(args.id)
     if args.m != 2.0 and REPRODUCE[args.id.partition(":")[0]][0] != "D":
         reads_m = " and ".join(rid for rid in REPRODUCE_IDS if rid.endswith(":D"))
@@ -637,7 +637,7 @@ def cmd_reproduce(args) -> int:
         "config": config_echo(args),
     }
     result.update(payload)
-    out_path = os.path.join(outdir, "reproduce_%s.json" % args.id.replace(":", "_"))
+    out_path = os.path.join(resolve_outdir(args), "reproduce_%s.json" % args.id.replace(":", "_"))
     write_json(out_path, result)
     print("reproduce %s: %s" % (args.id, "PASS" if passed else "FAIL"))
     print("wrote %s" % out_path)
@@ -645,10 +645,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_gen_graph(args) -> int:
-    outdir = resolve_outdir(args)
     g = resolve_graph(args.graph)
     name = "graph_%s.txt" % args.graph.replace(":", "_").replace("/", "_")
-    out_path = os.path.join(outdir, name)
+    out_path = os.path.join(resolve_outdir(args), name)
     save_edge_list(g, out_path)
     print(
         "gen-graph %s: %d vertices, %d directed edges"

@@ -10,6 +10,7 @@ appearance, and every field over a graph is a numpy array aligned with
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -56,7 +57,8 @@ class Graph:
     def __init__(self, vertices: Sequence[str], kernel):
         n = len(vertices)
         rows, indices, data = _stored_entries(kernel, n)
-        if len(set(vertices)) != n:
+        names = tuple(str(v) for v in vertices)  # ids are names: 1 and "1" are one vertex
+        if len(set(names)) != n:
             raise ValidationError("duplicate vertex identifier")
         keep = data != 0.0
         rows, indices, data = rows[keep], indices[keep], data[keep]
@@ -76,7 +78,7 @@ class Graph:
         indptr = _indptr(rows, n)
         for a in (indptr, indices, merged, rows, reverse):
             a.flags.writeable = False
-        self.vertices: tuple[str, ...] = tuple(str(v) for v in vertices)
+        self.vertices: tuple[str, ...] = names
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self.indptr, self.indices, self.data, self.rows, self.reverse = indptr, indices, merged, rows, reverse
         # row sums formed as scipy's CSR ``sum(axis=1)`` forms them
@@ -298,9 +300,19 @@ def _assemble(edges, symmetrize: bool) -> Graph:
 # -- generators ------------------------------------------------------------
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is an integer other than a bool, else a ``ValidationError``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+
+
 def complete_graph(d: int) -> Graph:
     """Complete graph on ``d >= 2`` vertices ``x1 .. xd`` with unit weights."""
-    d = int(d)
+    d = _integer("complete graph size", d)
     if d < 2:
         raise ValidationError("complete graph needs at least 2 vertices")
     names = [f"x{i + 1}" for i in range(d)]
@@ -309,7 +321,7 @@ def complete_graph(d: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     """Path on vertices ``1 .. n`` with unit weights, ``n >= 2``."""
-    n = int(n)
+    n = _integer("path graph size", n)
     if n < 2:
         raise ValidationError("path graph needs at least 2 vertices")
     names = [str(i + 1) for i in range(n)]
@@ -330,7 +342,7 @@ def lattice_window(radius: int) -> Graph:
     vertex ``"0"`` see the same two-hop neighborhood as the full lattice
     once ``radius >= 2``.
     """
-    radius = int(radius)
+    radius = _integer("window radius", radius)
     if radius < 1:
         raise ValidationError("window radius must be at least 1")
     names = [str(i) for i in range(-radius, radius + 1)]

@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -40,20 +40,18 @@ from pmelab.cd import (
 from pmelab.errors import AdmissibilityError, ValidationError
 from pmelab.operators import _admissible, _curvature_form, _dtv, _flow
 
-FAST = SearchConfig(samples=2000, refine_iters=60, seed=0, starts=2)
+FAST = SearchConfig(samples=2000, refine_iters=60, seed=0)
 
 
 # -- admissibility and ratio -----------------------------------------------
 
 
-BAD_MARGINS = [(f, v) for v in (-1e-9, math.inf, math.nan) for f in ("tol", "delta")] + [("seed", -1)]
+BAD_SETTINGS = [("tol", v, "tol must be finite and nonnegative") for v in (-1e-9, math.inf, math.nan)]
+BAD_SETTINGS += [("seed", -1, "search seed must be nonnegative")]
 # budgets that are not integers, which numpy would refuse later with a bare TypeError or truncate
-BAD_BUDGETS = [("samples", 2.5), ("samples", True), ("seed", 1.5), ("starts", 2.5), ("refine_iters", 2.5)]
-BAD_BUDGETS += [("seed", "1"), ("starts", np.True_)]
-BAD_SETTINGS = [(f, v, None) for f, v in BAD_MARGINS]
+BAD_BUDGETS = [("samples", 2.5), ("samples", True), ("seed", 1.5), ("refine_iters", 2.5), ("seed", "1")]
 BAD_SETTINGS += [(f, v, f"search {f} must be an integer") for f, v in BAD_BUDGETS]
-BAD_SETTINGS += [("refine_iters", -1, "bad refinement budget"), ("starts", 0, "bad refinement budget")]
-BAD_SETTINGS += [("floor", 1.0, r"search floor must satisfy 0 < floor < 1")]
+BAD_SETTINGS += [("refine_iters", -1, "bad refinement budget")]
 
 
 @pytest.mark.parametrize("field,value,match", BAD_SETTINGS, ids=["%s-%s" % (v, f) for f, v, _ in BAD_SETTINGS])
@@ -63,15 +61,21 @@ def test_search_config_rejects_a_negative_or_non_finite_margin(field, value, mat
 
 
 def test_search_config_stores_an_integer_budget_as_an_int():
-    for field in ("samples", "refine_iters", "seed", "starts"):
+    for field in ("samples", "refine_iters", "seed"):
         cfg = SearchConfig(**{field: np.int64(3)})
         assert getattr(cfg, field) == 3 and type(getattr(cfg, field)) is int
     assert SearchConfig(seed=2**70).seed == 2**70
 
 
 def test_search_config_has_no_box_height():
-    with pytest.raises(TypeError):
-        SearchConfig(hi=4.0)
+    # nor a settable domain: floor, delta and starts are constants, so a search is re-run from its seed and budget
+    assert [f.name for f in fields(SearchConfig)] == ["samples", "refine_iters", "seed", "tol"]
+    assert (SearchConfig().floor, SearchConfig().delta, SearchConfig().starts) == (1e-6, 1e-12, 3)
+    for field in ("hi", "floor", "delta", "starts"):
+        with pytest.raises(TypeError):
+            SearchConfig(**{field: 1})
+        with pytest.raises(TypeError):
+            replace(SearchConfig(), **{field: 1})
 
 
 def test_admissibility_requires_a_strict_positive_local_maximum():
@@ -185,12 +189,12 @@ def test_square_graph_optimal_dimension():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_refinement_reaches_the_square_optimum_below_the_floor_exponent(seed):
-    # sampling alone stops short of the supremum; the compass search closes the gap
+    # sampling alone stops short of the supremum by more than the tolerance; the compass search closes the gap
     g = square_graph()
     refined = empirical_optimal_d(g, 1.5, 0.0, "x", replace(FAST, seed=seed))
     sampled = empirical_optimal_d(g, 1.5, 0.0, "x", replace(FAST, seed=seed, refine_iters=0))
     assert refined == pytest.approx(1.1588045002851, abs=1e-8)
-    assert sampled <= refined - 1e-3
+    assert sampled < refined - 1e-8
 
 
 def test_a_vertex_without_out_neighbors_is_inconclusive():
@@ -263,17 +267,17 @@ def test_search_is_deterministic_for_a_fixed_seed():
 def test_search_verdict_is_stable_across_seeds():
     g = complete_graph(3)
     for seed in (0, 1, 7):
-        cfg = SearchConfig(samples=2000, refine_iters=60, seed=seed, starts=2)
+        cfg = SearchConfig(samples=2000, refine_iters=60, seed=seed)
         assert verify_cd_at(g, 2.0, 0.0, 4.0 / 3.0, "x1", cfg).verdict == "holds_empirically"
         assert verify_cd_at(g, 2.0, 0.0, 1.25, "x1", cfg).verdict == "violated"
 
 
 def _masked_select_sample(rng, samples, n, lo):
-    """The search's samples as they were drawn first, with the pins written by masked selects."""
+    """The search's samples with the pins written by masked selects, which ``_sample_fields`` must equal."""
     U = rng.uniform(lo, 1.0, (samples, n))
     faces = U[samples // 2 :]
     pinned = rng.random(faces.shape) < rng.random((len(faces), 1))
-    np.copyto(faces, np.where(rng.random(faces.shape) < 0.5, lo, 1.0), where=pinned)
+    np.copyto(faces, np.where(rng.random(faces.shape) < rng.random((len(faces), 1)), lo, 1.0), where=pinned)
     return U
 
 
@@ -350,7 +354,7 @@ def _one_iteration_per_evaluate(prob, cfg):
     replays them; it must agree with this loop bit for bit.  Its starts
     are the stated rule, a stable sort of the scores.
     """
-    lo = 0.0 if prob.m >= 2.0 else cfg.floor
+    lo = prob.lo
     U = _masked_select_sample(np.random.default_rng(cfg.seed), cfg.samples, len(prob.ball), lo)
     ok, score, _ = prob.evaluate(U)
     if not ok.any():
@@ -512,7 +516,7 @@ def test_the_curvature_form_is_scored_only_at_admissible_rows(spec, x, m, alpha,
     for (U, (ok, _, _)), A in zip(blocks, forms):
         assert A.shape == (ok.sum(), U.shape[1]) and A.tobytes() == U[ok].tobytes()
     # one admissible row among inadmissible ones: its form alone is scored, the others read +inf
-    U = _sample_fields(np.random.default_rng(1), 200, len(prob.ball), 0.0 if m >= 2.0 else 1e-6)
+    U = _sample_fields(np.random.default_rng(1), 200, len(prob.ball), prob.lo)
     ok, _, _ = prob.evaluate(U)
     rest = np.flatnonzero(~ok)[:6]
     V = U[[*rest[:3], np.flatnonzero(ok)[0], *rest[3:]]]

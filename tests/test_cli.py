@@ -322,6 +322,13 @@ def test_reproduce_complete_graph_example(tmp_path):
     assert report["passed"] is True
 
 
+def test_reproduce_reaches_the_corner_optimum_of_a_wide_complete_graph(tmp_path):
+    # the supremum 2(D-1)/D sits at the corner u(x1) = 1, u = 0 elsewhere, which the face samples reach
+    assert main(["reproduce", "ex3.5:150", "--seed", "0", "--out", str(tmp_path / "run")]) == 0
+    report = read_json(tmp_path / "run" / "reproduce_ex3.5_150.json")
+    assert report["passed"] is True and abs(report["measured"] - 2.0 * 149 / 150) <= 1e-9
+
+
 def test_reproduce_chain_example_reports_the_value_mismatch(tmp_path):
     # the recorded target window for the length-5 chain does not match the
     # value the definitions produce, and the command reports that honestly
@@ -748,6 +755,7 @@ def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, messa
     assert main(argv + ["--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()  # a refused command writes nothing
 
 
 @pytest.mark.parametrize("which,flag", [("ab", "--d"), ("harnack", "--mu")])

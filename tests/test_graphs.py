@@ -90,6 +90,9 @@ def test_duplicate_vertex_identifier_rejected():
 
     with pytest.raises(ValidationError):
         Graph(["a", "a"], sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    # ids are compared as the names they are stored under
+    with pytest.raises(ValidationError, match="duplicate vertex identifier"):
+        Graph([1, "1"], np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def _scipy_csr(dense):
@@ -202,10 +205,21 @@ def test_lattice_window_is_centered_at_zero():
     assert g.neighbors("0") == ("-1", "1")
 
 
-@pytest.mark.parametrize("builder,arg", [(complete_graph, 1), (path_graph, 1), (lattice_window, 0)])
+# sizes that are not integers are refused, as a search budget is, not truncated
+GENERATOR_SIZES = [(complete_graph, 1), (path_graph, 1), (lattice_window, 0)]
+GENERATOR_SIZES += [(complete_graph, 2.9), (path_graph, True), (lattice_window, 1.5)]
+
+
+@pytest.mark.parametrize("builder,arg", GENERATOR_SIZES)
 def test_generator_size_validation(builder, arg):
     with pytest.raises(ValidationError):
         builder(arg)
+
+
+def test_generators_take_any_integer_size():
+    assert [b(np.int64(3)).n for b in (complete_graph, path_graph, lattice_window)] == [3, 3, 7]
+    with pytest.raises(ValidationError, match=r"^complete graph size must be an integer, not 2\.9$"):
+        complete_graph(2.9)
 
 
 # -- hop metric ------------------------------------------------------------
