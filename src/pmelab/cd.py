@@ -133,7 +133,11 @@ class AdmissibleConfig:
 
 @dataclass(frozen=True)
 class CDReport:
-    """Result of one per-vertex curvature-dimension search."""
+    """Result of one per-vertex curvature-dimension search.
+
+    ``budget`` holds the search's ``samples``, ``refine_iters`` and ``tol``,
+    so ``SearchConfig(**report.budget, seed=report.seed)`` re-runs it.
+    """
 
     vertex: str
     m: float
@@ -145,6 +149,7 @@ class CDReport:
     samples_used: int
     seed: int
     floor: Optional[float] = None
+    budget: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
         """The report in plain JSON types, without ``floor`` when it is unset."""
@@ -218,9 +223,15 @@ class _BallKernel:
         """``sum_y K(x,y) (F(y) - F(x))`` for a batch ``F`` of shape ``(batch, ball size)``."""
         # not (matrix @ F.T).T: OpenBLAS 0.3.31 sums some of its rows by batch size
         # on balls of 30+ vertices, so blocks would not score as the whole batch;
-        # F is a vertex-major block (see _BallProblem.evaluate), and so are the sums,
-        # so elementwise work mixes no layouts
-        return np.asfortranarray(F @ self.matrix.T) - self.degree * F
+        # the sums are copied once into F's layout (vertex-major for a block, see
+        # _BallProblem.evaluate), so elementwise work mixes no layouts, and the
+        # degree term is subtracted in place; P stays alive until the return, as
+        # freeing it before the degree term is allocated read about 0.1 MB higher
+        # in the cd_search benchmark's peak RSS
+        P = F @ self.matrix.T
+        L = np.asfortranarray(P) if F.flags.f_contiguous else P
+        L -= self.degree * F
+        return L
 
 
 class _BallProblem:
@@ -321,38 +332,46 @@ class _SearchResult:
         elif ratio > d * (1.0 + cfg.tol):
             field_values = {v: float(value) for v, value in zip(prob.ball, self.best_u)}
             verdict, witness = "violated", AdmissibleConfig(x, field_values, prob.m, prob.alpha, cfg.delta)
-        return CDReport(x, prob.m, prob.alpha, d, verdict, witness, ratio, self.evaluations, cfg.seed, prob.lo or None)
+        budget = {"samples": cfg.samples, "refine_iters": cfg.refine_iters, "tol": cfg.tol}
+        return CDReport(x, prob.m, prob.alpha, d, verdict, witness, ratio, self.evaluations, cfg.seed, prob.lo or None, budget)
 
 
 def _sample_fields(rng: np.random.Generator, samples: int, n: int, lo: float) -> np.ndarray:
-    """``samples`` seeded rows of ``[lo, 1]^n``, the second half on its faces.
+    """``samples`` seeded rows of ``[lo, 1]^n``, the second half on its faces, as a vertex-major array.
 
-    The rows are ``random`` draws scaled in place, ``u (1 - lo) + lo``, which
-    are the draws of ``uniform(lo, 1)`` bit for bit, without its temporaries.
-    Each face row draws a pin probability ``q`` and a low fraction ``r``; a
-    coordinate is pinned where its first draw falls below ``q``, to ``lo``
-    where its second draw falls below ``r``, else to 1.  The pins are
-    written by arithmetic, not by masked selects, which branch on random
-    masks: ``x * 1 + 0 = x`` and ``0 + 1 = 1`` are exact.  At ``lo = 0``
-    the scaling and the low pins are such identities on nonnegative values
-    (``u * 1 + 0 = u``, ``x + 0 = x``), so they are skipped; otherwise the
-    low pins ``lo * low`` are written into the spent buffer of the draws,
-    not into a new half-batch array.
+    The rows are drawn as the columns of an ``(n, samples)`` array and
+    returned as its transpose, so a batch scored in one block is already
+    in the layout :meth:`_BallProblem.evaluate` scores in, and every
+    per-row compare runs along the long axis.  They are ``random`` draws
+    scaled in place, ``u (1 - lo) + lo``, which are the draws of
+    ``uniform(lo, 1)`` bit for bit, without its temporaries.  Each face
+    row draws a pin probability ``q`` and a low fraction ``r``; a
+    coordinate is pinned where its one extra draw falls below ``q``, and
+    to ``lo`` where it falls below ``q r``, else to 1.  A pinned draw
+    divided by ``q`` is uniform, so a pin is low with probability ``r``.
+    The pins are written by arithmetic, not by masked selects, which
+    branch on random masks: ``x * 1 + 0 = x`` and ``0 + 1 = 1`` are
+    exact.  At ``lo = 0`` the scaling and the low pins are such identities
+    on nonnegative values (``u * 1 + 0 = u``, ``x + 0 = x``), so they are
+    skipped; otherwise the low pins ``lo * low`` are written into the
+    spent buffer of the draws, not into a new half-batch array.
     """
-    U = rng.random((samples, n))
+    U = rng.random((n, samples))
     if lo:
         U *= 1.0 - lo
         U += lo
-    faces = U[samples // 2 :]  # a view: pins are written into U
+    faces = U[:, samples // 2 :]  # a view: pins are written into U
     draw = rng.random(faces.shape)
-    pinned = draw < rng.random((len(faces), 1))
-    low = rng.random(out=draw) < rng.random((len(faces), 1))
-    low &= pinned
+    q = rng.random(faces.shape[1])
+    pinned = draw < q
+    q *= rng.random(len(q))  # q r, with r a transient: the low pins are those below it
+    low = draw < q
+    del q  # so the pins are written holding at most twice the samples
     faces *= ~pinned
-    faces += pinned ^ low  # pinned high
+    faces += pinned ^ low  # pinned high, as q r <= q makes every low coordinate pinned
     if lo:
         faces += np.multiply(low, lo, out=draw)
-    return U
+    return U.T
 
 
 def _lowest_first(score: np.ndarray, starts: int) -> np.ndarray:
@@ -377,11 +396,13 @@ def _lowest_first(score: np.ndarray, starts: int) -> np.ndarray:
 def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchResult:
     """Minimize score = curvature form / (-G)^2 over admissible ball fields.
 
-    The score is scale invariant, so fields are rows of ``[lo, 1]^n``.
-    The second half of the samples lies on faces: each row draws a pin
-    probability ``q`` and a low fraction ``r`` the same way, and pins every
-    coordinate with probability ``q``, to ``lo`` with probability ``r``,
-    else to 1.  So every pin count and every split of the pins between
+    The score is scale invariant, so fields are rows of ``[lo, 1]^n``,
+    sampled vertex-major (see :func:`_sample_fields`), so a batch of one
+    block is scored without a copy.  The second half of the samples lies
+    on faces: each row draws a pin probability ``q`` and a low fraction
+    ``r`` the same way, and pins every coordinate with probability ``q``,
+    to ``lo`` with probability ``r``, else to 1; one draw per coordinate
+    decides both.  So every pin count and every split of the pins between
     ``lo`` and 1 gets about the same budget, up to the corners, such as
     one coordinate at 1 and every other at ``lo``.  The admissible rows
     among the ``starts`` lowest scores (the earlier sample first among

@@ -1,9 +1,11 @@
 """Curvature-dimension verification: admissibility, search, certificates."""
 
+import importlib.util
 import math
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,11 +275,17 @@ def test_search_verdict_is_stable_across_seeds():
 
 
 def _masked_select_sample(rng, samples, n, lo):
-    """The search's samples with the pins written by masked selects, which ``_sample_fields`` must equal."""
-    U = rng.uniform(lo, 1.0, (samples, n))
+    """The search's samples with the pins written by masked selects, which ``_sample_fields`` must equal.
+
+    Every draw is vertex-major: the rows, then one pin draw per face coordinate, then each face
+    row's pin probability ``q`` and low fraction ``r``.
+    """
+    U = rng.uniform(lo, 1.0, (n, samples)).T
     faces = U[samples // 2 :]
-    pinned = rng.random(faces.shape) < rng.random((len(faces), 1))
-    np.copyto(faces, np.where(rng.random(faces.shape) < rng.random((len(faces), 1)), lo, 1.0), where=pinned)
+    draw = rng.random((n, len(faces))).T
+    q, r = rng.random(len(faces)), rng.random(len(faces))
+    pinned = draw < q[:, None]
+    np.copyto(faces, np.where(draw < (q * r)[:, None], lo, 1.0), where=pinned)
     return U
 
 
@@ -294,10 +302,25 @@ def test_samples_equal_the_masked_select_draws_bit_for_bit():
     for n, lo, samples, seed in SAMPLE_GRID:
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got, want = _sample_fields(got_rng, samples, n, lo), _masked_select_sample(want_rng, samples, n, lo)
-        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.shape == want.shape and got.flags.f_contiguous
         assert got.tobytes() == want.tobytes(), (n, lo, samples, seed)
         # the generator is left in the same state
         assert got_rng.random(3).tobytes() == want_rng.random(3).tobytes(), (n, lo, samples, seed)
+
+
+@pytest.mark.parametrize("lo", [0.0, 1e-6])
+def test_face_rows_pin_half_their_coordinates_and_half_the_pins_low(lo):
+    # q and r are uniform, so E[q] = 1/2 and E[q r] / E[q] = 1/2; over 10^5 rows
+    # each rate has a standard error of about 0.001
+    n = 12
+    faces = _sample_fields(np.random.default_rng(5), 200000, n, lo)[100000:]
+    low, high = faces == lo, faces == 1.0
+    pinned = low | high
+    assert abs(pinned.mean() - 0.5) <= 0.005
+    assert abs(low.sum() / pinned.sum() - 0.5) <= 0.005
+    # the corners are sampled: every coordinate low but one, and every coordinate high
+    assert ((low.sum(axis=1) == n - 1) & (high.sum(axis=1) == 1)).any()
+    assert high.all(axis=1).any()
 
 
 @pytest.mark.parametrize("lo", [0.0, 0.05])
@@ -321,6 +344,7 @@ def test_a_long_refinement_budget_overflows_no_step_divisor():
         rep = verify_cd_at(square_graph(), 2.0, 0.0, 1.5, "x", SearchConfig(refine_iters=1000))
     assert rep.to_json_dict() == {
         "alpha": 0.0,
+        "budget": {"refine_iters": 1000, "samples": 20000, "tol": 1e-06},
         "d_tested": 1.5,
         "empirical_optimal_d": 1.3333333333333335,
         "m": 2.0,
@@ -469,6 +493,17 @@ def test_ball_scores_do_not_depend_on_the_batch_layout(spec, x, m, alpha):
 
 
 @pytest.mark.parametrize("spec,x,m,alpha", SCORING_BALLS)
+def test_the_ball_laplacian_is_a_new_array_in_the_batch_layout(spec, x, m, alpha):
+    K = _BallProblem(resolve_graph(spec), x, m, alpha).kernel
+    F = np.random.default_rng(5).random((300, len(K.degree)))
+    for batch in (F, np.asfortranarray(F)):
+        got = K.laplacian(batch)
+        assert not np.shares_memory(got, batch)
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == (batch.flags.c_contiguous, batch.flags.f_contiguous)
+        assert got.tobytes() == (batch @ K.matrix.T - K.degree * batch).tobytes()
+
+
+@pytest.mark.parametrize("spec,x,m,alpha", SCORING_BALLS)
 def test_blocked_scoring_equals_one_block_scoring_bit_for_bit(spec, x, m, alpha):
     prob = _BallProblem(resolve_graph(spec), x, m, alpha)
     n = len(prob.ball)
@@ -541,6 +576,31 @@ def test_each_verdict_is_a_comparison_on_one_search_result(spec, x, m, alpha):
             assert report.verdict == ("violated" if violated else "holds_empirically")
             assert (report.witness is not None) == violated and report.empirical_optimal_d == result.ratio
             assert report.samples_used == result.evaluations
+
+
+def _benchmark_cd_cases(monkeypatch):
+    """The ``cd_search`` benchmark's ``CD_CASES``: ``(graph, vertex, m, alpha, reference d, source, searches)``."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("inproc", bench / "inproc.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CD_CASES
+
+
+def test_a_report_re_runs_from_its_own_budget_and_seed(monkeypatch):
+    # a different budget at each seed, so a report that recorded the defaults would not re-run
+    budgets = [dict(samples=2000, refine_iters=0), dict(samples=3001, refine_iters=7, tol=1e-3),
+               dict(samples=20000), dict(samples=60, refine_iters=500, tol=0.0)]
+    for spec, x, m, alpha, ref, _, _ in _benchmark_cd_cases(monkeypatch):
+        g = resolve_graph(spec)
+        d = ref if math.isfinite(ref) else 2.0
+        for seed, budget in enumerate(budgets):
+            report = verify_cd_at(g, m, alpha, d, x, SearchConfig(**budget, seed=seed))
+            assert report.budget == {**dict(refine_iters=200, tol=1e-6), **budget}
+            rerun = verify_cd_at(g, m, alpha, d, x, SearchConfig(**report.budget, seed=report.seed))
+            assert rerun == report
+            assert report.to_json_dict()["budget"] == report.budget
 
 
 def test_an_inconclusive_vertex_has_a_nan_optimum():
