@@ -143,7 +143,7 @@ class CDReport:
     m: float
     alpha: float
     d_tested: Optional[float]
-    verdict: str
+    verdict: Optional[str]
     witness: Optional[AdmissibleConfig]
     empirical_optimal_d: Optional[float]
     samples_used: int
@@ -322,14 +322,14 @@ class _SearchResult:
         """The supremum of :func:`cd_ratio` found: ``nan`` with no admissible field, ``+inf`` at a score ``<= 0``."""
         return math.nan if not self.admissible_found else math.inf if self.min_score <= 0.0 else 1.0 / self.min_score
 
-    def report(self, d: float) -> CDReport:
-        """The verdict at ``d``: ``inconclusive`` at a ``nan`` ratio, ``violated`` with a witness above ``d(1+tol)``."""
+    def report(self, d: Optional[float]) -> CDReport:
+        """The verdict at ``d``: ``inconclusive`` at a ``nan`` ratio, ``violated`` with a witness above ``d(1+tol)``, None at ``d = None``."""
         prob, cfg, ratio = self.problem, self.config, self.ratio
         x = prob.ball[prob.pos_x]
-        verdict, witness = "holds_empirically", None
+        verdict, witness = (None if d is None else "holds_empirically"), None
         if math.isnan(ratio):
             verdict, ratio = "inconclusive", None
-        elif ratio > d * (1.0 + cfg.tol):
+        elif d is not None and ratio > d * (1.0 + cfg.tol):
             field_values = {v: float(value) for v, value in zip(prob.ball, self.best_u)}
             verdict, witness = "violated", AdmissibleConfig(x, field_values, prob.m, prob.alpha, cfg.delta)
         budget = {"samples": cfg.samples, "refine_iters": cfg.refine_iters, "tol": cfg.tol}
@@ -472,7 +472,9 @@ def _search(g: Graph, x: str, m: float, alpha: float, search: Optional[SearchCon
     return _search_min_score(_BallProblem(g, x, m, alpha), search or SearchConfig())
 
 
-def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Optional[SearchConfig] = None) -> CDReport:
+def verify_cd_at(
+    g: Graph, m: float, alpha: float, d: Optional[float], x: str, search: Optional[SearchConfig] = None
+) -> CDReport:
     """Search for a violation of ``CD(0, d)`` at vertex ``x``.
 
     Samples seeded fields on the two-hop ball, normalized by the largest
@@ -483,9 +485,11 @@ def verify_cd_at(g: Graph, m: float, alpha: float, d: float, x: str, search: Opt
     when a ratio exceeds ``d (1 + tol)``.  ``samples_used`` is the number
     of fields scored, samples and refinement polls.
     ``holds_empirically`` is a budget-bounded claim, not a proof; the
-    report carries seed and budget so it can be falsified.
+    report carries seed and budget so it can be falsified.  At ``d = None``
+    no verdict is tested: ``d_tested``, ``verdict`` and ``witness`` are None,
+    except that ``verdict`` is ``inconclusive`` where no field was admissible.
     """
-    if not 0.0 < d < math.inf:
+    if d is not None and not 0.0 < d < math.inf:
         raise ValidationError("d must be positive and finite")
     return _search(g, x, m, alpha, search).report(d)
 

@@ -191,6 +191,15 @@ def config_echo(args) -> dict:
     }
 
 
+def write_artifact(args, name: str, record: dict) -> str:
+    """Write ``record`` as the JSON artifact ``name`` of the run, with its ``command`` and ``config``; returns the path."""
+    from .artifacts import write_json
+
+    path = os.path.join(resolve_outdir(args), name)
+    write_json(path, {"command": args.command, "config": config_echo(args), **record})
+    return path
+
+
 def _tol_override(args) -> dict:
     """``{"tol": --tol}`` when the flag is given, else nothing: the library default applies."""
     return {} if args.tol is None else {"tol": args.tol}
@@ -217,7 +226,7 @@ def sample_check_tuples(
 
 
 def cmd_simulate(args) -> int:
-    from .artifacts import write_csv, write_json
+    from .artifacts import write_csv
     from .solver import (
         SolverConfig,
         _entropy,
@@ -232,31 +241,31 @@ def cmd_simulate(args) -> int:
     u0 = resolve_initial_state(args.u0, g, args.seed)
     times = resolve_times(args, need_positive_start=False)
     cfg = SolverConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    summary = {"command": "simulate", "config": config_echo(args)}
 
     try:
         traj = integrate(g, args.m, u0, times, config=cfg)
     except StiffnessError as exc:
-        summary["status"] = "numerical-failure"
-        summary["failure_time"] = exc.t
-        summary["error"] = str(exc)
-        summary["solver_stats"] = exc.stats.to_json_dict()
-        summary_path = os.path.join(resolve_outdir(args), "summary.json")
-        write_json(summary_path, summary)
+        summary_path = write_artifact(args, "summary.json", {
+            "status": "numerical-failure",
+            "failure_time": exc.t,
+            "error": str(exc),
+            "solver_stats": exc.stats.to_json_dict(),
+        })
         print("simulate: numerical failure, %s" % exc)
         print("wrote %s" % summary_path)
         return 3
 
     outdir = resolve_outdir(args)
-    summary_path = os.path.join(outdir, "summary.json")
     traj_path = os.path.join(outdir, "trajectory.csv")
     write_trajectory_csv(traj, traj_path)
 
     mass = traj.states.sum(axis=1)
     mass_drift = float(np.max(np.abs(mass - mass[0])) / max(1.0, abs(mass[0])))
-    summary["solver_stats"] = traj.stats.to_json_dict()
-    summary["mass_drift_rel"] = mass_drift
-    summary["pressure_identity_residual"] = pressure_equation_residual(traj)
+    summary = {
+        "solver_stats": traj.stats.to_json_dict(),
+        "mass_drift_rel": mass_drift,
+        "pressure_identity_residual": pressure_equation_residual(traj),
+    }
 
     columns = [traj.times, mass]
     header = ["t", "mass"]
@@ -280,7 +289,7 @@ def cmd_simulate(args) -> int:
 
     write_csv(os.path.join(outdir, "series.csv"), header, zip(*(c.tolist() for c in columns)))
     summary["status"] = "ok"
-    write_json(summary_path, summary)
+    summary_path = write_artifact(args, "summary.json", summary)
     print(
         "simulate: %d points on %s, mass drift %.3g, pressure identity residual %.3g"
         % (len(traj.times), args.graph, mass_drift, summary["pressure_identity_residual"])
@@ -291,42 +300,28 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_cd(args) -> int:
-    from .artifacts import write_json
-    from .cd import SearchConfig, _search, verify_cd_at
+    from .cd import SearchConfig, verify_cd_at
 
     if args.tol is not None and args.d is None:
         raise ValidationError("--tol is the margin of a verdict at --d; without --d no verdict reads it")
     g = resolve_graph(args.graph)
-    vertices = args.vertex or [str(v) for v in g.vertices]
+    vertices = list(dict.fromkeys(args.vertex or [str(v) for v in g.vertices]))  # a repeated --vertex is searched once
     for v in vertices:
         g.index(v)
 
     search = SearchConfig(samples=args.samples, seed=args.seed, **_tol_override(args))
     reports = []
-    violated = 0
     for v in vertices:
-        if args.d is not None:
-            report = verify_cd_at(g, args.m, args.alpha, args.d, v, search)
-            reports.append(report.to_json_dict())
-            if report.verdict == "violated":
-                violated += 1
-            print(
-                "verify-cd %s at %s: %s (empirical optimal d %s)"
-                % (args.graph, v, report.verdict, report.empirical_optimal_d)
-            )
-        else:
-            result = _search(g, v, args.m, args.alpha, search)
-            reports.append(dict(vertex=v, m=args.m, alpha=args.alpha, seed=search.seed,
-                                empirical_optimal_d=result.ratio, samples_used=result.evaluations))
-            print("verify-cd %s at %s: empirical optimal d %s" % (args.graph, v, result.ratio))
+        report = verify_cd_at(g, args.m, args.alpha, args.d, v, search)
+        reports.append(report)
+        print(
+            "verify-cd %s at %s: verdict %s, empirical optimal d %s"
+            % (args.graph, v, report.verdict, report.empirical_optimal_d)
+        )
 
-    out_path = os.path.join(resolve_outdir(args), "cd_report.json")
-    write_json(
-        out_path,
-        {"command": "verify-cd", "config": config_echo(args), "reports": reports},
-    )
+    out_path = write_artifact(args, "cd_report.json", {"reports": [report.to_json_dict() for report in reports]})
     print("wrote %s" % out_path)
-    return 1 if violated else 0
+    return 1 if any(report.verdict == "violated" for report in reports) else 0
 
 
 def _integrate_and_check(args):
@@ -349,17 +344,13 @@ def _integrate_and_check(args):
 
 
 def cmd_check(args) -> int:
-    from .artifacts import write_json
-
     traj, report = _integrate_and_check(args)
     outdir = resolve_outdir(args)
 
     tag = args.which.replace("-", "_")
-    report_path = os.path.join(outdir, "report_%s.json" % tag)
-    payload = report.to_json_dict()
-    payload["config"] = config_echo(args)
-    payload["solver_stats"] = traj.stats.to_json_dict()
-    write_json(report_path, payload)
+    report_path = write_artifact(
+        args, "report_%s.json" % tag, {**report.to_json_dict(), "solver_stats": traj.stats.to_json_dict()}
+    )
     csv_path = os.path.join(outdir, "slack_%s.csv" % tag)
     report.write_slack_csv(csv_path)
 
@@ -622,23 +613,13 @@ def resolve_reproduce(token: str):
 
 
 def cmd_reproduce(args) -> int:
-    from .artifacts import write_json
-
     runner, value = resolve_reproduce(args.id)
     if args.m != 2.0 and REPRODUCE[args.id.partition(":")[0]][0] != "D":
         reads_m = " and ".join(rid for rid in REPRODUCE_IDS if rid.endswith(":D"))
         raise ValidationError("reproduce %s does not read --m; only %s do" % (args.id, reads_m))
     passed, payload = runner(value, args)
-    result = {
-        "command": "reproduce",
-        "id": args.id,
-        "passed": passed,
-        "seed": args.seed,
-        "config": config_echo(args),
-    }
-    result.update(payload)
-    out_path = os.path.join(resolve_outdir(args), "reproduce_%s.json" % args.id.replace(":", "_"))
-    write_json(out_path, result)
+    record = {"id": args.id, "passed": passed, "seed": args.seed, **payload}
+    out_path = write_artifact(args, "reproduce_%s.json" % args.id.replace(":", "_"), record)
     print("reproduce %s: %s" % (args.id, "PASS" if passed else "FAIL"))
     print("wrote %s" % out_path)
     return 0 if passed else 1

@@ -601,15 +601,21 @@ def test_a_report_re_runs_from_its_own_budget_and_seed(monkeypatch):
             rerun = verify_cd_at(g, m, alpha, d, x, SearchConfig(**report.budget, seed=report.seed))
             assert rerun == report
             assert report.to_json_dict()["budget"] == report.budget
+            # with no d the search is the same: only what a verdict at d decides is unset
+            bare = verify_cd_at(g, m, alpha, None, x, SearchConfig(**budget, seed=seed))
+            assert verify_cd_at(g, m, alpha, None, x, SearchConfig(**bare.budget, seed=bare.seed)) == bare
+            assert (bare.d_tested, bare.verdict, bare.witness) == (None, None, None)
+            assert replace(bare, d_tested=d, verdict=report.verdict, witness=report.witness) == report
 
 
 def test_an_inconclusive_vertex_has_a_nan_optimum():
     # c has no out-neighbours, so -G(c) = 0 for every field and nothing is admissible
     g = build_graph([("a", "b", 1.0), ("b", "c", 1.0)])
     assert math.isnan(empirical_optimal_d(g, 2.0, 0.0, "c", FAST))
-    report = verify_cd_at(g, 2.0, 0.0, 1.0, "c", FAST)
-    assert (report.verdict, report.witness, report.empirical_optimal_d) == ("inconclusive", None, None)
-    assert report.samples_used == FAST.samples
+    for d in (1.0, None):  # no d decides a vertex without an admissible field
+        report = verify_cd_at(g, 2.0, 0.0, d, "c", FAST)
+        assert (report.d_tested, report.verdict, report.witness) == (d, "inconclusive", None)
+        assert report.empirical_optimal_d is None and report.samples_used == FAST.samples
 
 
 def test_report_serialization_encodes_infinities():

@@ -44,10 +44,13 @@ def read_json(path):
 
 
 @pytest.fixture(autouse=True)
-def every_json_artifact_is_standard_json(tmp_path):
+def every_json_artifact_is_standard_json_with_its_command_and_config(tmp_path):
+    # the tests below write every kind of JSON artifact: simulate's summary (ok and numerical
+    # failure), verify-cd's report, each check's report and each reproduce id's result
     yield
     for path in tmp_path.rglob("*.json"):
-        read_json(path)
+        artifact = read_json(path)
+        assert artifact["command"] in ("simulate", "verify-cd", "check", "reproduce") and "config" in artifact, path
 
 
 # -- simulate --------------------------------------------------------------
@@ -230,7 +233,7 @@ def test_verify_cd_optimal_only_mode_on_selected_vertices(tmp_path):
     assert len(report["reports"]) == 1
     entry = report["reports"][0]
     assert entry["vertex"] == "x1"
-    assert "d_tested" not in entry
+    assert entry["d_tested"] is None
     assert abs(entry["empirical_optimal_d"] - 4.0 / 3.0) < 1e-9
 
 
@@ -242,6 +245,47 @@ def test_verify_cd_reports_the_search_count_with_and_without_d(tmp_path):
         counts.append(read_json(out / "cd_report.json")["reports"][0]["samples_used"])
     # the same search scores the samples and every refinement poll
     assert counts[0] == counts[1] > 20000
+
+
+def test_verify_cd_writes_one_record_with_and_without_d(tmp_path, capsys):
+    # c has no out-neighbours, so no field is admissible there and no d decides its verdict
+    graph_file = tmp_path / "line.txt"
+    graph_file.write_text("a b 1\nb c 1\n")
+    entries = []
+    for extra in ([], ["--d", "10"]):
+        out = tmp_path / str(len(entries))
+        argv = ["verify-cd", "--graph", str(graph_file), "--m", "1.5", "--samples", "400", *extra, "--out", str(out)]
+        assert main(argv) == 0
+        reports = read_json(out / "cd_report.json")["reports"]
+        # one stdout line per vertex, in one format, read off its report
+        assert capsys.readouterr().out.splitlines()[:-1] == [
+            "verify-cd %s at %s: verdict %s, empirical optimal d %s"
+            % (graph_file, r["vertex"], r["verdict"], r["empirical_optimal_d"])
+            for r in reports
+        ]
+        entries.append({r["vertex"]: r for r in reports})
+    bare, tested = entries
+    for v in ("a", "b", "c"):
+        assert set(bare[v]) == set(tested[v]), v
+        assert bare[v]["budget"] == tested[v]["budget"] and bare[v]["floor"] == tested[v]["floor"] == 1e-6
+        assert (bare[v]["d_tested"], tested[v]["d_tested"]) == (None, 10.0)
+        assert bare[v]["samples_used"] == tested[v]["samples_used"]
+    assert (bare["a"]["verdict"], tested["a"]["verdict"]) == (None, "holds_empirically")
+    for entry in (bare["c"], tested["c"]):
+        assert (entry["verdict"], entry["empirical_optimal_d"], entry["witness"]) == ("inconclusive", None, None)
+
+
+def test_verify_cd_searches_a_repeated_vertex_once(tmp_path, monkeypatch):
+    import pmelab.cd
+
+    searched = []
+    search = pmelab.cd._search
+    monkeypatch.setattr(pmelab.cd, "_search", lambda g, x, *rest: searched.append(x) or search(g, x, *rest))
+    out = tmp_path / "run"
+    argv = ["verify-cd", "--graph", "square", "--vertex", "z", "--vertex", "x", "--vertex", "z", "--samples", "400"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert searched == ["z", "x"]
+    assert [r["vertex"] for r in read_json(out / "cd_report.json")["reports"]] == ["z", "x"]
 
 
 # -- check -----------------------------------------------------------------
