@@ -417,8 +417,8 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchResult:
     below the step floor 1e-12.  The first round polls down to the floor
     or the cap, so a search whose starts never move takes one call; after
     a round with a move ``depth`` is 1, and it doubles after each round
-    without one.  ``evaluations`` counts the iterations replayed, as one
-    call per iteration would, and minimum and field are those of one call
+    without one.  ``evaluations`` counts the samples and replayed polls, as
+    one call per iteration would, and minimum and field are those of one call
     per iteration too, on balls of up to 75 vertices; on wider balls BLAS
     may sum a row differently in a block of another shape (the last bits
     only, see :meth:`_BallProblem.evaluate`).  Returns the search's one result.
@@ -437,7 +437,6 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchResult:
     E = np.array([np.concatenate([a, -a]) for a in axes])[:, None]
     # a round scores at most as many rows as the sample batch, so wide balls need no more memory
     max_depth = max(1, cfg.samples // max(1, E.size // n))
-    evaluations = ok.size
     iters, depth = 0, max_depth
     # a round's step divisors; a step starts at (1 - lo) / 4 <= 1/4 and only
     # shrinks, and 1/4 / 4**19 < 1e-12, so divisors past the 20th are always cut
@@ -455,16 +454,15 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchResult:
         better &= score_c < S[:, None, None]
         moves = np.logical_or.reduce(better, axis=2)
         hit = np.flatnonzero(np.logical_or.reduce(moves, axis=0))
-        t = hit[0] if len(hit) else steps.shape[1] - 1
+        t = int(hit[0]) if len(hit) else steps.shape[1] - 1
         iters += t + 1
-        evaluations += ok_c[:, : t + 1].size
         moved = moves[:, t]
         j = np.argmin(np.where(better[:, t], score_c[:, t], np.inf), axis=1)
         X[moved], S[moved] = C[moved, t, j[moved]], score_c[moved, t, j[moved]]
         step = np.where(moved, steps[:, t], steps[:, t] / 4.0)
         depth = 1 if len(hit) else 2 * depth
     i = int(np.argmin(S))
-    return _SearchResult(prob, cfg, float(S[i]), X[i], evaluations, admissible)
+    return _SearchResult(prob, cfg, float(S[i]), X[i], len(U) + iters * k * 2 * (n - 1), admissible)
 
 
 def _search(g: Graph, x: str, m: float, alpha: float, search: Optional[SearchConfig]) -> _SearchResult:
@@ -562,7 +560,11 @@ def chain_counterexample(n: int, m: float = 2.0, eps: float = 1e-3) -> ChainWitn
     curvature form exactly ``-3/2``; ``n = 5`` returns the one-parameter
     family built from the pressure profile ``(0, eps, 1, 2-2eps, 3-5eps)``,
     valid for any ``m >= 2`` and ``eps`` in ``(0, 3/5]``, whose curvature
-    form stays negative as ``eps`` shrinks.
+    form stays negative as ``eps`` shrinks.  Its gap to the limit is about
+    ``m eps``, and a relative miss ``delta`` of the profile's round trip
+    through ``pressure_inverse`` moves it by up to ``24 m delta`` (first-order
+    weights 6, -12, 6), so ``delta > eps / 96`` is refused with a
+    :class:`DomainError` naming ``m``.
     """
     m = check_exponent(m)
     if n not in (3, 4, 5):
@@ -584,6 +586,8 @@ def chain_counterexample(n: int, m: float = 2.0, eps: float = 1e-3) -> ChainWitn
         v = np.array([0.0, eps, 1.0, 2.0 - 2.0 * eps, 3.0 - 5.0 * eps])
         u = pressure_inverse(m, v)
         x = "3"
+        if np.max(np.abs(pressure(m, u[1:]) / v[1:] - 1.0)) > eps / 96.0:  # rounding could move the gap by 1/4
+            raise DomainError(f"the length-5 chain family is unresolved in float64 at m={m:g}, eps={eps:g}")
     dval = curvature_form(g, m, u, x)
     neg_lv = -laplacian(g, pressure(m, u), x)
     return ChainWitness(g, x, u, dval, neg_lv, m, eps if n == 5 else math.nan)

@@ -275,13 +275,12 @@ def cmd_simulate(args) -> int:
         measure = counting_measure(g)
         entropy = _entropy(measure, traj.m, traj.states)
         summary["entropy_monotone"] = bool(np.all(np.diff(entropy) <= 1e-12 * max(1.0, float(np.abs(entropy).max()))))
-        if len(traj.times) >= 3:
-            try:
-                residual = entropy_dissipation_residual(traj, measure)
-            except ValidationError as exc:
-                residual = None
-                summary["entropy_dissipation_note"] = str(exc)
-            summary["entropy_dissipation_residual"] = residual
+        try:
+            residual = entropy_dissipation_residual(traj, measure)
+        except ValidationError as exc:
+            residual = None
+            summary["entropy_dissipation_note"] = str(exc)
+        summary["entropy_dissipation_residual"] = residual
         columns.append(entropy)
         header.append("entropy")
         series.insert(0, (traj.times, entropy, "entropy"))

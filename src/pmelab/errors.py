@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from __future__ import annotations
-
 from . import _EXPORTS
 
 __all__ = list(_EXPORTS["errors"])
@@ -32,17 +30,17 @@ class LambdaOneError(ValidationError):
 
 
 class StiffnessError(PMELabError):
-    """The adaptive integrator drove the step size below its floor.
+    """The adaptive integrator drove the step size below its floor or used up its step budget.
 
     Attributes
     ----------
     t : float
-        Time at which the step size underflowed.
-    stats : SolverStats or None
-        What the run did up to the failure, when the integrator knows.
+        Time at which the integration stopped.
+    stats : SolverStats
+        What the run did up to the failure.
     """
 
-    def __init__(self, t: float, message: str | None = None, stats=None):
+    def __init__(self, t: float, message: str, stats):
         self.t = float(t)
         self.stats = stats
-        super().__init__(message or f"step size underflow at t={t:.6g}")
+        super().__init__(message)

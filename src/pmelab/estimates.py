@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -59,10 +59,13 @@ from .operators import (
     _gradient_energy,
     _mixed_laplacian,
     _pressure,
+    _window_slack,
     check_exponent,
     check_mixing,
 )
-from .solver import Trajectory, _window_slack
+
+if TYPE_CHECKING:
+    from .solver import Trajectory
 
 __all__ = list(_EXPORTS["estimates"])
 

@@ -415,6 +415,11 @@ def _block_count(rows: int, width: int, budget: int) -> int:
     return max(1, min(-(-rows * width // budget), rows))
 
 
+def _window_slack(t_start: float, t_end: float, rel: float) -> float:
+    """``rel`` times the span of ``[t_start, t_end]``, never below four ulps of ``t_end``."""
+    return max(rel * (t_end - t_start), 4.0 * math.ulp(t_end))
+
+
 # -- alternate operation names ---------------------------------------------
 
 upsilon = exp_remainder

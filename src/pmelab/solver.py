@@ -11,11 +11,14 @@ drives the step size, with two extra rules suited to this equation:
   decides as a test after each stage would);
 * if the step size underflows, or the run uses up its budget of
   ``_MAX_STEP_ATTEMPTS`` step attempts, a
-  :class:`~pmelab.errors.StiffnessError` reports the failure time.  The
-  floor is ``1e-14`` of the integrated span but never below four ulps of
-  ``t_end``, so ``t + h`` always advances, also on a short window late in
-  time.  A step that would end within the floor of ``t_end`` is taken to
-  ``t_end``.
+  :class:`~pmelab.errors.StiffnessError` reports the failure time and the
+  run's :class:`SolverStats`.  The floor is ``1e-14`` of the integrated
+  span but never below four ulps of ``t_end``, so ``t + h`` always
+  advances, also on a short window late in time.  A step that would end
+  within the floor of ``t_end`` is taken to ``t_end``.
+
+The first step has one rule: the least of the step cap, ``span / 100``
+(never below the floor) and ``0.01 max|u0| / max|L(u0^m)|``.
 
 The whole step loop runs in one ``np.errstate`` scope that silences the
 overflow and invalid-value warnings of rejected steps.  Accepted steps keep
@@ -61,7 +64,7 @@ from . import _EXPORTS
 from .artifacts import jsonable, write_csv
 from .errors import DomainError, StiffnessError, ValidationError
 from .graphs import Graph, _records, _text_lines
-from .operators import _dtv, _flow, _gradient_energy, _pow, _pressure, as_field, check_exponent
+from .operators import _dtv, _flow, _gradient_energy, _pow, _pressure, _window_slack, as_field, check_exponent
 
 __all__ = list(_EXPORTS["solver"])
 
@@ -101,23 +104,15 @@ _POSITIVITY_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Error tolerances and an optional first step for :func:`integrate`."""
+    """Error tolerances of :func:`integrate`, which sizes every step after the first by them."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    initial_step: Optional[float] = None
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be positive and finite")
-        if self.initial_step is not None and not self.initial_step > 0.0:
-            raise ValidationError("initial_step must be positive when given")
-
-
-def _window_slack(t_start: float, t_end: float, rel: float) -> float:
-    """``rel`` times the span of ``[t_start, t_end]``, never below four ulps of ``t_end``."""
-    return max(rel * (t_end - t_start), 4.0 * math.ulp(t_end))
 
 
 def _hermite_weights(s, h):
@@ -199,10 +194,10 @@ class SolverStats:
 
     Every attempted step evaluates five stages; one that passes the
     positivity and finiteness test also evaluates its endpoint, and the run
-    starts with one evaluation, so ``rhs_evals == 1 + 5 * attempts +
-    accepted_steps + error_rejections`` with ``attempts`` the sum of the
-    three step counts.  ``h_min``/``h_max`` span the accepted steps and are
-    ``None`` before the first one.
+    starts with one evaluation, so :meth:`of` derives ``rhs_evals = 1 + 5 *
+    attempts + accepted_steps + error_rejections`` with ``attempts`` the sum
+    of the three step counts.  ``h_min``/``h_max`` span the accepted steps
+    and are ``None`` before the first one.
     """
 
     accepted_steps: int
@@ -213,11 +208,12 @@ class SolverStats:
     h_max: Optional[float]
 
     @classmethod
-    def of(cls, ts, error_rejections, positivity_rejections, rhs_evals) -> SolverStats:
+    def of(cls, ts, error_rejections, positivity_rejections) -> SolverStats:
         """Stats of a run whose accepted steps end at the times ``ts``."""
         steps = np.diff(ts)
         h_min, h_max = (float(steps.min()), float(steps.max())) if len(steps) else (None, None)
-        return cls(len(steps), error_rejections, positivity_rejections, rhs_evals, h_min, h_max)
+        n, e, p = len(steps), error_rejections, positivity_rejections
+        return cls(n, e, p, 1 + 5 * (n + e + p) + n + e, h_min, h_max)
 
     def to_json_dict(self) -> dict:
         return jsonable(self)
@@ -317,13 +313,10 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
     with np.errstate(invalid="ignore", over="ignore"):
         f = flow(y)
         ts, table = [t], [y, f]  # table: the rows of _Dense.table
-        rhs_evals, error_rejections, positivity_rejections = 1, 0, 0
-        if cfg.initial_step is not None:
-            h = min(cfg.initial_step, max_step, span)
-        else:
-            fmax = float(np.max(np.abs(f)))
-            h_rate = 0.01 * float(np.max(np.abs(y))) / fmax if fmax > 0 else span
-            h = min(max_step, max(span / 100.0, h_floor), h_rate)
+        error_rejections, positivity_rejections = 0, 0
+        fmax = float(np.max(np.abs(f)))
+        h_rate = 0.01 * float(np.max(np.abs(y))) / fmax if fmax > 0 else span
+        h = min(max_step, max(span / 100.0, h_floor), h_rate)
 
         # the loop ends once less than the floor is left; the first step is
         # always tried, so a window no wider than the floor underflows
@@ -332,9 +325,8 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
             h = min(h, t_end - t, max_step)
             attempts = len(ts) - 1 + error_rejections + positivity_rejections
             if h < h_floor or attempts == _MAX_STEP_ATTEMPTS:
-                stats = SolverStats.of(ts, error_rejections, positivity_rejections, rhs_evals)
                 why = "step size underflow" if h < h_floor else f"step budget of {attempts} attempts ran out"
-                raise StiffnessError(t, f"{why} at t={t:.6g}", stats=stats)
+                raise StiffnessError(t, f"{why} at t={t:.6g}", SolverStats.of(ts, error_rejections, positivity_rejections))
             if t_stop <= t + h < t_end:
                 h = t_end - t  # leave no remainder below the floor
             # each ``y + h * (a @ rows)`` is built in place in the fresh
@@ -345,7 +337,6 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
                 z *= h
                 z += y
                 out[:] = flow(z)
-            rhs_evals += 5
             # A non-finite stage makes every later stage non-finite, so one
             # test after the last stage decides as a test after each would;
             # k[6] holds y_new for that test until the last stage replaces it.
@@ -358,7 +349,6 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
                 h *= 0.5
                 continue
             k[6] = f_new = flow(y_new)
-            rhs_evals += 1
             # err / (abs_tol + rel_tol * max(y, y_new)), in place; y and
             # y_new are both positive here, so no absolute values
             err = np.dot(_DP_E, k)
@@ -381,7 +371,7 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
                 factor = max(0.2, 0.9 * err_norm**-0.2)
             h *= factor
 
-    stats = SolverStats.of(ts, error_rejections, positivity_rejections, rhs_evals)
+    stats = SolverStats.of(ts, error_rejections, positivity_rejections)
     dense = _Dense(np.asarray(ts), np.asarray(table))
     # the step rows and loop buffers go before the grid is read
     del table, k, stages, k_sol, k_stages, z, err, scale

@@ -16,7 +16,7 @@ def test_report_dicts_are_standard_json():
     unset = CDReport("x", 1.5, 0.0, math.inf, "inconclusive", None, None, 10, 0, 1e-6)
     unbounded = EstimateReport("harnack_distance", {"m": 2.0, "mu": 1.0}, math.inf, {}, 0, 1e-8)
     traj = integrate(square_graph(), 2.0, np.array([1.2, 0.9, 1.05, 0.8]), np.linspace(0.0, 1.0, 5))
-    for report in (violated, unset, unbounded, traj.stats, SolverStats.of([0.0], 0, 0, 1)):
+    for report in (violated, unset, unbounded, traj.stats, SolverStats.of([0.0], 0, 0)):
         json.dumps(report.to_json_dict(), allow_nan=False)
     assert violated.to_json_dict()["empirical_optimal_d"] == "inf"
     assert "floor" not in violated.to_json_dict() and unset.to_json_dict()["floor"] == 1e-6

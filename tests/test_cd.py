@@ -39,7 +39,7 @@ from pmelab.cd import (
     _search,
     _search_min_score,
 )
-from pmelab.errors import AdmissibilityError, ValidationError
+from pmelab.errors import AdmissibilityError, DomainError, ValidationError
 from pmelab.operators import _admissible, _curvature_form, _dtv, _flow
 
 FAST = SearchConfig(samples=2000, refine_iters=60, seed=0)
@@ -435,6 +435,7 @@ def test_batched_polls_replay_the_one_iteration_search_bit_for_bit(spec, x, m, a
             got = _search_min_score(prob, cfg)
             score, best_u, evaluations, admissible = _one_iteration_per_evaluate(prob, cfg)
             assert (got.min_score, got.evaluations, got.admissible_found) == (score, evaluations, admissible)
+            assert type(got.evaluations) is int  # a CDReport's samples_used, which JSON writers take as is
             assert (got.best_u is None and best_u is None) or got.best_u.tobytes() == best_u.tobytes()
 
 
@@ -739,6 +740,16 @@ def test_chain_validation():
         chain_counterexample(5, eps=0.7)
     with pytest.raises(ValidationError):
         chain_counterexample(5, m=1.5)
+
+
+def test_chain_family_refuses_eps_its_float64_round_trip_cannot_resolve():
+    # the round trip misses by about m * 2**-53 relative, 1.1e-8 at m = 1e8
+    with pytest.raises(DomainError, match=r"unresolved in float64 at m=1e\+08, eps=1e-08"):
+        chain_counterexample(5, 1e8, 1e-8)
+    # where it is resolved, the gap to the limit is m eps within a quarter
+    for m, eps in ((1e8, 1e-6), (1e6, 1e-8)):
+        gap = chain_counterexample(5, m, eps).curvature - chain_limit_curvature(m)
+        assert abs(gap / (m * eps) - 1.0) < 0.25
 
 
 def test_chain_limit_values():

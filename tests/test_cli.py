@@ -110,6 +110,15 @@ def test_simulate_writes_no_entropy_residual_on_an_ulp_narrow_grid(tmp_path):
     assert summary["pressure_identity_residual"] <= 1e-12
 
 
+def test_simulate_writes_a_null_entropy_residual_at_two_points(tmp_path):
+    # the residual's own refusal decides, as on any grid it cannot use
+    out = tmp_path / "run"
+    assert main(["simulate", "--graph", "square", "--u0", "random:", "--points", "2", "--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["entropy_dissipation_residual"] is None
+    assert summary["entropy_dissipation_note"] == "need at least 3 reported times"
+
+
 def test_simulate_exits_three_when_the_step_budget_runs_out(tmp_path, monkeypatch):
     import pmelab.solver
 
@@ -400,6 +409,26 @@ def test_reproduce_chain_limit_reads_the_family_closing_in_on_it(tmp_path):
     assert "tolerance" not in report and "value_at_eps_1e-3" not in report
 
 
+@pytest.mark.parametrize("m", ["1e8", "1e10"])
+def test_reproduce_chain_limit_refuses_an_unresolved_family(tmp_path, capsys, m):
+    # the profile's round trip misses by 1.1e-8 (m = 1e8, eps = 1e-8) and
+    # 6.4e-7 (m = 1e10, eps = 1e-6) relative, over eps / 96
+    assert main(["reproduce", f"ex4.5:{m}", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the length-5 chain family is unresolved in float64 at m=") and err.count("\n") == 1
+    assert f"m={float(m):g}," in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_reproduce_chain_limit_passes_at_m_1e6(tmp_path):
+    # the largest tested m the family resolves: each gap is m eps to leading
+    # order (1.05 m eps at eps = 1e-8), within the quarter the refusal allows
+    assert main(["reproduce", "ex4.5:1e6", "--out", str(tmp_path / "run")]) == 0
+    report = read_json(tmp_path / "run" / "reproduce_ex4.5_1e6.json")
+    assert report["passed"] is True and report["m"] == 1e6
+    assert all(abs(gap / (1e6 * eps) - 1.0) < 0.25 for gap, eps in zip(report["gaps"], report["eps_values"]))
+
+
 def test_reproduce_chain_limit_fails_when_the_limit_is_off(tmp_path, monkeypatch):
     # the family, not a second copy of the closed form, is what the limit is read against
     monkeypatch.setattr("pmelab.cd._chain_product_form", lambda m: _chain_product_form(m) + 1e-3)
@@ -683,10 +712,12 @@ _COMMAND_GROUPS = {
             ["check", "diff-harnack", "--graph", "complete:3", "--mu", "1.3333333333333333", "--u0", "random:"],
             ["check", "harnack", "--graph", "square", "--mu", "1.3333333333333333", "--u0", "random:"],
         ]
-        + [
-            ["reproduce", rid]
-            for rid in ("ex5.3i", "ex5.3ii", "ex6.6i", "ex6.6ii:3", "lemma6.1:1.5", "lemma6.1:2", "lemma6.1:3", "lemma6.3")
-        ],
+        + [["reproduce", rid] for rid in ("ex5.3i", "ex5.3ii", "ex6.6i", "ex6.6ii:3")],
+    ),
+    # the lemma ids check operator inequalities on sampled fields, with no trajectory
+    "lemmas": (
+        ["artifacts", "cli", "errors", "estimates", "graphs", "operators"],
+        [["reproduce", rid] for rid in ("lemma6.1:1.5", "lemma6.1:2", "lemma6.1:3", "lemma6.3")],
     ),
 }
 

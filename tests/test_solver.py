@@ -1,7 +1,10 @@
 """Adaptive integration, closed-form comparison, measures and entropy."""
 
+import dataclasses
+import inspect
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from pmelab import (
     Measure,
     SolverConfig,
+    SolverStats,
     Trajectory,
     build_graph,
     complete_graph,
@@ -253,8 +257,6 @@ def test_integrate_validates_inputs():
         integrate(g, 2.0, [1.0, 1.0], np.array([-0.5, 1.0]))
     with pytest.raises(ValidationError, match="t_eval must be a nonempty 1-d array"):
         integrate(g, 2.0, [1.0, 1.0], np.array([]))
-    with pytest.raises(ValidationError, match="initial_step must be positive when given"):
-        SolverConfig(initial_step=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -266,17 +268,38 @@ def test_integrate_refuses_non_finite_times(monkeypatch, bad):
     assert calls["all"] == 0
 
 
+# a pair whose first step, 0.01 / (0.75e300), is under the floor of [0, 1]
+_FASTEST_PAIR = build_graph([("a", "b", 1e300)], symmetrize=True)
+
+# two pairs, one 1e5 times faster than the other: on [0, 1] at m = 2 the run
+# takes 14 error rejections and, where the fast pair's low value drops
+# towards 0, one positivity rejection
+_TWO_PAIRS = build_graph([("a", "b", 1.0), ("c", "d", 1e5)], symmetrize=True)
+_TWO_PAIRS_START = [1.0, 1e-9, 0.005, 1e-9]
+
+
 def test_step_underflow_raises_stiffness_error():
-    g = complete_graph(2)
     with pytest.raises(StiffnessError) as exc:
-        integrate(g, 2.0, [1.0, 0.5], np.linspace(0.0, 1.0, 5), SolverConfig(initial_step=1e-20))
+        integrate(_FASTEST_PAIR, 2.0, [1.0, 0.5], np.linspace(0.0, 1.0, 5))
     assert exc.value.t == 0.0
 
 
-@pytest.mark.parametrize("name", ["max_step", "positivity_floor"])
+@pytest.mark.parametrize("name", ["max_step", "positivity_floor", "initial_step"])
 def test_step_cap_and_positivity_floor_are_not_settable(name):
+    # the first step has one rule, so no field sets it either
     with pytest.raises(TypeError):
         SolverConfig(**{name: 0.1})
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["rel_tol", "abs_tol"]
+
+
+def test_a_stiffness_error_always_carries_its_stats():
+    assert list(inspect.signature(StiffnessError).parameters) == ["t", "message", "stats"]
+    for args in ((0.0,), (0.0, "step size underflow at t=0")):
+        with pytest.raises(TypeError):
+            StiffnessError(*args)
+    with pytest.raises(StiffnessError) as exc:
+        integrate(_FASTEST_PAIR, 2.0, [1.0, 0.5], np.linspace(0.0, 1.0, 5))
+    assert exc.value.stats == SolverStats.of([0.0], 0, 0)
 
 
 @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
@@ -309,17 +332,21 @@ def test_a_stiff_run_stops_at_the_step_budget(monkeypatch):
 def test_the_step_budget_admits_exactly_its_count_of_attempts(monkeypatch):
     import pmelab.solver
 
-    args = (complete_graph(2), 3.0, [5.0, 1e-9], np.linspace(0.0, 5.0, 21), SolverConfig(initial_step=0.25))
+    args = (_TWO_PAIRS, 2.0, _TWO_PAIRS_START, np.linspace(0.0, 1.0, 11))
+    calls = _counting_flow(monkeypatch)
     stats = integrate(*args).stats
+    _assert_consistent(stats, calls)
     assert stats.error_rejections > 0 and stats.positivity_rejections > 0
     attempts = stats.accepted_steps + stats.error_rejections + stats.positivity_rejections
     monkeypatch.setattr(pmelab.solver, "_MAX_STEP_ATTEMPTS", attempts)
     assert integrate(*args).stats == stats
     monkeypatch.setattr(pmelab.solver, "_MAX_STEP_ATTEMPTS", attempts - 1)
+    calls["all"] = 0
     with pytest.raises(StiffnessError, match=f"step budget of {attempts - 1} attempts ran out") as exc:
         integrate(*args)
     short = exc.value.stats
     assert short.accepted_steps + short.error_rejections + short.positivity_rejections == attempts - 1
+    _assert_consistent(short, calls)
 
 
 @pytest.mark.parametrize("t0, ulps", [(1e6, 860), (1e6, 50), (3.0, 300)])
@@ -344,8 +371,12 @@ def test_a_window_of_a_few_ulps_is_below_the_step_floor():
 # -- solver statistics -----------------------------------------------------
 
 
-def _counting_flow(monkeypatch):
-    """Count the right-hand side evaluations and the non-finite ones."""
+def _counting_flow(monkeypatch, poison=()):
+    """Count the right-hand side evaluations and the non-finite ones.
+
+    The calls whose count (from 1) is in ``poison`` return ``nan`` at the
+    first vertex, as a stage that overflowed would.
+    """
     import pmelab.solver
 
     calls = {"all": 0, "non_finite": 0}
@@ -354,6 +385,8 @@ def _counting_flow(monkeypatch):
     def counted(*args):
         out = flow(*args)
         calls["all"] += 1
+        if calls["all"] in poison:
+            out[0] = math.nan
         calls["non_finite"] += not np.all(np.isfinite(out))
         return out
 
@@ -367,21 +400,21 @@ def _assert_consistent(stats, calls):
     assert stats.rhs_evals == calls["all"]
 
 
-# two-point runs whose rejected steps fail the error test, the positivity
-# test, and the finiteness test
+# runs whose rejected steps fail the error test, the positivity test, and
+# the finiteness test (one stage of the second step attempt made non-finite)
 _REJECTION_CASES = [
-    pytest.param(1.5, [1.0, 1e-12], SolverConfig(), "error", id="error"),
-    pytest.param(2.0, [100.0, 1e-12], SolverConfig(initial_step=0.1), "positivity", id="positivity"),
-    pytest.param(2.5, [10.0, 1e-12], SolverConfig(initial_step=0.1), "non-finite", id="non-finite"),
+    pytest.param(complete_graph(2), 1.5, [1.0, 1e-12], (), "error", id="error"),
+    pytest.param(_TWO_PAIRS, 2.0, _TWO_PAIRS_START, (), "positivity", id="positivity"),
+    pytest.param(complete_graph(2), 2.5, [10.0, 1e-12], (10,), "non-finite", id="non-finite"),
 ]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("m, u0, config, rejection", _REJECTION_CASES)
-def test_rejected_steps_are_counted(monkeypatch, m, u0, config, rejection):
-    calls = _counting_flow(monkeypatch)
+@pytest.mark.parametrize("g, m, u0, poison, rejection", _REJECTION_CASES)
+def test_rejected_steps_are_counted(monkeypatch, g, m, u0, poison, rejection):
+    calls = _counting_flow(monkeypatch, poison)
     tt = np.linspace(0.0, 1.0, 11)
-    traj = integrate(complete_graph(2), m, u0, tt, config)
+    traj = integrate(g, m, u0, tt)
     stats = traj.stats
     _assert_consistent(stats, calls)
     assert stats.accepted_steps == len(traj.dense.ts) - 1
@@ -409,15 +442,17 @@ def test_a_constant_state_takes_error_free_growing_steps(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("spec", ["complete:30", "zwindow:100"])
-@pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(initial_step=0.5)], ids=["default", "long-first-step"])
-def test_rhs_evaluations_are_counted_on_wide_rows(monkeypatch, spec, config):
+@pytest.mark.parametrize("spread", [(0.5, 1.5), (0.99, 1.01)], ids=["default", "long-first-step"])
+def test_rhs_evaluations_are_counted_on_wide_rows(monkeypatch, spec, spread):
     # the two largest flow graphs: 30 Laplacian entries in every row of
-    # complete:30, 201 vertices on zwindow:100
+    # complete:30, 201 vertices on zwindow:100; a start within 1% of
+    # constant moves slowly, so its first step is near the longest the
+    # rule takes, span / 100, and the error test rejects a step
     calls = _counting_flow(monkeypatch)
     g = resolve_graph(spec)
-    traj = integrate(g, 2.0, np.random.default_rng(3).uniform(0.5, 1.5, g.n), np.linspace(0.0, 2.0, 9), config)
+    traj = integrate(g, 2.0, np.random.default_rng(3).uniform(*spread, g.n), np.linspace(0.0, 2.0, 9))
     _assert_consistent(traj.stats, calls)
-    if config.initial_step is not None:
+    if spread == (0.99, 1.01):
         assert traj.stats.error_rejections > 0
 
 
@@ -431,8 +466,8 @@ def _reference_run(g, m, u0, t_eval, cfg):
     Returns the reported states, the dense table, the step times and the
     :class:`SolverStats`.
     """
-    from pmelab.operators import _flow
-    from pmelab.solver import _DP_A, _DP_B, _DP_E, _MIN_STEPS, _POSITIVITY_FLOOR, SolverStats, _Dense, _window_slack
+    from pmelab.operators import _window_slack
+    from pmelab.solver import _DP_A, _DP_B, _DP_E, _MIN_STEPS, _POSITIVITY_FLOOR, SolverStats, _Dense, _flow
 
     t0, t_end = float(t_eval[0]), float(t_eval[-1])
     span = t_end - t0
@@ -443,13 +478,10 @@ def _reference_run(g, m, u0, t_eval, cfg):
     with np.errstate(invalid="ignore", over="ignore"):
         f = _flow(g, m, y)
         ts, table = [t], [y, f]
-        rhs_evals, error_rejections, positivity_rejections = 1, 0, 0
-        if cfg.initial_step is not None:
-            h = min(cfg.initial_step, max_step, span)
-        else:
-            fmax = float(np.max(np.abs(f)))
-            h_rate = 0.01 * float(np.max(np.abs(y))) / fmax if fmax > 0 else span
-            h = min(max_step, max(span / 100.0, h_floor), h_rate)
+        error_rejections, positivity_rejections = 0, 0
+        fmax = float(np.max(np.abs(f)))
+        h_rate = 0.01 * float(np.max(np.abs(y))) / fmax if fmax > 0 else span
+        h = min(max_step, max(span / 100.0, h_floor), h_rate)
         while True:
             h = min(h, t_end - t, max_step)
             assert h >= h_floor
@@ -458,14 +490,12 @@ def _reference_run(g, m, u0, t_eval, cfg):
             k[0] = f
             for s in range(5):
                 k[s + 1] = _flow(g, m, y + h * (_DP_A[s] @ k[: s + 1]))
-            rhs_evals += 5
             k[6] = y_new = y + h * (_DP_B @ k[:6])
             if not (np.isfinite(k[1:]).all() and y_new.min() > _POSITIVITY_FLOOR):
                 positivity_rejections += 1
                 h *= 0.5
                 continue
             k[6] = f_new = _flow(g, m, y_new)
-            rhs_evals += 1
             err = h * (_DP_E @ k)
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(y, y_new)
             err_norm = math.sqrt(float(((err / scale) ** 2).sum()) / g.n)
@@ -482,12 +512,14 @@ def _reference_run(g, m, u0, t_eval, cfg):
                 factor = max(0.2, 0.9 * err_norm**-0.2)
             h *= factor
     ts, table = np.asarray(ts), np.asarray(table)
-    stats = SolverStats.of(ts, error_rejections, positivity_rejections, rhs_evals)
+    stats = SolverStats.of(ts, error_rejections, positivity_rejections)
     return _Dense(ts, table)(t_eval), table, ts, stats
 
 
-def _assert_same_bits_as_the_reference(g, m, u0, t_eval, config):
+def _assert_same_bits_as_the_reference(g, m, u0, t_eval, config, calls=None):
     traj = integrate(g, m, u0, t_eval, config)
+    if calls is not None:
+        calls["all"] = 0  # so a poisoned call is poisoned in both runs
     states, table, ts, stats = _reference_run(g, m, u0, t_eval, config)
     assert traj.states.tobytes() == states.tobytes()
     assert traj.dense.table.tobytes() == table.tobytes()
@@ -503,23 +535,37 @@ def test_the_step_loop_matches_the_plain_loop_bit_for_bit(spec, m):
     _assert_same_bits_as_the_reference(g, m, u0, np.linspace(0.0, 5.0, 201), SolverConfig())
 
 
-@pytest.mark.parametrize("m, u0, config, rejection", _REJECTION_CASES)
-def test_rejected_steps_match_the_plain_loop_bit_for_bit(m, u0, config, rejection):
-    _assert_same_bits_as_the_reference(complete_graph(2), m, u0, np.linspace(0.0, 1.0, 11), config)
+@pytest.mark.parametrize("g, m, u0, poison, rejection", _REJECTION_CASES)
+def test_rejected_steps_match_the_plain_loop_bit_for_bit(monkeypatch, g, m, u0, poison, rejection):
+    calls = _counting_flow(monkeypatch, poison)
+    _assert_same_bits_as_the_reference(g, m, u0, np.linspace(0.0, 1.0, 11), SolverConfig(), calls)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("horizon, config", [(1.0, SolverConfig(initial_step=1e-20)), (1e4, None)])
-def test_step_underflow_reports_the_stats_so_far(monkeypatch, horizon, config):
+@pytest.mark.parametrize("weight, horizon", [(1e300, 1.0), (1e9, 1e4)], ids=["fastest-pair", "long-horizon"])
+def test_step_underflow_reports_the_stats_so_far(monkeypatch, weight, horizon):
     calls = _counting_flow(monkeypatch)
-    g = build_graph([("a", "b", 1e9)], symmetrize=True)
+    g = build_graph([("a", "b", weight)], symmetrize=True)
     with pytest.raises(StiffnessError) as exc:
-        integrate(g, 2.0, [1.0, 0.5], np.linspace(0.0, horizon, 5), config)
+        integrate(g, 2.0, [1.0, 0.5], np.linspace(0.0, horizon, 5))
     stats = exc.value.stats
     _assert_consistent(stats, calls)
     # both first steps fall below the floor before any stage is evaluated
     assert stats.accepted_steps == 0 and stats.rhs_evals == 1
     assert stats.h_min is None and stats.h_max is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_step_underflow_after_accepted_steps_reports_their_stats(monkeypatch):
+    # from its 20th call on the flow is non-finite, so every later step is
+    # rejected and halved until it falls below the floor
+    calls = _counting_flow(monkeypatch, poison=range(20, sys.maxsize))
+    with pytest.raises(StiffnessError, match="step size underflow") as exc:
+        integrate(complete_graph(2), 2.0, [1.0, 0.5], np.linspace(0.0, 1.0, 5))
+    stats = exc.value.stats
+    _assert_consistent(stats, calls)
+    assert stats.accepted_steps > 0 and stats.positivity_rejections > 40 and stats.error_rejections == 0
+    assert 0.0 < exc.value.t < 1.0
 
 
 def test_only_integrated_trajectories_carry_stats(tmp_path):
