@@ -64,7 +64,10 @@ class SearchConfig:
     ``starts`` rows with the lowest scores seed the compass refinement
     (among equal scores the earlier sample first, NaN after ``+inf``, as a
     stable sort orders them), and ``refine_iters`` bounds its iterations
-    (0: sampling only); an iteration polls every start once.
+    (0: sampling only); an iteration polls every start once.  The
+    refinement ends early once a start scores ``<= 0`` (not at NaN): the
+    ratio is then ``+inf`` whatever later polls find, so a search whose
+    samples hold such a score refines not at all.
     A report's ``samples_used`` counts every field the search scored: the
     samples plus ``starts x 2(n - 1)`` polls per iteration run.
     ``delta`` is the strictness margin while refining, ``tol`` the relative
@@ -417,8 +420,13 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchResult:
     below the step floor 1e-12.  The first round polls down to the floor
     or the cap, so a search whose starts never move takes one call; after
     a round with a move ``depth`` is 1, and it doubles after each round
-    without one.  ``evaluations`` counts the samples and replayed polls, as
-    one call per iteration would, and minimum and field are those of one call
+    without one.  The search stops once a start scores ``<= 0``, before the
+    first round if a sampled start does: the ratio is ``+inf`` from then on,
+    so every finite ``d`` is violated whatever later polls would find; a
+    NaN score does not stop it.  ``evaluations`` counts the samples and
+    replayed polls, ``len(U) + iters k 2(n - 1)`` with ``iters`` the
+    iterations run and ``k`` the refined starts, as one call per iteration
+    would, and minimum and field are those of one call
     per iteration too, on balls of up to 75 vertices; on wider balls BLAS
     may sum a row differently in a block of another shape (the last bits
     only, see :meth:`_BallProblem.evaluate`).  Returns the search's one result.
@@ -441,7 +449,8 @@ def _search_min_score(prob: _BallProblem, cfg: SearchConfig) -> _SearchResult:
     # a round's step divisors; a step starts at (1 - lo) / 4 <= 1/4 and only
     # shrinks, and 1/4 / 4**19 < 1e-12, so divisors past the 20th are always cut
     quarters = 4.0 ** np.arange(min(max_depth, cfg.refine_iters, 20))
-    while iters < cfg.refine_iters and (largest := step.max()) >= 1e-12:
+    # a score <= 0 fixes the ratio at +inf, whatever later polls find
+    while iters < cfg.refine_iters and not (S <= 0.0).any() and (largest := step.max()) >= 1e-12:
         # the steps of the next `depth` iterations if no start moves, cut where
         # the budget ends or where the largest step, largest / q, falls below 1e-12
         q = quarters[: min(depth, max_depth, cfg.refine_iters - iters)]
@@ -481,7 +490,10 @@ def verify_cd_at(
     candidates by a batched compass search (see :class:`SearchConfig`
     for what the budget counts), and reports ``violated`` with a witness
     when a ratio exceeds ``d (1 + tol)``.  ``samples_used`` is the number
-    of fields scored, samples and refinement polls.
+    of fields scored, samples and refinement polls; the refinement stops
+    once a field's curvature form is ``<= 0``, where the ratio is ``+inf``
+    and every finite ``d`` is violated, so on the chain balls it is often
+    the sample budget alone.
     ``holds_empirically`` is a budget-bounded claim, not a proof; the
     report carries seed and budget so it can be falsified.  At ``d = None``
     no verdict is tested: ``d_tested``, ``verdict`` and ``witness`` are None,

@@ -369,7 +369,10 @@ def _mixed_laplacian(K, m, alpha, U, V=None, LP=None):
 
     Where ``u(x) = 0`` the quotient takes its limit: ``G(x) = +inf`` when
     ``L(u^m)(x) > 0`` (some neighbor carries mass), otherwise ``Lv(x)``.
-    ``V`` is the pressure and ``LP`` is ``L(u^m)`` if the caller holds them.
+    The limit is written in place by two masked copies, ``Lv`` at every
+    zero and then ``+inf`` where ``L(u^m) > 0``, with no gathered
+    temporaries.  ``V`` is the pressure and ``LP`` is ``L(u^m)`` if the
+    caller holds them.
     """
     LV = K.laplacian(_pressure(m, U) if V is None else V)
     if alpha == 0.0:
@@ -379,7 +382,9 @@ def _mixed_laplacian(K, m, alpha, U, V=None, LP=None):
     G = (1.0 - alpha) * LV + alpha * LP / U
     zero = U == 0.0
     if zero.any():
-        G[zero] = np.where(LP[zero] > 0.0, np.inf, LV[zero])
+        np.copyto(G, LV, where=zero)
+        zero &= LP > 0.0
+        np.copyto(G, np.inf, where=zero)
     return G
 
 

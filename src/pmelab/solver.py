@@ -18,7 +18,9 @@ drives the step size, with two extra rules suited to this equation:
   within the floor of ``t_end`` is taken to ``t_end``.
 
 The first step has one rule: the least of the step cap, ``span / 100``
-(never below the floor) and ``0.01 max|u0| / max|L(u0^m)|``.
+(never below the floor) and ``0.01 max|u0| / max|L(u0^m)|``.  A start whose
+``L(u0^m)`` is not finite (``u0^m`` overflows) is refused with a
+:class:`~pmelab.errors.ValidationError`, as every step from it would fail.
 
 The whole step loop runs in one ``np.errstate`` scope that silences the
 overflow and invalid-value warnings of rejected steps.  Accepted steps keep
@@ -277,7 +279,8 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
     ``t_eval`` is a finite, nonnegative and strictly increasing time grid
     and ``u0`` is the state at ``t_eval[0]``.  The returned trajectory carries
     the dense interpolant of the run, so later checks can refine in time,
-    and the :class:`SolverStats` of the run.
+    and the :class:`SolverStats` of the run.  A start whose right-hand side
+    is not finite is refused.
     """
     m = check_exponent(m)
     cfg = config or SolverConfig()
@@ -312,6 +315,9 @@ def integrate(g: Graph, m: float, u0, t_eval, config: Optional[SolverConfig] = N
     flow = partial(_flow, g, m)
     with np.errstate(invalid="ignore", over="ignore"):
         f = flow(y)
+        # every stage reads f, so a non-finite one would be rejected at every step size
+        if not np.all(np.isfinite(f)):
+            raise ValidationError("the right-hand side L(u0^m) of the initial state is not finite")
         ts, table = [t], [y, f]  # table: the rows of _Dense.table
         error_rejections, positivity_rejections = 0, 0
         fmax = float(np.max(np.abs(f)))

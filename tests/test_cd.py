@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -376,7 +377,8 @@ def _one_iteration_per_evaluate(prob, cfg):
 
     ``_search_min_score`` scores several iterations' polls per call and
     replays them; it must agree with this loop bit for bit.  Its starts
-    are the stated rule, a stable sort of the scores.
+    are the stated rule, a stable sort of the scores, and it stops once a
+    score is ``<= 0``, which fixes the ratio at ``+inf``.
     """
     lo = prob.lo
     U = _masked_select_sample(np.random.default_rng(cfg.seed), cfg.samples, len(prob.ball), lo)
@@ -391,7 +393,7 @@ def _one_iteration_per_evaluate(prob, cfg):
     sign = np.repeat([1.0, -1.0], n - 1)
     evaluations = len(U)
     for _ in range(cfg.refine_iters):
-        if np.all(step < 1e-12):
+        if np.all(step < 1e-12) or np.any(S <= 0.0):
             break
         C = np.repeat(X[:, None, :], 2 * n - 2, axis=1)
         C[np.arange(k)[:, None], np.arange(2 * n - 2), free] += sign * step[:, None]
@@ -470,6 +472,49 @@ def test_shrink_only_iterations_share_evaluate_calls():
     # no start moves: 19 fourfold shrinks take 0.25 below 1e-12, all in the first round
     assert out.evaluations == 20000 + 19 * 3 * 4
     assert batches == [20000, 3 * 4 * 19]
+
+
+@pytest.mark.parametrize("spec,x,m,alpha", [("path:5", "3", 2.0, 0.0), ("path:6", "3", 3.0, 0.5)])
+def test_a_search_whose_sampled_best_is_not_positive_makes_one_evaluate_call(spec, x, m, alpha):
+    # a score <= 0 fixes the ratio at +inf whatever later polls find, so the refinement never starts
+    prob = _BallProblem(resolve_graph(spec), x, m, alpha)
+    batches = []
+    evaluate = prob.evaluate
+    prob.evaluate = lambda U: batches.append(len(U)) or evaluate(U)
+    for seed in range(3):
+        cfg = SearchConfig(seed=seed)
+        _, score, _ = evaluate(_sample_fields(np.random.default_rng(seed), cfg.samples, len(prob.ball), prob.lo))
+        assert score.min() <= 0.0
+        batches.clear()
+        out = _search_min_score(prob, cfg)
+        assert batches == [cfg.samples] and out.evaluations == cfg.samples
+        assert out.min_score == score.min() and out.ratio == math.inf
+
+
+def test_a_refinement_stops_at_the_move_that_reaches_a_score_not_positive():
+    # at seed 119 no sample of the path:5 ball scores <= 0; the first round's polls are replayed
+    # up to the move that reaches one, and no iteration runs after it
+    prob = _BallProblem(resolve_graph("path:5"), "3", 2.0, 0.0)
+    batches = []
+    evaluate = prob.evaluate
+    prob.evaluate = lambda U: batches.append(len(U)) or evaluate(U)
+    cfg = SearchConfig(seed=119)
+    out = _search_min_score(prob, cfg)
+    assert batches == [cfg.samples, 3 * 8 * 19] and out.min_score <= 0.0
+    score, best_u, evaluations, _ = _one_iteration_per_evaluate(prob, cfg)
+    assert (out.min_score, out.evaluations, out.best_u.tobytes()) == (score, evaluations, best_u.tobytes())
+    assert cfg.samples < out.evaluations < cfg.samples + 3 * 8 * 19
+
+
+@pytest.mark.parametrize("spec,x", [("path:5", "3"), ("zwindow:3", "0")])
+def test_chain_balls_are_violated_with_an_infinite_optimum_at_every_seed(spec, x):
+    g, d = resolve_graph(spec), 4.0 / 3.0
+    for seed in range(120):
+        report = verify_cd_at(g, 2.0, 0.0, d, x, SearchConfig(seed=seed))
+        assert (report.verdict, report.empirical_optimal_d) == ("violated", math.inf), seed
+        # the witness is admissible through the public ratio, which raises otherwise
+        ratio = cd_ratio(g, 2.0, 0.0, report.witness.to_field(g), x)
+        assert ratio == math.inf or ratio > d, (seed, ratio)
 
 
 # every ball of the cd_search benchmark, the m = 3, alpha = 0.5 chain ball, balls of 30 and 50 vertices,
@@ -579,21 +624,37 @@ def test_each_verdict_is_a_comparison_on_one_search_result(spec, x, m, alpha):
             assert report.samples_used == result.evaluations
 
 
-def _benchmark_cd_cases(monkeypatch):
-    """The ``cd_search`` benchmark's ``CD_CASES``: ``(graph, vertex, m, alpha, reference d, source, searches)``."""
+def _benchmark_inproc(monkeypatch):
+    """The benchmark's ``bench/inproc.py``, loaded without writing into ``bench/``."""
     bench = Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("inproc", bench / "inproc.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.CD_CASES
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_the_cd_search_benchmark_passes_its_own_checks(monkeypatch, seed):
+    # every op of the benchmark's rotation at its default and held-out seeds, through the
+    # benchmark's own run-and-check step, so a change that fails its gate fails here first
+    inproc = _benchmark_inproc(monkeypatch)
+    from loop import run_op
+    from tracing import NullTracer
+
+    rotation = inproc.build_cd_search(seed, NullTracer())
+    assert len(rotation) == 2 * sum(searches for *_, searches in inproc.CD_CASES)
+    failures = [(op.label, reason) for op in rotation if (reason := run_op(op, NullTracer())[1]) is not None]
+    assert failures == []
 
 
 def test_a_report_re_runs_from_its_own_budget_and_seed(monkeypatch):
     # a different budget at each seed, so a report that recorded the defaults would not re-run
     budgets = [dict(samples=2000, refine_iters=0), dict(samples=3001, refine_iters=7, tol=1e-3),
                dict(samples=20000), dict(samples=60, refine_iters=500, tol=0.0)]
-    for spec, x, m, alpha, ref, _, _ in _benchmark_cd_cases(monkeypatch):
+    # the cd_search benchmark's balls: (graph, vertex, m, alpha, reference d, source, searches)
+    for spec, x, m, alpha, ref, _, _ in _benchmark_inproc(monkeypatch).CD_CASES:
         g = resolve_graph(spec)
         d = ref if math.isfinite(ref) else 2.0
         for seed, budget in enumerate(budgets):

@@ -835,9 +835,22 @@ def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, messa
 
 @pytest.mark.parametrize("which,flag", [("ab", "--d"), ("harnack", "--mu")])
 def test_a_check_whose_step_size_underflows_exits_three(tmp_path, capsys, which, flag):
-    argv = ["check", which, "--graph", "complete:2", flag, "1", "--u0", "const:1e308"]
+    # a pair joined at weight 1e300 moves faster than any step above the floor
+    graph = tmp_path / "g.txt"
+    graph.write_text("a b 1e300\n")
+    argv = ["check", which, "--graph", str(graph), flag, "1", "--u0", "const:1,2"]
     assert main(argv + ["--out", str(tmp_path / "run")]) == 3
     assert capsys.readouterr().err == "error: step size underflow at t=0.1\n"
+
+
+@pytest.mark.parametrize("which,flag", [("ab", "--d"), ("harnack", "--mu")])
+def test_a_start_whose_right_hand_side_overflows_is_a_usage_error(tmp_path, capsys, which, flag):
+    # (1e308)^2 overflows, so L(u0^m) is not finite and no step from u0 could pass
+    argv = ["check", which, "--graph", "complete:2", flag, "1", "--u0", "const:1e308"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the right-hand side L(u0^m) of the initial state is not finite\n", err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

@@ -533,6 +533,39 @@ def test_mixed_laplacian_field_zero_pressure_limit():
     assert np.all(np.isfinite(out[1:]))
 
 
+def _mixed_laplacian_by_boolean_gathers(K, m, alpha, U):
+    """``_mixed_laplacian`` as first written, its zero-density limit taken by boolean gathers and one scatter."""
+    LV = K.laplacian(_pressure(m, U))
+    LP = _flow(K, m, U)
+    G = (1.0 - alpha) * LV + alpha * LP / U
+    zero = U == 0.0
+    if zero.any():
+        G[zero] = np.where(LP[zero] > 0.0, np.inf, LV[zero])
+    return G
+
+
+@pytest.mark.parametrize("spec", ["zwindow:3", "square", "complete:5", "path:6", "complete:30"])
+@pytest.mark.parametrize("m", [2.0, 3.0])
+def test_the_zero_density_limit_equals_its_boolean_gather_form_bit_for_bit(spec, m):
+    g = resolve_graph(spec)
+    rng = np.random.default_rng(int(10 * m) + g.n)
+    U = rng.random((300, g.n))
+    # zeros with and without mass next door, negative zeros, and rows that are all zeros of either sign
+    U[rng.random(U.shape) < 0.3] = 0.0
+    U[rng.random(U.shape) < 0.1] = -0.0
+    U[::25], U[1::25] = 0.0, -0.0
+    kernels = [(g, U), (_BallKernel(g, np.arange(g.n)), np.asfortranarray(U))]  # the CD search's layout too
+    for alpha in (0.25, 0.5, 1.0):
+        for K, F in kernels:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = _mixed_laplacian(K, m, alpha, F)
+                want = _mixed_laplacian_by_boolean_gathers(K, m, alpha, F)
+            assert got.tobytes() == want.tobytes()
+            assert (got.flags.f_contiguous, got.flags.c_contiguous) == (want.flags.f_contiguous, want.flags.c_contiguous)
+            # both branches of the limit are taken
+            assert np.isinf(got[F == 0.0]).any() and np.isfinite(got[F == 0.0]).any()
+
+
 def test_field_length_validation():
     g = path_graph(3)
     with pytest.raises(ValidationError):

@@ -556,6 +556,16 @@ def test_step_underflow_reports_the_stats_so_far(monkeypatch, weight, horizon):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u0, m", [([1e308, 1e308], 2.0), ([1e200, 1.0], 3.0)])
+def test_a_start_whose_right_hand_side_is_not_finite_is_refused(monkeypatch, u0, m):
+    # u0^m overflows, so every step from u0 would fail; the start is refused after one evaluation
+    calls = _counting_flow(monkeypatch)
+    with pytest.raises(ValidationError, match=r"^the right-hand side L\(u0\^m\) of the initial state is not finite$"):
+        integrate(complete_graph(2), m, u0, np.linspace(0.0, 1.0, 5))
+    assert calls == {"all": 1, "non_finite": 1}
+
+
+@pytest.mark.filterwarnings("error")
 def test_step_underflow_after_accepted_steps_reports_their_stats(monkeypatch):
     # from its 20th call on the flow is non-finite, so every later step is
     # rejected and halved until it falls below the floor
