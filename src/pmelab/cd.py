@@ -223,7 +223,15 @@ class _BallKernel:
         self.degree = g.degree[idx]
 
     def laplacian(self, F: np.ndarray) -> np.ndarray:
-        """``sum_y K(x,y) (F(y) - F(x))`` for a batch ``F`` of shape ``(batch, ball size)``."""
+        """``sum_y K(x,y) (F(y) - F(x))`` for a batch ``F`` of shape ``(batch, ball size)``.
+
+        A one-row ``F`` is summed as a vertex-major batch of two copies of
+        its row, and the first is returned: BLAS sums a one-row product on
+        its matrix-vector path, whose last bits can differ from the row's
+        sums in a batch.
+        """
+        if len(F) == 1:
+            return self.laplacian(np.asfortranarray(np.concatenate((F, F))))[:1]
         # not (matrix @ F.T).T: OpenBLAS 0.3.31 sums some of its rows by batch size
         # on balls of 30+ vertices, so blocks would not score as the whole batch;
         # the sums are copied once into F's layout (vertex-major for a block, see
@@ -276,9 +284,12 @@ class _BallProblem:
         block of the whole batch (measured on 2000 rows at m = 2 on
         ``complete:30``, ``:50`` and ``:75``); on wider balls a few rows
         differ in the last bits (1, 2 and 4 of 2000 on ``complete:100``,
-        ``:200`` and ``:300``).  The search never scores a one-row batch:
-        BLAS sums one row on its matrix-vector path, so a field scored alone
-        can differ in the last bits from its score in a batch.
+        ``:200`` and ``:300``).  A one-row batch, such as the sample batch
+        of ``samples=1`` or a block's one admissible row gathered by
+        :meth:`_score`, scores as it does in its block: the ball kernel sums
+        it as a two-row batch (see :meth:`_BallKernel.laplacian`; measured
+        on 2000 seed-0 samples on ``complete:5`` at m = 2 and 3 and on
+        ``complete:12``, ``:30`` and ``:50`` at m = 2).
         """
         count = _block_count(len(U), U.shape[1], _BLOCK_VALUES)
         if count == 1:

@@ -1,6 +1,8 @@
-"""Shared fixtures: one-line summaries for the acceptance checks, and a 60-digit remainder."""
+"""Shared fixtures: one-line summaries for the acceptance checks, a 60-digit remainder, and the benchmark's rotations."""
 
+import importlib.util
 import os
+import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -10,6 +12,8 @@ import pytest
 # tests that run ``python -m pmelab.cli`` in a child process need it too.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 _LINES = []
 
@@ -41,6 +45,37 @@ def remainder_reference():
     with localcontext() as ctx:
         ctx.prec = 60
         yield reference
+
+
+@pytest.fixture
+def bench_inproc(monkeypatch):
+    """The benchmark's ``bench/inproc.py``, loaded without writing into ``bench/``.
+
+    Its siblings (``loop``, ``tracing``) import by name while the test runs.
+    """
+    monkeypatch.syspath_prepend(str(_BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("inproc", _BENCH / "inproc.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def rotation_outcomes(bench_inproc):
+    """``(label, failure reason or None)`` of every op of a benchmark workload's rotation at ``seed``.
+
+    Each op goes through the benchmark's own run-and-check step, so a change
+    that breaks a workload's gate fails in the test suite first.
+    """
+    from loop import run_op
+    from tracing import NullTracer
+
+    def outcomes(workload, seed):
+        rotation = bench_inproc.BUILDERS[workload](seed, NullTracer())
+        return [(op.label, run_op(op, NullTracer())[1]) for op in rotation]
+
+    return outcomes
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,12 +1,9 @@
 """Curvature-dimension verification: admissibility, search, certificates."""
 
-import importlib.util
 import math
-import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,6 +564,22 @@ def test_blocked_scoring_equals_one_block_scoring_bit_for_bit(spec, x, m, alpha)
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("spec,x,m,alpha", [("complete:5", "x1", 2.0, 0.0), ("complete:5", "x1", 3.0, 0.0),
+                                             ("complete:12", "x1", 2.0, 0.0), ("complete:50", "x1", 2.0, 0.0)])
+def test_a_row_scored_alone_scores_as_in_its_block(spec, x, m, alpha):
+    # a one-row batch (samples=1) gathers a one-row block of admissible rows, which BLAS would
+    # sum on its matrix-vector path: before the ball kernel summed it as two rows, 45-166 of these
+    # rows scored differently in the last bits
+    prob = _BallProblem(resolve_graph(spec), x, m, alpha)
+    U = _sample_fields(np.random.default_rng(0), 2000, len(prob.ball), prob.lo)
+    block = prob._score(U)
+    rows = np.flatnonzero(block[0])
+    assert len(rows) > 200
+    for i in rows:
+        for got, want in zip(prob.evaluate(U[i : i + 1]), block):
+            assert got.tobytes() == want[i : i + 1].tobytes(), i
+
+
 @pytest.mark.parametrize("spec,x,m,alpha", SCORING_BALLS + [("complete:100", "x1", 2.0, 0.0)])
 def test_a_search_scores_no_block_wider_than_the_budget(spec, x, m, alpha):
     prob = _BallProblem(resolve_graph(spec), x, m, alpha)
@@ -624,37 +637,20 @@ def test_each_verdict_is_a_comparison_on_one_search_result(spec, x, m, alpha):
             assert report.samples_used == result.evaluations
 
 
-def _benchmark_inproc(monkeypatch):
-    """The benchmark's ``bench/inproc.py``, loaded without writing into ``bench/``."""
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    monkeypatch.syspath_prepend(str(bench))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("inproc", bench / "inproc.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [1, 7919])
-def test_the_cd_search_benchmark_passes_its_own_checks(monkeypatch, seed):
-    # every op of the benchmark's rotation at its default and held-out seeds, through the
-    # benchmark's own run-and-check step, so a change that fails its gate fails here first
-    inproc = _benchmark_inproc(monkeypatch)
-    from loop import run_op
-    from tracing import NullTracer
-
-    rotation = inproc.build_cd_search(seed, NullTracer())
-    assert len(rotation) == 2 * sum(searches for *_, searches in inproc.CD_CASES)
-    failures = [(op.label, reason) for op in rotation if (reason := run_op(op, NullTracer())[1]) is not None]
-    assert failures == []
+def test_the_cd_search_benchmark_passes_its_own_checks(bench_inproc, rotation_outcomes, seed):
+    # every op of the benchmark's rotation at its default and held-out seeds
+    outcomes = rotation_outcomes("cd_search", seed)
+    assert len(outcomes) == 2 * sum(searches for *_, searches in bench_inproc.CD_CASES)
+    assert [(label, reason) for label, reason in outcomes if reason is not None] == []
 
 
-def test_a_report_re_runs_from_its_own_budget_and_seed(monkeypatch):
+def test_a_report_re_runs_from_its_own_budget_and_seed(bench_inproc):
     # a different budget at each seed, so a report that recorded the defaults would not re-run
     budgets = [dict(samples=2000, refine_iters=0), dict(samples=3001, refine_iters=7, tol=1e-3),
                dict(samples=20000), dict(samples=60, refine_iters=500, tol=0.0)]
     # the cd_search benchmark's balls: (graph, vertex, m, alpha, reference d, source, searches)
-    for spec, x, m, alpha, ref, _, _ in _benchmark_inproc(monkeypatch).CD_CASES:
+    for spec, x, m, alpha, ref, _, _ in bench_inproc.CD_CASES:
         g = resolve_graph(spec)
         d = ref if math.isfinite(ref) else 2.0
         for seed, budget in enumerate(budgets):

@@ -819,3 +819,12 @@ def test_report_passed_reflects_tolerance():
     rep = ab_check(square_run(), 0.0, 4.0 / 3.0, tol=1e-8)
     assert rep.passed == (rep.min_slack >= -rep.tolerance)
     assert rep.to_json_dict()["passed"] is rep.passed
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_the_checks_benchmark_passes_its_own_checks(bench_inproc, rotation_outcomes, seed):
+    # every checker, residual and state_at sweep of the benchmark's rotation at its default and
+    # held-out seeds stays within the benchmark's bounds
+    outcomes = rotation_outcomes("checks", seed)
+    assert len(outcomes) == 6 * bench_inproc.CHECK_VARIANTS * len(bench_inproc.CHECK_CASES)
+    assert [(label, reason) for label, reason in outcomes if reason is not None] == []

@@ -391,8 +391,15 @@ def test_repeated_entries_whose_sum_overflows_are_rejected():
 # -- the Laplacian entry table ---------------------------------------------
 
 
+def _star(leaves):
+    """A hub joined to ``leaves`` leaves by distinct weights: one row of ``leaves`` entries, the others of one."""
+    return build_graph([("hub", f"l{i}", 0.5 + i / 7.0) for i in range(leaves)], symmetrize=True)
+
+
 def _laplacian_cases():
-    graphs = {spec: resolve_graph(spec) for spec in ("square", "complete:3", "complete:5", "complete:30", "path:16")}
+    specs = ("square", "complete:3", "complete:5", "complete:30", "complete:100", "path:16")
+    graphs = {spec: resolve_graph(spec) for spec in specs}
+    graphs["star:40"] = _star(40)
     graphs.update({f"zwindow:{r}": lattice_window(r) for r in (10, 100)})
     rng = np.random.default_rng(5)
     mat = np.triu((rng.random((20, 20)) < 0.3) * rng.uniform(0.01, 100.0, (20, 20)), 1)
@@ -427,6 +434,27 @@ def test_laplacian_equals_kernel_sum_minus_degree_times_field_byte_for_byte(spec
             for batch in np.split(F[: 42 * rows], 42):
                 want = g.kernel_sum(batch) - g.degree * batch
                 assert g.laplacian(batch).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", list(_laplacian_cases()))
+def test_the_one_field_tables_are_slot_major(spec):
+    # every row's first entry, then every row's second, ...: the slot never decreases and the
+    # rows ascend within a slot, while each row keeps its entries in storage order
+    g = _laplacian_cases()[spec]
+    diagonal = (np.arange(g.n), np.arange(g.n), -g.degree)
+    for table, stored in ((g._entry_table, (g.rows, g.indices, g.data)),
+                          (g._laplacian_table, tuple(map(np.concatenate, zip((g.rows, g.indices, g.data), diagonal))))):
+        rows, columns, weights, _ = table
+        by_row = np.argsort(rows, kind="stable")
+        slot = np.empty(len(rows), dtype=np.intp)
+        slot[by_row] = np.arange(len(rows)) - np.searchsorted(rows[by_row], rows[by_row])
+        assert np.all(np.diff(slot) >= 0)
+        same = np.diff(slot) == 0
+        assert np.all(np.diff(rows)[same] > 0)
+        # back in row order the table is the stored entries (and each row's diagonal after them)
+        want = np.argsort(stored[0], kind="stable")
+        for got, entries in zip((rows, columns, weights), stored):
+            assert got[by_row].tobytes() == entries[want].tobytes()
 
 
 # -- edge-list files -------------------------------------------------------

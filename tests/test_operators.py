@@ -820,13 +820,16 @@ def _kernel_cases():
     np.testing.assert_array_equal(g.data.view(np.int64), np.array([2.0, 0.1 + 0.2 + 0.3, 0.7, 1.5]).view(np.int64))
     assert 0.1 + 0.2 + 0.3 != 0.1 + (0.2 + 0.3)
     cases.append((g, g.kernel_matrix()))
-    # a hub of 3000 leaves, and rows of many distinct entry counts
+    # a hub of 3000 leaves, rows of many distinct entry counts, and a hub of 40 leaves
     for edges in (
         [("hub", f"l{i}", 1.0) for i in range(3000)],
         [(f"v{i}", f"v{j}", 1.0 + i + 0.1 * j) for i in range(40) for j in range(i)],
+        [("hub", f"l{i}", 0.5 + i / 7.0) for i in range(40)],
     ):
         g = build_graph(edges, symmetrize=True)
         cases.append((g, g.kernel_matrix()))
+    g = resolve_graph("complete:100")  # rows of 100 entries
+    cases.append((g, g.kernel_matrix()))
     return cases
 
 
@@ -846,7 +849,7 @@ def _assert_same_bits(got, want):
     np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
-@pytest.mark.parametrize("case", range(13))
+@pytest.mark.parametrize("case", range(15))
 def test_kernel_sums_equal_the_scipy_product_bit_for_bit(case):
     g, K = _kernel_cases()[case]
     F = _kernel_fields(g.n, 64, seed=case)

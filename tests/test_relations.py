@@ -31,6 +31,15 @@ Each relation compares two runs of the library and needs no closed form.
   four rows adds a few roundings of the largest state.  So the states agree
   to ``(N + 2) ulp(15) max|L(u^m)| + 8 eps max|u|``; the measured worst is
   under 2% of that bound.
+* Composition.  On a disjoint union of two graphs each row of the kernel
+  is a row of one component, with its columns shifted, so the right-hand
+  side ``L(u^m)``, the Laplacian and the kernel sums, restricted to a
+  component, add the same terms in the same order as on the component
+  alone: they agree bit for bit.  The union of ``complete:30`` and
+  ``path:3`` interleaves rows of 29 entries with rows of 1 and 2 in one
+  slot-major table.  (A
+  trajectory on the union takes other steps, as its error norm runs over
+  every vertex, so its states agree only to the integrator's global error.)
 """
 
 import math
@@ -45,11 +54,13 @@ from pmelab import (
     complete_graph,
     empirical_optimal_d,
     integrate,
+    laplacian_field,
     pme_rhs,
     resolve_graph,
     square_graph,
     verify_cd_at,
 )
+from pmelab.operators import _flow
 
 _SQUARE_EDGES = [("x", "y1", 1.0), ("x", "y2", 1.0), ("z", "y1", 1.0), ("z", "y2", 1.0)]
 _PATH_3_EDGES = [("p1", "p2", 1.0), ("p2", "p3", 1.0)]
@@ -105,3 +116,57 @@ def test_a_later_window_integrates_the_same_start_to_the_same_states(spec, m):
         size = np.abs(early.states).max()
         bound = (steps + 2) * math.ulp(15.0) * rate + 8 * np.finfo(float).eps * size
         assert np.abs(late.states - early.states).max() <= bound, (seed, bound)
+
+
+def _union(*parts: Graph) -> Graph:
+    """The disjoint union of ``parts``, in order, with vertex ``v`` of part ``i`` named ``i:v``."""
+    names = [f"{i}:{v}" for i, g in enumerate(parts) for v in g.vertices]
+    vertex_starts = np.cumsum([0] + [g.n for g in parts])
+    entry_starts = np.cumsum([0] + [len(g.data) for g in parts])
+    data = np.concatenate([g.data for g in parts])
+    indices = np.concatenate([g.indices + s for g, s in zip(parts, vertex_starts)])
+    indptr = np.concatenate([[0]] + [g.indptr[1:] + s for g, s in zip(parts, entry_starts)])
+    return Graph(names, (data, indices, indptr))
+
+
+def _random_graph(n, density, seed, symmetric):
+    """Random weights in [0.01, 100] on a random set of pairs; a directed graph's last vertex has no out-edges."""
+    rng = np.random.default_rng(seed)
+    mat = (rng.random((n, n)) < density) * rng.uniform(0.01, 100.0, (n, n))
+    np.fill_diagonal(mat, 0.0)
+    if symmetric:
+        mat = np.triu(mat, 1) + np.triu(mat, 1).T
+    else:
+        mat[-1] = 0.0
+    return Graph([f"r{i}" for i in range(n)], mat)
+
+
+def _composition_cases():
+    graphs = {spec: complete_graph(2) if spec == "two-point" else resolve_graph(spec)
+              for spec in ("two-point", "square", "complete:5", "complete:30", "zwindow:100", "path:16")}
+    graphs["random:20"] = _random_graph(20, 0.3, 5, symmetric=True)
+    graphs["directed:12"] = _random_graph(12, 0.4, 6, symmetric=False)
+    return graphs
+
+
+@pytest.mark.parametrize("spec", list(_composition_cases()))
+def test_a_disjoint_union_leaves_each_component_s_sums_unchanged(spec):
+    parts = (_composition_cases()[spec], resolve_graph("path:3"))
+    for order in (parts, parts[::-1]):  # each component first and second, so each one's rows move
+        union = _union(*order)
+        at = np.cumsum([0] + [g.n for g in order])
+        rng = np.random.default_rng(union.n)
+        U = rng.uniform(0.5, 1.5, (7, union.n))
+        F = rng.choice([-1.0, 1.0], U.shape) * 10.0 ** rng.uniform(-3.0, 3.0, U.shape)
+        for g, lo, hi in zip(order, at, at[1:]):
+            # a batch of fields, through the batched core the solver's right-hand side calls
+            for m in (1.5, 2.0, 3.0):
+                assert _flow(union, m, U)[:, lo:hi].tobytes() == _flow(g, m, U[:, lo:hi]).tobytes(), m
+            assert laplacian_field(union, F)[:, lo:hi].tobytes() == laplacian_field(g, F[:, lo:hi]).tobytes()
+            assert union.kernel_sum(F)[:, lo:hi].tobytes() == g.kernel_sum(F[:, lo:hi]).tobytes()
+            # one field at a time, as the solver calls them
+            for u, f in zip(U, F):
+                for m in (1.5, 2.0, 3.0):
+                    assert pme_rhs(union, m, u)[lo:hi].tobytes() == pme_rhs(g, m, u[lo:hi]).tobytes(), m
+                assert laplacian_field(union, f)[lo:hi].tobytes() == laplacian_field(g, f[lo:hi]).tobytes()
+                assert union.kernel_sum(f)[lo:hi].tobytes() == g.kernel_sum(f[lo:hi]).tobytes()

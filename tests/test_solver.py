@@ -799,3 +799,12 @@ def test_load_initial_condition_refuses_unknown_and_repeated_vertices(tmp_path, 
     path.write_text(text)
     with pytest.raises(ValidationError, match=re.escape(f"{path}{message}")):
         load_initial_condition(path, path_graph(3))
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_the_flow_benchmark_passes_its_own_checks(bench_inproc, rotation_outcomes, seed):
+    # every integration of the benchmark's rotation at its default and held-out seeds keeps its
+    # mass to 1e-12 relative, and the two-point start its closed form to 1e-8
+    outcomes = rotation_outcomes("flow", seed)
+    assert len(outcomes) == bench_inproc.FLOW_VARIANTS * len(bench_inproc.FLOW_GRAPHS) * len(bench_inproc.FLOW_EXPONENTS)
+    assert [(label, reason) for label, reason in outcomes if reason is not None] == []
