@@ -568,8 +568,8 @@ def test_blocked_scoring_equals_one_block_scoring_bit_for_bit(spec, x, m, alpha)
                                              ("complete:12", "x1", 2.0, 0.0), ("complete:50", "x1", 2.0, 0.0)])
 def test_a_row_scored_alone_scores_as_in_its_block(spec, x, m, alpha):
     # a one-row batch (samples=1) gathers a one-row block of admissible rows, which BLAS would
-    # sum on its matrix-vector path: before the ball kernel summed it as two rows, 45-166 of these
-    # rows scored differently in the last bits
+    # sum on its matrix-vector path: before the ball kernel summed it as two rows, 63-163 of these
+    # rows per ball scored differently in the last bits
     prob = _BallProblem(resolve_graph(spec), x, m, alpha)
     U = _sample_fields(np.random.default_rng(0), 2000, len(prob.ball), prob.lo)
     block = prob._score(U)
