@@ -26,10 +26,11 @@ Steps:
      times satisfy v(x1, t1) - v(x2, t2) <= RHS where the right-hand
      side can be computed per geodesic edge (path form) or from the hop
      distance and the weakest edge (distance form). The path form is
-     never larger, and strictly smaller as soon as edge weights differ.
-     Sample seeded (t1, t2, x1, x2) tuples with t1 < t2, check the
-     inequality for both forms, and report the worst slack, then show
-     the strict gap on a 3-path with unequal weights.
+     never larger, and strictly smaller as soon as edge weights differ,
+     so the check takes the least path form alone. Sample seeded
+     (t1, t2, x1, x2) tuples with t1 < t2, check the inequality, and
+     report the worst slack; then compare the two forms on adjacent
+     pairs and show the strict gap on a 3-path with unequal weights.
 
 All checks here run with lambda = 0; the checkers raise LambdaOneError
 for lambda = 1, where the time reparametrisation behind the bound

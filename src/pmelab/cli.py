@@ -331,6 +331,8 @@ def _integrate_and_check(args):
     g = resolve_graph(args.graph)
     u0 = resolve_initial_state(args.u0, g, args.seed)
     times = resolve_times(args, need_positive_start=True)
+    if args.which == "harnack" and args.pairs < 1:
+        raise ValidationError("--pairs must be at least 1")
     tol = _tol_override(args)
     traj = integrate(g, args.m, u0, times)
     if args.which == "ab":

@@ -14,10 +14,11 @@ Checked statements, for a trajectory with pressure ``v``:
 * the differential Harnack hypothesis
   ``dv/dt >= (1-lambda) gradient_energy(v) - (mu/t) v``
   (``diff_harnack_residual``);
-* the integrated Harnack bounds comparing ``t^mu v`` at two space-time
-  points through a distance correction or a path correction, least over
-  simple paths by a min-plus recursion (``harnack_check`` with
-  :func:`harnack_rhs_path` and :func:`harnack_rhs_distance`);
+* the integrated Harnack bound comparing ``t^mu v`` at two space-time
+  points through the path correction, least over simple paths by a
+  min-plus recursion (``harnack_check`` with :func:`harnack_rhs_path`);
+  the coarser distance correction, which the least path form never
+  exceeds but by rounding, is :func:`harnack_rhs_distance`;
 * the pointwise quadratic minorant of the exponent-weighted remainder and
   the integral minimum inequality that drive the Harnack proof
   (``quadratic_minorant_check``, ``integral_min_inequality_check``).
@@ -264,10 +265,14 @@ def _denominator(form: str, kmin: float, mu: float, lam: float, t1, t2):
 
 
 def _path_terms(mu: float, lam: float, t1: np.ndarray, t2: np.ndarray, n_edges: np.ndarray):
-    """Zero-padded increments ``tau_j^(mu+1) - tau_{j-1}^(mu+1)`` and prefactors of ``n_edges``-edge paths."""
+    """Zero-padded increments ``tau_j^(mu+1) - tau_{j-1}^(mu+1)`` of ``n_edges``-edge paths, and their denominators.
+
+    A caller forms ``2 N^2 (sum / den)``: dividing last keeps every intermediate no larger than the
+    correction, where the prefactor ``2 N^2 / den`` alone overflows once ``(t2 - t1)^2`` is subnormal.
+    """
     steps = np.minimum(np.arange(n_edges.max() + 1), n_edges[:, None])
     powers = np.float_power(t1[:, None] + steps * (t2 - t1)[:, None] / n_edges[:, None], mu + 1.0)
-    return np.diff(powers, axis=1), 2.0 * n_edges**2 / _denominator("path", 1.0, mu, lam, t1, t2)
+    return np.diff(powers, axis=1), _denominator("path", 1.0, mu, lam, t1, t2)
 
 
 def harnack_rhs_path(g: Graph, m: float, mu: float, lam: float, t1: float, t2: float, path: Sequence[str]) -> float:
@@ -275,10 +280,11 @@ def harnack_rhs_path(g: Graph, m: float, mu: float, lam: float, t1: float, t2: f
 
     With ``N`` edges and intermediate times ``tau_i = t1 + i (t2-t1)/N``:
 
-    ``2 N^2 / ((1-lambda)(mu+1)(t2-t1)^2)
-    * sum_j (tau_j^(mu+1) - tau_{j-1}^(mu+1)) / k(y_{j-1}, y_j)``
+    ``2 N^2 (sum_j (tau_j^(mu+1) - tau_{j-1}^(mu+1)) / k(y_{j-1}, y_j))
+    / ((1-lambda)(mu+1)(t2-t1)^2)``
 
-    with the sum added in path order.  The exponent ``m`` is part of the
+    with the sum added in path order and divided by the denominator before
+    the factor ``2 N^2`` is applied.  The exponent ``m`` is part of the
     statement's context (it fixes how ``mu`` was chosen) but the correction
     itself does not depend on it.
     """
@@ -290,27 +296,27 @@ def harnack_rhs_path(g: Graph, m: float, mu: float, lam: float, t1: float, t2: f
     for x, y, w in zip(path, path[1:], weights.tolist()):
         if w <= 0.0:
             raise ValidationError(f"path step {x!r} -> {y!r} is not an edge")
-    increments, scale = _path_terms(mu, lam, np.array([t1]), np.array([t2]), np.array([len(path) - 1]))
-    return float(scale[0] * np.add.accumulate(increments[0] / weights)[-1])
+    n_edges = len(path) - 1
+    increments, den = _path_terms(mu, lam, np.array([t1]), np.array([t2]), np.array([n_edges]))
+    return float(2.0 * n_edges**2 * (np.add.accumulate(increments[0] / weights)[-1] / den[0]))
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # an overflow gives inf, as float arithmetic does
-def _distance_correction(dist, kmin: float, mu: float, lam: float, t1, t2):
-    """The distance-form correction for hop distances and a smallest weight, with floats or arrays."""
-    span = np.float_power(t2, mu + 1.0) - np.float_power(t1, mu + 1.0)
-    return 2.0 * dist**2 * span / _denominator("distance", kmin, mu, lam, t1, t2)
-
-
 def harnack_rhs_distance(g: Graph, mu: float, lam: float, t1: float, t2: float, x1: str, x2: str) -> float:
     """Distance-form Harnack correction.
 
     ``2 d(x1,x2)^2 (t2^(mu+1) - t1^(mu+1))
     / ((1-lambda)(mu+1) k_min (t2-t1)^2)``,
     which is 0 when ``x1 = x2``; the two-point comparison remains valid in
-    that case.
+    that case.  It is the path form along a shortest path with every weight
+    lowered to ``k_min`` (the increments telescope), so the least path
+    form never exceeds it but by rounding; :func:`harnack_check` uses the
+    path form alone.
     """
     _check_harnack_params(mu, lam, t1, t2)
-    return float(_distance_correction(graph_distance(g, x1, x2), k_min(g), mu, lam, t1, t2))
+    dist = graph_distance(g, x1, x2)
+    span = np.float_power(t2, mu + 1.0) - np.float_power(t1, mu + 1.0)
+    return float(2.0 * dist**2 * span / _denominator("distance", k_min(g), mu, lam, t1, t2))
 
 
 # The path recursion runs over blocks of rows holding about this many
@@ -323,6 +329,9 @@ _PATH_BLOCK_VALUES = 2**19
 def _path_minima(g: Graph, mu: float, lam: float, t1, t2, sources, targets, n_edges) -> np.ndarray:
     """Least :func:`harnack_rhs_path` over the simple paths of ``n_edges`` edges, per row of the columns.
 
+    Each row's least path-order sum is divided by its denominator before ``2 N^2`` is applied, as in
+    :func:`harnack_rhs_path`, so a row is finite wherever its correction is.
+
     On a symmetric kernel with ``N`` at most the hop distance plus 2 the simple paths are the
     non-backtracking walks (cutting a closed sub-walk of 3 or more edges out of such a walk would
     leave one shorter than the distance), so a min-plus recursion over directed edges, with
@@ -330,14 +339,14 @@ def _path_minima(g: Graph, mu: float, lam: float, t1, t2, sources, targets, n_ed
     sum bit for bit: rounded addition is monotone.  Rows with no such path get inf.  Rows are
     independent, so the recursion runs over blocks of ``_PATH_BLOCK_VALUES`` values.
     """
-    increments, scale = _path_terms(mu, lam, t1, t2, n_edges)
+    increments, den = _path_terms(mu, lam, t1, t2, n_edges)
     # per out-degree c: the (c, vertices) positions of those vertices' edges, and of their reverses
     groups = [(at, back) for _, at, back in _slot_groups(g.indptr, g.n, np.arange(len(g.rows)), g.reverse)]
     best = np.empty(len(n_edges))
     order = np.argsort(-n_edges, kind="stable")  # longest first: the rows still walking are a prefix
     for block in np.array_split(order, _block_count(len(order), len(g.rows), _PATH_BLOCK_VALUES)):
         best[block] = _least_walks(g, groups, sources[block], targets[block], n_edges[block], increments[block])
-    return scale * best
+    return 2.0 * n_edges**2 * (best / den)
 
 
 def _out_edges(g: Graph, vertices: np.ndarray):
@@ -388,13 +397,17 @@ def harnack_check(
     """Check the integrated Harnack comparison over space-time pairs.
 
     For each ``(t1, t2, x1, x2)`` the slack
-    ``t2^mu v(t2,x2) + correction - t1^mu v(t1,x1)`` is evaluated with the
-    distance-form correction and, for distinct vertices, with the sharper
-    path form minimized over all simple paths of at most
-    ``distance + 2`` edges.  The reported per-pair slack is the smaller of
-    the two, and the report kind names the form attaining the overall
-    minimum.  Every slack equals the one built from :func:`harnack_rhs_distance`,
-    :func:`harnack_rhs_path` and :meth:`Trajectory.value`, and all pairs
+    ``t2^mu v(t2,x2) + correction - t1^mu v(t1,x1)`` is evaluated with one
+    correction: for distinct vertices the path form minimized over all
+    simple paths of ``distance``, ``distance + 1`` and ``distance + 2``
+    edges, and 0 where ``x1 = x2``.  The distance form is not taken: it is
+    the path form along a shortest path with every weight lowered to the
+    graph's ``k_min``, so it can only bind by rounding, and ``k_min`` would
+    tie a pair's slack to weights of other components.  The report kind is
+    ``harnack_path`` when the binding pair has ``x1 != x2`` and
+    ``harnack_distance`` when ``x1 = x2`` (the distance form at distance 0
+    is 0).  Every slack equals the one built from :func:`harnack_rhs_path`
+    and :meth:`Trajectory.value`, and all pairs
     are evaluated in one array pass: one dense-interpolant call reads the
     states (with no dense data, the reported ones), one breadth-first search
     runs per distinct source vertex and one min-plus recursion over directed
@@ -427,20 +440,18 @@ def harnack_check(
     cut = np.flatnonzero(dist < 0)
     if len(cut):
         graph_distance(g, x1[cut[0]], x2[cut[0]])  # raises the NoPathError that names the pair
-    path = np.full(len(pairs), np.inf)  # no path form where x1 = x2
-    apart = np.flatnonzero(i1 != i2)
-    if len(apart):  # rows of dist, dist + 1 and dist + 2 edges
-        rows, n_edges = np.repeat(apart, 3), (dist[apart, None] + [0, 1, 2]).ravel()
+    correction = np.zeros(len(pairs))  # the distance form where x1 = x2
+    apart = i1 != i2
+    if apart.any():  # rows of dist, dist + 1 and dist + 2 edges
+        rows = np.repeat(np.flatnonzero(apart), 3)
+        n_edges = (dist[apart, None] + [0, 1, 2]).ravel()
         minima = _path_minima(g, mu, lam, t1[rows], t2[rows], i1[rows], i2[rows], n_edges)
-        path[apart] = minima.reshape(-1, 3).min(axis=1)
+        correction[apart] = minima.reshape(-1, 3).min(axis=1)
     U = traj.dense(times) if traj.dense is not None else np.array([traj.state_at(t) for t in times])
     v1, v2 = _pressure(m, U[np.arange(len(at)), at]).reshape(-1, 2).T
     lhs = np.float_power(t1, mu) * v1
     base = np.float_power(t2, mu) * v2
-    slack_d = base + _distance_correction(dist, k_min(g), mu, lam, t1, t2) - lhs
-    slack_p = base + path - lhs
-    on_path = slack_p < slack_d
-    slack = np.where(on_path, slack_p, slack_d)
+    slack = base + correction - lhs
     bad = np.flatnonzero(~np.isfinite(slack))
     if len(bad):  # no verdict: name the term that overflowed
         k = bad[0]
@@ -451,7 +462,7 @@ def harnack_check(
         raise DomainError(f"the Harnack correction overflows a float at the pair {pair}")
     k = int(np.argmin(slack))
     return EstimateReport(
-        "harnack_path" if on_path[k] else "harnack_distance",
+        "harnack_path" if apart[k] else "harnack_distance",
         {"m": m, "lambda": lam, "mu": mu},
         float(slack[k]),
         dict(zip(("t1", "t2", "x1", "x2"), pairs[k])),

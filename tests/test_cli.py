@@ -818,7 +818,7 @@ def test_config_echoes_exactly_the_parsed_settings(tmp_path):
         (["check", "ab", "--d", "1", "--t-start", "0"], "--t-start must be positive for this command"),
         (["simulate", "--t-start", "-1"], "--t-start must be nonnegative"),
         (["check", "diff-harnack", "--mu", "1", "--lambda", "1.5"], "lambda must lie in [0, 1), got 1.5"),
-        (["check", "harnack", "--mu", "1", "--pairs", "0"], "need at least one (t1, t2, x1, x2) pair"),
+        (["check", "harnack", "--mu", "1", "--pairs", "0"], "--pairs must be at least 1"),
         (
             ["verify-cd", "--graph", "square", "--vertex", "x", "--d", "1", "--samples", "0"],
             "search budget must be at least 1 sample",
@@ -831,6 +831,20 @@ def test_bad_tolerances_and_times_are_usage_errors(tmp_path, capsys, argv, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
     assert not (tmp_path / "run").exists()  # a refused command writes nothing
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_check_harnack_refuses_pairs_below_one_before_integrating(tmp_path, capsys, monkeypatch, pairs):
+    import pmelab.solver
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before the flags were checked")
+
+    monkeypatch.setattr(pmelab.solver, "integrate", integrate)
+    argv = ["check", "harnack", "--mu", "1", "--pairs", pairs, "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --pairs must be at least 1\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("which,flag", [("ab", "--d"), ("harnack", "--mu")])

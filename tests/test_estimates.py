@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -384,6 +385,54 @@ def test_geodesic_path_never_beats_the_distance_form(seed):
     assert path_value <= dist_value * (1.0 + 1e-12)
 
 
+def _random_weighted_graph(rng):
+    """A connected symmetric graph of 4-10 vertices: a random tree plus chords, weights in [0.01, 100]."""
+    n = int(rng.integers(4, 11))
+    edges = {(int(rng.integers(i)), i) for i in range(1, n)}
+    edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    weights = 10.0 ** rng.uniform(-2.0, 2.0, len(edges))
+    return build_graph([(str(i), str(j), w) for (i, j), w in zip(sorted(edges), weights)], symmetrize=True)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-150, 1e-155])
+def test_the_least_path_form_is_finite_and_not_above_the_distance_form(scale):
+    # the distance form is the path form along a shortest path with every weight lowered to
+    # k_min, so the least path form over d, d + 1 and d + 2 edges is at most it but for rounding,
+    # and it is finite wherever the distance form is: at small scales (t2 - t1)**2 is subnormal.
+    # A subnormal denominator is rounded to an absolute half ulp of 0, so each adds that much
+    # over itself to the relative allowance (at 1e-155 the excess reaches 9.5e3 eps)
+    from pmelab.estimates import _path_minima
+
+    eps, tiny = np.finfo(float).eps, math.ulp(0.0)
+    rng = np.random.default_rng(int(-math.log10(scale)))
+    for _ in range(10):
+        g = _random_weighted_graph(rng)
+        mu, lam, kmin = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 0.9)), min(g.data.tolist())
+        rows, distance, allowance = [], [], []
+        for _ in range(20):
+            x1, x2 = rng.choice(g.vertices, 2, replace=False)
+            t1 = scale * float(rng.uniform(0.5, 3.0))
+            t2 = t1 + scale * float(rng.uniform(0.1, 2.0))
+            distance.append(harnack_rhs_distance(g, mu, lam, t1, t2, x1, x2))
+            den = (1.0 - lam) * (mu + 1.0) * (t2 - t1) ** 2
+            allowance.append(4 * eps + tiny / den + tiny / ((1.0 - lam) * (mu + 1.0) * kmin * (t2 - t1) ** 2))
+            hops = graph_distance(g, x1, x2)
+            rows += [(t1, t2, g.index(x1), g.index(x2), hops + k) for k in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow on the way is a failure, not an inf
+            least = _path_minima(g, mu, lam, *(np.array(c) for c in zip(*rows))).reshape(-1, 3).min(axis=1)
+        for path, dist, rel, row in zip(least.tolist(), distance, allowance, rows[::3]):
+            if math.isfinite(dist):
+                assert math.isfinite(path) and path - dist <= rel * dist, (mu, lam, row, path, dist)
+
+
+def test_the_path_form_divides_last_so_a_subnormal_width_stays_finite():
+    # (t2 - t1)**2 = 4e-310 is subnormal: 2 N^2 over the denominator alone would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert harnack_rhs_path(path_graph(3), 2.0, 1.0, 0.5, 1e-155, 3e-155, ["1", "2"]) == 4.0
+
+
 def test_harnack_check_passes_on_the_square_and_reports_the_best_form():
     traj = square_run(t0=0.2, t1=2.5)
     rng = np.random.default_rng(1)
@@ -433,18 +482,17 @@ def _simple_paths(g, src, dst, cap):
 
 
 def _harnack_reference(traj, mu, lam, pairs):
-    """``harnack_check``'s records, one public correction call per pair and enumerated path."""
+    """``harnack_check``'s records: per pair, the least public path correction over enumerated paths, 0 at x1 = x2."""
     g, m = traj.graph, traj.m
     records = []
     for t1, t2, x1, x2 in pairs:
         lhs = t1**mu * pressure(m, float(traj.dense(np.array([t1]))[0][g.index(x1)]))
         base = t2**mu * pressure(m, float(traj.dense(np.array([t2]))[0][g.index(x2)]))
-        slack = base + harnack_rhs_distance(g, mu, lam, t1, t2, x1, x2) - lhs
+        corr = 0.0
         if x1 != x2:
             paths = _simple_paths(g, g.index(x1), g.index(x2), graph_distance(g, x1, x2) + 2)
             corr = min(harnack_rhs_path(g, m, mu, lam, t1, t2, [g.vertices[i] for i in p]) for p in paths)
-            slack = min(slack, base + corr - lhs)
-        records.append((t1, t2, x1, x2, slack))
+        records.append((t1, t2, x1, x2, base + corr - lhs))
     return records
 
 
@@ -491,36 +539,43 @@ def test_harnack_check_equals_the_per_pair_reference_exactly(spec):
 
 
 def test_harnack_check_equals_plain_float_arithmetic_on_20000_pairs():
-    # t^mu v and the distance form in Python floats (libm pow, never x * x for a square), the path
-    # form from _path_minima, whose increments are libm's too; enough pairs that a last-bit
-    # difference in any of them shows
+    # t^mu v and the path form in Python floats (libm pow, never x * x for a square): each path's
+    # sum in path order, divided by the denominator before 2 N^2 is applied; the increments are
+    # also compared with _path_terms'.  Enough pairs that a last-bit difference in any term shows
     from pmelab.cli import sample_check_tuples
-    from pmelab.estimates import _path_minima, _path_terms
+    from pmelab.estimates import _path_terms
 
     g, m, mu, lam = square_graph(), 2.0, 0.2, 0.0
     traj = integrate(g, m, np.random.default_rng(3).uniform(0.1, 2.0, g.n), np.linspace(0.1, 5.0, 201))
     pairs = sample_check_tuples(g, np.random.default_rng(7), 20000, 0.1, 5.0)
     U = traj.dense(np.array([t for pair in pairs for t in pair[:2]])).tolist()
-    kmin = min(g.data.tolist())
     hops = {(x, y): graph_distance(g, x, y) for x in g.vertices for y in g.vertices}
+    weights = {  # the edge weights of each simple path, by its ends and its edge count
+        (x, y, n_edges): [[g.kernel(g.vertices[a], g.vertices[b]) for a, b in zip(p, p[1:])]
+                          for p in _simple_paths(g, g.index(x), g.index(y), n_edges) if len(p) == n_edges + 1]
+        for x in g.vertices for y in g.vertices if x != y for n_edges in range(hops[x, y], hops[x, y] + 3)
+    }
     rows = [(t1, t2, g.index(x1), g.index(x2), hops[x1, x2] + k)
             for t1, t2, x1, x2 in pairs if x1 != x2 for k in range(3)]
     columns = [np.array(c) for c in zip(*rows)]
-    increments = _path_terms(mu, lam, columns[0], columns[1], columns[4])[0].tolist()
-    for (t1, t2, _, _, n_edges), got in zip(rows, increments):
-        powers = [(t1 + j * (t2 - t1) / n_edges) ** (mu + 1.0) for j in range(n_edges + 1)]
-        assert got == [b - a for a, b in zip(powers, powers[1:])] + [0.0] * (len(got) - n_edges)
-    path = iter(_path_minima(g, mu, lam, *columns).tolist())
+    got_increments = iter(_path_terms(mu, lam, columns[0], columns[1], columns[4])[0].tolist())
     want = []
     for (t1, t2, x1, x2), u1, u2 in zip(pairs, U[0::2], U[1::2]):
         lhs = t1**mu * (m / (m - 1.0) * u1[g.index(x1)] ** (m - 1.0))
         base = t2**mu * (m / (m - 1.0) * u2[g.index(x2)] ** (m - 1.0))
-        span = t2 ** (mu + 1.0) - t1 ** (mu + 1.0)
-        dist = hops[x1, x2]
-        slack = base + 2.0 * dist**2 * span / ((1.0 - lam) * (mu + 1.0) * kmin * (t2 - t1) ** 2) - lhs
+        corr = 0.0
         if x1 != x2:
-            slack = min(slack, base + min(next(path), next(path), next(path)) - lhs)
-        want.append((t1, t2, x1, x2, slack))
+            den = (1.0 - lam) * (mu + 1.0) * (t2 - t1) ** 2
+            forms = []
+            for n_edges in range(hops[x1, x2], hops[x1, x2] + 3):
+                powers = [(t1 + j * (t2 - t1) / n_edges) ** (mu + 1.0) for j in range(n_edges + 1)]
+                increments = [b - a for a, b in zip(powers, powers[1:])]
+                got = next(got_increments)
+                assert got == increments + [0.0] * (len(got) - n_edges)
+                sums = [sum(inc / w for inc, w in zip(increments, ws)) for ws in weights[x1, x2, n_edges]]
+                forms.append(2.0 * n_edges**2 * (min(sums, default=math.inf) / den))
+            corr = min(forms)
+        want.append((t1, t2, x1, x2, base + corr - lhs))
     rep = harnack_check(traj, mu, lam, pairs)
     assert rep.records == want
     k = min(range(len(want)), key=lambda i: want[i][-1])

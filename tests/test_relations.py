@@ -40,6 +40,13 @@ Each relation compares two runs of the library and needs no closed form.
   slot-major table.  (A
   trajectory on the union takes other steps, as its error norm runs over
   every vertex, so its states agree only to the integrator's global error.)
+* Harnack locality and relabelling.  A pair's Harnack slack reads the
+  states at its two times and the least path form over paths between its
+  two vertices, which stay in their component and add the same terms in
+  path order whatever the vertex order.  So on a trajectory given by its
+  states at reported times, with no dense data, adding a disjoint
+  ``path:3`` of weight 0.01 (a smaller weight than any of the component's)
+  or reversing the vertex order leaves every pair's slack bit for bit.
 """
 
 import math
@@ -50,9 +57,11 @@ import pytest
 from pmelab import (
     Graph,
     SearchConfig,
+    Trajectory,
     build_graph,
     complete_graph,
     empirical_optimal_d,
+    harnack_check,
     integrate,
     laplacian_field,
     pme_rhs,
@@ -170,3 +179,45 @@ def test_a_disjoint_union_leaves_each_component_s_sums_unchanged(spec):
                     assert pme_rhs(union, m, u)[lo:hi].tobytes() == pme_rhs(g, m, u[lo:hi]).tobytes(), m
                 assert laplacian_field(union, f)[lo:hi].tobytes() == laplacian_field(g, f[lo:hi]).tobytes()
                 assert union.kernel_sum(f)[lo:hi].tobytes() == g.kernel_sum(f[lo:hi]).tobytes()
+
+
+def _harnack_case(seed):
+    """A random connected symmetric graph with weights from {0.25, 0.5, 1, 2}, its states at 12 reported times, and pairs."""
+    rng = np.random.default_rng([seed, 52])
+    n = int(rng.integers(4, 10))
+    mat = np.zeros((n, n))
+    for i in range(1, n):  # a random tree, so the graph is connected, plus chords
+        mat[int(rng.integers(i)), i] = 1.0
+    mat = np.triu(np.maximum(mat, rng.random((n, n)) < 0.3), 1) * rng.choice([0.25, 0.5, 1.0, 2.0], (n, n))
+    g = Graph([f"r{i}" for i in range(n)], mat + mat.T)
+    times = np.linspace(0.1, 3.0, 12)
+    states = integrate(g, 2.0, rng.uniform(0.5, 1.5, n), times).states
+    pairs = []
+    for _ in range(80):
+        k1, k2 = np.sort(rng.choice(len(times), 2, replace=False))
+        x1, x2 = rng.choice(g.vertices, 2)
+        pairs.append((float(times[k1]), float(times[k2]), str(x1), str(x2)))
+    return g, times, states, pairs, float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.0, 0.9))
+
+
+def _harnack_slacks(g, times, states, pairs, mu, lam) -> bytes:
+    report = harnack_check(Trajectory(g, 2.0, times, states), mu, lam, pairs)
+    return np.array([r[-1] for r in report.records]).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_disjoint_light_component_leaves_every_harnack_slack_unchanged(seed):
+    g, times, states, pairs, mu, lam = _harnack_case(seed)
+    light = resolve_graph("path:3")
+    light = Graph(light.vertices, (light.data * 0.01, light.indices, light.indptr))
+    with_light = np.hstack([states, np.ones((len(times), light.n))])
+    named = [(t1, t2, f"0:{x1}", f"0:{x2}") for t1, t2, x1, x2 in pairs]
+    union = _harnack_slacks(_union(g, light), times, with_light, named, mu, lam)
+    assert union == _harnack_slacks(g, times, states, pairs, mu, lam)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reversing_the_vertex_order_leaves_every_harnack_slack_unchanged(seed):
+    g, times, states, pairs, mu, lam = _harnack_case(seed)
+    reversed_ = _harnack_slacks(_relabelled(g, g.vertices[::-1]), times, states[:, ::-1], pairs, mu, lam)
+    assert reversed_ == _harnack_slacks(g, times, states, pairs, mu, lam)
