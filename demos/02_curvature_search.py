@@ -28,10 +28,10 @@ Steps:
 
   4. Chain families. A recursive construction on path graphs produces
      admissible fields whose curvature stays negative as a boundary
-     parameter eps goes to zero: value -3/2 for lengths 3 and 4 at
-     every exponent, and for length 5 a finite negative limit that
-     depends on m. Tabulate the eps -> 0 approach against the closed
-     form limit for m = 2 and m = 3.
+     parameter eps goes to zero: value -3/2 for lengths 3 and 4, which
+     are exponent-2 constructions, and for length 5 (any m >= 2) a
+     finite negative limit that depends on m. Tabulate the eps -> 0
+     approach against the closed form limit for m = 2 and m = 3.
 
 The search is stochastic but seeded, so the printed numbers are
 reproducible run to run.

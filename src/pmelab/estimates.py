@@ -9,8 +9,11 @@ integrating at ``1e-13`` instead of ``1e-10`` moves ``ab_check`` slacks by
 
 Checked statements, for a trajectory with pressure ``v``:
 
-* the time-scaled upper bound ``-(Lv + alpha * correction) <= d/t`` and its
-  equivalent form through the pressure equation (``ab_check``);
+* the time-scaled upper bound ``-G <= d/t`` on the mixed pressure
+  Laplacian ``G = (1-alpha) Lv + alpha L(u^m)/u`` (``ab_check``); through
+  the pressure equation it is the differential Harnack hypothesis below at
+  ``lambda = alpha``, ``mu = (m-1) d``, divided by ``(m-1) v``, so it is
+  checked in this one form;
 * the differential Harnack hypothesis
   ``dv/dt >= (1-lambda) gradient_energy(v) - (mu/t) v``
   (``diff_harnack_residual``);
@@ -24,7 +27,7 @@ Checked statements, for a trajectory with pressure ``v``:
   (``quadratic_minorant_check``, ``integral_min_inequality_check``).
 
 The time-scaled bounds, ``ab_check`` and ``diff_harnack_residual``, are
-each written as slack formulas over one shared evaluation
+each one slack formula handed to one shared evaluation
 (:func:`_time_scaled_check`).  Their binding regime is small ``t``, so the
 first reported intervals are refined through the trajectory's dense output
 in addition to the reported grid.
@@ -41,7 +44,6 @@ caller that reads only the verdict builds no per-point rows.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -56,7 +58,6 @@ from .operators import (
     _block_count,
     _dtv,
     _edge_remainder,
-    _flow,
     _gradient_energy,
     _mixed_laplacian,
     _pressure,
@@ -149,44 +150,39 @@ def _refinement(ts: np.ndarray) -> np.ndarray:
     return (np.arange(1, 10) * ((hi - lo) / 10) + lo).ravel()
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a nan slack raises a DomainError
-def _time_scaled_check(traj: Trajectory, kind: str, what: str, parameters: dict, tol: float, **forms) -> EstimateReport:
-    """Least slack of a time-scaled bound, given as one or more named forms.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a non-finite least slack raises a DomainError
+def _time_scaled_check(
+    traj: Trajectory, kind: str, what: str, parameters: dict, tol: float,
+    slack: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> EstimateReport:
+    """Least slack of a time-scaled bound, given as one slack function.
 
-    Each form maps the time column ``t`` and the states ``U``, pressures
-    ``V``, flows ``L(u^m)``, exact ``dv/dt`` and gradient energies at those
-    times to a slack per vertex; each term is evaluated once, for all forms.
-    They are evaluated at the reported times plus a 10x dense refinement of
-    the earliest ten intervals (reported times only without dense data).  Each record is a time's least slack over forms and
-    vertices; ``argmin`` names the binding form where there are several.
-    A ``nan`` slack is no verdict: its terms overflowed or underflowed, and
-    a :class:`DomainError` names where.
+    ``slack(t, U)`` maps the time column ``t`` and the states ``U`` at
+    those times to a slack per vertex.  It is evaluated at the reported
+    times plus a 10x dense refinement of the earliest ten intervals
+    (reported times only without dense data).  Each record is a time's
+    least slack over the vertices.  A least slack that is not finite,
+    ``nan`` anywhere or ``-inf`` or ``+inf``, is no verdict: its terms left
+    the float range, and a :class:`DomainError` names where.
     """
     ts, U = traj.times, traj.states
     if ts[0] <= 0.0:
         raise ValidationError("trajectory must start at t > 0 for time-scaled bounds")
-    g, m = traj.graph, traj.m
+    g = traj.graph
     if traj.dense is not None and len(ts) >= 2:
         extra = _refinement(ts)
         ts = np.concatenate([ts, extra])
         order = np.argsort(ts, kind="stable")
         ts, U = ts[order], np.concatenate([U, traj.dense(extra)])[order]
-    V, LP = _pressure(m, U), _flow(g, m, U)
-    terms = (ts[:, None], U, V, LP, _dtv(g, m, U, LP), _gradient_energy(g, m, V))
-    slacks = [form(*terms) for form in forms.values()]
-    slack = functools.reduce(np.minimum, slacks)
-    if math.isnan(slack.min()):  # the minimum is nan where any slack is
-        k, i = np.argwhere(np.isnan(slack))[0]
-        at = f"t={float(ts[k])!r}, vertex {g.vertices[i]!r}"
-        raise DomainError(f"{what} slack is nan at {at}: its terms leave the float range")
-    cols = np.argmin(slack, axis=1)
-    mins = slack[np.arange(len(ts)), cols]
-    k = int(np.argmin(mins))
-    argmin = {"t": float(ts[k]), "vertex": g.vertices[cols[k]]}
-    if len(forms) > 1:  # the first form attaining the minimum
-        argmin["form"] = list(forms)[int(np.argmin([s[k, cols[k]] for s in slacks]))]
+    S = slack(ts[:, None], U)
+    cols = np.argmin(S, axis=1)  # a row's first nan where it has one
+    mins = S[np.arange(len(ts)), cols]
+    k = int(np.argmin(mins))  # so the first row with a nan, where any slack is nan
+    if not math.isfinite(mins[k]):
+        at = f"t={float(ts[k])!r}, vertex {g.vertices[cols[k]]!r}"
+        raise DomainError(f"{what} slack is {float(mins[k])!r} at {at}: its terms leave the float range")
     return EstimateReport(
-        kind, parameters, float(mins[k]), argmin, len(ts) * g.n, tol,
+        kind, parameters, float(mins[k]), {"t": float(ts[k]), "vertex": g.vertices[cols[k]]}, len(ts) * g.n, tol,
         lambda: [(t, g.vertices[i], s) for t, i, s in zip(ts.tolist(), cols.tolist(), mins.tolist())],
     )
 
@@ -194,16 +190,15 @@ def _time_scaled_check(traj: Trajectory, kind: str, what: str, parameters: dict,
 def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> EstimateReport:
     """Check the time-scaled upper bound on the mixed pressure Laplacian.
 
-    Verifies ``d/t + G(t, x) >= 0`` at every checked point, together with
-    the equivalent formulation obtained by substituting the pressure
-    equation,
-    ``d/t - ((1-alpha) gradient_energy(v) - dv/dt) / ((m-1) v) >= 0``,
-    with the exact time derivative.  The minimum slack across both forms is
-    reported.  On a graph satisfying ``CD(0, d)`` with mixing ``alpha`` the
-    theorem bounds a solution started at ``t = 0``; ``t`` here is the
-    trajectory's own time, so a trajectory whose initial state sits at a
-    later time is held to a stronger inequality and can fail.  A ``nan``
-    slack raises a :class:`DomainError` instead of a verdict.
+    Verifies ``d/t + G(t, x) >= 0`` at every checked point.  Substituting
+    the pressure equation turns it into the differential Harnack hypothesis
+    at ``lambda = alpha`` and ``mu = (m-1) d`` divided by ``(m-1) v``, which
+    :func:`diff_harnack_residual` checks.  On a graph satisfying ``CD(0, d)``
+    with mixing ``alpha`` the theorem bounds a solution started at
+    ``t = 0``; ``t`` here is the trajectory's own time, so a trajectory
+    whose initial state sits at a later time is held to a stronger
+    inequality and can fail.  A least slack that is not finite raises a
+    :class:`DomainError` instead of a verdict.
     """
     _check_tolerance(tol)
     alpha = check_mixing(alpha)
@@ -212,8 +207,7 @@ def ab_check(traj: Trajectory, alpha: float, d: float, tol: float = 1e-8) -> Est
     g, m = traj.graph, traj.m
     return _time_scaled_check(
         traj, "ab", "AB", {"m": m, "alpha": alpha, "d": d}, tol,
-        direct=lambda t, U, V, LP, dtv, psi: d / t + _mixed_laplacian(g, m, alpha, U, V, LP),
-        pressure_equation=lambda t, U, V, LP, dtv, psi: d / t - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V),
+        lambda t, U: d / t + _mixed_laplacian(g, m, alpha, U),
     )
 
 
@@ -224,14 +218,19 @@ def diff_harnack_residual(traj: Trajectory, lam: float, mu: float, tol: float = 
     started at ``t = 0`` passes with ``mu = (m-1) d`` and
     ``lambda = alpha``; ``t`` here is the trajectory's own time, so one
     whose initial state sits at a later time can fail.  This hypothesis is
-    what the integrated Harnack bounds are built from.  A ``nan`` slack
-    raises a :class:`DomainError` instead of a verdict.
+    what the integrated Harnack bounds are built from.  A least slack that
+    is not finite raises a :class:`DomainError` instead of a verdict.
     """
     _check_tolerance(tol)
     _check_lambda_mu(lam, mu)
+    g, m = traj.graph, traj.m
+
+    def hypothesis(t, U):
+        V = _pressure(m, U)
+        return _dtv(g, m, U) - (1.0 - lam) * _gradient_energy(g, m, V) + mu / t * V
+
     return _time_scaled_check(
-        traj, "diff_harnack", "differential Harnack", {"m": traj.m, "lambda": lam, "mu": mu}, tol,
-        hypothesis=lambda t, U, V, LP, dtv, psi: dtv - (1.0 - lam) * psi + mu / t * V,
+        traj, "diff_harnack", "differential Harnack", {"m": m, "lambda": lam, "mu": mu}, tol, hypothesis
     )
 
 

@@ -283,9 +283,10 @@ def mixed_laplacian(g: Graph, m: float, alpha: float, u, x: str) -> float:
 # ``x``.  The flow, ``dv/dt``, ``G`` and the curvature form read nothing else,
 # so each kernel owns its storage: a :class:`~pmelab.graphs.Graph` scatters
 # over its cached entry table, and the CD search's two-hop ball
-# (``cd._BallKernel``) multiplies its dense matrix.  ``_gradient_energy``, the
-# checkers' independent route to ``G``, also reads a graph's ``degree``,
-# ``kernel_sum`` and stored entries.  Callers validate and set the error state.
+# (``cd._BallKernel``) multiplies its dense matrix.  ``_gradient_energy``, which
+# the differential Harnack check and the pressure-equation and entropy
+# residuals read, also reads a graph's ``degree``, ``kernel_sum`` and stored
+# entries.  Callers validate and set the error state.
 # Every power of a field, here, in the solver and in the checkers, is taken in
 # ``_pow``, which skips the pass only where the result is exact (``p = 1`` and
 # ``p = 0``); other exponents go to numpy's ``**``, whose last bits follow

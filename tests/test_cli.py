@@ -440,10 +440,9 @@ def test_reproduce_ab_square_reports_where_the_minimum_sits(tmp_path):
     out = tmp_path / "run"
     assert main(["reproduce", "ex5.3i", "--out", str(out)]) == 0
     argmin = read_json(out / "reproduce_ex5.3i.json")["argmin"]
-    assert set(argmin) == {"t", "vertex", "form"}
+    assert set(argmin) == {"t", "vertex"}
     assert 0.05 <= argmin["t"] <= 5.0
     assert argmin["vertex"] in ("x", "y1", "y2", "z")
-    assert argmin["form"] in ("direct", "pressure_equation")
 
 
 # each reproduce id that re-runs a check, and that check command, with S the seed
@@ -781,7 +780,11 @@ def test_config_echoes_exactly_the_parsed_settings(tmp_path):
             ["check", "harnack", "--graph", "square", "--mu", "150", "--u0", "const:1e100", "--t-end", "100"],
             "overflows a float at the pair",
         ),
-        (["check", "ab", "--graph", "square", "--m", "3", "--d", "1.3334", "--u0", "const:1e-200"], "AB slack is nan"),
+        # u0^m overflows before the pressure does at m = 3, so no command line reaches an overflowed pressure
+        (
+            ["check", "ab", "--graph", "square", "--m", "3", "--d", "1.3334", "--u0", "const:1e200"],
+            "the right-hand side L(u0^m) of the initial state is not finite",
+        ),
         (
             ["check", "diff-harnack", "--graph", "square", "--m", "3", "--mu", "1", "--u0", "const:1e100"],
             "differential Harnack slack is nan",
@@ -870,8 +873,6 @@ def test_a_start_whose_right_hand_side_overflows_is_a_usage_error(tmp_path, caps
 @pytest.mark.parametrize(
     "argv",
     [
-        # the pressure of 1e-200 underflows to 0 at m = 3, so an AB slack is 0/0
-        ["check", "ab", "--graph", "square", "--m", "3", "--d", "1.3334", "--u0", "const:1e-200"],
         ["check", "diff-harnack", "--graph", "square", "--m", "3", "--mu", "1", "--u0", "const:1e100"],
     ],
 )
@@ -880,6 +881,15 @@ def test_a_nan_slack_writes_only_its_error_line(tmp_path, argv):
     proc = run_cli(*argv, "--out", tmp_path / "run")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("graph,d", [("square", 1.3334), ("complete:2", 2.0)])
+def test_ab_passes_on_a_stationary_start_whose_pressure_underflows(tmp_path, graph, d):
+    # the pressure of 1e-200 underflows to 0 at m = 3, so G = 0 and the least slack is d/t_end
+    argv = ["check", "ab", "--graph", graph, "--m", "3", "--d", repr(d), "--u0", "const:1e-200"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    report = read_json(tmp_path / "run" / "report_ab.json")
+    assert report["passed"] is True and report["min_slack"] == d / 5.0 and report["argmin"]["t"] == 5.0
 
 
 def test_a_non_finite_edge_weight_is_a_usage_error(tmp_path, capsys):

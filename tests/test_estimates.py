@@ -1,6 +1,5 @@
 """Time-scaled regularity estimates, Harnack bounds and scalar lemmas."""
 
-import functools
 import math
 import pickle
 import re
@@ -16,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from pmelab import (
     EstimateReport,
     Graph,
+    Trajectory,
     ab_check,
     build_graph,
     complete_graph,
@@ -82,18 +82,58 @@ def test_ab_check_evaluates_pressure_and_flow_once(monkeypatch, alpha):
         return lambda *args: calls.append(name) or f(*args)
 
     # each module calls the core through its own names (estimates may not import them)
-    for name, f in (("_flow", operators._flow), ("_pressure", operators._pressure)):
+    for name in ("_flow", "_pressure", "_gradient_energy"):
+        f = getattr(operators, name)
         monkeypatch.setattr(operators, name, counted(name, f))
         monkeypatch.setattr(estimates, name, counted(name, f), raising=False)
     ab_check(traj, alpha, 4.0 / 3.0)
-    assert sorted(calls) == ["_flow", "_pressure"]
+    # G alone: at alpha = 0 it is Lv, and the flow enters only through L(u^m)/u
+    assert sorted(calls) == (["_pressure"] if alpha == 0.0 else ["_flow", "_pressure"])
 
 
 def test_ab_report_records_parameters_and_argmin():
     rep = ab_check(square_run(), 0.0, 4.0 / 3.0)
     assert rep.kind == "ab"
     assert rep.parameters["d"] == pytest.approx(4.0 / 3.0)
-    assert set(rep.argmin) >= {"t", "vertex", "form"}
+    assert set(rep.argmin) == {"t", "vertex"}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_ab_check_refuses_an_overflowed_pressure(alpha):
+    # (3/2) (1e200)^2 overflows, so G(x) = -inf and the least slack is not a verdict
+    traj = Trajectory(square_graph(), 3.0, [0.1], [[1e200, 1.0, 1.0, 1.0]])
+    with pytest.raises(DomainError, match=re.escape("AB slack is -inf at t=0.1, vertex 'x'")):
+        ab_check(traj, alpha, 4.0 / 3.0)
+
+
+@pytest.mark.parametrize("spec", ["square", "complete:5", "path:6", "zwindow:3"])
+@pytest.mark.parametrize("m", [1.25, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_the_pressure_equation_form_of_ab_adds_nothing_to_the_two_checks(spec, m, alpha):
+    # ab_check does not evaluate d/t - ((1-alpha) gradient_energy - dv/dt)/((m-1) v): it is the differential
+    # Harnack slack at lambda = alpha, mu = (m-1) d over (m-1) v, and by the pressure equation it is d/t + G
+    g, d, eps = resolve_graph(spec), 4.0 / 3.0, np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    U, t = rng.uniform(0.1, 2.0, (200, g.n)), rng.uniform(0.05, 5.0, (200, 1))
+    V, dtv = _pressure(m, U), _dtv(g, m, U)
+    psi = _gradient_energy(g, m, V)
+    quotient = ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V)
+    dropped = d / t - quotient
+    # the hypothesis as diff_harnack_residual evaluates it; the two sides share both terms of the quotient's
+    # numerator and are at most 6 roundings apart, each within half an ulp of d/t + |quotient|
+    mu = (m - 1.0) * d
+    hypothesis = dtv - (1.0 - alpha) * psi + mu / t * V
+    assert np.all(np.abs(dropped - hypothesis / ((m - 1.0) * V)) <= 4.0 * eps * (d / t + np.abs(quotient)))
+    # Each side is a few products and quotients of kernel sums of at most (degree + 1) terms, each summed within
+    # (degree + 1) eps of its terms' absolute sum (Higham's gamma_n), so the sides agree within (degree + 8) eps
+    # of the absolute sum of every term either one adds.
+    c1, c2, p, q = (m - 1.0) / m, (m - 1.0) ** 2 / m, (m - 2.0) / (m - 1.0), m / (m - 1.0)
+    P = U**m
+    abs_lp = g.kernel_sum(P) + g.degree * P
+    abs_psi = c1 * g.degree * V**2 + c2 * V**p * g.kernel_sum(V**q) + (m - 1.0) * V * g.kernel_sum(V)
+    scale = (d / t + ((1.0 - alpha) * abs_psi + m * U ** (m - 2.0) * abs_lp) / ((m - 1.0) * V)
+             + (1.0 - alpha) * (g.kernel_sum(V) + g.degree * V) + alpha * abs_lp / U)
+    assert np.all(np.abs(dropped - (d / t + _mixed_laplacian(g, m, alpha, U))) <= (g.degree.max() + 8.0) * eps * scale)
 
 
 @pytest.mark.parametrize("m", [1.25, 2.0, 3.0])
@@ -108,8 +148,8 @@ def test_batched_checkers_equal_the_per_point_loop(m):
         v = pressure(m, u)
         dtv = m * u ** (m - 2.0) * laplacian_field(g, u**m)
         psi = gradient_energy_field(g, m, v)
-        both = np.minimum(d / t + mixed_laplacian_field(g, m, alpha, u), d / t - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * v))
-        assert (t, x, slack) == (t, g.vertices[np.argmin(both)], np.min(both))
+        direct = d / t + mixed_laplacian_field(g, m, alpha, u)
+        assert (t, x, slack) == (t, g.vertices[np.argmin(direct)], np.min(direct))
         harnack = dtv - (1.0 - lam) * psi + mu / t * v
         assert (t2, x2, slack2) == (t, g.vertices[np.argmin(harnack)], np.min(harnack))
     assert ab.min_slack == min(r[2] for r in ab.records)
@@ -187,7 +227,7 @@ def test_refinement_times_equal_linspace_bit_for_bit(lo, hi, count):
         assert _refinement(ts).tobytes() == want.tobytes()
 
 
-def _eager_time_scaled_records(traj, *forms):
+def _eager_time_scaled_records(traj, form):
     """A time-scaled check's records, built at once from the arrays that the check evaluates."""
     g, m, ts, U = traj.graph, traj.m, traj.times, traj.states
     extra = _refinement(ts)
@@ -195,7 +235,7 @@ def _eager_time_scaled_records(traj, *forms):
     ts, U = np.concatenate([ts, extra])[order], np.concatenate([U, traj.dense(extra)])[order]
     V = _pressure(m, U)
     terms = (ts[:, None], U, V, _dtv(g, m, U), _gradient_energy(g, m, V))
-    slack = functools.reduce(np.minimum, [form(*terms) for form in forms])
+    slack = form(*terms)
     cols = np.argmin(slack, axis=1)
     mins = slack[np.arange(len(ts)), cols]
     return [(t, g.vertices[i], s) for t, i, s in zip(ts.tolist(), cols.tolist(), mins.tolist())]
@@ -204,11 +244,7 @@ def _eager_time_scaled_records(traj, *forms):
 def _checks_with_eager_records(traj, pairs):
     """``(report, records built at once)`` for the three checkers, as ``check ab``, ``diff-harnack`` and ``harnack``."""
     g, m, alpha, d, lam, mu = traj.graph, traj.m, 0.5, 4.0 / 3.0, 0.25, 0.7
-    ab = _eager_time_scaled_records(
-        traj,
-        lambda t, U, V, dtv, psi: d / t + _mixed_laplacian(g, m, alpha, U),
-        lambda t, U, V, dtv, psi: d / t - ((1.0 - alpha) * psi - dtv) / ((m - 1.0) * V),
-    )
+    ab = _eager_time_scaled_records(traj, lambda t, U, V, dtv, psi: d / t + _mixed_laplacian(g, m, alpha, U))
     dh = _eager_time_scaled_records(traj, lambda t, U, V, dtv, psi: dtv - (1.0 - lam) * psi + mu / t * V)
     return [
         (ab_check(traj, alpha, d), ab),
@@ -455,6 +491,8 @@ def test_harnack_check_validates_pair_times_and_symmetry():
         harnack_check(traj, 1.0, 0.0, [(0.05, 1.0, "x", "z")])
     with pytest.raises(ValidationError):
         harnack_check(traj, 1.0, 0.0, [(1.0, 0.5, "x", "z")])
+    with pytest.raises(ValidationError, match=re.escape("need at least one (t1, t2, x1, x2) pair")):
+        harnack_check(traj, 1.0, 0.0, [])
     g = build_graph([("a", "b", 1.0), ("b", "a", 2.0)])
     bad = integrate(g, 2.0, [1.0, 1.0], np.linspace(0.1, 1.0, 5))
     with pytest.raises(ValidationError):
