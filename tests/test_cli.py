@@ -873,6 +873,7 @@ def test_a_start_whose_right_hand_side_overflows_is_a_usage_error(tmp_path, caps
 @pytest.mark.parametrize(
     "argv",
     [
+        ["check", "diff-harnack", "--graph", "complete:2", "--m", "3", "--mu", "1", "--u0", "const:1e100"],
         ["check", "diff-harnack", "--graph", "square", "--m", "3", "--mu", "1", "--u0", "const:1e100"],
     ],
 )
